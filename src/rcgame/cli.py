@@ -12,7 +12,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from .engine import (
     extract_cop_strategy,
@@ -71,15 +70,6 @@ from .verify import (
 )
 
 
-@dataclass
-class RunConfig:
-    seed: int = 1
-    size_guard: int = DEFAULT_SIZE_GUARD
-    search_mode: str = "binary"
-    trial_count: int | None = None
-    output_format: str = "csv"
-
-
 def _size_guard_from_env() -> int:
     raw = os.environ.get("RC_SIZE_GUARD")
     if raw is None:
@@ -93,7 +83,7 @@ def _size_guard_from_env() -> int:
     return guard
 
 
-def compute_record(g: Graph, instance_id: str, search: str = "binary",
+def compute_record(g: Graph, instance_id: str,
                    with_timing: bool = False) -> ResultRecord:
     """Solve one graph and package the result row."""
     t0 = time.perf_counter()
@@ -101,7 +91,7 @@ def compute_record(g: Graph, instance_id: str, search: str = "binary",
     dm = all_pairs_distances(g)
     if dm.connected:
         rad, diam = radius_diameter(dm)
-        rc = radius_capture_number(g, search, dm)
+        rc = radius_capture_number(g, dm)
         ub = max(0, rad - 1)
     else:
         rad = diam = rc = ub = None
@@ -157,7 +147,12 @@ def cmd_compute(args) -> int:
                   file=sys.stderr)
             diagnostics.append(gid)
             continue
-        rec = compute_record(g, gid, args.search, args.timings)
+        try:
+            rec = compute_record(g, gid, args.timings)
+        except GraphGameError as exc:
+            print(f"error: {gid}: {exc}", file=sys.stderr)
+            diagnostics.append(gid)
+            continue
         if rec.rc is None:
             print(f"warning: {gid} is disconnected; the robber wins at every radius",
                   file=sys.stderr)
@@ -181,7 +176,7 @@ def cmd_family(args) -> int:
     spec = FamilySpec(args.kind, params, args.seed)
     g = build_family(spec, guard)
     gid = "-".join([args.kind, *(str(p) for p in params)])
-    rec = compute_record(g, _safe_id(gid), args.search, args.timings)
+    rec = compute_record(g, _safe_id(gid), args.timings)
     print(f"{gid}: n={rec.n} m={rec.m} girth={rec.girth} "
           f"rad={_show(rec.rad)} diam={_show(rec.diam)} rc={_show(rec.rc)}")
     if rec.rc is None:
@@ -503,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", help="input path or - for stdin")
     p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
     p.add_argument("--instance", choices=NAMED_INSTANCES)
-    p.add_argument("--search", choices=("linear", "binary"), default="binary")
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.add_argument("--timings", action="store_true",
                    help="emit wall-clock ms (breaks byte-identical reruns)")
@@ -513,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind")
     p.add_argument("params", nargs="*")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--search", choices=("linear", "binary"), default="binary")
     p.add_argument("--out", choices=("csv", "json"))
     p.add_argument("--timings", action="store_true")
     p.set_defaults(func=cmd_family)

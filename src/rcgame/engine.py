@@ -16,6 +16,7 @@ maximizes.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -32,7 +33,6 @@ from .graph import (
     DistanceMatrix,
     Graph,
     all_pairs_distances,
-    girth,
     radius_diameter,
 )
 
@@ -85,6 +85,64 @@ class WinAnalysis:
         return plane[cop * self.graph.n + robber]
 
 
+def _attract(n: int, closed: list[list[int]], targets, win_c: bytearray,
+             win_r: bytearray, rank_c: list[int], rank_r: list[int],
+             countdown: list[int]) -> None:
+    """Add capture targets to the cop-win region and propagate backwards.
+
+    A state is one int: i = cop * n + robber with the cop to move, n^2 + i
+    with the robber to move. Each target i not yet won is won with rank 0
+    in both planes. Then the queue of newly won states is drained: a
+    cop-to-move state is won as soon as one successor is, a robber-to-move
+    state once countdown[i], its number of successors not yet won, reaches
+    zero. Each newly won state gets rank 1 + the rank of the state that
+    settled it. On fresh planes the FIFO order makes the ranks minimal for
+    the cop and maximal for the robber; on planes left by an earlier call
+    the flags are still exact, since the region only grows with the
+    targets.
+    """
+    size = n * n
+    queue: deque = deque()
+    push = queue.append
+    for i in targets:
+        if not win_c[i]:
+            win_c[i] = 1
+            rank_c[i] = 0
+            push(i)
+        if not win_r[i]:
+            win_r[i] = 1
+            rank_r[i] = 0
+            push(size + i)
+    pop = queue.popleft
+    while queue:
+        s = pop()
+        if s < size:
+            # robber moves into (c, r): decrement (c, y) for y around r
+            r = s % n
+            base = s - r
+            rho = rank_c[s] + 1
+            for y in closed[r]:
+                i = base + y
+                if not win_r[i]:
+                    left = countdown[i] - 1
+                    countdown[i] = left
+                    if left == 0:
+                        win_r[i] = 1
+                        rank_r[i] = rho
+                        push(size + i)
+        else:
+            # cop moves into (c, r): classify (y, r) for y around c
+            s -= size
+            c, r = divmod(s, n)
+            rho = rank_r[s] + 1
+            for y in closed[c]:
+                i = y * n + r
+                if not win_c[i]:
+                    win_c[i] = 1
+                    rank_c[i] = rho
+                    push(i)
+
+
 def solve_cwrc(g: Graph, k: int, dm: DistanceMatrix | None = None) -> WinAnalysis:
     """Decide whether the cop wins the radius-k game on connected g.
 
@@ -100,93 +158,61 @@ def solve_cwrc(g: Graph, k: int, dm: DistanceMatrix | None = None) -> WinAnalysi
         raise NotConnected("the capture game is only decided on connected graphs")
     n = g.n
     closed = _closed_lists(g)
-    closed_deg = [len(c) for c in closed]
     size = n * n
     win_c = bytearray(size)   # cop to move
     win_r = bytearray(size)   # robber to move
     rank_c = [-1] * size
     rank_r = [-1] * size
-    countdown = [0] * size    # robber-to-move states: unclassified successors
-    queue: deque = deque()
-    push = queue.append
-    rows = dm.rows
-    for c in range(n):
-        base = c * n
-        drow = rows[c]
-        for r in range(n):
-            i = base + r
-            if drow[r] <= k:
-                win_c[i] = 1
-                win_r[i] = 1
-                rank_c[i] = 0
-                rank_r[i] = 0
-                push((COP_TO_MOVE, c, r))
-                push((ROBBER_TO_MOVE, c, r))
-            else:
-                countdown[i] = closed_deg[r]
-    pop = queue.popleft
-    while queue:
-        turn, c, r = pop()
-        if turn == COP_TO_MOVE:
-            # robber moves into (c, r): decrement (c, y) for y around r
-            rho = rank_c[c * n + r] + 1
-            base = c * n
-            for y in closed[r]:
-                i = base + y
-                if not win_r[i]:
-                    left = countdown[i] - 1
-                    countdown[i] = left
-                    if left == 0:
-                        win_r[i] = 1
-                        rank_r[i] = rho
-                        push((ROBBER_TO_MOVE, c, y))
-        else:
-            # cop moves into (c, r): classify (y, r) for y around c
-            rho = rank_r[c * n + r] + 1
-            for y in closed[c]:
-                i = y * n + r
-                if not win_c[i]:
-                    win_c[i] = 1
-                    rank_c[i] = rho
-                    push((COP_TO_MOVE, y, r))
+    countdown = [len(row) for row in closed] * n
+    captures = (c * n + r for c, drow in enumerate(dm.rows)
+                for r, d in enumerate(drow) if d <= k)
+    _attract(n, closed, captures, win_c, win_r, rank_c, rank_r, countdown)
     choices = tuple(c for c in range(n)
                     if win_c.find(0, c * n, (c + 1) * n) < 0)
     return WinAnalysis(g, k, dm, win_c, win_r, rank_c, rank_r, choices)
 
 
-def radius_capture_number(g: Graph, search: str = "binary",
-                          dm: DistanceMatrix | None = None) -> int | None:
+def radius_capture_number(g: Graph, dm: DistanceMatrix | None = None) -> int | None:
     """Least k at which the cop wins, or None when g is disconnected.
 
-    The search space is max(0, girth//2 - 1) .. max(0, rad - 1); "linear"
-    scans upward from the lower bound, "binary" exploits that cop-win is
-    monotone in k.
+    One incremental attractor pass: the cop-win region only grows with k,
+    so the pass raises k from 0, adds the states at distance exactly k as
+    new capture targets and resumes propagation from the countdowns left
+    at k - 1. Each state is settled at most once over the whole pass, so
+    it costs about one solve at the answer. It stops at the first k where
+    some cop start wins against every robber placement; rad - 1 always
+    suffices. The ranks it computes along the way are discarded.
     """
-    if search not in ("linear", "binary"):
-        raise InvalidParam(f"search mode must be linear or binary, got {search!r}")
     if dm is None:
         dm = all_pairs_distances(g)
     if not dm.connected:
         return None
     rad, _ = radius_diameter(dm)
-    lo = max(0, girth(g) // 2 - 1)
     hi = max(0, rad - 1)
-    if search == "linear":
-        for k in range(lo, hi + 1):
-            if solve_cwrc(g, k, dm).is_cop_win:
+    n = g.n
+    size = n * n
+    closed = _closed_lists(g)
+    by_dist = [array("q") for _ in range(hi + 1)]
+    for c, drow in enumerate(dm.rows):
+        base = c * n
+        for r, d in enumerate(drow):
+            if d <= hi:
+                by_dist[d].append(base + r)
+    win_c = bytearray(size)
+    win_r = bytearray(size)
+    rank_c = [-1] * size
+    rank_r = [-1] * size
+    countdown = [len(row) for row in closed] * n
+    full_row = b"\x01" * n
+    for k, targets in enumerate(by_dist):
+        _attract(n, closed, targets, win_c, win_r, rank_c, rank_r, countdown)
+        # a fully won cop row is a run of n won bytes starting at a row start
+        pos = win_c.find(full_row)
+        while pos >= 0:
+            if pos % n == 0:
                 return k
-        raise InvariantViolation(f"no cop win up to the radius bound {hi}")
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if solve_cwrc(g, mid, dm).is_cop_win:
-            best = mid
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    if best is None:
-        raise InvariantViolation("no cop win at the radius bound")
-    return best
+            pos = win_c.find(full_row, pos - pos % n + n)
+    raise InvariantViolation(f"no cop win up to the radius bound {hi}")
 
 
 @dataclass(frozen=True)

@@ -258,41 +258,45 @@ def _swap_automorphism_exists(g: Graph, dist: list[list[int]],
     order = [x for x in sorted(range(n), key=lambda x: (dist[u][x], x))
              if x not in (u, v)]
     bits = g.adj_bits
-
-    def extend(depth: int) -> bool | None:
-        if depth == len(order):
-            return True
+    # x can only map to a c with (d(c, u), d(c, v)) == (d(x, v), d(x, u));
+    # each pool keeps its candidates in increasing vertex order
+    by_key: dict[tuple[int, int], list[int]] = {}
+    for c in range(n):
+        by_key.setdefault((dist[c][u], dist[c][v]), []).append(c)
+    pools = [by_key.get((dist[x][v], dist[x][u]), []) for x in order]
+    # depth-first with an explicit stack: nxt[d] is the position in
+    # pools[d] of the next candidate image to try for order[d]
+    nxt = [0] * len(order)
+    depth = 0
+    while depth < len(order):
         x = order[depth]
-        for cand in range(n):
-            if used[cand] or signature[cand] != signature[x]:
-                continue
-            if dist[cand][v] != dist[x][u] or dist[cand][u] != dist[x][v]:
-                continue
-            ok = True
-            for y in order[:depth]:
-                if ((bits[x] >> y) & 1) != ((bits[cand] >> mapping[y]) & 1):
-                    ok = False
-                    break
-            if ok and (((bits[x] >> u) & 1) != ((bits[cand] >> v) & 1)
-                       or ((bits[x] >> v) & 1) != ((bits[cand] >> u) & 1)):
-                ok = False
-            if not ok:
-                continue
-            budget.left -= 1
-            if budget.left < 0:
-                return None
-            mapping[x] = cand
-            used[cand] = True
-            result = extend(depth + 1)
-            if result:
-                return True
-            used[cand] = False
-            mapping[x] = -1
-            if result is None:
-                return None
-        return False
-
-    return extend(0)
+        pool = pools[depth]
+        for j in range(nxt[depth], len(pool)):
+            cand = pool[j]
+            if (not used[cand] and signature[cand] == signature[x]
+                    and all(((bits[x] >> y) & 1) == ((bits[cand] >> mapping[y]) & 1)
+                            for y in order[:depth])
+                    and ((bits[x] >> u) & 1) == ((bits[cand] >> v) & 1)
+                    and ((bits[x] >> v) & 1) == ((bits[cand] >> u) & 1)):
+                break
+        else:
+            if depth == 0:
+                return False
+            depth -= 1
+            y = order[depth]
+            used[mapping[y]] = False
+            mapping[y] = -1
+            continue
+        budget.left -= 1
+        if budget.left < 0:
+            return None
+        mapping[x] = cand
+        used[cand] = True
+        nxt[depth] = j + 1
+        depth += 1
+        if depth < len(order):
+            nxt[depth] = 0
+    return True
 
 
 def is_generously_transitive(g: Graph, budget: int = 500000) -> bool | None:

@@ -5,6 +5,7 @@ test. The heavy instances (S(5,3), S(4,4), Q_7) and their analyses are
 shared across criteria through module-scoped fixtures.
 """
 
+import itertools
 import math
 import random
 
@@ -190,9 +191,12 @@ def test_criterion_10_oracle_equivalence():
         g = random_connected_gnp(rng.randint(2, 10), rng.uniform(0.2, 0.8),
                                  rng.getrandbits(32))
         expected = naive_rc_oracle(g)
-        assert radius_capture_number(g, "linear") == expected
-        assert radius_capture_number(g, "binary") == expected
-    _passed(10, "naive oracle == linear == binary on 100 random graphs")
+        dm = all_pairs_distances(g)
+        scan = next(k for k in itertools.count() if solve_cwrc(g, k, dm).is_cop_win)
+        assert scan == expected
+        assert radius_capture_number(g, dm) == expected
+    _passed(10, "naive oracle == per-k scan == radius_capture_number "
+                "on 100 random graphs")
 
 
 def test_criterion_11_product_theorems():

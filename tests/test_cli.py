@@ -149,6 +149,18 @@ def test_compute_from_stdin(capsys, monkeypatch):
     assert out.splitlines()[2].startswith("stdin:2,3,3,")
 
 
+def test_compute_batch_keeps_rows_around_failed_graph(capsys, monkeypatch):
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO("A_\n?\nBw\n"))
+    code, out, err = run(capsys, "compute", "-")
+    assert code == 2
+    assert err == "error: stdin:2: empty graph has no radius\n"
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("stdin:1,2,1,")
+    assert lines[2].startswith("stdin:3,3,3,")
+
+
 def test_size_guard_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RC_SIZE_GUARD", "10")
     code, _, err = run(capsys, "compute", "--instance", "CubicVT24_6")

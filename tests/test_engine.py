@@ -1,8 +1,10 @@
 """Solver correctness: attractor, capture numbers, strategies, play-outs."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rcgame.engine import (
     Strategy,
@@ -71,12 +73,18 @@ def test_radius_capture_number_examples():
     assert radius_capture_number(basic_family("complete", 1)) == 0
 
 
-def test_search_modes_agree():
+def per_k_scan(g):
+    """Reference for the incremental pass: the least k at which a fresh
+    solve_cwrc is a cop win (some k <= diam always is)."""
+    dm = all_pairs_distances(g)
+    return next(k for k in itertools.count() if solve_cwrc(g, k, dm).is_cop_win)
+
+
+def test_rc_matches_per_k_scan():
     for g in [basic_family("cycle", 9), basic_family("path", 6), hypercube(3),
-              generalized_johnson(5, 2, 0)]:
-        assert radius_capture_number(g, "linear") == radius_capture_number(g, "binary")
-    with pytest.raises(InvalidParam):
-        radius_capture_number(basic_family("cycle", 4), "ternary")
+              generalized_johnson(5, 2, 0), sierpinski(3, 3),
+              basic_family("complete", 1)]:
+        assert radius_capture_number(g) == per_k_scan(g)
 
 
 def test_copwin_monotone_in_radius():
@@ -107,8 +115,18 @@ def test_oracle_equivalence_small():
         g = random_connected_gnp(rng.randint(2, 9), rng.uniform(0.2, 0.8),
                                  rng.getrandbits(32))
         expected = naive_rc_oracle(g)
-        assert radius_capture_number(g, "linear") == expected
-        assert radius_capture_number(g, "binary") == expected
+        assert per_k_scan(g) == expected
+        assert radius_capture_number(g) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10), st.floats(0.25, 0.8), st.integers(0, 2 ** 32 - 1))
+def test_rc_property_small_gnp(n, p, seed):
+    g = random_connected_gnp(n, p, seed)
+    rc = radius_capture_number(g)
+    assert rc == naive_rc_oracle(g)
+    rad, _ = radius_diameter(all_pairs_distances(g))
+    assert girth(g) // 2 - 1 <= rc <= rad - 1
 
 
 def test_oracle_examples():
@@ -316,6 +334,33 @@ def test_attractor_ranks_match_minimax_oracle(make, k):
     expected_choices = tuple(c for c in range(g.n)
                              if all((c, r) in rank_c for r in range(g.n)))
     assert a.initial_cop_choices == expected_choices
+
+
+@pytest.mark.parametrize("g,k", [
+    (basic_family("cycle", 4), 0),
+    (basic_family("cycle", 4), 1),
+    (hypercube(3), 1),
+    (hypercube(3), 2),
+    (sierpinski(3, 3), 4),
+    (sierpinski(3, 3), 5),
+])
+def test_ranks_meet_rank_equations(g, k):
+    # capture states rank 0; otherwise a cop-to-move rank is 1 + the least
+    # rank the cop can move to, a robber-to-move rank 1 + the largest rank
+    # the robber can move to; -1 outside the cop-win region
+    a = solve_cwrc(g, k)
+    n = g.n
+    closed = [sorted((*g.adj[v], v)) for v in range(n)]
+    for c in range(n):
+        for r in range(n):
+            if a.dm.dist(c, r) <= k:
+                assert a.rank(c, r, 0) == a.rank(c, r, 1) == 0
+                continue
+            cop_moves = [a.rank(y, r, 1) for y in closed[c] if a.cop_win(y, r, 1)]
+            assert a.rank(c, r, 0) == (1 + min(cop_moves) if cop_moves else -1)
+            robber_moves = [a.rank(c, y, 0) for y in closed[r]]
+            won = all(a.cop_win(c, y, 0) for y in closed[r])
+            assert a.rank(c, r, 1) == (1 + max(robber_moves) if won else -1)
 
 
 def test_capture_within_rank_bound():

@@ -35,6 +35,7 @@ from rcgame.verify import (
     unique_antipodes,
     verify_retraction,
 )
+from rcgame.verify import _Budget, _bfs_row, _swap_automorphism_exists
 
 
 def test_retraction_fold_leaf():
@@ -214,6 +215,14 @@ def test_generously_transitive_examples(petersen):
     assert is_generously_transitive(basic_family("path", 3)) is False
     assert is_generously_transitive(petersen) is True
     assert is_generously_transitive(petersen, budget=1) is None
+
+
+def test_swap_search_is_iterative_on_long_cycle():
+    # deeper than the recursion limit if the search took a frame per vertex
+    g = basic_family("cycle", 1100)
+    dist = [_bfs_row(g.adj, g.n, s) for s in range(g.n)]
+    signature = [tuple(sorted(row)) for row in dist]
+    assert _swap_automorphism_exists(g, dist, signature, 0, 1, _Budget(10 ** 6)) is True
 
 
 def test_generously_transitive_implies_tight_capture(petersen):
