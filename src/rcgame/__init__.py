@@ -4,7 +4,6 @@ radius of capture."""
 from .engine import (
     COP_TO_MOVE,
     ROBBER_TO_MOVE,
-    GameState,
     Strategy,
     Transcript,
     WinAnalysis,

@@ -104,10 +104,13 @@ def _safe_id(text: str) -> str:
     return text.replace(",", "_")
 
 
-def _read_graphs(args) -> tuple[list[tuple[str, Graph]], list[str]]:
-    """Collect (id, graph) pairs from --instance or the input path."""
+def _read_graphs(args):
+    """Yield (id, graph, error) from --instance or the input path, one
+    record at a time so a batch never holds more than one graph. error is
+    the parse message, and graph None, for a record that does not parse."""
     if args.instance:
-        return [(args.instance, named_instance(args.instance))], []
+        yield args.instance, named_instance(args.instance), None
+        return
     if args.input is None:
         raise InvalidParam("need an input path or --instance")
     if args.input == "-":
@@ -117,48 +120,47 @@ def _read_graphs(args) -> tuple[list[tuple[str, Graph]], list[str]]:
         with open(args.input, "r", encoding="ascii") as fh:
             text = fh.read()
         stem = _safe_id(os.path.splitext(os.path.basename(args.input))[0])
-    graphs: list[tuple[str, Graph]] = []
-    diagnostics: list[str] = []
     if args.format == "edgelist":
         try:
-            graphs.append((stem, parse_edge_list(text)))
+            g = parse_edge_list(text)
         except (ParseError, GraphGameError) as exc:
-            diagnostics.append(f"{stem}: {exc}")
-    else:
-        for no, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                graphs.append((f"{stem}:{no}", parse_graph6(line)))
-            except ParseError as exc:
-                diagnostics.append(f"{stem}:{no}: {exc}")
-    return graphs, diagnostics
+            yield stem, None, str(exc)
+        else:
+            yield stem, g, None
+        return
+    for no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            g = parse_graph6(line)
+        except ParseError as exc:
+            yield f"{stem}:{no}", None, str(exc)
+        else:
+            yield f"{stem}:{no}", g, None
 
 
 def cmd_compute(args) -> int:
     guard = _size_guard_from_env()
-    graphs, diagnostics = _read_graphs(args)
-    for msg in diagnostics:
-        print(f"error: {msg}", file=sys.stderr)
     records = []
-    for gid, g in graphs:
-        if g.n > guard:
-            print(f"error: {gid}: {g.n} vertices exceeds the cap {guard}",
-                  file=sys.stderr)
-            diagnostics.append(gid)
-            continue
-        try:
-            rec = compute_record(g, gid, args.timings)
-        except GraphGameError as exc:
-            print(f"error: {gid}: {exc}", file=sys.stderr)
-            diagnostics.append(gid)
+    failed = False
+    for gid, g, problem in _read_graphs(args):
+        if problem is None and g.n > guard:
+            problem = f"{g.n} vertices exceeds the cap {guard}"
+        if problem is None:
+            try:
+                rec = compute_record(g, gid, args.timings)
+            except GraphGameError as exc:
+                problem = str(exc)
+        if problem is not None:
+            print(f"error: {gid}: {problem}", file=sys.stderr)
+            failed = True
             continue
         if rec.rc is None:
             print(f"warning: {gid} is disconnected; the robber wins at every radius",
                   file=sys.stderr)
         records.append(rec)
     sys.stdout.write(emit_results(records, args.out))
-    return 2 if diagnostics else 0
+    return 2 if failed else 0
 
 
 def _parse_param(token: str):
@@ -211,12 +213,14 @@ def _graph_for_strategy(args) -> tuple[str, Graph]:
     if args.input:
         fmt_args = argparse.Namespace(instance=None, input=args.input,
                                       format=args.format)
-        graphs, diagnostics = _read_graphs(fmt_args)
-        if diagnostics:
-            raise ParseError("; ".join(diagnostics))
+        graphs = list(_read_graphs(fmt_args))
+        errors = [f"{gid}: {problem}" for gid, _, problem in graphs if problem]
+        if errors:
+            raise ParseError("; ".join(errors))
         if len(graphs) != 1:
             raise InvalidParam(f"strategy needs exactly one graph, got {len(graphs)}")
-        return graphs[0]
+        gid, g, _ = graphs[0]
+        return gid, g
     raise InvalidParam("need --instance, --family, or an input path")
 
 

@@ -7,16 +7,19 @@ the radius-k game the first time the players are at distance <= k, checked
 after the robber's placement and after every single move.
 
 The solver computes the cop-win attractor over all 2n^2 game states by
-counter-based backward propagation from the capture set, so each state is
-settled in time proportional to the mover's degree. Ranks count single
-moves (plies) to guaranteed capture: the cop minimizes, the robber
-maximizes.
+level-synchronous backward propagation over bitsets. Each plane (cop to
+move, robber to move) is one Python int per robber vertex r whose bit c
+marks state (c, r) as won, so a single bigint AND or OR settles a whole
+column of states at once. Round t wins every state that round t - 1
+decided, and a state first won in round t has rank t: the number of
+single moves (plies) to guaranteed capture, with the cop minimizing and
+the robber maximizing. A round costs a few bigint operations per column
+that changed in the round before.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -40,16 +43,8 @@ COP_TO_MOVE = 0
 ROBBER_TO_MOVE = 1
 
 
-class GameState(NamedTuple):
-    cop: int
-    robber: int
-    turn: int
-
-
-def _closed_lists(g: Graph) -> list[list[int]]:
-    return [sorted((*g.adj[v], v)) for v in range(g.n)]
-
-
+# identity equality as for any solve result, and no repr of 2n^2 plane entries
+@dataclass(slots=True, eq=False, repr=False)
 class WinAnalysis:
     """Per-state cop-win classification and capture rank at a fixed radius.
 
@@ -58,19 +53,14 @@ class WinAnalysis:
     cop start vertices that beat every robber placement.
     """
 
-    __slots__ = ("graph", "k", "dm", "win_cop_move", "win_robber_move",
-                 "rank_cop_move", "rank_robber_move", "initial_cop_choices")
-
-    def __init__(self, graph, k, dm, win_cop_move, win_robber_move,
-                 rank_cop_move, rank_robber_move, initial_cop_choices):
-        self.graph = graph
-        self.k = k
-        self.dm = dm
-        self.win_cop_move = win_cop_move
-        self.win_robber_move = win_robber_move
-        self.rank_cop_move = rank_cop_move
-        self.rank_robber_move = rank_robber_move
-        self.initial_cop_choices = initial_cop_choices
+    graph: Graph
+    k: int
+    dm: DistanceMatrix
+    win_cop_move: bytearray
+    win_robber_move: bytearray
+    rank_cop_move: list[int]
+    rank_robber_move: list[int]
+    initial_cop_choices: tuple[int, ...]
 
     @property
     def is_cop_win(self) -> bool:
@@ -85,62 +75,92 @@ class WinAnalysis:
         return plane[cop * self.graph.n + robber]
 
 
-def _attract(n: int, closed: list[list[int]], targets, win_c: bytearray,
-             win_r: bytearray, rank_c: list[int], rank_r: list[int],
-             countdown: list[int]) -> None:
-    """Add capture targets to the cop-win region and propagate backwards.
+def _balls(g: Graph):
+    """Yield ball_0, ball_1, ...: bit c of ball_k[r] is set iff d(c, r) <= k.
 
-    A state is one int: i = cop * n + robber with the cop to move, n^2 + i
-    with the robber to move. Each target i not yet won is won with rank 0
-    in both planes. Then the queue of newly won states is drained: a
-    cop-to-move state is won as soon as one successor is, a robber-to-move
-    state once countdown[i], its number of successors not yet won, reaches
-    zero. Each newly won state gets rank 1 + the rank of the state that
-    settled it. On fresh planes the FIFO order makes the ranks minimal for
-    the cop and maximal for the robber; on planes left by an earlier call
-    the flags are still exact, since the region only grows with the
-    targets.
+    ball_k[r] is the OR of ball_{k-1}[y] over y in N[r]. The generator
+    ends once the balls stop growing.
     """
-    size = n * n
-    queue: deque = deque()
-    push = queue.append
-    for i in targets:
-        if not win_c[i]:
-            win_c[i] = 1
-            rank_c[i] = 0
-            push(i)
-        if not win_r[i]:
-            win_r[i] = 1
-            rank_r[i] = 0
-            push(size + i)
-    pop = queue.popleft
-    while queue:
-        s = pop()
-        if s < size:
-            # robber moves into (c, r): decrement (c, y) for y around r
-            r = s % n
-            base = s - r
-            rho = rank_c[s] + 1
+    closed = g.closed
+    ball = [1 << v for v in range(g.n)]
+    while True:
+        yield ball
+        grown = []
+        for row in closed:
+            acc = 0
+            for y in row:
+                acc |= ball[y]
+            grown.append(acc)
+        if grown == ball:
+            return
+        ball = grown
+
+
+def _full_rows(win_c: list[int], n: int) -> int:
+    """Bitset of the cops c whose whole row (c, *) is won with the cop to move."""
+    full = (1 << n) - 1
+    for column in win_c:
+        full &= column
+        if not full:
+            break
+    return full
+
+
+def _attract(g: Graph, win_c: list[int], win_r: list[int], targets: list[int]):
+    """Add capture targets to the cop-win region and propagate backwards,
+    one level per round.
+
+    win_c and win_r are the cop-to-move and robber-to-move planes: bit c
+    of win_c[r] means state (c, r) is won. targets[r] is the bitset of
+    cops that capture a robber at r; those not yet won are won in both
+    planes in round 0. Round t reads the planes left by round t - 1:
+
+    - cop step: (c, r) is won once the cop can move onto a robber-to-move
+      state (y, r) won in round t - 1, i.e. c is in N[y];
+    - robber step: (c, r) is won once (c, y) is won for every y in N[r];
+      it can only change for columns next to one whose win_c changed.
+
+    Then both steps are applied, and the round's newly won states are
+    yielded as ({r: bits} cop to move, {r: bits} robber to move). A state
+    first won in round t thus has rank t = 1 + the least (cop) or largest
+    (robber) rank among its successors. The generator ends at the fixed
+    point. On planes left by an earlier call the flags are still exact,
+    since the region only grows with the targets.
+    """
+    closed, closed_bits = g.closed, g.closed_bits
+    cop, robber = {}, {}
+    for r, bits in enumerate(targets):
+        fresh = bits & ~win_c[r]
+        if fresh:
+            cop[r] = fresh
+            win_c[r] |= fresh
+        fresh = bits & ~win_r[r]
+        if fresh:
+            robber[r] = fresh
+            win_r[r] |= fresh
+    while cop or robber:
+        yield cop, robber
+        new_c, new_r = cop, robber
+        cop, robber = {}, {}
+        for r, bits in new_r.items():
+            reach = 0
+            while bits:
+                low = bits & -bits
+                reach |= closed_bits[low.bit_length() - 1]
+                bits ^= low
+            reach &= ~win_c[r]
+            if reach:
+                cop[r] = reach
+        for r in {x for y in new_c for x in closed[y]}:
+            safe = ~win_r[r]
             for y in closed[r]:
-                i = base + y
-                if not win_r[i]:
-                    left = countdown[i] - 1
-                    countdown[i] = left
-                    if left == 0:
-                        win_r[i] = 1
-                        rank_r[i] = rho
-                        push(size + i)
-        else:
-            # cop moves into (c, r): classify (y, r) for y around c
-            s -= size
-            c, r = divmod(s, n)
-            rho = rank_r[s] + 1
-            for y in closed[c]:
-                i = y * n + r
-                if not win_c[i]:
-                    win_c[i] = 1
-                    rank_c[i] = rho
-                    push(i)
+                safe &= win_c[y]
+            if safe:
+                robber[r] = safe
+        for r, bits in cop.items():
+            win_c[r] |= bits
+        for r, bits in robber.items():
+            win_r[r] |= bits
 
 
 def solve_cwrc(g: Graph, k: int, dm: DistanceMatrix | None = None) -> WinAnalysis:
@@ -148,7 +168,8 @@ def solve_cwrc(g: Graph, k: int, dm: DistanceMatrix | None = None) -> WinAnalysi
 
     Backward induction from the capture set {d(c, r) <= k}: a cop-to-move
     state is cop-win as soon as one successor is, a robber-to-move state
-    once all of its successors are (tracked with a countdown per state).
+    once all of its successors are. The rounds of the attractor give the
+    ranks.
     """
     if k < 0:
         raise InvalidParam(f"capture radius must be >= 0, got {k}")
@@ -157,31 +178,38 @@ def solve_cwrc(g: Graph, k: int, dm: DistanceMatrix | None = None) -> WinAnalysi
     if not dm.connected:
         raise NotConnected("the capture game is only decided on connected graphs")
     n = g.n
-    closed = _closed_lists(g)
     size = n * n
-    win_c = bytearray(size)   # cop to move
-    win_r = bytearray(size)   # robber to move
+    for _, ball in zip(range(k + 1), _balls(g)):   # ball_k, or all of g past diam
+        pass
+    win_c, win_r = [0] * n, [0] * n
+    plane_c = bytearray(size)   # cop to move
+    plane_r = bytearray(size)   # robber to move
     rank_c = [-1] * size
     rank_r = [-1] * size
-    countdown = [len(row) for row in closed] * n
-    captures = (c * n + r for c, drow in enumerate(dm.rows)
-                for r, d in enumerate(drow) if d <= k)
-    _attract(n, closed, captures, win_c, win_r, rank_c, rank_r, countdown)
-    choices = tuple(c for c in range(n)
-                    if win_c.find(0, c * n, (c + 1) * n) < 0)
-    return WinAnalysis(g, k, dm, win_c, win_r, rank_c, rank_r, choices)
+    for t, layer in enumerate(_attract(g, win_c, win_r, ball)):
+        for won, plane, rank in zip(layer, (plane_c, plane_r), (rank_c, rank_r)):
+            for r, bits in won.items():
+                while bits:
+                    low = bits & -bits
+                    i = (low.bit_length() - 1) * n + r
+                    plane[i] = 1
+                    rank[i] = t
+                    bits ^= low
+    full = _full_rows(win_c, n)
+    choices = tuple(c for c in range(n) if full >> c & 1)
+    return WinAnalysis(g, k, dm, plane_c, plane_r, rank_c, rank_r, choices)
 
 
 def radius_capture_number(g: Graph, dm: DistanceMatrix | None = None) -> int | None:
     """Least k at which the cop wins, or None when g is disconnected.
 
     One incremental attractor pass: the cop-win region only grows with k,
-    so the pass raises k from 0, adds the states at distance exactly k as
-    new capture targets and resumes propagation from the countdowns left
-    at k - 1. Each state is settled at most once over the whole pass, so
-    it costs about one solve at the answer. It stops at the first k where
-    some cop start wins against every robber placement; rad - 1 always
-    suffices. The ranks it computes along the way are discarded.
+    so the pass raises k from 0, adds the distance-k states as new capture
+    targets and resumes propagation from the planes left at k - 1. Each
+    state is won at most once over the whole pass, so it costs about one
+    solve at the answer. It stops at the first k where some cop start wins
+    against every robber placement; rad - 1 always suffices. Ranks are not
+    recorded.
     """
     if dm is None:
         dm = all_pairs_distances(g)
@@ -190,28 +218,12 @@ def radius_capture_number(g: Graph, dm: DistanceMatrix | None = None) -> int | N
     rad, _ = radius_diameter(dm)
     hi = max(0, rad - 1)
     n = g.n
-    size = n * n
-    closed = _closed_lists(g)
-    by_dist = [array("q") for _ in range(hi + 1)]
-    for c, drow in enumerate(dm.rows):
-        base = c * n
-        for r, d in enumerate(drow):
-            if d <= hi:
-                by_dist[d].append(base + r)
-    win_c = bytearray(size)
-    win_r = bytearray(size)
-    rank_c = [-1] * size
-    rank_r = [-1] * size
-    countdown = [len(row) for row in closed] * n
-    full_row = b"\x01" * n
-    for k, targets in enumerate(by_dist):
-        _attract(n, closed, targets, win_c, win_r, rank_c, rank_r, countdown)
-        # a fully won cop row is a run of n won bytes starting at a row start
-        pos = win_c.find(full_row)
-        while pos >= 0:
-            if pos % n == 0:
-                return k
-            pos = win_c.find(full_row, pos - pos % n + n)
+    win_c, win_r = [0] * n, [0] * n
+    for k, ball in zip(range(hi + 1), _balls(g)):
+        for _ in _attract(g, win_c, win_r, ball):
+            pass
+        if _full_rows(win_c, n):
+            return k
     raise InvariantViolation(f"no cop win up to the radius bound {hi}")
 
 
@@ -238,7 +250,7 @@ def extract_cop_strategy(a: WinAnalysis) -> Strategy:
     if not a.is_cop_win:
         raise NoWinningStrategy(f"cop does not win at radius {a.k}")
     g, n = a.graph, a.graph.n
-    closed = _closed_lists(g)
+    closed = g.closed
     win_r, rank_r = a.win_robber_move, a.rank_robber_move
     start = a.initial_cop_choices[0]
 
@@ -260,7 +272,7 @@ def extract_robber_strategy(a: WinAnalysis) -> Strategy:
     if a.is_cop_win:
         raise NoEvasionStrategy(f"cop wins at radius {a.k}; no evasion exists")
     g, n = a.graph, a.graph.n
-    closed = _closed_lists(g)
+    closed = g.closed
     win_c = a.win_cop_move
 
     def initial(cop: int) -> int:
@@ -314,11 +326,12 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
     if dm is None:
         dm = all_pairs_distances(g)
     rows = dm.rows
-    closed_bits = [g.adj_bits[v] | (1 << v) for v in range(g.n)]
+    closed_bits = g.closed_bits
 
-    def check(v: int, origin: int, state: GameState) -> None:
+    def check(v: int, origin: int, cop: int, robber: int, turn: int) -> None:
         if not (0 <= v < g.n) or not (closed_bits[origin] >> v) & 1:
-            raise IllegalMove(f"move {origin}->{v} at state {state}")
+            raise IllegalMove(f"move {origin}->{v} at state "
+                              f"(cop={cop}, robber={robber}, turn={turn})")
 
     cop_start = cop_strategy.initial()
     robber_start = robber_strategy.initial(cop_start)
@@ -333,7 +346,7 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
     while moves < max_moves:
         origin = cop
         nxt = cop_strategy.move(cop, robber)
-        check(nxt, cop, GameState(cop, robber, COP_TO_MOVE))
+        check(nxt, cop, cop, robber, COP_TO_MOVE)
         cop = nxt
         moves += 1
         d = rows[cop][robber]
@@ -344,7 +357,7 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
             break
         origin = robber
         nxt = robber_strategy.move(cop, robber)
-        check(nxt, robber, GameState(cop, robber, ROBBER_TO_MOVE))
+        check(nxt, robber, cop, robber, ROBBER_TO_MOVE)
         robber = nxt
         moves += 1
         d = rows[cop][robber]
@@ -404,7 +417,7 @@ def rank_max_robber_strategy(a: WinAnalysis) -> Strategy:
     to maximize the capture rank (ties to the lowest vertex index). Used
     as the adversary in cop transcripts."""
     g, n = a.graph, a.graph.n
-    closed = _closed_lists(g)
+    closed = g.closed
     win_c, rank_c = a.win_cop_move, a.rank_cop_move
 
     def initial(cop: int) -> int:
@@ -440,7 +453,7 @@ def greedy_chase_cop_strategy(g: Graph, k: int,
     if not dm.connected:
         raise NotConnected("greedy chase needs a connected graph")
     rows = dm.rows
-    closed = _closed_lists(g)
+    closed = g.closed
     rad, _ = radius_diameter(dm)
     start = min(v for v in range(g.n) if dm.ecc[v] == rad)
 
@@ -454,7 +467,7 @@ def greedy_chase_cop_strategy(g: Graph, k: int,
 def random_cop_strategy(g: Graph, k: int, seed: int) -> Strategy:
     """Seeded uniformly random cop policy, for robustness play-outs."""
     rng = random.Random(seed)
-    closed = _closed_lists(g)
+    closed = g.closed
 
     def initial() -> int:
         return rng.randrange(g.n)
@@ -476,7 +489,7 @@ def certify_cop_strategy(a: WinAnalysis) -> int:
     strat = extract_cop_strategy(a)
     g, k, n = a.graph, a.k, a.graph.n
     rows = a.dm.rows
-    closed = _closed_lists(g)
+    closed = g.closed
     win_c, win_r = a.win_cop_move, a.win_robber_move
     rank_c, rank_r = a.rank_cop_move, a.rank_robber_move
     cop0 = strat.initial()

@@ -105,12 +105,9 @@ def generalized_johnson(n: int, k: int, i: int) -> Graph:
     if not (n > k > i >= 0):
         raise InvalidParam(f"need n > k > i >= 0, got ({n},{k},{i})")
     subsets = list(combinations(range(1, n + 1), k))
-    sets = [frozenset(s) for s in subsets]
-    edges = []
-    for a in range(len(sets)):
-        for b in range(a + 1, len(sets)):
-            if len(sets[a] & sets[b]) == i:
-                edges.append((a, b))
+    masks = [sum(1 << x for x in s) for s in subsets]
+    edges = [(a, b) for a, ma in enumerate(masks)
+             for b in range(a + 1, len(masks)) if (ma & masks[b]).bit_count() == i]
     labels = tuple("{" + ",".join(str(x) for x in s) + "}" for s in subsets)
     return build_graph(len(subsets), edges, labels)
 

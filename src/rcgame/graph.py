@@ -3,7 +3,8 @@
 Vertices are dense integers 0..n-1; family coordinates (words, subsets,
 tuples) live only in the optional labels. Adjacency is stored both as
 sorted tuples for iteration and as one bitmask per vertex for constant
-time membership tests.
+time membership tests; closed neighbourhoods N[v] = adj[v] + {v} are
+kept the same two ways.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class Graph:
     constructor trusts its arguments.
     """
 
-    __slots__ = ("n", "m", "adj", "adj_bits", "labels")
+    __slots__ = ("n", "m", "adj", "adj_bits", "labels", "_closed", "_closed_bits")
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...],
                  labels: tuple[str, ...] | None = None):
@@ -48,6 +49,26 @@ class Graph:
             bits.append(b)
         self.adj_bits = tuple(bits)
         self.labels = labels
+        self._closed = None
+        self._closed_bits = None
+
+    @property
+    def closed(self) -> tuple[tuple[int, ...], ...]:
+        """Closed neighbourhoods N[v] = adj[v] plus v, as sorted tuples.
+
+        Built on first use and then kept, as is closed_bits, so graphs that
+        are only generated, stored or written never pay for them.
+        """
+        if self._closed is None:
+            self._closed = tuple(tuple(sorted((*row, v))) for v, row in enumerate(self.adj))
+        return self._closed
+
+    @property
+    def closed_bits(self) -> tuple[int, ...]:
+        """N[v] as one bitmask per vertex."""
+        if self._closed_bits is None:
+            self._closed_bits = tuple(b | 1 << v for v, b in enumerate(self.adj_bits))
+        return self._closed_bits
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj_bits[u] >> v) & 1 == 1

@@ -222,7 +222,7 @@ def check_radius_pair_condition(g: Graph) -> bool:
         raise NotConnected("radius pair condition needs a connected graph")
     rad, _ = radius_diameter(dm)
     rows = dm.rows
-    closed = [(*g.adj[v], v) for v in range(g.n)]
+    closed = g.closed
     for x in range(g.n):
         for y in range(g.n):
             if rows[x][y] != rad:

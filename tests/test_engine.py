@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rcgame.engine import (
     Strategy,
@@ -71,6 +71,15 @@ def test_radius_capture_number_examples():
     assert radius_capture_number(hypercube(4)) == 3
     assert radius_capture_number(build_graph(4, [(0, 1), (2, 3)])) is None
     assert radius_capture_number(basic_family("complete", 1)) == 0
+
+
+def test_rc_beyond_one_machine_word():
+    # the planes are one bigint per column; these need more than 64 bits
+    assert radius_capture_number(generalized_johnson(70, 1, 0)) == 0
+    j932 = generalized_johnson(9, 3, 2)
+    assert j932.n == 84
+    assert radius_capture_number(j932) == 2
+    assert naive_rc_oracle(j932) == 2
 
 
 def per_k_scan(g):
@@ -314,15 +323,7 @@ def _minimax_ranks(g, k):
     return rank_c, rank_r
 
 
-@pytest.mark.parametrize("make,k", [
-    (lambda: basic_family("cycle", 5), 1),
-    (lambda: basic_family("path", 4), 0),
-    (lambda: generalized_johnson(5, 2, 0), 1),
-    (lambda: sierpinski(2, 3), 2),
-    (lambda: hypercube(3), 1),
-])
-def test_attractor_ranks_match_minimax_oracle(make, k):
-    g = make()
+def _assert_ranks_match_oracle(g, k):
     a = solve_cwrc(g, k)
     rank_c, rank_r = _minimax_ranks(g, k)
     for c in range(g.n):
@@ -334,6 +335,31 @@ def test_attractor_ranks_match_minimax_oracle(make, k):
     expected_choices = tuple(c for c in range(g.n)
                              if all((c, r) in rank_c for r in range(g.n)))
     assert a.initial_cop_choices == expected_choices
+
+
+@pytest.mark.parametrize("make,k", [
+    (lambda: basic_family("cycle", 5), 1),
+    (lambda: basic_family("path", 4), 0),
+    (lambda: generalized_johnson(5, 2, 0), 1),
+    (lambda: sierpinski(2, 3), 2),
+    (lambda: hypercube(3), 1),
+])
+def test_attractor_ranks_match_minimax_oracle(make, k):
+    _assert_ranks_match_oracle(make(), k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(random_connected_gnp, st.integers(1, 10), st.floats(0.25, 0.8),
+                 st.integers(0, 2 ** 32 - 1)))
+@example(basic_family("cycle", 5))
+@example(basic_family("path", 4))
+@example(generalized_johnson(5, 2, 0))
+@example(sierpinski(2, 3))
+@example(hypercube(3))
+def test_attractor_ranks_match_minimax_oracle_every_k(g):
+    rad, _ = radius_diameter(all_pairs_distances(g))
+    for k in range(rad + 1):
+        _assert_ranks_match_oracle(g, k)
 
 
 @pytest.mark.parametrize("g,k", [

@@ -58,6 +58,16 @@ def test_duplicate_edges_deduped():
     assert g.m == 1
 
 
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_closed_neighborhoods_match_adjacency(n, p, seed):
+    rng = random.Random(seed)
+    g = build_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                        if rng.random() < p])
+    for v in range(n):
+        assert g.closed[v] == tuple(sorted(g.adj[v] + (v,)))
+        assert g.closed_bits[v] == sum(1 << y for y in g.closed[v])
+
+
 def test_label_validation():
     with pytest.raises(InvalidParam):
         build_graph(2, [(0, 1)], labels=["a"])
