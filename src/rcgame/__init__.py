@@ -41,7 +41,6 @@ from .graph import (
 )
 from .ioformats import ResultRecord, emit_results, parse_edge_list, parse_graph6, write_graph6
 from .outerplanar import (
-    FaceList,
     OuterplanarEmbedding,
     inner_faces,
     random_outerplanar,

@@ -1,15 +1,15 @@
 """Command-line interface: compute capture numbers, build families, run
-theorem-verification suites, and print strategy transcripts.
+the theorem-verification suites of rcgame.verify, and print strategy
+transcripts.
 
-Exit codes: 0 success, 1 counterexample or verification failure, 2 usage
-or parse error. RC_SIZE_GUARD overrides the vertex cap.
+Exit codes: 0 success, 1 counterexample or verification failure, 2 usage,
+parse or parameter error. RC_SIZE_GUARD overrides the vertex cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 import time
 
@@ -36,38 +36,13 @@ from .generators import (
     DEFAULT_SIZE_GUARD,
     FamilySpec,
     NAMED_INSTANCES,
-    basic_family,
     build_family,
-    circulant,
-    generalized_johnson,
-    hamming,
-    hypercube,
     named_instance,
     predicted_rc,
-    random_connected_gnp,
-    sierpinski,
 )
-from .graph import (
-    Graph,
-    all_pairs_distances,
-    build_graph,
-    girth,
-    is_connected,
-    radius_diameter,
-)
+from .graph import Graph, all_pairs_distances, girth, radius_diameter
 from .ioformats import ResultRecord, emit_results, parse_edge_list, parse_graph6
-from .outerplanar import random_outerplanar, rc_outerplanar_formula, validate_embedding
-from .verify import (
-    EVEN,
-    HARMONIC_EVEN,
-    TheoremReport,
-    check_product_theorems,
-    check_retract_monotonicity,
-    classify_evenness,
-    corner_fold_retraction,
-    layer_projection_retraction,
-    unique_antipodes,
-)
+from .verify import SUITE_NAMES, run_suite
 
 
 def _size_guard_from_env() -> int:
@@ -211,9 +186,7 @@ def _graph_for_strategy(args) -> tuple[str, Graph]:
         g = build_family(FamilySpec(kind, params, args.seed), guard)
         return "-".join([kind, *(str(p) for p in params)]), g
     if args.input:
-        fmt_args = argparse.Namespace(instance=None, input=args.input,
-                                      format=args.format)
-        graphs = list(_read_graphs(fmt_args))
+        graphs = list(_read_graphs(args))
         errors = [f"{gid}: {problem}" for gid, _, problem in graphs if problem]
         if errors:
             raise ParseError("; ".join(errors))
@@ -225,6 +198,8 @@ def _graph_for_strategy(args) -> tuple[str, Graph]:
 
 
 def cmd_strategy(args) -> int:
+    if args.max_moves is not None and args.max_moves < 0:
+        raise InvalidParam(f"--max-moves must be >= 0, got {args.max_moves}")
     gid, g = _graph_for_strategy(args)
     k = args.radius
     analysis = solve_cwrc(g, k)
@@ -255,237 +230,13 @@ def cmd_strategy(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _random_connected(rng, max_n: int, min_n: int = 2) -> Graph:
-    n = rng.randint(min_n, max_n)
-    p = rng.uniform(0.2, 0.8)
-    return random_connected_gnp(n, p, rng.getrandbits(32))
-
-
-class _Tally:
-    """Pass counters plus counterexample reports, keyed by theorem id."""
-
-    def __init__(self):
-        self.passes: dict[str, int] = {}
-        self.totals: dict[str, int] = {}
-        self.failures: list[TheoremReport] = []
-
-    def add(self, report: TheoremReport) -> None:
-        self.totals[report.theorem] = self.totals.get(report.theorem, 0) + 1
-        if report.passed:
-            self.passes[report.theorem] = self.passes.get(report.theorem, 0) + 1
-        else:
-            self.failures.append(report)
-
-    def record(self, theorem: str, passed: bool, inputs: dict, predicted: str,
-               measured: dict) -> None:
-        self.add(TheoremReport(theorem, inputs, predicted, measured, passed,
-                               None if passed else {**inputs, **measured}))
-
-    def lines(self) -> list[str]:
-        return [f"{tid}: {self.passes.get(tid, 0)}/{self.totals[tid]} pass"
-                for tid in sorted(self.totals)]
-
-
-def suite_bounds(trials: int, seed: int, max_n: int = 14) -> _Tally:
-    """Radius upper bound and girth lower bound on random connected graphs."""
-    rng = random.Random(seed)
-    tally = _Tally()
-    for _ in range(trials):
-        g = _random_connected(rng, max_n)
-        dm = all_pairs_distances(g)
-        rad, _ = radius_diameter(dm)
-        gir = girth(g)
-        rc = radius_capture_number(g, dm=dm)
-        inputs = {"n": g.n, "m": g.m, "rad": rad, "girth": gir,
-                  "edges": sorted(g.edge_set())}
-        tally.record("radius-upper-bound", rc <= max(0, rad - 1), inputs,
-                     "rc <= rad - 1", {"rc": rc})
-        tally.record("girth-lower-bound", rc >= max(0, gir // 2 - 1), inputs,
-                     "rc >= girth//2 - 1", {"rc": rc})
-    return tally
-
-
-def suite_retracts(trials: int, seed: int, max_n: int = 12) -> _Tally:
-    """Capture monotonicity under corner folds and layer projections."""
-    rng = random.Random(seed)
-    tally = _Tally()
-    for t in range(trials):
-        if t % 2 == 0:
-            # append a vertex dominated by v so a corner fold always exists
-            base = _random_connected(rng, max_n - 1)
-            v = rng.randrange(base.n)
-            extra = [u for u in base.adj[v] if rng.random() < 0.5]
-            edges = list(base.edge_set()) + [(base.n, v)] + [(base.n, u) for u in extra]
-            g = build_graph(base.n + 1, edges)
-            retr = corner_fold_retraction(g)
-            tally.add(check_retract_monotonicity(g, retr))
-        else:
-            f1 = _random_connected(rng, 5)
-            f2 = _random_connected(rng, 5)
-            prod, retr = layer_projection_retraction(f1, f2, "cartesian",
-                                                     rng.randrange(f2.n))
-            tally.add(check_retract_monotonicity(prod, retr))
-    return tally
-
-
-def _evenness_instance_checks(name: str, g: Graph, tally: _Tally,
-                              expected: str | None = None) -> None:
-    cls = classify_evenness(g)
-    if expected is not None:
-        tally.record("evenness-classification", cls == expected,
-                     {"instance": name}, f"class == {expected}", {"class": cls})
-    if cls in (EVEN, HARMONIC_EVEN):
-        dm = all_pairs_distances(g)
-        _, diam = radius_diameter(dm)
-        ant = unique_antipodes(g)
-        ok = all(dm.rows[u][ant[v]] == diam - 1 for u, v in g.edges())
-        tally.record("even-antipode-distance", ok, {"instance": name},
-                     "d(u, v') == diam - 1 for every edge uv", {"class": cls})
-    if cls == HARMONIC_EVEN:
-        dm = all_pairs_distances(g)
-        rad, _ = radius_diameter(dm)
-        rc = radius_capture_number(g, dm=dm)
-        tally.record("harmonic-even-capture", rc == rad - 1,
-                     {"instance": name, "rad": rad}, "rc == rad - 1", {"rc": rc})
-
-
-def suite_evenness(trials: int, seed: int, max_n: int = 12) -> _Tally:
-    """Evenness classification on known families plus random graphs."""
-    tally = _Tally()
-    _evenness_instance_checks("P_3", basic_family("path", 3), tally, "not_even")
-    for n in range(4, 14, 2):
-        _evenness_instance_checks(f"C_{n}", basic_family("cycle", n), tally,
-                                  HARMONIC_EVEN)
-    for n in range(5, 12, 2):
-        _evenness_instance_checks(f"C_{n}", basic_family("cycle", n), tally,
-                                  "not_even")
-    for d in range(1, 5):
-        _evenness_instance_checks(f"Q_{d}", hypercube(d), tally, HARMONIC_EVEN)
-    rng = random.Random(seed)
-    for t in range(trials):
-        g = _random_connected(rng, max_n)
-        _evenness_instance_checks(f"random-{t}", g, tally)
-    return tally
-
-
-def suite_products(trials: int, seed: int, max_order: int = 100) -> _Tally:
-    """The three product theorems on random connected factor pairs."""
-    rng = random.Random(seed)
-    tally = _Tally()
-    for _ in range(trials):
-        g = _random_connected(rng, 8)
-        h = _random_connected(rng, max(2, min(8, max_order // g.n)))
-        for report in check_product_theorems(g, h):
-            tally.add(report)
-    return tally
-
-
-def suite_outerplanar(trials: int, seed: int, max_n: int = 14) -> _Tally:
-    """Solver capture number against the largest-inner-face formula."""
-    rng = random.Random(seed)
-    tally = _Tally()
-    for _ in range(trials):
-        n = rng.randint(3, max_n)
-        prob = rng.uniform(0.0, 0.9)
-        g, emb = random_outerplanar(n, prob, rng.getrandbits(32))
-        validate_embedding(g, emb)
-        predicted = rc_outerplanar_formula(emb)
-        rc = radius_capture_number(g)
-        tally.record("outerplanar-face-formula", rc == predicted,
-                     {"n": n, "chords": sorted(emb.chords)},
-                     "rc == max_face//2 - 1",
-                     {"rc": rc, "predicted": predicted})
-    return tally
-
-
-def suite_families(trials: int, seed: int) -> _Tally:
-    """Closed-form capture numbers across the generated families."""
-    tally = _Tally()
-
-    def expect(tid: str, name: str, g: Graph, expected_rc: int) -> None:
-        rc = radius_capture_number(g)
-        tally.record(tid, rc == expected_rc, {"instance": name},
-                     f"rc == {expected_rc}", {"rc": rc})
-
-    for n in range(3, 13):
-        expect("cycle-closed-form", f"C_{n}", basic_family("cycle", n), n // 2 - 1)
-    for d in range(1, 5):
-        expect("hypercube-closed-form", f"Q_{d}", hypercube(d), d - 1)
-    for d, q in ((2, 3), (2, 4)):
-        expect("hamming-closed-form", f"H({d},{q})", hamming(d, q), d - 1)
-    for n, k in ((4, 2), (5, 2)):
-        expect("johnson-closed-form", f"J({n},{k})",
-               generalized_johnson(n, k, k - 1), k - 1)
-    for n, k, i in ((5, 2, 0), (6, 2, 0), (5, 3, 1), (6, 2, 1)):
-        g = generalized_johnson(n, k, i)
-        if not is_connected(g):
-            continue
-        rad, _ = radius_diameter(all_pairs_distances(g))
-        expect("generalized-johnson-radius", f"J({n},{k},{i})", g, rad - 1)
-    for n in range(1, 4):
-        expected = 2 ** n - 2 if n < 3 else 3 * 2 ** (n - 2) - 1
-        expect("sierpinski3-closed-form", f"S({n},3)", sierpinski(n, 3), expected)
-    expect("sierpinski4-reference", "S(3,4)", sierpinski(3, 4), 5)
-    cubic = named_instance("CubicVT24_6")
-    rad, _ = radius_diameter(all_pairs_distances(cubic))
-    tally.record("named-instance-values", rad == 5,
-                 {"instance": "CubicVT24_6"}, "rad == 5", {"rad": rad})
-    expect("named-instance-values", "CubicVT24_6", cubic, 3)
-    return tally
-
-
-def transitive_sweep_lines(seed: int) -> list[str]:
-    """Report capture number against rad/2 for small circulants and the
-    hard-coded cubic instance; exploratory output with no verdict."""
-    lines = ["instance rad rc rad/2 rc>=rad/2"]
-    instances: list[tuple[str, Graph]] = []
-    for n in range(5, 11):
-        steps_pool = list(range(1, n // 2 + 1))
-        for mask in range(1, 1 << len(steps_pool)):
-            steps = [s for b, s in enumerate(steps_pool) if (mask >> b) & 1]
-            g = circulant(n, steps)
-            if is_connected(g):
-                instances.append((f"circulant-{n}-{'.'.join(map(str, steps))}", g))
-    instances.append(("CubicVT24_6", named_instance("CubicVT24_6")))
-    for name, g in instances:
-        dm = all_pairs_distances(g)
-        rad, _ = radius_diameter(dm)
-        rc = radius_capture_number(g, dm=dm)
-        lines.append(f"{name} {rad} {rc} {rad / 2:g} "
-                     f"{'yes' if rc >= rad / 2 else 'no'}")
-    return lines
-
-
-_SUITES = {
-    "bounds": (suite_bounds, 200),
-    "retracts": (suite_retracts, 100),
-    "evenness": (suite_evenness, 50),
-    "products": (suite_products, 50),
-    "outerplanar": (suite_outerplanar, 200),
-    "families": (suite_families, 0),
-}
-
-
 def cmd_verify(args) -> int:
-    if args.suite == "transitive-sweep":
-        for line in transitive_sweep_lines(args.seed):
-            print(line)
-        return 0
-    suite_fn, default_trials = _SUITES[args.suite]
-    trials = args.trials if args.trials is not None else default_trials
-    if args.suite in ("bounds", "outerplanar", "evenness", "retracts"):
-        tally = suite_fn(trials, args.seed, args.max_n)
-    else:
-        tally = suite_fn(trials, args.seed)
-    for line in tally.lines():
+    lines, failures = run_suite(args.suite, args.trials, args.seed, args.max_n)
+    for line in lines:
         print(line)
-    for report in tally.failures:
+    for report in failures:
         print(report.to_json(), file=sys.stderr)
-    return 1 if tally.failures else 0
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("verify", help="run a theorem-verification suite")
-    p.add_argument("suite", choices=(*_SUITES, "transitive-sweep"))
+    p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-n", type=int, default=14)

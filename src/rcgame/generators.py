@@ -16,13 +16,6 @@ from .graph import Graph, build_graph, is_connected
 
 DEFAULT_SIZE_GUARD = 65536
 
-FAMILY_KINDS = (
-    "cycle", "path", "complete", "hypercube", "hamming",
-    "generalized_johnson", "sierpinski", "circulant",
-    "named_instance", "random_gnp_connected",
-)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Parameter container for one family instance."""
@@ -191,34 +184,44 @@ def random_connected_gnp(n: int, p: float, seed: int,
     raise CouldNotConnect(f"no connected sample in {max_retries} tries (n={n}, p={p})")
 
 
+def _ints(kind: str, params: tuple) -> tuple:
+    for p in params:
+        if not isinstance(p, int):
+            raise InvalidParam(f"{kind} takes integer parameters, got {p!r}")
+    return params
+
+
 def build_family(spec: FamilySpec, size_guard: int = DEFAULT_SIZE_GUARD) -> Graph:
     """Dispatch a FamilySpec to its generator."""
     kind, params = spec.kind, spec.params
     try:
         if kind in ("cycle", "path", "complete"):
-            (n,) = params
+            (n,) = _ints(kind, params)
             return basic_family(kind, n)
         if kind == "hypercube":
-            (d,) = params
+            (d,) = _ints(kind, params)
             return hypercube(d, size_guard)
         if kind == "hamming":
-            d, q = params
+            d, q = _ints(kind, params)
             return hamming(d, q, size_guard)
         if kind == "generalized_johnson":
-            n, k, i = params
+            n, k, i = _ints(kind, params)
             _guard_binomial(n, k, size_guard)
             return generalized_johnson(n, k, i)
         if kind == "sierpinski":
-            n, k = params
+            n, k = _ints(kind, params)
             return sierpinski(n, k, size_guard)
         if kind == "circulant":
-            n, *steps = params
+            n, *steps = _ints(kind, params)
             return circulant(n, steps)
         if kind == "named_instance":
             (name,) = params
             return named_instance(name)
         if kind == "random_gnp_connected":
             n, p = params
+            _ints(kind, (n,))
+            if not isinstance(p, (int, float)):
+                raise InvalidParam(f"{kind} takes a numeric edge probability, got {p!r}")
             if spec.seed is None:
                 raise InvalidParam("random_gnp_connected requires a seed")
             _guard(n, size_guard)

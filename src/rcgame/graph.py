@@ -73,9 +73,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj_bits[u] >> v) & 1 == 1
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adj[u]
-
     def degree(self, u: int) -> int:
         return len(self.adj[u])
 
@@ -218,25 +215,6 @@ def is_connected(g: Graph) -> bool:
         return True
     row = _bfs_row(g.adj, g.n, 0)
     return all(d >= 0 for d in row)
-
-
-def component_count(g: Graph) -> int:
-    n = g.n
-    seen = [False] * n
-    count = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        count += 1
-        seen[s] = True
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    q.append(v)
-    return count
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, dict[int, int]]:

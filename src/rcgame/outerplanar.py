@@ -28,17 +28,6 @@ class OuterplanarEmbedding:
     chords: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class FaceList:
-    """Inner faces as vertex cycles, in discovery order along the polygon."""
-
-    faces: tuple[tuple[int, ...], ...]
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(f) for f in self.faces)
-
-
 def _normalize_chord(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
@@ -87,12 +76,13 @@ def validate_embedding(g: Graph, e: OuterplanarEmbedding) -> None:
             f"graph edges differ from embedding (missing {missing}, extra {extra})")
 
 
-def inner_faces(e: OuterplanarEmbedding) -> FaceList:
+def inner_faces(e: OuterplanarEmbedding) -> tuple[tuple[int, ...], ...]:
     """Enumerate the |chords| + 1 inner faces of a validated embedding.
 
     Walks the outer cycle keeping a stack of open positions; every chord
     closes the face above its far endpoint, and the wrap-around edge closes
-    the last one. Faces are reported as vertex cycles in outer order.
+    the last one. Faces are reported as vertex cycles in outer order, in
+    discovery order along the polygon.
     """
     n = len(e.outer)
     pos = {v: i for i, v in enumerate(e.outer)}
@@ -109,12 +99,12 @@ def inner_faces(e: OuterplanarEmbedding) -> FaceList:
             del stack[at + 1:]
         stack.append(p)
     faces.append(tuple(e.outer[x] for x in stack))
-    return FaceList(tuple(faces))
+    return tuple(faces)
 
 
 def rc_outerplanar_formula(e: OuterplanarEmbedding) -> int:
     """Predicted capture number: floor(largest inner face / 2) - 1."""
-    return max(inner_faces(e).sizes) // 2 - 1
+    return max(len(f) for f in inner_faces(e)) // 2 - 1
 
 
 def random_outerplanar(n: int, chord_prob: float, seed: int) -> tuple[Graph, OuterplanarEmbedding]:

@@ -3,7 +3,7 @@
 Vertex (a, b) of a product gets index a * |V(H)| + b (row major), so the
 G-layer over h is {a * |V(H)| + h} and the H-layer over g is the block
 g * |V(H)| .. g * |V(H)| + |V(H)| - 1. Layer extraction is index
-arithmetic; see pair_index / factor_indices.
+arithmetic.
 """
 
 from __future__ import annotations
@@ -13,14 +13,6 @@ from .generators import DEFAULT_SIZE_GUARD
 from .graph import Graph, build_graph
 
 PRODUCT_KINDS = ("cartesian", "strong", "lexicographic")
-
-
-def pair_index(a: int, b: int, h_order: int) -> int:
-    return a * h_order + b
-
-
-def factor_indices(idx: int, h_order: int) -> tuple[int, int]:
-    return divmod(idx, h_order)
 
 
 def product(kind: str, g: Graph, h: Graph,

@@ -1,27 +1,45 @@
-"""Executable checks for the structural theorems behind the solver.
+"""Executable checks for the structural theorems behind the solver, and
+the suites that drive them over generated graphs.
 
 Covers retractions and capture monotonicity under them, even and harmonic
 even graphs, the distance-expansion and radius-pair conditions, generous
-transitivity search, and the three product theorems. Each check either
-returns a verdict or a TheoremReport carrying a full counterexample.
+transitivity search, the three product theorems, the girth/radius bounds
+and the outerplanar face formula. Each check either returns a verdict or a
+TheoremReport carrying a full counterexample; run_suite runs one suite by
+name and returns its pass lines and failing reports.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import random
+from dataclasses import InitVar, dataclass, field
 
 from .engine import radius_capture_number
 from .errors import InvalidParam, NotARetraction, NotConnected
-from .generators import DEFAULT_SIZE_GUARD
+from .generators import (
+    DEFAULT_SIZE_GUARD,
+    basic_family,
+    circulant,
+    generalized_johnson,
+    hamming,
+    hypercube,
+    named_instance,
+    random_connected_gnp,
+    sierpinski,
+)
 from .graph import (
+    DistanceMatrix,
     Graph,
     _bfs_row,
     all_pairs_distances,
+    build_graph,
+    girth,
     induced_subgraph,
     is_connected,
     radius_diameter,
 )
+from .outerplanar import random_outerplanar, rc_outerplanar_formula, validate_embedding
 from .products import product
 
 NOT_EVEN = "not_even"
@@ -44,8 +62,9 @@ class Retraction:
 class TheoremReport:
     """Outcome of one theorem check on concrete inputs.
 
-    A failing report always carries a counterexample with the measured
-    values that contradict the predicted relation.
+    A failing report always carries a counterexample: the witness (what
+    rebuilds the failing instance) followed by the measured values that
+    contradict the predicted relation. A passing report carries None.
     """
 
     theorem: str
@@ -53,7 +72,12 @@ class TheoremReport:
     predicted: str
     measured: dict
     passed: bool
-    counterexample: dict | None = None
+    witness: InitVar[dict]
+    counterexample: dict | None = field(init=False, default=None)
+
+    def __post_init__(self, witness: dict) -> None:
+        if not self.passed:
+            self.counterexample = {**witness, **self.measured}
 
     def to_json(self) -> str:
         return json.dumps({
@@ -110,23 +134,15 @@ def check_retract_monotonicity(g: Graph, r: Retraction) -> TheoremReport:
     sub, _ = induced_subgraph(g, sorted(r.target))
     rc_g = radius_capture_number(g)
     rc_h = radius_capture_number(sub)
-    passed = rc_h <= rc_g
-    report = TheoremReport(
+    return TheoremReport(
         theorem="retract-monotonicity",
         inputs={"n": g.n, "m": g.m, "target_size": len(r.target)},
         predicted="rc(retract) <= rc(graph)",
         measured={"rc_graph": rc_g, "rc_retract": rc_h},
-        passed=passed,
+        passed=rc_h <= rc_g,
+        witness={"edges": sorted(g.edge_set()), "target": sorted(r.target),
+                 "mapping": list(r.mapping)},
     )
-    if not passed:
-        report.counterexample = {
-            "edges": sorted(g.edge_set()),
-            "target": sorted(r.target),
-            "mapping": list(r.mapping),
-            "rc_graph": rc_g,
-            "rc_retract": rc_h,
-        }
-    return report
 
 
 def corner_fold_retraction(g: Graph) -> Retraction | None:
@@ -159,10 +175,13 @@ def layer_projection_retraction(g: Graph, h: Graph, kind: str = "cartesian",
     return prod, Retraction(target, mapping)
 
 
-def unique_antipodes(g: Graph) -> tuple[int, ...] | None:
+def unique_antipodes(g: Graph,
+                     dm: DistanceMatrix | None = None) -> tuple[int, ...] | None:
     """Per-vertex unique diametral antipode, or None when some vertex has
-    zero or several vertices at diametral distance."""
-    dm = all_pairs_distances(g)
+    zero or several vertices at diametral distance. dm, when given, is g's
+    distance matrix."""
+    if dm is None:
+        dm = all_pairs_distances(g)
     if not dm.connected:
         raise NotConnected("antipodes need a connected graph")
     _, diam = radius_diameter(dm)
@@ -175,16 +194,18 @@ def unique_antipodes(g: Graph) -> tuple[int, ...] | None:
     return tuple(ant)
 
 
-def classify_evenness(g: Graph) -> str:
+def classify_evenness(g: Graph, dm: DistanceMatrix | None = None) -> str:
     """Classify as not_even, even, or harmonic_even.
 
     Even: every vertex has exactly one antipode at diametral distance.
     Harmonic: the antipode map is additionally an edge-preserving
-    involution.
+    involution. dm, when given, is g's distance matrix.
     """
-    if not is_connected(g):
+    if dm is None:
+        dm = all_pairs_distances(g)
+    if not dm.connected:
         raise NotConnected("evenness is defined on connected graphs")
-    ant = unique_antipodes(g)
+    ant = unique_antipodes(g, dm)
     if ant is None:
         return NOT_EVEN
     if any(ant[ant[v]] != v for v in range(g.n)):
@@ -332,56 +353,285 @@ def check_product_theorems(g: Graph, h: Graph,
     rad_h, _ = radius_diameter(all_pairs_distances(h))
     inputs = {"n_g": g.n, "m_g": g.m, "n_h": h.n, "m_h": h.m,
               "rc_g": rc_g, "rc_h": rc_h, "rad_g": rad_g, "rad_h": rad_h}
+    witness = {"edges_g": sorted(g.edge_set()), "edges_h": sorted(h.edge_set())}
     nontrivial = g.n >= 2 and h.n >= 2
-
-    def failing(report: TheoremReport) -> TheoremReport:
-        report.counterexample = {
-            "edges_g": sorted(g.edge_set()),
-            "edges_h": sorted(h.edge_set()),
-            **report.measured,
-        }
-        return report
-
     reports = []
     if nontrivial:
         rc_cart = radius_capture_number(product("cartesian", g, h, size_guard))
         lower = rc_g + rc_h + 1
         upper = min(rad_g + rc_h, rad_h + rc_g)
-        rep = TheoremReport(
+        reports.append(TheoremReport(
             theorem="cartesian-product-bounds",
             inputs=inputs,
             predicted=f"{lower} <= rc <= {upper}",
             measured={"rc_cartesian": rc_cart},
             passed=lower <= rc_cart <= upper,
-        )
-        reports.append(rep if rep.passed else failing(rep))
+            witness=witness,
+        ))
         if rc_g == rad_g - 1 or rc_h == rad_h - 1:
-            rep = TheoremReport(
+            reports.append(TheoremReport(
                 theorem="cartesian-product-coincidence",
                 inputs=inputs,
                 predicted=f"rc == {lower}",
                 measured={"rc_cartesian": rc_cart},
                 passed=rc_cart == lower,
-            )
-            reports.append(rep if rep.passed else failing(rep))
+                witness=witness,
+            ))
     rc_strong = radius_capture_number(product("strong", g, h, size_guard))
-    rep = TheoremReport(
+    reports.append(TheoremReport(
         theorem="strong-product-value",
         inputs=inputs,
         predicted=f"rc == max({rc_g},{rc_h})",
         measured={"rc_strong": rc_strong},
         passed=rc_strong == max(rc_g, rc_h),
-    )
-    reports.append(rep if rep.passed else failing(rep))
+        witness=witness,
+    ))
     if nontrivial:
         rc_lex = radius_capture_number(product("lexicographic", g, h, size_guard))
         expected = rc_g if rc_g >= 1 else min(1, rc_h)
-        rep = TheoremReport(
+        reports.append(TheoremReport(
             theorem="lexicographic-product-value",
             inputs=inputs,
             predicted=f"rc == {expected}",
             measured={"rc_lexicographic": rc_lex},
             passed=rc_lex == expected,
-        )
-        reports.append(rep if rep.passed else failing(rep))
+            witness=witness,
+        ))
     return reports
+
+
+# ---------------------------------------------------------------------------
+# suites: each drives one group of checks over generated graphs
+
+
+def _random_connected(rng: random.Random, max_n: int) -> Graph:
+    n = rng.randint(2, max_n)
+    p = rng.uniform(0.2, 0.8)
+    return random_connected_gnp(n, p, rng.getrandbits(32))
+
+
+class _Tally:
+    """Pass counters plus counterexample reports, keyed by theorem id."""
+
+    def __init__(self):
+        self.passes: dict[str, int] = {}
+        self.totals: dict[str, int] = {}
+        self.failures: list[TheoremReport] = []
+
+    def add(self, report: TheoremReport) -> None:
+        self.totals[report.theorem] = self.totals.get(report.theorem, 0) + 1
+        if report.passed:
+            self.passes[report.theorem] = self.passes.get(report.theorem, 0) + 1
+        else:
+            self.failures.append(report)
+
+    def record(self, theorem: str, passed: bool, inputs: dict, predicted: str,
+               measured: dict) -> None:
+        self.add(TheoremReport(theorem, inputs, predicted, measured, passed,
+                               witness=inputs))
+
+    def lines(self) -> list[str]:
+        return [f"{tid}: {self.passes.get(tid, 0)}/{self.totals[tid]} pass"
+                for tid in sorted(self.totals)]
+
+
+def suite_bounds(trials: int, seed: int, max_n: int = 14) -> _Tally:
+    """Radius upper bound and girth lower bound on random connected graphs."""
+    rng = random.Random(seed)
+    tally = _Tally()
+    for _ in range(trials):
+        g = _random_connected(rng, max_n)
+        dm = all_pairs_distances(g)
+        rad, _ = radius_diameter(dm)
+        gir = girth(g)
+        rc = radius_capture_number(g, dm=dm)
+        inputs = {"n": g.n, "m": g.m, "rad": rad, "girth": gir,
+                  "edges": sorted(g.edge_set())}
+        tally.record("radius-upper-bound", rc <= max(0, rad - 1), inputs,
+                     "rc <= rad - 1", {"rc": rc})
+        tally.record("girth-lower-bound", rc >= max(0, gir // 2 - 1), inputs,
+                     "rc >= girth//2 - 1", {"rc": rc})
+    return tally
+
+
+def suite_retracts(trials: int, seed: int, max_n: int = 12) -> _Tally:
+    """Capture monotonicity under corner folds and layer projections."""
+    rng = random.Random(seed)
+    tally = _Tally()
+    for t in range(trials):
+        if t % 2 == 0:
+            # append a vertex dominated by v so a corner fold always exists
+            base = _random_connected(rng, max_n - 1)
+            v = rng.randrange(base.n)
+            extra = [u for u in base.adj[v] if rng.random() < 0.5]
+            edges = list(base.edge_set()) + [(base.n, v)] + [(base.n, u) for u in extra]
+            g = build_graph(base.n + 1, edges)
+            retr = corner_fold_retraction(g)
+            tally.add(check_retract_monotonicity(g, retr))
+        else:
+            f1 = _random_connected(rng, 5)
+            f2 = _random_connected(rng, 5)
+            prod, retr = layer_projection_retraction(f1, f2, "cartesian",
+                                                     rng.randrange(f2.n))
+            tally.add(check_retract_monotonicity(prod, retr))
+    return tally
+
+
+def _evenness_instance_checks(name: str, g: Graph, tally: _Tally,
+                              expected: str | None = None) -> None:
+    dm = all_pairs_distances(g)
+    cls = classify_evenness(g, dm)
+    if expected is not None:
+        tally.record("evenness-classification", cls == expected,
+                     {"instance": name}, f"class == {expected}", {"class": cls})
+    if cls in (EVEN, HARMONIC_EVEN):
+        rad, diam = radius_diameter(dm)
+        ant = unique_antipodes(g, dm)
+        ok = all(dm.rows[u][ant[v]] == diam - 1 for u, v in g.edges())
+        tally.record("even-antipode-distance", ok, {"instance": name},
+                     "d(u, v') == diam - 1 for every edge uv", {"class": cls})
+        if cls == HARMONIC_EVEN:
+            rc = radius_capture_number(g, dm=dm)
+            tally.record("harmonic-even-capture", rc == rad - 1,
+                         {"instance": name, "rad": rad}, "rc == rad - 1", {"rc": rc})
+
+
+def suite_evenness(trials: int, seed: int, max_n: int = 12) -> _Tally:
+    """Evenness classification on known families plus random graphs."""
+    tally = _Tally()
+    _evenness_instance_checks("P_3", basic_family("path", 3), tally, "not_even")
+    for n in range(4, 14, 2):
+        _evenness_instance_checks(f"C_{n}", basic_family("cycle", n), tally,
+                                  HARMONIC_EVEN)
+    for n in range(5, 12, 2):
+        _evenness_instance_checks(f"C_{n}", basic_family("cycle", n), tally,
+                                  "not_even")
+    for d in range(1, 5):
+        _evenness_instance_checks(f"Q_{d}", hypercube(d), tally, HARMONIC_EVEN)
+    rng = random.Random(seed)
+    for t in range(trials):
+        g = _random_connected(rng, max_n)
+        _evenness_instance_checks(f"random-{t}", g, tally)
+    return tally
+
+
+def suite_products(trials: int, seed: int) -> _Tally:
+    """The three product theorems on random connected factor pairs."""
+    rng = random.Random(seed)
+    tally = _Tally()
+    for _ in range(trials):
+        g = _random_connected(rng, 8)
+        h = _random_connected(rng, 8)
+        for report in check_product_theorems(g, h):
+            tally.add(report)
+    return tally
+
+
+def suite_outerplanar(trials: int, seed: int, max_n: int = 14) -> _Tally:
+    """Solver capture number against the largest-inner-face formula."""
+    rng = random.Random(seed)
+    tally = _Tally()
+    for _ in range(trials):
+        n = rng.randint(3, max_n)
+        prob = rng.uniform(0.0, 0.9)
+        g, emb = random_outerplanar(n, prob, rng.getrandbits(32))
+        validate_embedding(g, emb)
+        predicted = rc_outerplanar_formula(emb)
+        rc = radius_capture_number(g)
+        tally.record("outerplanar-face-formula", rc == predicted,
+                     {"n": n, "chords": sorted(emb.chords)},
+                     "rc == max_face//2 - 1",
+                     {"rc": rc, "predicted": predicted})
+    return tally
+
+
+def suite_families() -> _Tally:
+    """Closed-form capture numbers across the generated families."""
+    tally = _Tally()
+
+    def expect(tid: str, name: str, g: Graph, expected_rc: int) -> None:
+        rc = radius_capture_number(g)
+        tally.record(tid, rc == expected_rc, {"instance": name},
+                     f"rc == {expected_rc}", {"rc": rc})
+
+    for n in range(3, 13):
+        expect("cycle-closed-form", f"C_{n}", basic_family("cycle", n), n // 2 - 1)
+    for d in range(1, 5):
+        expect("hypercube-closed-form", f"Q_{d}", hypercube(d), d - 1)
+    for d, q in ((2, 3), (2, 4)):
+        expect("hamming-closed-form", f"H({d},{q})", hamming(d, q), d - 1)
+    for n, k in ((4, 2), (5, 2)):
+        expect("johnson-closed-form", f"J({n},{k})",
+               generalized_johnson(n, k, k - 1), k - 1)
+    for n, k, i in ((5, 2, 0), (6, 2, 0), (5, 3, 1), (6, 2, 1)):
+        g = generalized_johnson(n, k, i)
+        if not is_connected(g):
+            continue
+        rad, _ = radius_diameter(all_pairs_distances(g))
+        expect("generalized-johnson-radius", f"J({n},{k},{i})", g, rad - 1)
+    for n in range(1, 4):
+        expected = 2 ** n - 2 if n < 3 else 3 * 2 ** (n - 2) - 1
+        expect("sierpinski3-closed-form", f"S({n},3)", sierpinski(n, 3), expected)
+    expect("sierpinski4-reference", "S(3,4)", sierpinski(3, 4), 5)
+    cubic = named_instance("CubicVT24_6")
+    rad, _ = radius_diameter(all_pairs_distances(cubic))
+    tally.record("named-instance-values", rad == 5,
+                 {"instance": "CubicVT24_6"}, "rad == 5", {"rad": rad})
+    expect("named-instance-values", "CubicVT24_6", cubic, 3)
+    return tally
+
+
+def transitive_sweep_lines() -> list[str]:
+    """Report capture number against rad/2 for small circulants and the
+    hard-coded cubic instance; exploratory output with no verdict."""
+    lines = ["instance rad rc rad/2 rc>=rad/2"]
+    instances: list[tuple[str, Graph]] = []
+    for n in range(5, 11):
+        steps_pool = list(range(1, n // 2 + 1))
+        for mask in range(1, 1 << len(steps_pool)):
+            steps = [s for b, s in enumerate(steps_pool) if (mask >> b) & 1]
+            g = circulant(n, steps)
+            if is_connected(g):
+                instances.append((f"circulant-{n}-{'.'.join(map(str, steps))}", g))
+    instances.append(("CubicVT24_6", named_instance("CubicVT24_6")))
+    for name, g in instances:
+        dm = all_pairs_distances(g)
+        rad, _ = radius_diameter(dm)
+        rc = radius_capture_number(g, dm=dm)
+        lines.append(f"{name} {rad} {rc} {rad / 2:g} "
+                     f"{'yes' if rc >= rad / 2 else 'no'}")
+    return lines
+
+
+# suites sized by max_n: (runner, default trials, least max_n its draws accept)
+_SIZED_SUITES = {
+    "bounds": (suite_bounds, 200, 2),
+    "retracts": (suite_retracts, 100, 3),
+    "evenness": (suite_evenness, 50, 2),
+    "outerplanar": (suite_outerplanar, 200, 3),
+}
+SUITE_NAMES = ("bounds", "retracts", "evenness", "products", "outerplanar",
+               "families", "transitive-sweep")
+
+
+def run_suite(name: str, trials: int | None, seed: int,
+              max_n: int) -> tuple[list[str], list[TheoremReport]]:
+    """Run one suite by name and return its output lines and failing
+    reports. trials None takes the suite's default; the products and
+    families suites ignore max_n, and families and transitive-sweep also
+    ignore trials and seed."""
+    if trials is not None and trials < 0:
+        raise InvalidParam(f"trials must be >= 0, got {trials}")
+    if name == "transitive-sweep":
+        return transitive_sweep_lines(), []
+    if name == "families":
+        tally = suite_families()
+    elif name == "products":
+        tally = suite_products(50 if trials is None else trials, seed)
+    else:
+        runner, default_trials, least_n = _SIZED_SUITES[name]
+        if max_n < least_n:
+            raise InvalidParam(f"max_n must be >= {least_n} for the {name} suite, "
+                               f"got {max_n}")
+        tally = runner(default_trials if trials is None else trials, seed, max_n)
+    return tally.lines(), tally.failures

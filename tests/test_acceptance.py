@@ -11,13 +11,6 @@ import random
 
 import pytest
 
-from rcgame.cli import (
-    suite_bounds,
-    suite_evenness,
-    suite_outerplanar,
-    suite_products,
-    suite_retracts,
-)
 from rcgame.engine import (
     certify_cop_strategy,
     extract_cop_strategy,
@@ -43,6 +36,11 @@ from rcgame.verify import (
     check_distance_expansion,
     check_radius_pair_condition,
     classify_evenness,
+    suite_bounds,
+    suite_evenness,
+    suite_outerplanar,
+    suite_products,
+    suite_retracts,
 )
 
 SEED = 20250809

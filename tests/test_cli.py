@@ -189,3 +189,96 @@ def test_compute_record_timing_flag():
     assert rec.ms > 0
     rec = compute_record(basic_family("cycle", 6), "c6")
     assert rec.ms == 0.0
+
+
+def test_verify_products_stdout_pinned(capsys):
+    code, out, err = run(capsys, "verify", "products")
+    assert code == 0 and err == ""
+    assert out == ("cartesian-product-bounds: 50/50 pass\n"
+                   "cartesian-product-coincidence: 48/48 pass\n"
+                   "lexicographic-product-value: 50/50 pass\n"
+                   "strong-product-value: 50/50 pass\n")
+
+
+def test_verify_evenness_stdout_pinned(capsys):
+    code, out, err = run(capsys, "verify", "evenness")
+    assert code == 0 and err == ""
+    assert out == ("even-antipode-distance: 12/12 pass\n"
+                   "evenness-classification: 14/14 pass\n"
+                   "harmonic-even-capture: 12/12 pass\n")
+
+
+def test_verify_rejects_out_of_range_sizes(capsys):
+    for argv in (("bounds", "--max-n", "1"), ("evenness", "--max-n", "1"),
+                 ("outerplanar", "--max-n", "2"), ("retracts", "--max-n", "2"),
+                 ("bounds", "--trials", "-3"), ("products", "--trials", "-1")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    code, out, _ = run(capsys, "verify", "retracts", "--max-n", "3", "--trials", "2")
+    assert code == 0 and out == "retract-monotonicity: 2/2 pass\n"
+    code, out, _ = run(capsys, "verify", "bounds", "--max-n", "2", "--trials", "0")
+    assert code == 0 and out == ""
+
+
+def test_family_non_integer_params(capsys):
+    for argv in (("family", "cycle", "abc"), ("family", "cycle", "3.5"),
+                 ("family", "hypercube", "x"),
+                 ("strategy", "--family", "cycle", "abc", "-k", "1", "--role", "cop")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and "integer" in err
+    code, _, err = run(capsys, "family", "random_gnp_connected", "6", "abc")
+    assert code == 2 and err.startswith("error: ") and "probability" in err
+    code, out, _ = run(capsys, "family", "random_gnp_connected", "6", "0.5")
+    assert code == 0 and out.startswith("random_gnp_connected-6-0.5: n=6 ")
+
+
+def test_strategy_rejects_negative_max_moves(capsys):
+    code, out, err = run(capsys, "strategy", "--family", "cycle", "8",
+                         "-k", "3", "--role", "cop", "--max-moves", "-2")
+    assert code == 2
+    assert out == "" and "--max-moves" in err
+    code, out, _ = run(capsys, "strategy", "--family", "cycle", "8",
+                       "-k", "3", "--role", "cop", "--max-moves", "0")
+    assert code == 0 and "after 0 move(s)" in out
+
+
+def test_failing_theorems_carry_counterexamples(capsys, monkeypatch):
+    import rcgame.verify as verify
+
+    # a negative capture number breaks the girth lower bound on every graph,
+    # rc(retract) <= rc(graph) on every proper retract, and the strong
+    # product value on every pair of factors with at least two vertices
+    monkeypatch.setattr(verify, "radius_capture_number", lambda g, dm=None: -g.n)
+    code, out, err = run(capsys, "verify", "bounds", "--trials", "3")
+    assert code == 1
+    assert "girth-lower-bound: 0/3 pass" in out
+    payloads = [json.loads(line) for line in err.splitlines()]
+    assert len(payloads) == 3
+    for payload in payloads:
+        assert payload["passed"] is False
+        assert list(payload["counterexample"]) == ["n", "m", "rad", "girth",
+                                                   "edges", "rc"]
+        assert payload["counterexample"]["edges"]
+
+    g = basic_family("cycle", 4)
+    fold = verify.Retraction(frozenset({0, 1}), (0, 1, 0, 1))
+    report = verify.check_retract_monotonicity(g, fold)
+    assert not report.passed
+    assert report.counterexample == {
+        "edges": [(0, 1), (0, 3), (1, 2), (2, 3)],
+        "target": [0, 1], "mapping": [0, 1, 0, 1],
+        "rc_graph": -4, "rc_retract": -2}
+    assert list(report.counterexample) == ["edges", "target", "mapping",
+                                           "rc_graph", "rc_retract"]
+
+    reports = verify.check_product_theorems(basic_family("cycle", 4),
+                                            basic_family("path", 3))
+    failing = [r for r in reports if not r.passed]
+    assert "strong-product-value" in [r.theorem for r in failing]
+    for r in failing:
+        assert list(r.counterexample) == ["edges_g", "edges_h", *r.measured]
+        assert r.counterexample["edges_h"] == [(0, 1), (1, 2)]
+    for r in reports:
+        assert (r.counterexample is None) == r.passed

@@ -76,19 +76,19 @@ def test_validate_non_permutation_outer():
 def test_inner_faces_single_chord():
     _, emb = _polygon_with_chords(6, [(0, 3)])
     faces = inner_faces(emb)
-    assert sorted(faces.sizes) == [4, 4]
-    assert set(faces.faces) == {(0, 1, 2, 3), (0, 3, 4, 5)}
+    assert sorted(len(f) for f in faces) == [4, 4]
+    assert set(faces) == {(0, 1, 2, 3), (0, 3, 4, 5)}
 
 
 def test_inner_faces_fan_triangles():
     _, emb = _polygon_with_chords(6, [(0, 2), (0, 3), (0, 4)])
     faces = inner_faces(emb)
-    assert faces.sizes == (3, 3, 3, 3)
+    assert tuple(len(f) for f in faces) == (3, 3, 3, 3)
 
 
 def test_inner_faces_plain_polygon():
     _, emb = _polygon_with_chords(7, [])
-    assert inner_faces(emb).faces == (tuple(range(7)),)
+    assert inner_faces(emb) == (tuple(range(7)),)
 
 
 def test_face_accounting_property():
@@ -98,8 +98,8 @@ def test_face_accounting_property():
         g, emb = random_outerplanar(n, rng.uniform(0, 0.9), rng.getrandbits(32))
         validate_embedding(g, emb)
         faces = inner_faces(emb)
-        assert len(faces.faces) == len(emb.chords) + 1
-        assert sum(faces.sizes) == n + 2 * len(emb.chords)
+        assert len(faces) == len(emb.chords) + 1
+        assert sum(len(f) for f in faces) == n + 2 * len(emb.chords)
 
 
 def test_formula_examples():

@@ -7,7 +7,7 @@ import pytest
 from rcgame.errors import InvalidParam, SizeGuard
 from rcgame.generators import basic_family, random_connected_gnp
 from rcgame.graph import all_pairs_distances, build_graph, girth
-from rcgame.products import factor_indices, pair_index, product
+from rcgame.products import product
 
 
 def test_cartesian_k2_k2_is_c4():
@@ -29,8 +29,11 @@ def test_lexicographic_one_point_fiber():
 
 def test_product_labels_row_major():
     g = product("cartesian", basic_family("path", 2), basic_family("path", 3))
-    assert g.label(pair_index(1, 2, 3)) == "(1,2)"
-    assert factor_indices(5, 3) == (1, 2)
+    # row major: vertex (a, b) has index a * |V(H)| + b
+    for idx in range(g.n):
+        a, b = divmod(idx, 3)
+        assert g.label(idx) == f"({a},{b})"
+    assert g.label(1 * 3 + 2) == "(1,2)"
 
 
 def test_edge_set_nesting_and_projections():
@@ -45,12 +48,12 @@ def test_edge_set_nesting_and_projections():
         lex = product("lexicographic", g, h).edge_set()
         assert cart <= strong <= lex
         for u, v in lex:
-            a1, b1 = factor_indices(u, h.n)
-            a2, b2 = factor_indices(v, h.n)
+            a1, b1 = divmod(u, h.n)
+            a2, b2 = divmod(v, h.n)
             assert a1 == a2 or g.has_edge(a1, a2)
         for u, v in strong:
-            a1, b1 = factor_indices(u, h.n)
-            a2, b2 = factor_indices(v, h.n)
+            a1, b1 = divmod(u, h.n)
+            a2, b2 = divmod(v, h.n)
             assert (a1 == a2 or g.has_edge(a1, a2)) and (b1 == b2 or h.has_edge(b1, b2))
 
 
@@ -69,8 +72,8 @@ def test_distance_laws():
             for b1 in range(h.n):
                 for a2 in range(g.n):
                     for b2 in range(h.n):
-                        u = pair_index(a1, b1, h.n)
-                        v = pair_index(a2, b2, h.n)
+                        u = a1 * h.n + b1
+                        v = a2 * h.n + b2
                         assert dcart.dist(u, v) == dg.dist(a1, a2) + dh.dist(b1, b2)
                         assert dstrong.dist(u, v) == max(dg.dist(a1, a2),
                                                          dh.dist(b1, b2))
