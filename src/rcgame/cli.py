@@ -179,13 +179,13 @@ def _show(value) -> str:
 def _graph_for_strategy(args) -> tuple[str, Graph]:
     guard = _size_guard_from_env()
     if args.instance:
-        return args.instance, named_instance(args.instance)
-    if args.family:
+        gid, g = args.instance, named_instance(args.instance)
+    elif args.family:
         kind, *raw = args.family
         params = tuple(_parse_param(t) for t in raw)
         g = build_family(FamilySpec(kind, params, args.seed), guard)
-        return "-".join([kind, *(str(p) for p in params)]), g
-    if args.input:
+        gid = "-".join([kind, *(str(p) for p in params)])
+    elif args.input:
         graphs = list(_read_graphs(args))
         errors = [f"{gid}: {problem}" for gid, _, problem in graphs if problem]
         if errors:
@@ -193,8 +193,11 @@ def _graph_for_strategy(args) -> tuple[str, Graph]:
         if len(graphs) != 1:
             raise InvalidParam(f"strategy needs exactly one graph, got {len(graphs)}")
         gid, g, _ = graphs[0]
-        return gid, g
-    raise InvalidParam("need --instance, --family, or an input path")
+    else:
+        raise InvalidParam("need --instance, --family, or an input path")
+    if g.n > guard:
+        raise SizeGuard(f"{g.n} vertices exceeds the cap {guard}")
+    return gid, g
 
 
 def cmd_strategy(args) -> int:
@@ -226,7 +229,10 @@ def cmd_strategy(args) -> int:
                                   and transcript.captured) else ""
         print(f"  {i:3d} {step.mover:6s} {g.label(step.origin)} -> "
               f"{g.label(step.target)}  d={step.distance}{capture}")
-    print(f"outcome: {transcript.outcome} after {transcript.moves} move(s)")
+    outcome = transcript.outcome
+    if args.role == "cop" and not transcript.captured:
+        outcome = "cut off"   # the certified cop captures unless the move cap comes first
+    print(f"outcome: {outcome} after {transcript.moves} move(s)")
     return 0
 
 

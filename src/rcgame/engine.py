@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import cycle, islice
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -234,6 +235,9 @@ class Strategy:
     For the cop, initial() gives the start vertex; for the robber,
     initial(cop_vertex) gives the reply placement. move(cop, robber)
     returns the mover's next vertex, always inside its closed neighborhood.
+    positional marks a move that depends on (cop, robber) alone, as for
+    the strategies read off a fixed table here; simulate closes a play-out
+    of two positional strategies at its first repeated state.
     """
 
     role: str
@@ -241,6 +245,7 @@ class Strategy:
     initial: Callable
     move: Callable[[int, int], int]
     name: str = ""
+    positional: bool = False
 
 
 def extract_cop_strategy(a: WinAnalysis) -> Strategy:
@@ -262,7 +267,7 @@ def extract_cop_strategy(a: WinAnalysis) -> Strategy:
                 best, best_rank = y, rank_r[i]
         return best
 
-    return Strategy("cop", a.k, lambda: start, move, "rank-greedy cop")
+    return Strategy("cop", a.k, lambda: start, move, "rank-greedy cop", positional=True)
 
 
 def extract_robber_strategy(a: WinAnalysis) -> Strategy:
@@ -289,7 +294,8 @@ def extract_robber_strategy(a: WinAnalysis) -> Strategy:
         raise InvariantViolation(
             f"no safe move at state (cop={cop}, robber={robber})")
 
-    return Strategy("robber", a.k, initial, move, "attractor-evading robber")
+    return Strategy("robber", a.k, initial, move, "attractor-evading robber",
+                    positional=True)
 
 
 class Step(NamedTuple):
@@ -320,7 +326,16 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
              max_moves: int, dm: DistanceMatrix | None = None) -> Transcript:
     """Play the two strategies against each other for at most max_moves
     single moves, checking capture after the placements and after every
-    move. Deterministic for deterministic strategies."""
+    move. Deterministic for deterministic strategies.
+
+    When both strategies are positional, the play-out is a walk on the n^2
+    cop-to-move states, each keyed cop * n + robber to its index in steps.
+    At the first repeated state no capture has happened and every later
+    move repeats the cycle since that state, so the remaining moves up to
+    max_moves are filled in from it (the Step objects are shared) and the
+    robber survives. Every distinct move is still checked for legality
+    and capture before that.
+    """
     if cop_strategy.role != "cop" or robber_strategy.role != "robber":
         raise InvalidParam("simulate needs a cop strategy and a robber strategy")
     if dm is None:
@@ -342,8 +357,16 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
     d0 = rows[cop][robber]
     if d0 <= k:
         return Transcript(k, cop_start, robber_start, d0, steps, "captured", 0)
+    n = g.n
+    seen = {} if cop_strategy.positional and robber_strategy.positional else None
     moves = 0
     while moves < max_moves:
+        if seen is not None:
+            start = seen.setdefault(cop * n + robber, moves)
+            if start != moves:
+                steps.extend(islice(cycle(steps[start:]), max_moves - moves))
+                return Transcript(k, cop_start, robber_start, d0, steps,
+                                  "survived", max_moves)
         origin = cop
         nxt = cop_strategy.move(cop, robber)
         check(nxt, cop, cop, robber, COP_TO_MOVE)
@@ -441,7 +464,7 @@ def rank_max_robber_strategy(a: WinAnalysis) -> Strategy:
                 best, best_rank = y, score
         return best
 
-    return Strategy("robber", a.k, initial, move, "rank-max robber")
+    return Strategy("robber", a.k, initial, move, "rank-max robber", positional=True)
 
 
 def greedy_chase_cop_strategy(g: Graph, k: int,
@@ -461,7 +484,7 @@ def greedy_chase_cop_strategy(g: Graph, k: int,
         row = rows[robber]
         return min(closed[cop], key=lambda y: (row[y], y))
 
-    return Strategy("cop", k, lambda: start, move, "greedy-chase cop")
+    return Strategy("cop", k, lambda: start, move, "greedy-chase cop", positional=True)
 
 
 def random_cop_strategy(g: Graph, k: int, seed: int) -> Strategy:

@@ -182,12 +182,15 @@ def girth(g: Graph) -> int:
 
     One BFS per start vertex; a non-tree edge (u, w) seen from start s
     witnesses a cycle of length at most dist(s, u) + dist(s, w) + 1, and
-    the minimum over all starts and edges is exact.
+    the minimum over all starts and edges is exact. The search stops at the
+    first triangle, since no simple graph has a shorter cycle.
     """
     n = g.n
     adj = g.adj
     best = 0
     for s in range(n):
+        if best == 3:
+            break
         dist = [-1] * n
         parent = [-1] * n
         dist[s] = 0

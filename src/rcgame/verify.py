@@ -345,12 +345,13 @@ def check_product_theorems(g: Graph, h: Graph,
     pair. Cartesian and lexicographic checks need both factors on at
     least two vertices; the strong check applies to any connected pair.
     """
-    if not is_connected(g) or not is_connected(h):
+    dm_g, dm_h = all_pairs_distances(g), all_pairs_distances(h)
+    if not dm_g.connected or not dm_h.connected:
         raise NotConnected("product theorems require connected factors")
-    rc_g = radius_capture_number(g)
-    rc_h = radius_capture_number(h)
-    rad_g, _ = radius_diameter(all_pairs_distances(g))
-    rad_h, _ = radius_diameter(all_pairs_distances(h))
+    rc_g = radius_capture_number(g, dm_g)
+    rc_h = radius_capture_number(h, dm_h)
+    rad_g, _ = radius_diameter(dm_g)
+    rad_h, _ = radius_diameter(dm_h)
     inputs = {"n_g": g.n, "m_g": g.m, "n_h": h.n, "m_h": h.m,
               "rc_g": rc_g, "rc_h": rc_h, "rad_g": rad_g, "rad_h": rad_h}
     witness = {"edges_g": sorted(g.edge_set()), "edges_h": sorted(h.edge_set())}

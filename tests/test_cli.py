@@ -125,6 +125,29 @@ def test_strategy_robber_survival(capsys):
     assert "outcome: survived after 40 move(s)" in out
 
 
+def test_strategy_cop_cut_off_by_move_cap(capsys):
+    argv = ("strategy", "--family", "sierpinski", "3", "3", "-k", "5", "--role", "cop")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "outcome: captured after 7 move(s)" in out
+    code, out, _ = run(capsys, *argv, "--max-moves", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "outcome: cut off after 1 move(s)"
+
+
+def test_strategy_size_guard_every_input(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c6.g6"
+    path.write_text("EhEG\n")
+    monkeypatch.setenv("RC_SIZE_GUARD", "4")
+    for source in ([str(path)], ["--instance", "CubicVT24_6"], ["--family", "cycle", "6"]):
+        code, out, err = run(capsys, "strategy", *source, "-k", "1", "--role", "robber")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "exceeds" in err and "cap 4" in err
+    monkeypatch.setenv("RC_SIZE_GUARD", "6")
+    code, out, _ = run(capsys, "strategy", str(path), "-k", "1", "--role", "robber",
+                       "--max-moves", "4")
+    assert code == 0 and "outcome: survived after 4 move(s)" in out
+
+
 def test_strategy_role_cannot_win(capsys):
     code, _, err = run(capsys, "strategy", "--family", "cycle", "8",
                        "-k", "2", "--role", "cop")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -247,6 +248,70 @@ def test_simulate_survival_by_pigeonhole():
     t = simulate(c8, 2, greedy_chase_cop_strategy(c8, 2), extract_robber_strategy(a),
                  4 * 2 * 64)
     assert t.outcome == "survived" and t.moves == 512
+
+
+def _play(t):
+    return (t.cop_start, t.robber_start, t.start_distance, t.outcome, t.moves,
+            tuple(t.steps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(random_connected_gnp, st.integers(2, 10), st.floats(0.15, 0.7),
+                 st.integers(0, 2 ** 32 - 1)))
+@example(basic_family("cycle", 8))
+@example(hypercube(3))
+@example(generalized_johnson(5, 2, 0))
+@example(sierpinski(2, 3))
+def test_cycle_closing_matches_move_by_move_play(g):
+    # the package's strategies are positional, so simulate closes their
+    # play-outs at the first repeated state; the same strategies marked
+    # non-positional are played move by move and must give the same transcript
+    dm = all_pairs_distances(g)
+    rc = radius_capture_number(g, dm)
+    win = solve_cwrc(g, rc, dm)
+    pairs = [(rc, extract_cop_strategy(win), rank_max_robber_strategy(win))]
+    if rc >= 1:
+        lose = solve_cwrc(g, rc - 1, dm)
+        pairs.append((rc - 1, greedy_chase_cop_strategy(g, rc - 1, dm),
+                      extract_robber_strategy(lose)))
+    for k, cop, robber in pairs:
+        assert cop.positional and robber.positional
+        plain_cop = replace(cop, positional=False)
+        plain_robber = replace(robber, positional=False)
+        for max_moves in (0, 1, 2, 7, 4 * g.n * g.n + 1):
+            fast = simulate(g, k, cop, robber, max_moves, dm)
+            assert len(fast.steps) == fast.moves <= max_moves
+            assert _play(fast) == _play(simulate(g, k, plain_cop, plain_robber,
+                                                 max_moves, dm))
+
+
+@pytest.mark.parametrize("g,k", [
+    (basic_family("cycle", 8), 2),
+    (hypercube(3), 1),
+    (sierpinski(3, 3), 4),
+    (generalized_johnson(7, 3, 2), 1),
+])
+def test_positional_play_out_moves_once_per_state(g, k):
+    a = solve_cwrc(g, k)
+    calls = {"cop": 0, "robber": 0}
+
+    def counted(strategy):
+        def move(cop, robber):
+            calls[strategy.role] += 1
+            return strategy.move(cop, robber)
+        return replace(strategy, move=move)
+
+    cop = counted(greedy_chase_cop_strategy(g, k, a.dm))
+    robber = counted(extract_robber_strategy(a))
+    budget = 4 * g.n * g.n
+    t = simulate(g, k, cop, robber, budget, a.dm)
+    assert t.outcome == "survived" and t.moves == len(t.steps) == budget
+    # one cop and one robber move per distinct cop-to-move state visited
+    assert calls["cop"] <= g.n * g.n and calls["robber"] <= g.n * g.n
+    calls.update(cop=0, robber=0)
+    t = simulate(g, k, replace(cop, positional=False),
+                 replace(robber, positional=False), budget, a.dm)
+    assert t.moves == budget and calls["cop"] + calls["robber"] == budget
 
 
 def test_simulate_immediate_capture_at_placement():

@@ -5,7 +5,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rcgame.errors import InvalidParam, InvalidVertex, NotConnected, SelfLoop
 from rcgame.generators import (
@@ -156,6 +156,15 @@ def test_girth_matches_networkx_on_random_graphs():
         g = build_graph(n, edges)
         expected = nx.girth(to_networkx(g))
         assert girth(g) == (0 if expected == float("inf") else expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 16), st.floats(0.3, 0.9), st.integers(0, 2 ** 32 - 1))
+def test_girth_on_graphs_with_triangles(n, p, seed):
+    # girth leaves its source loop at the first triangle it finds
+    G = nx.gnp_random_graph(n, p, seed=seed)
+    assume(any(nx.triangles(G).values()))
+    assert girth(build_graph(n, list(G.edges()))) == nx.girth(G) == 3
 
 
 def test_is_connected_examples():
