@@ -29,11 +29,11 @@ from .generators import (
     sierpinski,
 )
 from .graph import (
-    UNREACHABLE,
     DistanceMatrix,
     Graph,
     all_pairs_distances,
     build_graph,
+    eccentricities,
     girth,
     induced_subgraph,
     is_connected,

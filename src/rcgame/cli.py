@@ -40,7 +40,7 @@ from .generators import (
     named_instance,
     predicted_rc,
 )
-from .graph import Graph, all_pairs_distances, girth, radius_diameter
+from .graph import Graph, eccentricities, girth
 from .ioformats import ResultRecord, emit_results, parse_edge_list, parse_graph6
 from .verify import SUITE_NAMES, run_suite
 
@@ -63,13 +63,13 @@ def compute_record(g: Graph, instance_id: str,
     """Solve one graph and package the result row."""
     t0 = time.perf_counter()
     gir = girth(g)
-    dm = all_pairs_distances(g)
-    if dm.connected:
-        rad, diam = radius_diameter(dm)
-        rc = radius_capture_number(g, dm)
-        ub = max(0, rad - 1)
-    else:
+    ecc = eccentricities(g)
+    if ecc is None:
         rad = diam = rc = ub = None
+    else:
+        rad, diam = min(ecc), max(ecc)
+        rc = radius_capture_number(g)
+        ub = max(0, rad - 1)
     ms = (time.perf_counter() - t0) * 1000.0 if with_timing else 0.0
     return ResultRecord(instance_id, g.n, g.m, rad, diam, gir, rc,
                         max(0, gir // 2 - 1), ub, round(ms, 3))

@@ -30,13 +30,14 @@ from .errors import (
     InvalidParam,
     InvariantViolation,
     NoEvasionStrategy,
-    NotConnected,
     NoWinningStrategy,
 )
 from .graph import (
     DistanceMatrix,
     Graph,
     all_pairs_distances,
+    balls,
+    eccentricities,
     radius_diameter,
 )
 
@@ -74,27 +75,6 @@ class WinAnalysis:
     def rank(self, cop: int, robber: int, turn: int = COP_TO_MOVE) -> int:
         plane = self.rank_cop_move if turn == COP_TO_MOVE else self.rank_robber_move
         return plane[cop * self.graph.n + robber]
-
-
-def _balls(g: Graph):
-    """Yield ball_0, ball_1, ...: bit c of ball_k[r] is set iff d(c, r) <= k.
-
-    ball_k[r] is the OR of ball_{k-1}[y] over y in N[r]. The generator
-    ends once the balls stop growing.
-    """
-    closed = g.closed
-    ball = [1 << v for v in range(g.n)]
-    while True:
-        yield ball
-        grown = []
-        for row in closed:
-            acc = 0
-            for y in row:
-                acc |= ball[y]
-            grown.append(acc)
-        if grown == ball:
-            return
-        ball = grown
 
 
 def _full_rows(win_c: list[int], n: int) -> int:
@@ -165,7 +145,8 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], targets: list[int]):
 
 
 def solve_cwrc(g: Graph, k: int, dm: DistanceMatrix | None = None) -> WinAnalysis:
-    """Decide whether the cop wins the radius-k game on connected g.
+    """Decide whether the cop wins the radius-k game on connected g
+    (NotConnected otherwise, from the distance matrix).
 
     Backward induction from the capture set {d(c, r) <= k}: a cop-to-move
     state is cop-win as soon as one successor is, a robber-to-move state
@@ -176,11 +157,9 @@ def solve_cwrc(g: Graph, k: int, dm: DistanceMatrix | None = None) -> WinAnalysi
         raise InvalidParam(f"capture radius must be >= 0, got {k}")
     if dm is None:
         dm = all_pairs_distances(g)
-    if not dm.connected:
-        raise NotConnected("the capture game is only decided on connected graphs")
     n = g.n
     size = n * n
-    for _, ball in zip(range(k + 1), _balls(g)):   # ball_k, or all of g past diam
+    for _, ball in zip(range(k + 1), balls(g)):   # ball_k, or all of g past diam
         pass
     win_c, win_r = [0] * n, [0] * n
     plane_c = bytearray(size)   # cop to move
@@ -201,26 +180,25 @@ def solve_cwrc(g: Graph, k: int, dm: DistanceMatrix | None = None) -> WinAnalysi
     return WinAnalysis(g, k, dm, plane_c, plane_r, rank_c, rank_r, choices)
 
 
-def radius_capture_number(g: Graph, dm: DistanceMatrix | None = None) -> int | None:
+def radius_capture_number(g: Graph) -> int | None:
     """Least k at which the cop wins, or None when g is disconnected.
 
-    One incremental attractor pass: the cop-win region only grows with k,
-    so the pass raises k from 0, adds the distance-k states as new capture
-    targets and resumes propagation from the planes left at k - 1. Each
-    state is won at most once over the whole pass, so it costs about one
-    solve at the answer. It stops at the first k where some cop start wins
-    against every robber placement; rad - 1 always suffices. Ranks are not
-    recorded.
+    Connectivity and rad come from the closed-ball sweep (eccentricities);
+    no pair distance is stored. One incremental attractor pass: the cop-win
+    region only grows with k, so the pass raises k from 0, adds the
+    distance-k states (ball_k) as new capture targets and resumes
+    propagation from the planes left at k - 1. Each state is won at most
+    once over the whole pass, so it costs about one solve at the answer.
+    It stops at the first k where some cop start wins against every robber
+    placement; rad - 1 always suffices. Ranks are not recorded.
     """
-    if dm is None:
-        dm = all_pairs_distances(g)
-    if not dm.connected:
+    ecc = eccentricities(g)
+    if ecc is None:
         return None
-    rad, _ = radius_diameter(dm)
-    hi = max(0, rad - 1)
+    hi = max(0, min(ecc) - 1)
     n = g.n
     win_c, win_r = [0] * n, [0] * n
-    for k, ball in zip(range(hi + 1), _balls(g)):
+    for k, ball in zip(range(hi + 1), balls(g)):
         for _ in _attract(g, win_c, win_r, ball):
             pass
         if _full_rows(win_c, n):
@@ -473,8 +451,6 @@ def greedy_chase_cop_strategy(g: Graph, k: int,
     vertex, always move to the closed neighbor nearest the robber."""
     if dm is None:
         dm = all_pairs_distances(g)
-    if not dm.connected:
-        raise NotConnected("greedy chase needs a connected graph")
     rows = dm.rows
     closed = g.closed
     rad, _ = radius_diameter(dm)

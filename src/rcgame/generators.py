@@ -197,6 +197,7 @@ def build_family(spec: FamilySpec, size_guard: int = DEFAULT_SIZE_GUARD) -> Grap
     try:
         if kind in ("cycle", "path", "complete"):
             (n,) = _ints(kind, params)
+            _guard(n, size_guard)
             return basic_family(kind, n)
         if kind == "hypercube":
             (d,) = _ints(kind, params)
@@ -213,10 +214,13 @@ def build_family(spec: FamilySpec, size_guard: int = DEFAULT_SIZE_GUARD) -> Grap
             return sierpinski(n, k, size_guard)
         if kind == "circulant":
             n, *steps = _ints(kind, params)
+            _guard(n, size_guard)
             return circulant(n, steps)
         if kind == "named_instance":
             (name,) = params
-            return named_instance(name)
+            g = named_instance(name)   # hard-coded and small, so checked once built
+            _guard(g.n, size_guard)
+            return g
         if kind == "random_gnp_connected":
             n, p = params
             _ints(kind, (n,))

@@ -5,6 +5,12 @@ tuples) live only in the optional labels. Adjacency is stored both as
 sorted tuples for iteration and as one bitmask per vertex for constant
 time membership tests; closed neighbourhoods N[v] = adj[v] + {v} are
 kept the same two ways.
+
+Distance facts come from one place. The closed-ball sweep (balls) grows
+one bitset per vertex a hop at a time, bit-parallel BFS in the style of
+Akiba, Iwata and Yoshida (SIGMOD 2013); eccentricities reads connectivity
+and every eccentricity off it. All-pairs distances (APSP) are only built
+for callers that read pair distances, and only on connected graphs.
 """
 
 from __future__ import annotations
@@ -13,18 +19,6 @@ from collections import deque
 from typing import Iterator, Sequence
 
 from .errors import InvalidParam, InvalidVertex, NotConnected, SelfLoop
-
-
-class _Unreachable:
-    """Sentinel distance across components; arithmetic on it fails loudly."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "UNREACHABLE"
-
-
-UNREACHABLE = _Unreachable()
 
 
 class Graph:
@@ -119,23 +113,17 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]],
 
 
 class DistanceMatrix:
-    """All-pairs shortest-path hop counts with an UNREACHABLE sentinel.
-
-    Eccentricities are only defined when the graph is connected.
-    """
+    """All-pairs shortest-path hop counts of a connected graph, with the
+    eccentricity of every vertex."""
 
     __slots__ = ("n", "rows", "ecc")
 
-    def __init__(self, n: int, rows: list[list], ecc: tuple[int, ...] | None):
+    def __init__(self, n: int, rows: list[list[int]], ecc: tuple[int, ...]):
         self.n = n
         self.rows = rows
         self.ecc = ecc
 
-    @property
-    def connected(self) -> bool:
-        return self.ecc is not None
-
-    def dist(self, u: int, v: int):
+    def dist(self, u: int, v: int) -> int:
         return self.rows[u][v]
 
 
@@ -153,25 +141,60 @@ def _bfs_row(adj: tuple[tuple[int, ...], ...], n: int, source: int) -> list[int]
     return dist
 
 
+def balls(g: Graph) -> Iterator[list[int]]:
+    """Yield ball_0, ball_1, ...: bit c of ball_k[r] is set iff d(c, r) <= k.
+
+    ball_k[r] is the OR of ball_{k-1}[y] over y in N[r]. The generator
+    ends once the balls stop growing.
+    """
+    closed = g.closed
+    ball = [1 << v for v in range(g.n)]
+    while True:
+        yield ball
+        grown = []
+        for row in closed:
+            acc = 0
+            for y in row:
+                acc |= ball[y]
+            grown.append(acc)
+        if grown == ball:
+            return
+        ball = grown
+
+
+def eccentricities(g: Graph) -> tuple[int, ...] | None:
+    """ecc(v) for every vertex, or None when g is disconnected.
+
+    ecc(v) is the first k at which ball_k[v] holds every vertex, counted as
+    the levels at which it falls short. The sweep stops at the first level
+    where every ball is full; if the balls stop growing before that, g is
+    disconnected.
+    """
+    n = g.n
+    if n == 0:
+        raise InvalidParam("empty graph has no radius")
+    full = (1 << n) - 1
+    ecc = [0] * n
+    for ball in balls(g):
+        short = [v for v, reach in enumerate(ball) if reach != full]
+        if not short:
+            return tuple(ecc)
+        for v in short:
+            ecc[v] += 1
+    return None
+
+
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; UNREACHABLE marks cross-component pairs."""
+    """BFS from every vertex of connected g; raises NotConnected otherwise."""
+    if not is_connected(g):
+        raise NotConnected("the graph is disconnected; distances need a connected graph")
     n = g.n
     rows = [_bfs_row(g.adj, n, s) for s in range(n)]
-    connected = all(d >= 0 for row in rows for d in row)
-    if connected:
-        ecc = tuple(max(row) for row in rows) if n > 0 else ()
-        return DistanceMatrix(n, rows, ecc)
-    for row in rows:
-        for v in range(n):
-            if row[v] < 0:
-                row[v] = UNREACHABLE
-    return DistanceMatrix(n, rows, None)
+    return DistanceMatrix(n, rows, tuple(max(row) for row in rows))
 
 
 def radius_diameter(dm: DistanceMatrix) -> tuple[int, int]:
-    """Return (radius, diameter) of the connected graph behind dm."""
-    if not dm.connected:
-        raise NotConnected("radius and diameter require a connected graph")
+    """Return (radius, diameter) of the graph behind dm."""
     if dm.n == 0:
         raise InvalidParam("empty graph has no radius")
     return (min(dm.ecc), max(dm.ecc))

@@ -34,6 +34,7 @@ from .graph import (
     _bfs_row,
     all_pairs_distances,
     build_graph,
+    eccentricities,
     girth,
     induced_subgraph,
     is_connected,
@@ -182,8 +183,6 @@ def unique_antipodes(g: Graph,
     distance matrix."""
     if dm is None:
         dm = all_pairs_distances(g)
-    if not dm.connected:
-        raise NotConnected("antipodes need a connected graph")
     _, diam = radius_diameter(dm)
     ant = []
     for v in range(g.n):
@@ -203,8 +202,6 @@ def classify_evenness(g: Graph, dm: DistanceMatrix | None = None) -> str:
     """
     if dm is None:
         dm = all_pairs_distances(g)
-    if not dm.connected:
-        raise NotConnected("evenness is defined on connected graphs")
     ant = unique_antipodes(g, dm)
     if ant is None:
         return NOT_EVEN
@@ -220,8 +217,6 @@ def check_distance_expansion(g: Graph, i: int) -> bool:
     grows the distance to i + 1 (a neighbor of the second vertex at
     distance i + 1 from the first)."""
     dm = all_pairs_distances(g)
-    if not dm.connected:
-        raise NotConnected("distance expansion needs a connected graph")
     rad, _ = radius_diameter(dm)
     if not (0 <= i <= rad):
         raise InvalidParam(f"distance {i} outside 0..rad={rad}")
@@ -239,8 +234,6 @@ def check_radius_pair_condition(g: Graph) -> bool:
     radius distance, each closed neighbor of x still sees some closed
     neighbor of y at radius distance."""
     dm = all_pairs_distances(g)
-    if not dm.connected:
-        raise NotConnected("radius pair condition needs a connected graph")
     rad, _ = radius_diameter(dm)
     rows = dm.rows
     closed = g.closed
@@ -345,13 +338,11 @@ def check_product_theorems(g: Graph, h: Graph,
     pair. Cartesian and lexicographic checks need both factors on at
     least two vertices; the strong check applies to any connected pair.
     """
-    dm_g, dm_h = all_pairs_distances(g), all_pairs_distances(h)
-    if not dm_g.connected or not dm_h.connected:
+    ecc_g, ecc_h = eccentricities(g), eccentricities(h)
+    if ecc_g is None or ecc_h is None:
         raise NotConnected("product theorems require connected factors")
-    rc_g = radius_capture_number(g, dm_g)
-    rc_h = radius_capture_number(h, dm_h)
-    rad_g, _ = radius_diameter(dm_g)
-    rad_h, _ = radius_diameter(dm_h)
+    rc_g, rc_h = radius_capture_number(g), radius_capture_number(h)
+    rad_g, rad_h = min(ecc_g), min(ecc_h)
     inputs = {"n_g": g.n, "m_g": g.m, "n_h": h.n, "m_h": h.m,
               "rc_g": rc_g, "rc_h": rc_h, "rad_g": rad_g, "rad_h": rad_h}
     witness = {"edges_g": sorted(g.edge_set()), "edges_h": sorted(h.edge_set())}
@@ -442,10 +433,9 @@ def suite_bounds(trials: int, seed: int, max_n: int = 14) -> _Tally:
     tally = _Tally()
     for _ in range(trials):
         g = _random_connected(rng, max_n)
-        dm = all_pairs_distances(g)
-        rad, _ = radius_diameter(dm)
+        rad = min(eccentricities(g))
         gir = girth(g)
-        rc = radius_capture_number(g, dm=dm)
+        rc = radius_capture_number(g)
         inputs = {"n": g.n, "m": g.m, "rad": rad, "girth": gir,
                   "edges": sorted(g.edge_set())}
         tally.record("radius-upper-bound", rc <= max(0, rad - 1), inputs,
@@ -492,7 +482,7 @@ def _evenness_instance_checks(name: str, g: Graph, tally: _Tally,
         tally.record("even-antipode-distance", ok, {"instance": name},
                      "d(u, v') == diam - 1 for every edge uv", {"class": cls})
         if cls == HARMONIC_EVEN:
-            rc = radius_capture_number(g, dm=dm)
+            rc = radius_capture_number(g)
             tally.record("harmonic-even-capture", rc == rad - 1,
                          {"instance": name, "rad": rad}, "rc == rad - 1", {"rc": rc})
 
@@ -566,16 +556,15 @@ def suite_families() -> _Tally:
                generalized_johnson(n, k, k - 1), k - 1)
     for n, k, i in ((5, 2, 0), (6, 2, 0), (5, 3, 1), (6, 2, 1)):
         g = generalized_johnson(n, k, i)
-        if not is_connected(g):
-            continue
-        rad, _ = radius_diameter(all_pairs_distances(g))
-        expect("generalized-johnson-radius", f"J({n},{k},{i})", g, rad - 1)
+        ecc = eccentricities(g)
+        if ecc is not None:
+            expect("generalized-johnson-radius", f"J({n},{k},{i})", g, min(ecc) - 1)
     for n in range(1, 4):
         expected = 2 ** n - 2 if n < 3 else 3 * 2 ** (n - 2) - 1
         expect("sierpinski3-closed-form", f"S({n},3)", sierpinski(n, 3), expected)
     expect("sierpinski4-reference", "S(3,4)", sierpinski(3, 4), 5)
     cubic = named_instance("CubicVT24_6")
-    rad, _ = radius_diameter(all_pairs_distances(cubic))
+    rad = min(eccentricities(cubic))
     tally.record("named-instance-values", rad == 5,
                  {"instance": "CubicVT24_6"}, "rad == 5", {"rad": rad})
     expect("named-instance-values", "CubicVT24_6", cubic, 3)
@@ -591,14 +580,15 @@ def transitive_sweep_lines() -> list[str]:
         steps_pool = list(range(1, n // 2 + 1))
         for mask in range(1, 1 << len(steps_pool)):
             steps = [s for b, s in enumerate(steps_pool) if (mask >> b) & 1]
-            g = circulant(n, steps)
-            if is_connected(g):
-                instances.append((f"circulant-{n}-{'.'.join(map(str, steps))}", g))
+            instances.append((f"circulant-{n}-{'.'.join(map(str, steps))}",
+                              circulant(n, steps)))
     instances.append(("CubicVT24_6", named_instance("CubicVT24_6")))
     for name, g in instances:
-        dm = all_pairs_distances(g)
-        rad, _ = radius_diameter(dm)
-        rc = radius_capture_number(g, dm=dm)
+        ecc = eccentricities(g)
+        if ecc is None:
+            continue
+        rad = min(ecc)
+        rc = radius_capture_number(g)
         lines.append(f"{name} {rad} {rc} {rad / 2:g} "
                      f"{'yes' if rc >= rad / 2 else 'no'}")
     return lines

@@ -192,7 +192,7 @@ def test_criterion_10_oracle_equivalence():
         dm = all_pairs_distances(g)
         scan = next(k for k in itertools.count() if solve_cwrc(g, k, dm).is_cop_win)
         assert scan == expected
-        assert radius_capture_number(g, dm) == expected
+        assert radius_capture_number(g) == expected
     _passed(10, "naive oracle == per-k scan == radius_capture_number "
                 "on 100 random graphs")
 
@@ -228,7 +228,7 @@ def test_criterion_14_evenness():
         assert classify_evenness(g) == HARMONIC_EVEN
         dm = all_pairs_distances(g)
         rad, diam = radius_diameter(dm)
-        assert radius_capture_number(g, dm=dm) == rad - 1
+        assert radius_capture_number(g) == rad - 1
         ant = []
         for v in range(g.n):
             far = [u for u in range(g.n) if dm.dist(v, u) == diam]

@@ -148,6 +148,26 @@ def test_strategy_size_guard_every_input(tmp_path, capsys, monkeypatch):
     assert code == 0 and "outcome: survived after 4 move(s)" in out
 
 
+
+def test_family_size_guard_every_kind(capsys, monkeypatch):
+    monkeypatch.setenv("RC_SIZE_GUARD", "4")
+    for argv in (["cycle", "6"], ["path", "5"], ["complete", "5"], ["circulant", "7", "1", "2"],
+                 ["named_instance", "CubicVT24_6"], ["hypercube", "3"]):
+        code, out, err = run(capsys, "family", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "cap 4" in err
+
+
+def test_strategy_disconnected_input(tmp_path, capsys):
+    path = tmp_path / "split.el"
+    path.write_text("n 3\n0 1\n")
+    code, out, err = run(capsys, "strategy", str(path), "--format", "edgelist",
+                         "-k", "0", "--role", "robber")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "disconnected" in err and "Traceback" not in err
+
+
 def test_strategy_role_cannot_win(capsys):
     code, _, err = run(capsys, "strategy", "--family", "cycle", "8",
                        "-k", "2", "--role", "cop")

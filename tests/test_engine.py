@@ -267,7 +267,7 @@ def test_cycle_closing_matches_move_by_move_play(g):
     # play-outs at the first repeated state; the same strategies marked
     # non-positional are played move by move and must give the same transcript
     dm = all_pairs_distances(g)
-    rc = radius_capture_number(g, dm)
+    rc = radius_capture_number(g)
     win = solve_cwrc(g, rc, dm)
     pairs = [(rc, extract_cop_strategy(win), rank_max_robber_strategy(win))]
     if rc >= 1:

@@ -226,6 +226,25 @@ def test_build_family_dispatch():
         build_family(FamilySpec("generalized_johnson", (30, 15, 1)))
 
 
+
+def test_build_family_guards_every_kind(monkeypatch):
+    # the cap is checked from the parameters, before any edge is built
+    def refuse(*_args):
+        raise AssertionError("built past the size guard")
+
+    monkeypatch.setattr("rcgame.generators.basic_family", refuse)
+    monkeypatch.setattr("rcgame.generators.circulant", refuse)
+    for kind, params in (("cycle", (6,)), ("path", (5,)), ("complete", (10 ** 9,)),
+                         ("circulant", (7, 1, 2))):
+        with pytest.raises(SizeGuard):
+            build_family(FamilySpec(kind, params), size_guard=4)
+    with pytest.raises(SizeGuard):
+        build_family(FamilySpec("named_instance", ("CubicVT24_6",)), size_guard=23)
+    monkeypatch.undo()
+    assert build_family(FamilySpec("cycle", (4,)), size_guard=4).n == 4
+    assert build_family(FamilySpec("named_instance", ("CubicVT24_6",)), size_guard=24).n == 24
+
+
 def test_predicted_rc_table():
     assert predicted_rc("cycle", (9,))[0] == 3
     assert predicted_rc("hypercube", (6,))[0] == 5

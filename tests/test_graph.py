@@ -15,9 +15,9 @@ from rcgame.generators import (
     sierpinski,
 )
 from rcgame.graph import (
-    UNREACHABLE,
     all_pairs_distances,
     build_graph,
+    eccentricities,
     girth,
     induced_subgraph,
     is_connected,
@@ -91,12 +91,9 @@ def test_distances_path():
 
 def test_distances_disconnected():
     g = build_graph(4, [(0, 1), (2, 3)])
-    dm = all_pairs_distances(g)
-    assert dm.dist(0, 2) is UNREACHABLE
-    assert dm.dist(0, 1) == 1
-    assert not dm.connected and dm.ecc is None
-    with pytest.raises(TypeError):
-        dm.dist(0, 2) + 1
+    with pytest.raises(NotConnected):
+        all_pairs_distances(g)
+    assert eccentricities(g) is None
 
 
 def test_radius_diameter_cycle_and_path():
@@ -105,9 +102,32 @@ def test_radius_diameter_cycle_and_path():
 
 
 def test_radius_diameter_disconnected():
-    dm = all_pairs_distances(build_graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(NotConnected):
+        dm = all_pairs_distances(build_graph(4, [(0, 1), (2, 3)]))
         radius_diameter(dm)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 14), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_eccentricities_match_networkx(n, p, seed):
+    rng = random.Random(seed)
+    g = build_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                        if rng.random() < p])
+    G = to_networkx(g)
+    ecc = eccentricities(g)
+    if nx.is_connected(G):
+        assert ecc == tuple(nx.eccentricity(G)[v] for v in range(n))
+        assert ecc == all_pairs_distances(g).ecc
+    else:
+        assert ecc is None
+        with pytest.raises(NotConnected):
+            all_pairs_distances(g)
+
+
+def test_eccentricities_empty_graph():
+    with pytest.raises(InvalidParam, match="empty graph has no radius"):
+        eccentricities(build_graph(0, []))
+    assert eccentricities(build_graph(1, [])) == (0,)
 
 
 def test_sierpinski_33_radius():
