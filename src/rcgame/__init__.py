@@ -29,7 +29,6 @@ from .generators import (
     sierpinski,
 )
 from .graph import (
-    DistanceMatrix,
     Graph,
     all_pairs_distances,
     build_graph,
@@ -37,7 +36,6 @@ from .graph import (
     girth,
     induced_subgraph,
     is_connected,
-    radius_diameter,
 )
 from .ioformats import ResultRecord, emit_results, parse_edge_list, parse_graph6, write_graph6
 from .outerplanar import (

@@ -15,6 +15,12 @@ decided, and a state first won in round t has rank t: the number of
 single moves (plies) to guaranteed capture, with the cop minimizing and
 the robber maximizing. A round costs a few bigint operations per column
 that changed in the round before.
+
+radius_capture_number runs the same kernel once over k = 0, 1, ... with
+the closed balls of rcgame.graph as capture targets. The balls also
+decide connectivity, so the pass reads no radius: on a connected graph a
+centre's row is fully captured by k = rad, and the theorem rc <= rad - 1
+is checked where rc is reported.
 """
 
 from __future__ import annotations
@@ -32,14 +38,7 @@ from .errors import (
     NoEvasionStrategy,
     NoWinningStrategy,
 )
-from .graph import (
-    DistanceMatrix,
-    Graph,
-    all_pairs_distances,
-    balls,
-    eccentricities,
-    radius_diameter,
-)
+from .graph import Graph, all_pairs_distances, balls, eccentricities
 
 COP_TO_MOVE = 0
 ROBBER_TO_MOVE = 1
@@ -57,7 +56,7 @@ class WinAnalysis:
 
     graph: Graph
     k: int
-    dm: DistanceMatrix
+    dm: list[list[int]]
     win_cop_move: bytearray
     win_robber_move: bytearray
     rank_cop_move: list[int]
@@ -144,9 +143,10 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], targets: list[int]):
             win_r[r] |= bits
 
 
-def solve_cwrc(g: Graph, k: int, dm: DistanceMatrix | None = None) -> WinAnalysis:
+def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalysis:
     """Decide whether the cop wins the radius-k game on connected g
-    (NotConnected otherwise, from the distance matrix).
+    (NotConnected otherwise, from the pair distances; InvalidParam when g
+    is empty).
 
     Backward induction from the capture set {d(c, r) <= k}: a cop-to-move
     state is cop-win as soon as one successor is, a robber-to-move state
@@ -155,9 +155,11 @@ def solve_cwrc(g: Graph, k: int, dm: DistanceMatrix | None = None) -> WinAnalysi
     """
     if k < 0:
         raise InvalidParam(f"capture radius must be >= 0, got {k}")
+    n = g.n
+    if n == 0:
+        raise InvalidParam("empty graph has no radius")
     if dm is None:
         dm = all_pairs_distances(g)
-    n = g.n
     size = n * n
     for _, ball in zip(range(k + 1), balls(g)):   # ball_k, or all of g past diam
         pass
@@ -183,27 +185,29 @@ def solve_cwrc(g: Graph, k: int, dm: DistanceMatrix | None = None) -> WinAnalysi
 def radius_capture_number(g: Graph) -> int | None:
     """Least k at which the cop wins, or None when g is disconnected.
 
-    Connectivity and rad come from the closed-ball sweep (eccentricities);
-    no pair distance is stored. One incremental attractor pass: the cop-win
-    region only grows with k, so the pass raises k from 0, adds the
-    distance-k states (ball_k) as new capture targets and resumes
-    propagation from the planes left at k - 1. Each state is won at most
-    once over the whole pass, so it costs about one solve at the answer.
-    It stops at the first k where some cop start wins against every robber
-    placement; rad - 1 always suffices. Ranks are not recorded.
+    One incremental attractor pass over the closed balls, which also
+    decide connectivity; no pair distance is stored. The cop-win region
+    only grows with k, so the pass raises k from 0, adds the distance-k
+    states (ball_k) as new capture targets and resumes propagation from
+    the planes left at k - 1. Each state is won at most once over the
+    whole pass, so it costs about one solve at the answer. It stops at the
+    first k where some cop start wins against every robber placement. On
+    a connected graph that is k = rad at the latest: ball_rad of every
+    vertex holds a centre, so the centre's whole row is captured at once.
+    The bound rc <= rad - 1 is checked where rc is reported, not assumed
+    here. When the balls stop growing with no full row, some robber is out
+    of every cop's reach, so g is disconnected. Ranks are not recorded.
     """
-    ecc = eccentricities(g)
-    if ecc is None:
-        return None
-    hi = max(0, min(ecc) - 1)
     n = g.n
+    if n == 0:
+        raise InvalidParam("empty graph has no radius")
     win_c, win_r = [0] * n, [0] * n
-    for k, ball in zip(range(hi + 1), balls(g)):
+    for k, ball in enumerate(balls(g)):
         for _ in _attract(g, win_c, win_r, ball):
             pass
         if _full_rows(win_c, n):
             return k
-    raise InvariantViolation(f"no cop win up to the radius bound {hi}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -301,7 +305,7 @@ class Transcript:
 
 
 def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy,
-             max_moves: int, dm: DistanceMatrix | None = None) -> Transcript:
+             max_moves: int, dm: list[list[int]] | None = None) -> Transcript:
     """Play the two strategies against each other for at most max_moves
     single moves, checking capture after the placements and after every
     move. Deterministic for deterministic strategies.
@@ -318,7 +322,6 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
         raise InvalidParam("simulate needs a cop strategy and a robber strategy")
     if dm is None:
         dm = all_pairs_distances(g)
-    rows = dm.rows
     closed_bits = g.closed_bits
 
     def check(v: int, origin: int, cop: int, robber: int, turn: int) -> None:
@@ -332,7 +335,7 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
         raise IllegalMove(f"placement outside 0..{g.n - 1}")
     cop, robber = cop_start, robber_start
     steps: list[Step] = []
-    d0 = rows[cop][robber]
+    d0 = dm[cop][robber]
     if d0 <= k:
         return Transcript(k, cop_start, robber_start, d0, steps, "captured", 0)
     n = g.n
@@ -350,7 +353,7 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
         check(nxt, cop, cop, robber, COP_TO_MOVE)
         cop = nxt
         moves += 1
-        d = rows[cop][robber]
+        d = dm[cop][robber]
         steps.append(Step("cop", origin, cop, d))
         if d <= k:
             return Transcript(k, cop_start, robber_start, d0, steps, "captured", moves)
@@ -361,7 +364,7 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
         check(nxt, robber, cop, robber, ROBBER_TO_MOVE)
         robber = nxt
         moves += 1
-        d = rows[cop][robber]
+        d = dm[cop][robber]
         steps.append(Step("robber", origin, robber, d))
         if d <= k:
             return Transcript(k, cop_start, robber_start, d0, steps, "captured", moves)
@@ -446,18 +449,17 @@ def rank_max_robber_strategy(a: WinAnalysis) -> Strategy:
 
 
 def greedy_chase_cop_strategy(g: Graph, k: int,
-                              dm: DistanceMatrix | None = None) -> Strategy:
-    """Distance-minimizing cop (no winning guarantee): start at a center
-    vertex, always move to the closed neighbor nearest the robber."""
+                              dm: list[list[int]] | None = None) -> Strategy:
+    """Distance-minimizing cop (no winning guarantee): start at the lowest
+    center vertex, always move to the closed neighbor nearest the robber."""
     if dm is None:
         dm = all_pairs_distances(g)
-    rows = dm.rows
     closed = g.closed
-    rad, _ = radius_diameter(dm)
-    start = min(v for v in range(g.n) if dm.ecc[v] == rad)
+    ecc = eccentricities(g)
+    start = ecc.index(min(ecc))
 
     def move(cop: int, robber: int) -> int:
-        row = rows[robber]
+        row = dm[robber]
         return min(closed[cop], key=lambda y: (row[y], y))
 
     return Strategy("cop", k, lambda: start, move, "greedy-chase cop", positional=True)
@@ -487,7 +489,7 @@ def certify_cop_strategy(a: WinAnalysis) -> int:
     """
     strat = extract_cop_strategy(a)
     g, k, n = a.graph, a.k, a.graph.n
-    rows = a.dm.rows
+    dm = a.dm
     closed = g.closed
     win_c, win_r = a.win_cop_move, a.win_robber_move
     rank_c, rank_r = a.rank_cop_move, a.rank_robber_move
@@ -495,7 +497,7 @@ def certify_cop_strategy(a: WinAnalysis) -> int:
     seen_cop_states: set[int] = set()
     worst = 0
     for r0 in range(n):
-        if rows[cop0][r0] <= k:
+        if dm[cop0][r0] <= k:
             continue
         i0 = cop0 * n + r0
         if not win_c[i0]:
@@ -514,10 +516,10 @@ def certify_cop_strategy(a: WinAnalysis) -> int:
             if not win_r[j] or rank_r[j] != rank_c[i] - 1:
                 raise InvariantViolation(
                     f"cop move {c}->{c2} does not reduce rank at robber {r}")
-            if rows[c2][r] <= k:
+            if dm[c2][r] <= k:
                 continue
             for r2 in closed[r]:
-                if rows[c2][r2] <= k:
+                if dm[c2][r2] <= k:
                     continue
                 i2 = c2 * n + r2
                 if not win_c[i2] or rank_c[i2] > rank_r[j] - 1:

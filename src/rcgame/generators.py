@@ -268,7 +268,7 @@ def predicted_rc(kind: str, params: tuple, rad: int | None = None):
         if k == 3:
             if n >= 3:
                 return (3 * 2 ** (n - 2) - 1, "closed form 3*2^(n-2) - 1")
-            return (2 ** n - 2, "radius - 1 with radius 2^n - 1")
+            return (max(0, 2 ** n - 2), "radius - 1 with radius 2^n - 1")
         if k == 4 and n in _SIERPINSKI4_REFERENCE_RC:
             return (_SIERPINSKI4_REFERENCE_RC[n], f"reference value {_SIERPINSKI4_REFERENCE_RC[n]}")
     return None

@@ -6,11 +6,13 @@ sorted tuples for iteration and as one bitmask per vertex for constant
 time membership tests; closed neighbourhoods N[v] = adj[v] + {v} are
 kept the same two ways.
 
-Distance facts come from one place. The closed-ball sweep (balls) grows
+Each distance fact has one source. The closed-ball sweep (balls) grows
 one bitset per vertex a hop at a time, bit-parallel BFS in the style of
-Akiba, Iwata and Yoshida (SIGMOD 2013); eccentricities reads connectivity
-and every eccentricity off it. All-pairs distances (APSP) are only built
-for callers that read pair distances, and only on connected graphs.
+Akiba, Iwata and Yoshida (SIGMOD 2013). eccentricities reads connectivity
+and every eccentricity (so rad, diam and the centres) off it, and the rc
+pass of the engine reads the balls directly. All-pairs distances (APSP)
+are bare BFS rows, built only for callers that read pair distances, and
+only on connected graphs.
 """
 
 from __future__ import annotations
@@ -112,21 +114,6 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]],
     return Graph(n, tuple(tuple(sorted(s)) for s in nbrs), labels)
 
 
-class DistanceMatrix:
-    """All-pairs shortest-path hop counts of a connected graph, with the
-    eccentricity of every vertex."""
-
-    __slots__ = ("n", "rows", "ecc")
-
-    def __init__(self, n: int, rows: list[list[int]], ecc: tuple[int, ...]):
-        self.n = n
-        self.rows = rows
-        self.ecc = ecc
-
-    def dist(self, u: int, v: int) -> int:
-        return self.rows[u][v]
-
-
 def _bfs_row(adj: tuple[tuple[int, ...], ...], n: int, source: int) -> list[int]:
     dist = [-1] * n
     dist[source] = 0
@@ -184,20 +171,12 @@ def eccentricities(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex of connected g; raises NotConnected otherwise."""
+def all_pairs_distances(g: Graph) -> list[list[int]]:
+    """BFS rows of connected g, d(u, v) = rows[u][v]; raises NotConnected
+    otherwise."""
     if not is_connected(g):
         raise NotConnected("the graph is disconnected; distances need a connected graph")
-    n = g.n
-    rows = [_bfs_row(g.adj, n, s) for s in range(n)]
-    return DistanceMatrix(n, rows, tuple(max(row) for row in rows))
-
-
-def radius_diameter(dm: DistanceMatrix) -> tuple[int, int]:
-    """Return (radius, diameter) of the graph behind dm."""
-    if dm.n == 0:
-        raise InvalidParam("empty graph has no radius")
-    return (min(dm.ecc), max(dm.ecc))
+    return [_bfs_row(g.adj, g.n, s) for s in range(g.n)]
 
 
 def girth(g: Graph) -> int:

@@ -15,7 +15,6 @@ from .errors import (
     EdgeSetMismatch,
     InvalidParam,
     NotOuterplanarEmbedding,
-    ParseError,
 )
 from .graph import Graph, build_graph
 
@@ -130,35 +129,3 @@ def random_outerplanar(n: int, chord_prob: float, seed: int) -> tuple[Graph, Out
     edges = [(i, (i + 1) % n) for i in range(n)] + sorted(chords)
     g = build_graph(n, edges, tuple(str(i) for i in range(n)))
     return g, OuterplanarEmbedding(tuple(range(n)), frozenset(chords))
-
-
-def format_embedding(e: OuterplanarEmbedding) -> str:
-    """Text form: outer order on the first line, then one chord per line."""
-    lines = [" ".join(str(v) for v in e.outer)]
-    lines.extend(f"{u} {v}" for u, v in sorted(e.chords))
-    return "\n".join(lines) + "\n"
-
-
-def parse_embedding(text: str) -> OuterplanarEmbedding:
-    """Inverse of format_embedding; line-numbered errors on bad input."""
-    lines = text.splitlines()
-    if not lines or not lines[0].split():
-        raise ParseError("missing outer order on line 1", line=1)
-    try:
-        outer = tuple(int(t) for t in lines[0].split())
-    except ValueError:
-        raise ParseError("outer order must be integers", line=1) from None
-    chords = set()
-    for no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected 'u v' on line {no}", line=no)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"chord endpoints must be integers on line {no}",
-                             line=no) from None
-        chords.add(_normalize_chord(u, v))
-    return OuterplanarEmbedding(outer, frozenset(chords))

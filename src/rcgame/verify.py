@@ -29,7 +29,6 @@ from .generators import (
     sierpinski,
 )
 from .graph import (
-    DistanceMatrix,
     Graph,
     _bfs_row,
     all_pairs_distances,
@@ -38,7 +37,6 @@ from .graph import (
     girth,
     induced_subgraph,
     is_connected,
-    radius_diameter,
 )
 from .outerplanar import random_outerplanar, rc_outerplanar_formula, validate_embedding
 from .products import product
@@ -177,28 +175,28 @@ def layer_projection_retraction(g: Graph, h: Graph, kind: str = "cartesian",
 
 
 def unique_antipodes(g: Graph,
-                     dm: DistanceMatrix | None = None) -> tuple[int, ...] | None:
+                     dm: list[list[int]] | None = None) -> tuple[int, ...] | None:
     """Per-vertex unique diametral antipode, or None when some vertex has
-    zero or several vertices at diametral distance. dm, when given, is g's
-    distance matrix."""
+    zero or several vertices at diametral distance. dm, when given, holds
+    g's pair distances."""
     if dm is None:
         dm = all_pairs_distances(g)
-    _, diam = radius_diameter(dm)
+    diam = max(eccentricities(g))
     ant = []
     for v in range(g.n):
-        far = [u for u in range(g.n) if dm.rows[v][u] == diam]
+        far = [u for u in range(g.n) if dm[v][u] == diam]
         if len(far) != 1:
             return None
         ant.append(far[0])
     return tuple(ant)
 
 
-def classify_evenness(g: Graph, dm: DistanceMatrix | None = None) -> str:
+def classify_evenness(g: Graph, dm: list[list[int]] | None = None) -> str:
     """Classify as not_even, even, or harmonic_even.
 
     Even: every vertex has exactly one antipode at diametral distance.
     Harmonic: the antipode map is additionally an edge-preserving
-    involution. dm, when given, is g's distance matrix.
+    involution. dm, when given, holds g's pair distances.
     """
     if dm is None:
         dm = all_pairs_distances(g)
@@ -217,12 +215,11 @@ def check_distance_expansion(g: Graph, i: int) -> bool:
     grows the distance to i + 1 (a neighbor of the second vertex at
     distance i + 1 from the first)."""
     dm = all_pairs_distances(g)
-    rad, _ = radius_diameter(dm)
+    rad = min(eccentricities(g))
     if not (0 <= i <= rad):
         raise InvalidParam(f"distance {i} outside 0..rad={rad}")
-    rows = dm.rows
     for x in range(g.n):
-        row = rows[x]
+        row = dm[x]
         for y in range(g.n):
             if row[y] == i and all(row[y2] != i + 1 for y2 in g.adj[y]):
                 return False
@@ -234,15 +231,14 @@ def check_radius_pair_condition(g: Graph) -> bool:
     radius distance, each closed neighbor of x still sees some closed
     neighbor of y at radius distance."""
     dm = all_pairs_distances(g)
-    rad, _ = radius_diameter(dm)
-    rows = dm.rows
+    rad = min(eccentricities(g))
     closed = g.closed
     for x in range(g.n):
         for y in range(g.n):
-            if rows[x][y] != rad:
+            if dm[x][y] != rad:
                 continue
             for x2 in closed[x]:
-                if all(rows[x2][y2] != rad for y2 in closed[y]):
+                if all(dm[x2][y2] != rad for y2 in closed[y]):
                     return False
     return True
 
@@ -476,9 +472,10 @@ def _evenness_instance_checks(name: str, g: Graph, tally: _Tally,
         tally.record("evenness-classification", cls == expected,
                      {"instance": name}, f"class == {expected}", {"class": cls})
     if cls in (EVEN, HARMONIC_EVEN):
-        rad, diam = radius_diameter(dm)
+        ecc = eccentricities(g)
+        rad, diam = min(ecc), max(ecc)
         ant = unique_antipodes(g, dm)
-        ok = all(dm.rows[u][ant[v]] == diam - 1 for u, v in g.edges())
+        ok = all(dm[u][ant[v]] == diam - 1 for u, v in g.edges())
         tally.record("even-antipode-distance", ok, {"instance": name},
                      "d(u, v') == diam - 1 for every edge uv", {"class": cls})
         if cls == HARMONIC_EVEN:

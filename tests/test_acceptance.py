@@ -29,7 +29,7 @@ from rcgame.generators import (
     random_connected_gnp,
     sierpinski,
 )
-from rcgame.graph import all_pairs_distances, is_connected, radius_diameter
+from rcgame.graph import all_pairs_distances, eccentricities, is_connected
 from rcgame.verify import (
     HARMONIC_EVEN,
     NOT_EVEN,
@@ -83,7 +83,7 @@ def generalized_johnsons():
             for i in range(k):
                 g = generalized_johnson(n, k, i)
                 if is_connected(g):
-                    rad, _ = radius_diameter(all_pairs_distances(g))
+                    rad = min(eccentricities(g))
                     instances.append((f"J({n},{k},{i})", g, rad - 1))
     return instances
 
@@ -159,7 +159,7 @@ def test_criterion_06_sierpinski_base3(sierpinskis, analysis_cache):
 def test_criterion_07_sierpinski_base4(sierpinskis, analysis_cache):
     base4 = [t for t in sierpinskis if t[0].endswith(",4)")]
     for name, g, _ in base4:
-        rad, _diam = radius_diameter(all_pairs_distances(g))
+        rad = min(eccentricities(g))
         assert rad == {"S(3,4)": 7, "S(4,4)": 14}[name]
     _check_rc(base4, analysis_cache)
     _passed(7, "rc(S(3,4)) == 5 with rad 7; rc(S(4,4)) == 11 with rad 14")
@@ -167,7 +167,7 @@ def test_criterion_07_sierpinski_base4(sierpinskis, analysis_cache):
 
 def test_criterion_08_figure_instance(cubic, analysis_cache):
     name, g, expected = cubic[0]
-    rad, _ = radius_diameter(all_pairs_distances(g))
+    rad = min(eccentricities(g))
     assert rad == 5
     _check_rc(cubic, analysis_cache)
     assert check_distance_expansion(g, 3)
@@ -227,15 +227,16 @@ def test_criterion_14_evenness():
     for g in harmonic:
         assert classify_evenness(g) == HARMONIC_EVEN
         dm = all_pairs_distances(g)
-        rad, diam = radius_diameter(dm)
+        ecc = eccentricities(g)
+        rad, diam = min(ecc), max(ecc)
         assert radius_capture_number(g) == rad - 1
         ant = []
         for v in range(g.n):
-            far = [u for u in range(g.n) if dm.dist(v, u) == diam]
+            far = [u for u in range(g.n) if dm[v][u] == diam]
             assert len(far) == 1
             ant.append(far[0])
         for u, v in g.edges():
-            assert dm.dist(u, ant[v]) == diam - 1
+            assert dm[u][ant[v]] == diam - 1
     tally = suite_evenness(trials=25, seed=SEED)
     assert not tally.failures, tally.failures[0].to_json()
     _passed(14, "even cycles and hypercubes harmonic even with rc == rad - 1 "

@@ -3,8 +3,10 @@
 import json
 
 
+from rcgame import engine, graph
 from rcgame.cli import compute_record, main
-from rcgame.generators import basic_family, named_instance
+from rcgame.generators import basic_family, named_instance, sierpinski
+from rcgame.graph import build_graph
 
 
 def run(capsys, *argv):
@@ -69,6 +71,13 @@ def test_family_sierpinski_prediction(capsys):
     assert code == 0
     assert "rc=11" in out
     assert "predicted rc: 11" in out and "match" in out
+
+
+def test_family_sierpinski_depth_zero(capsys):
+    # S(0, 3) is K_1: radius 0, so the radius - 1 prediction clamps to 0
+    code, out, _ = run(capsys, "family", "sierpinski", "0", "3")
+    assert code == 0
+    assert out.splitlines()[-1].endswith("measured: 0 -> match")
 
 
 def test_family_reference_value(capsys):
@@ -166,6 +175,16 @@ def test_strategy_disconnected_input(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "disconnected" in err and "Traceback" not in err
+
+
+def test_strategy_empty_graph_either_role(tmp_path, capsys):
+    path = tmp_path / "z.el"
+    path.write_text("n 0\n")
+    for role in ("cop", "robber"):
+        code, out, err = run(capsys, "strategy", str(path), "--format", "edgelist",
+                             "-k", "0", "--role", role)
+        assert code == 2 and out == ""
+        assert err == "error: empty graph has no radius\n"
 
 
 def test_strategy_role_cannot_win(capsys):
@@ -325,3 +344,21 @@ def test_failing_theorems_carry_counterexamples(capsys, monkeypatch):
         assert r.counterexample["edges_h"] == [(0, 1), (1, 2)]
     for r in reports:
         assert (r.counterexample is None) == r.passed
+
+
+def test_compute_record_ball_sweeps(monkeypatch):
+    # eccentricities gives the row's rad and diam, and the rc pass reads its
+    # own balls: two sweeps on a connected graph, one on a disconnected one
+    real, started = graph.balls, []
+
+    def counted(g):
+        started.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graph, "balls", counted)
+    monkeypatch.setattr(engine, "balls", counted)
+    compute_record(sierpinski(3, 3), "s33")
+    assert len(started) == 2
+    started.clear()
+    compute_record(build_graph(4, [(0, 1), (2, 3)]), "split")
+    assert len(started) == 1

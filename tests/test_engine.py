@@ -34,7 +34,7 @@ from rcgame.generators import (
     random_connected_gnp,
     sierpinski,
 )
-from rcgame.graph import all_pairs_distances, build_graph, girth, radius_diameter
+from rcgame.graph import all_pairs_distances, build_graph, eccentricities, girth
 
 
 def test_solve_c4():
@@ -58,6 +58,8 @@ def test_solve_errors():
         solve_cwrc(build_graph(4, [(0, 1), (2, 3)]), 1)
     with pytest.raises(InvalidParam):
         solve_cwrc(basic_family("cycle", 4), -1)
+    with pytest.raises(InvalidParam, match="empty graph has no radius"):
+        solve_cwrc(build_graph(0, []), 0)
 
 
 def test_capture_rank_semantics():
@@ -103,7 +105,7 @@ def test_copwin_monotone_in_radius():
         g = random_connected_gnp(rng.randint(2, 9), rng.uniform(0.2, 0.8),
                                  rng.getrandbits(32))
         dm = all_pairs_distances(g)
-        rad, _ = radius_diameter(dm)
+        rad = min(eccentricities(g))
         wins = [solve_cwrc(g, k, dm).is_cop_win for k in range(rad + 1)]
         assert all(b or not a for a, b in zip(wins, wins[1:]))
         assert wins[-1]
@@ -115,7 +117,7 @@ def test_bound_sandwich_small():
         g = random_connected_gnp(rng.randint(2, 10), rng.uniform(0.2, 0.8),
                                  rng.getrandbits(32))
         rc = radius_capture_number(g)
-        rad, _ = radius_diameter(all_pairs_distances(g))
+        rad = min(eccentricities(g))
         assert max(0, girth(g) // 2 - 1) <= rc <= max(0, rad - 1)
 
 
@@ -129,14 +131,27 @@ def test_oracle_equivalence_small():
         assert radius_capture_number(g) == expected
 
 
+def _gnp(n, p, seed):
+    """G(n, p) as drawn, connected or not."""
+    rng = random.Random(seed)
+    return build_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                           if rng.random() < p])
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 10), st.floats(0.25, 0.8), st.integers(0, 2 ** 32 - 1))
-def test_rc_property_small_gnp(n, p, seed):
-    g = random_connected_gnp(n, p, seed)
+@given(st.builds(_gnp, st.integers(2, 10), st.floats(0.0, 0.8),
+                 st.integers(0, 2 ** 32 - 1)))
+@example(build_graph(3, []))
+@example(build_graph(4, [(0, 1), (1, 2), (0, 2)]))
+def test_rc_property_small_gnp(g):
+    # the pass decides connectivity itself: a disconnected draw gives None
     rc = radius_capture_number(g)
     assert rc == naive_rc_oracle(g)
-    rad, _ = radius_diameter(all_pairs_distances(g))
-    assert girth(g) // 2 - 1 <= rc <= rad - 1
+    ecc = eccentricities(g)
+    if ecc is None:
+        assert rc is None
+    else:
+        assert girth(g) // 2 - 1 <= rc <= min(ecc) - 1
 
 
 def test_oracle_examples():
@@ -151,7 +166,7 @@ def test_circulant_attains_radius_bound():
     from rcgame.generators import circulant
     for n, steps in [(8, {1, 2}), (9, {1, 3}), (11, {1, 2})]:
         g = circulant(n, steps)
-        rad, _ = radius_diameter(all_pairs_distances(g))
+        rad = min(eccentricities(g))
         assert radius_capture_number(g) == rad - 1
 
 
@@ -341,16 +356,16 @@ def test_rank_strictly_decreases_along_cop_play():
     r = robber.initial(c)
     last = a.rank(c, r)
     guard = 0
-    while a.dm.dist(c, r) > a.k and guard < 1000:
+    while a.dm[c][r] > a.k and guard < 1000:
         c = cop.move(c, r)
         guard += 1
-        if a.dm.dist(c, r) <= a.k:
+        if a.dm[c][r] <= a.k:
             break
         r = robber.move(c, r)
         current = a.rank(c, r)
         assert current < last
         last = current
-    assert a.dm.dist(c, r) <= a.k
+    assert a.dm[c][r] <= a.k
 
 
 def _minimax_ranks(g, k):
@@ -366,14 +381,14 @@ def _minimax_ranks(g, k):
     rank_c, rank_r = {}, {}
     for c in range(n):
         for r in range(n):
-            if dm.dist(c, r) <= k:
+            if dm[c][r] <= k:
                 rank_c[(c, r)] = rank_r[(c, r)] = 0
     changed = True
     while changed:
         changed = False
         for c in range(n):
             for r in range(n):
-                if dm.dist(c, r) <= k:
+                if dm[c][r] <= k:
                     continue
                 vals = [rank_r[(y, r)] for y in closed[c] if (y, r) in rank_r]
                 if vals and rank_c.get((c, r), 1 << 30) > 1 + min(vals):
@@ -422,7 +437,7 @@ def test_attractor_ranks_match_minimax_oracle(make, k):
 @example(sierpinski(2, 3))
 @example(hypercube(3))
 def test_attractor_ranks_match_minimax_oracle_every_k(g):
-    rad, _ = radius_diameter(all_pairs_distances(g))
+    rad = min(eccentricities(g))
     for k in range(rad + 1):
         _assert_ranks_match_oracle(g, k)
 
@@ -444,7 +459,7 @@ def test_ranks_meet_rank_equations(g, k):
     closed = [sorted((*g.adj[v], v)) for v in range(n)]
     for c in range(n):
         for r in range(n):
-            if a.dm.dist(c, r) <= k:
+            if a.dm[c][r] <= k:
                 assert a.rank(c, r, 0) == a.rank(c, r, 1) == 0
                 continue
             cop_moves = [a.rank(y, r, 1) for y in closed[c] if a.cop_win(y, r, 1)]

@@ -21,7 +21,6 @@ from rcgame.graph import (
     girth,
     induced_subgraph,
     is_connected,
-    radius_diameter,
 )
 
 from conftest import to_networkx
@@ -78,15 +77,15 @@ def test_label_validation():
 
 
 def test_distances_even_cycle():
-    dm = all_pairs_distances(basic_family("cycle", 6))
-    assert dm.dist(0, 3) == 3
-    assert dm.ecc == (3, 3, 3, 3, 3, 3)
+    c6 = basic_family("cycle", 6)
+    assert all_pairs_distances(c6)[0][3] == 3
+    assert eccentricities(c6) == (3, 3, 3, 3, 3, 3)
 
 
 def test_distances_path():
-    dm = all_pairs_distances(basic_family("path", 4))
-    assert dm.dist(0, 3) == 3
-    assert dm.ecc[1] == 2
+    p4 = basic_family("path", 4)
+    assert all_pairs_distances(p4)[0][3] == 3
+    assert eccentricities(p4)[1] == 2
 
 
 def test_distances_disconnected():
@@ -96,15 +95,14 @@ def test_distances_disconnected():
     assert eccentricities(g) is None
 
 
-def test_radius_diameter_cycle_and_path():
-    assert radius_diameter(all_pairs_distances(basic_family("cycle", 7))) == (3, 3)
-    assert radius_diameter(all_pairs_distances(basic_family("path", 5))) == (2, 4)
+def _rad_diam(g):
+    ecc = eccentricities(g)
+    return min(ecc), max(ecc)
 
 
-def test_radius_diameter_disconnected():
-    with pytest.raises(NotConnected):
-        dm = all_pairs_distances(build_graph(4, [(0, 1), (2, 3)]))
-        radius_diameter(dm)
+def test_radius_and_diameter_cycle_and_path():
+    assert _rad_diam(basic_family("cycle", 7)) == (3, 3)
+    assert _rad_diam(basic_family("path", 5)) == (2, 4)
 
 
 @settings(max_examples=120, deadline=None)
@@ -117,7 +115,7 @@ def test_eccentricities_match_networkx(n, p, seed):
     ecc = eccentricities(g)
     if nx.is_connected(G):
         assert ecc == tuple(nx.eccentricity(G)[v] for v in range(n))
-        assert ecc == all_pairs_distances(g).ecc
+        assert ecc == tuple(map(max, all_pairs_distances(g)))
     else:
         assert ecc is None
         with pytest.raises(NotConnected):
@@ -132,8 +130,7 @@ def test_eccentricities_empty_graph():
 
 def test_sierpinski_33_radius():
     # radius formula for base 3 at depth 3 gives 6; diameter 7 frozen from BFS
-    dm = all_pairs_distances(sierpinski(3, 3))
-    assert radius_diameter(dm) == (6, 7)
+    assert _rad_diam(sierpinski(3, 3)) == (6, 7)
     G = to_networkx(sierpinski(3, 3))
     assert nx.radius(G) == 6 and nx.diameter(G) == 7
 
@@ -202,17 +199,17 @@ def test_distance_matrix_properties_on_random_graphs():
         dm = all_pairs_distances(g)
         n = g.n
         for u in range(n):
-            assert dm.dist(u, u) == 0
+            assert dm[u][u] == 0
             for v in range(n):
-                assert dm.dist(u, v) == dm.dist(v, u)
-                assert (dm.dist(u, v) == 1) == g.has_edge(u, v)
+                assert dm[u][v] == dm[v][u]
+                assert (dm[u][v] == 1) == g.has_edge(u, v)
                 for w in range(n):
-                    assert dm.dist(u, w) <= dm.dist(u, v) + dm.dist(v, w)
+                    assert dm[u][w] <= dm[u][v] + dm[v][w]
         G = to_networkx(g)
         lengths = dict(nx.all_pairs_shortest_path_length(G))
         for u in range(n):
             for v in range(n):
-                assert dm.dist(u, v) == lengths[u][v]
+                assert dm[u][v] == lengths[u][v]
 
 
 def test_girth_zero_iff_forest():
@@ -254,5 +251,6 @@ def test_induced_subgraph():
 
 def test_johnson_octahedron_distances():
     g = generalized_johnson(4, 2, 1)
-    dm = all_pairs_distances(g)
-    assert radius_diameter(dm) == (2, 2)
+    # the octahedron: four neighbours and one antipode per vertex
+    assert [sorted(row) for row in all_pairs_distances(g)] == [[0, 1, 1, 1, 1, 2]] * 6
+    assert _rad_diam(g) == (2, 2)

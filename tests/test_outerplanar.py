@@ -9,15 +9,12 @@ from rcgame.errors import (
     EdgeSetMismatch,
     InvalidParam,
     NotOuterplanarEmbedding,
-    ParseError,
 )
 from rcgame.generators import basic_family
 from rcgame.graph import build_graph
 from rcgame.outerplanar import (
     OuterplanarEmbedding,
-    format_embedding,
     inner_faces,
-    parse_embedding,
     random_outerplanar,
     rc_outerplanar_formula,
     validate_embedding,
@@ -131,23 +128,3 @@ def test_formula_matches_solver_on_random_instances():
         n = rng.randint(3, 12)
         g, emb = random_outerplanar(n, rng.uniform(0, 0.9), rng.getrandbits(32))
         assert radius_capture_number(g) == rc_outerplanar_formula(emb)
-
-
-def test_embedding_text_round_trip():
-    _, emb = _polygon_with_chords(8, [(0, 4), (4, 7)])
-    text = format_embedding(emb)
-    assert parse_embedding(text) == emb
-    assert text.splitlines()[0] == "0 1 2 3 4 5 6 7"
-
-
-def test_parse_embedding_errors():
-    with pytest.raises(ParseError):
-        parse_embedding("")
-    with pytest.raises(ParseError):
-        parse_embedding("0 1 x 3")
-    err = None
-    try:
-        parse_embedding("0 1 2 3\n0 2\n1 oops")
-    except ParseError as exc:
-        err = exc
-    assert err is not None and err.line == 3

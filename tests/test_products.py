@@ -74,9 +74,9 @@ def test_distance_laws():
                     for b2 in range(h.n):
                         u = a1 * h.n + b1
                         v = a2 * h.n + b2
-                        assert dcart.dist(u, v) == dg.dist(a1, a2) + dh.dist(b1, b2)
-                        assert dstrong.dist(u, v) == max(dg.dist(a1, a2),
-                                                         dh.dist(b1, b2))
+                        assert dcart[u][v] == dg[a1][a2] + dh[b1][b2]
+                        assert dstrong[u][v] == max(dg[a1][a2],
+                                                         dh[b1][b2])
 
 
 def test_product_errors():

@@ -16,8 +16,8 @@ from rcgame.generators import (
 from rcgame.graph import (
     all_pairs_distances,
     build_graph,
+    eccentricities,
     induced_subgraph,
-    radius_diameter,
 )
 from rcgame.verify import (
     EVEN,
@@ -86,7 +86,7 @@ def test_retract_distance_nonexpansion_property():
         for x in range(g.n):
             for y in range(g.n):
                 fx, fy = index[retr.mapping[x]], index[retr.mapping[y]]
-                assert dg.dist(x, y) >= dh.dist(fx, fy)
+                assert dg[x][y] >= dh[fx][fy]
 
 
 def test_monotonicity_layer_projection_c6_k2():
@@ -140,16 +140,16 @@ def test_even_antipode_distance_lemma(cubic_vt):
         ant = unique_antipodes(g)
         assert ant is not None
         dm = all_pairs_distances(g)
-        _, diam = radius_diameter(dm)
+        diam = max(eccentricities(g))
         assert all(ant[ant[v]] == v for v in range(g.n))
         for u, v in g.edges():
-            assert dm.dist(u, ant[v]) == diam - 1
+            assert dm[u][ant[v]] == diam - 1
 
 
 def test_harmonic_even_implies_tight_capture():
     for g in [basic_family("cycle", 8), hypercube(2), hypercube(3), hypercube(4)]:
         assert classify_evenness(g) == HARMONIC_EVEN
-        rad, _ = radius_diameter(all_pairs_distances(g))
+        rad = min(eccentricities(g))
         assert radius_capture_number(g) == rad - 1
 
 
@@ -170,10 +170,10 @@ def test_distance_expansion_q3_brute_force():
     # independent re-check of the hypercube case over all ordered pairs
     q3 = hypercube(3)
     dm = all_pairs_distances(q3)
-    pairs = [(x, y) for x in range(8) for y in range(8) if dm.dist(x, y) == 2]
+    pairs = [(x, y) for x in range(8) for y in range(8) if dm[x][y] == 2]
     assert len(pairs) == 24
     for x, y in pairs:
-        assert any(dm.dist(x, y2) == 3 for y2 in q3.adj[y])
+        assert any(dm[x][y2] == 3 for y2 in q3.adj[y])
 
 
 def test_distance_expansion_implies_capture_bound(cubic_vt):
@@ -183,7 +183,7 @@ def test_distance_expansion_implies_capture_bound(cubic_vt):
     for _ in range(20):
         g = random_connected_gnp(rng.randint(3, 9), rng.uniform(0.3, 0.8),
                                  rng.getrandbits(32))
-        rad, _ = radius_diameter(all_pairs_distances(g))
+        rad = min(eccentricities(g))
         rc = radius_capture_number(g)
         for i in range(rad + 1):
             if check_distance_expansion(g, i):
@@ -204,7 +204,7 @@ def test_radius_pair_condition_implies_equality():
                                  rng.getrandbits(32))
         if check_radius_pair_condition(g):
             hits += 1
-            rad, _ = radius_diameter(all_pairs_distances(g))
+            rad = min(eccentricities(g))
             assert radius_capture_number(g) == rad - 1
     assert hits > 0
 
@@ -230,7 +230,7 @@ def test_generously_transitive_implies_tight_capture(petersen):
                  generalized_johnson(4, 2, 1), petersen, hypercube(3)]
     for g in instances:
         assert is_generously_transitive(g) is True
-        rad, _ = radius_diameter(all_pairs_distances(g))
+        rad = min(eccentricities(g))
         assert radius_capture_number(g) == rad - 1
 
 
@@ -278,5 +278,5 @@ def test_theorem_report_json():
 def test_generalized_johnson_family_tightness():
     for n, k, i in [(5, 2, 0), (5, 2, 1), (6, 2, 0), (6, 3, 2), (6, 3, 1)]:
         g = generalized_johnson(n, k, i)
-        rad, _ = radius_diameter(all_pairs_distances(g))
+        rad = min(eccentricities(g))
         assert radius_capture_number(g) == rad - 1
