@@ -58,6 +58,11 @@ def _size_guard_from_env() -> int:
     return guard
 
 
+def _check_cap(g: Graph, guard: int) -> None:
+    if g.n > guard:
+        raise SizeGuard(f"{g.n} vertices exceeds the cap {guard}")
+
+
 def compute_record(g: Graph, instance_id: str,
                    with_timing: bool = False) -> ResultRecord:
     """Solve one graph and package the result row."""
@@ -119,10 +124,9 @@ def cmd_compute(args) -> int:
     records = []
     failed = False
     for gid, g, problem in _read_graphs(args):
-        if problem is None and g.n > guard:
-            problem = f"{g.n} vertices exceeds the cap {guard}"
         if problem is None:
             try:
+                _check_cap(g, guard)
                 rec = compute_record(g, gid, args.timings)
             except GraphGameError as exc:
                 problem = str(exc)
@@ -147,12 +151,17 @@ def _parse_param(token: str):
     return token
 
 
+def _family_graph(kind: str, tokens, seed: int, guard: int) -> tuple[str, tuple, Graph]:
+    """Build a family member from its command-line parameters; returns its
+    id, the parsed parameters and the graph."""
+    params = tuple(_parse_param(t) for t in tokens)
+    g = build_family(FamilySpec(kind, params, seed), guard)
+    return "-".join([kind, *(str(p) for p in params)]), params, g
+
+
 def cmd_family(args) -> int:
-    guard = _size_guard_from_env()
-    params = tuple(_parse_param(t) for t in args.params)
-    spec = FamilySpec(args.kind, params, args.seed)
-    g = build_family(spec, guard)
-    gid = "-".join([args.kind, *(str(p) for p in params)])
+    gid, params, g = _family_graph(args.kind, args.params, args.seed,
+                                   _size_guard_from_env())
     rec = compute_record(g, _safe_id(gid), args.timings)
     print(f"{gid}: n={rec.n} m={rec.m} girth={rec.girth} "
           f"rad={_show(rec.rad)} diam={_show(rec.diam)} rc={_show(rec.rc)}")
@@ -182,9 +191,7 @@ def _graph_for_strategy(args) -> tuple[str, Graph]:
         gid, g = args.instance, named_instance(args.instance)
     elif args.family:
         kind, *raw = args.family
-        params = tuple(_parse_param(t) for t in raw)
-        g = build_family(FamilySpec(kind, params, args.seed), guard)
-        gid = "-".join([kind, *(str(p) for p in params)])
+        gid, _, g = _family_graph(kind, raw, args.seed, guard)
     elif args.input:
         graphs = list(_read_graphs(args))
         errors = [f"{gid}: {problem}" for gid, _, problem in graphs if problem]
@@ -195,8 +202,7 @@ def _graph_for_strategy(args) -> tuple[str, Graph]:
         gid, g, _ = graphs[0]
     else:
         raise InvalidParam("need --instance, --family, or an input path")
-    if g.n > guard:
-        raise SizeGuard(f"{g.n} vertices exceeds the cap {guard}")
+    _check_cap(g, guard)
     return gid, g
 
 

@@ -17,9 +17,9 @@ the robber maximizing. A round costs a few bigint operations per column
 that changed in the round before.
 
 radius_capture_number runs the same kernel once over k = 0, 1, ... with
-the closed balls of rcgame.graph as capture targets. The balls also
-decide connectivity, so the pass reads no radius: on a connected graph a
-centre's row is fully captured by k = rad, and the theorem rc <= rad - 1
+the closed balls of rcgame.graph as capture targets, once a BFS has ruled
+out a disconnected graph. The pass reads no radius: on a connected graph
+a centre's row is fully captured by k = rad, and the theorem rc <= rad - 1
 is checked where rc is reported.
 """
 
@@ -38,29 +38,34 @@ from .errors import (
     NoEvasionStrategy,
     NoWinningStrategy,
 )
-from .graph import Graph, all_pairs_distances, balls, eccentricities
+from .graph import Graph, all_pairs_distances, balls, eccentricities, is_connected
 
 COP_TO_MOVE = 0
 ROBBER_TO_MOVE = 1
 
 
-# identity equality as for any solve result, and no repr of 2n^2 plane entries
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+# identity equality as for any solve result, and no repr of the round layers
 @dataclass(slots=True, eq=False, repr=False)
 class WinAnalysis:
-    """Per-state cop-win classification and capture rank at a fixed radius.
+    """The cop-win region and capture ranks at a fixed radius, as the
+    kernel leaves them.
 
-    States are indexed cop * n + robber with one plane per side to move.
-    rank is -1 outside the cop-win region. initial_cop_choices lists the
-    cop start vertices that beat every robber placement.
+    columns is the pair (cop to move, robber to move) of final planes: bit
+    c of columns[turn][r] means state (c, r) is won. rounds[t] is the pair
+    of dicts {r: bits} of the states first won in round t, so a state's
+    rank is the round that holds it, and -1 outside the cop-win region.
+    initial_cop_choices lists the cop start vertices that beat every robber
+    placement.
     """
 
     graph: Graph
     k: int
     dm: list[list[int]]
-    win_cop_move: bytearray
-    win_robber_move: bytearray
-    rank_cop_move: list[int]
-    rank_robber_move: list[int]
+    columns: tuple[list[int], list[int]]
+    rounds: list[tuple[dict[int, int], dict[int, int]]]
     initial_cop_choices: tuple[int, ...]
 
     @property
@@ -68,12 +73,30 @@ class WinAnalysis:
         return len(self.initial_cop_choices) > 0
 
     def cop_win(self, cop: int, robber: int, turn: int = COP_TO_MOVE) -> bool:
-        plane = self.win_cop_move if turn == COP_TO_MOVE else self.win_robber_move
-        return plane[cop * self.graph.n + robber] == 1
+        return self.columns[turn][robber] >> cop & 1 == 1
 
     def rank(self, cop: int, robber: int, turn: int = COP_TO_MOVE) -> int:
-        plane = self.rank_cop_move if turn == COP_TO_MOVE else self.rank_robber_move
-        return plane[cop * self.graph.n + robber]
+        if not self.cop_win(cop, robber, turn):
+            return -1
+        return next(t for t, layer in enumerate(self.rounds)
+                    if layer[turn].get(robber, 0) >> cop & 1)
+
+    def _plane(self, turn: int) -> bytearray:
+        n = self.graph.n
+        plane = bytearray(n * n)
+        for r, bits in enumerate(self.columns[turn]):
+            plane[r::n] = f"{bits:0{n}b}"[::-1].encode().translate(_BIT_BYTES)
+        return plane
+
+    @property
+    def win_cop_move(self) -> bytearray:
+        """Cop-to-move flags as n^2 bytes of 0/1, indexed cop * n + robber."""
+        return self._plane(COP_TO_MOVE)
+
+    @property
+    def win_robber_move(self) -> bytearray:
+        """Robber-to-move flags as n^2 bytes of 0/1, indexed cop * n + robber."""
+        return self._plane(ROBBER_TO_MOVE)
 
 
 def _full_rows(win_c: list[int], n: int) -> int:
@@ -150,8 +173,9 @@ def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalys
 
     Backward induction from the capture set {d(c, r) <= k}: a cop-to-move
     state is cop-win as soon as one successor is, a robber-to-move state
-    once all of its successors are. The rounds of the attractor give the
-    ranks.
+    once all of its successors are. The analysis keeps the kernel's final
+    columns and the list of rounds it yielded, whose dicts the kernel never
+    mutates afterwards; a state's rank is the round that holds it.
     """
     if k < 0:
         raise InvalidParam(f"capture radius must be >= 0, got {k}")
@@ -160,54 +184,42 @@ def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalys
         raise InvalidParam("empty graph has no radius")
     if dm is None:
         dm = all_pairs_distances(g)
-    size = n * n
     for _, ball in zip(range(k + 1), balls(g)):   # ball_k, or all of g past diam
         pass
     win_c, win_r = [0] * n, [0] * n
-    plane_c = bytearray(size)   # cop to move
-    plane_r = bytearray(size)   # robber to move
-    rank_c = [-1] * size
-    rank_r = [-1] * size
-    for t, layer in enumerate(_attract(g, win_c, win_r, ball)):
-        for won, plane, rank in zip(layer, (plane_c, plane_r), (rank_c, rank_r)):
-            for r, bits in won.items():
-                while bits:
-                    low = bits & -bits
-                    i = (low.bit_length() - 1) * n + r
-                    plane[i] = 1
-                    rank[i] = t
-                    bits ^= low
+    rounds = list(_attract(g, win_c, win_r, ball))
     full = _full_rows(win_c, n)
     choices = tuple(c for c in range(n) if full >> c & 1)
-    return WinAnalysis(g, k, dm, plane_c, plane_r, rank_c, rank_r, choices)
+    return WinAnalysis(g, k, dm, (win_c, win_r), rounds, choices)
 
 
 def radius_capture_number(g: Graph) -> int | None:
     """Least k at which the cop wins, or None when g is disconnected.
 
-    One incremental attractor pass over the closed balls, which also
-    decide connectivity; no pair distance is stored. The cop-win region
-    only grows with k, so the pass raises k from 0, adds the distance-k
-    states (ball_k) as new capture targets and resumes propagation from
-    the planes left at k - 1. Each state is won at most once over the
-    whole pass, so it costs about one solve at the answer. It stops at the
-    first k where some cop start wins against every robber placement. On
-    a connected graph that is k = rad at the latest: ball_rad of every
-    vertex holds a centre, so the centre's whole row is captured at once.
-    The bound rc <= rad - 1 is checked where rc is reported, not assumed
-    here. When the balls stop growing with no full row, some robber is out
-    of every cop's reach, so g is disconnected. Ranks are not recorded.
+    A disconnected g is answered by one BFS before any attractor work.
+    Otherwise one incremental attractor pass runs over the closed balls,
+    and no pair distance is stored. The cop-win region only grows with k,
+    so the pass raises k from 0, adds the distance-k states (ball_k) as
+    new capture targets and resumes propagation from the planes left at
+    k - 1. Each state is won at most once over the whole pass, so it costs
+    about one solve at the answer. It stops at the first k where some cop
+    start wins against every robber placement. On a connected graph that
+    is k = rad at the latest: ball_rad of every vertex holds a centre, so
+    the centre's whole row is captured at once. The bound rc <= rad - 1 is
+    checked where rc is reported, not assumed here. Ranks are not recorded.
     """
     n = g.n
     if n == 0:
         raise InvalidParam("empty graph has no radius")
+    if not is_connected(g):
+        return None
     win_c, win_r = [0] * n, [0] * n
     for k, ball in enumerate(balls(g)):
         for _ in _attract(g, win_c, win_r, ball):
             pass
         if _full_rows(win_c, n):
             return k
-    return None
+    raise InvariantViolation("the balls stopped growing with no full cop row")
 
 
 @dataclass(frozen=True)
@@ -233,21 +245,21 @@ class Strategy:
 def extract_cop_strategy(a: WinAnalysis) -> Strategy:
     """Rank-greedy winning cop: start at the lowest winning vertex, always
     move to a closed-neighborhood successor of minimal rank (ties to the
-    lowest vertex index)."""
+    lowest vertex index): the lowest bit of N[cop] in the earliest
+    robber-to-move round that meets it. Outside the cop-win region the cop
+    stays."""
     if not a.is_cop_win:
         raise NoWinningStrategy(f"cop does not win at radius {a.k}")
-    g, n = a.graph, a.graph.n
-    closed = g.closed
-    win_r, rank_r = a.win_robber_move, a.rank_robber_move
+    closed_bits, rounds = a.graph.closed_bits, a.rounds
     start = a.initial_cop_choices[0]
 
     def move(cop: int, robber: int) -> int:
-        best, best_rank = cop, None
-        for y in closed[cop]:
-            i = y * n + robber
-            if win_r[i] and (best_rank is None or rank_r[i] < best_rank):
-                best, best_rank = y, rank_r[i]
-        return best
+        reach = closed_bits[cop]
+        for _, layer in rounds:
+            bits = reach & layer.get(robber, 0)
+            if bits:
+                return (bits & -bits).bit_length() - 1
+        return cop
 
     return Strategy("cop", a.k, lambda: start, move, "rank-greedy cop", positional=True)
 
@@ -258,20 +270,18 @@ def extract_robber_strategy(a: WinAnalysis) -> Strategy:
     point. Ties go to the lowest vertex index."""
     if a.is_cop_win:
         raise NoEvasionStrategy(f"cop wins at radius {a.k}; no evasion exists")
-    g, n = a.graph, a.graph.n
-    closed = g.closed
-    win_c = a.win_cop_move
+    closed = a.graph.closed
+    win_c = a.columns[COP_TO_MOVE]
 
     def initial(cop: int) -> int:
-        for r in range(n):
-            if not win_c[cop * n + r]:
+        for r, bits in enumerate(win_c):
+            if not bits >> cop & 1:
                 return r
         raise InvariantViolation(f"no safe placement against cop at {cop}")
 
     def move(cop: int, robber: int) -> int:
-        base = cop * n
         for y in closed[robber]:
-            if not win_c[base + y]:
+            if not win_c[y] >> cop & 1:
                 return y
         raise InvariantViolation(
             f"no safe move at state (cop={cop}, robber={robber})")
@@ -420,30 +430,17 @@ def rank_max_robber_strategy(a: WinAnalysis) -> Strategy:
     """Longest-resisting robber inside a cop-win analysis: place and move
     to maximize the capture rank (ties to the lowest vertex index). Used
     as the adversary in cop transcripts."""
-    g, n = a.graph, a.graph.n
-    closed = g.closed
-    win_c, rank_c = a.win_cop_move, a.rank_cop_move
+    n, closed = a.graph.n, a.graph.closed
+
+    def score(cop: int, robber: int) -> int:
+        rank = a.rank(cop, robber)
+        return rank if rank >= 0 else n * n * 4   # an escape outranks every rank
 
     def initial(cop: int) -> int:
-        best, best_rank = 0, -2
-        for r in range(n):
-            i = cop * n + r
-            rho = rank_c[i] if win_c[i] else -1
-            score = rho if rho >= 0 else n * n * 4
-            if score > best_rank:
-                best, best_rank = r, score
-        return best
+        return max(range(n), key=lambda r: score(cop, r))
 
     def move(cop: int, robber: int) -> int:
-        base = cop * n
-        best, best_rank = robber, -2
-        for y in closed[robber]:
-            i = base + y
-            rho = rank_c[i] if win_c[i] else -1
-            score = rho if rho >= 0 else n * n * 4
-            if score > best_rank:
-                best, best_rank = y, score
-        return best
+        return max(closed[robber], key=lambda y: score(cop, y))
 
     return Strategy("robber", a.k, initial, move, "rank-max robber", positional=True)
 
@@ -483,37 +480,36 @@ def certify_cop_strategy(a: WinAnalysis) -> int:
     """Exhaustively play the rank-greedy cop against every robber reply.
 
     Walks the full reachable game tree (at most 2n^2 states), checking that
-    the rank drops on every ply and that each line ends in capture. Returns
-    the worst-case number of single moves to capture over all robber
-    placements. Raises InvariantViolation on any escape or rank violation.
+    the rank drops on every ply and that each line ends in capture: a cop
+    move from a state of rank t must land in robber-to-move round t - 1,
+    and every robber reply in a cop-to-move round below that, found by
+    scanning down from t - 2. Returns the worst-case number of single moves
+    to capture over all robber placements. Raises InvariantViolation on any
+    escape or rank violation.
     """
     strat = extract_cop_strategy(a)
     g, k, n = a.graph, a.k, a.graph.n
-    dm = a.dm
-    closed = g.closed
-    win_c, win_r = a.win_cop_move, a.win_robber_move
-    rank_c, rank_r = a.rank_cop_move, a.rank_robber_move
+    dm, closed, rounds = a.dm, g.closed, a.rounds
     cop0 = strat.initial()
     seen_cop_states: set[int] = set()
     worst = 0
     for r0 in range(n):
         if dm[cop0][r0] <= k:
             continue
-        i0 = cop0 * n + r0
-        if not win_c[i0]:
+        t0 = a.rank(cop0, r0)
+        if t0 < 0:
             raise InvariantViolation(
                 f"placement {r0} escapes the certified cop start {cop0}")
-        worst = max(worst, rank_c[i0])
-        stack = [i0]
+        worst = max(worst, t0)
+        stack = [(cop0, r0, t0)]
         while stack:
-            i = stack.pop()
-            if i in seen_cop_states:
+            c, r, t = stack.pop()
+            state = c * n + r
+            if state in seen_cop_states:
                 continue
-            seen_cop_states.add(i)
-            c, r = divmod(i, n)
+            seen_cop_states.add(state)
             c2 = strat.move(c, r)
-            j = c2 * n + r
-            if not win_r[j] or rank_r[j] != rank_c[i] - 1:
+            if t < 1 or not rounds[t - 1][ROBBER_TO_MOVE].get(r, 0) >> c2 & 1:
                 raise InvariantViolation(
                     f"cop move {c}->{c2} does not reduce rank at robber {r}")
             if dm[c2][r] <= k:
@@ -521,9 +517,10 @@ def certify_cop_strategy(a: WinAnalysis) -> int:
             for r2 in closed[r]:
                 if dm[c2][r2] <= k:
                     continue
-                i2 = c2 * n + r2
-                if not win_c[i2] or rank_c[i2] > rank_r[j] - 1:
+                t2 = next((s for s in range(t - 2, -1, -1)
+                           if rounds[s][COP_TO_MOVE].get(r2, 0) >> c2 & 1), -1)
+                if t2 < 0:
                     raise InvariantViolation(
                         f"robber move {r}->{r2} escapes at cop {c2}")
-                stack.append(i2)
+                stack.append((c2, r2, t2))
     return worst

@@ -23,6 +23,7 @@ from rcgame.engine import (
 from rcgame.errors import (
     IllegalMove,
     InvalidParam,
+    InvariantViolation,
     NoEvasionStrategy,
     NotConnected,
     NoWinningStrategy,
@@ -83,6 +84,18 @@ def test_rc_beyond_one_machine_word():
     assert j932.n == 84
     assert radius_capture_number(j932) == 2
     assert naive_rc_oracle(j932) == 2
+
+
+def test_rc_disconnected_needs_no_attractor(monkeypatch):
+    # a disconnected graph is answered by one BFS before any attractor round
+    def no_attractor(*args):
+        raise AssertionError("attractor ran on a disconnected graph")
+
+    monkeypatch.setattr("rcgame.engine._attract", no_attractor)
+    two_copies = build_graph(18, [(u + 9 * i, v + 9 * i) for i in range(2)
+                                  for u, v in sierpinski(2, 3).edges()])
+    assert radius_capture_number(two_copies) is None
+    assert radius_capture_number(build_graph(3, [])) is None
 
 
 def per_k_scan(g):
@@ -467,6 +480,92 @@ def test_ranks_meet_rank_equations(g, k):
             robber_moves = [a.rank(c, y, 0) for y in closed[r]]
             won = all(a.cop_win(c, y, 0) for y in closed[r])
             assert a.rank(c, r, 1) == (1 + max(robber_moves) if won else -1)
+
+    # the table strategies read the same ranks: the rank-greedy cop moves to
+    # the won successor of least rank, the rank-max robber to the successor
+    # of highest score (an escape scores above every rank), ties to the
+    # lowest index; the byte planes the benchmark's tracer counts agree
+    # with cop_win
+    def score(c, r):
+        return a.rank(c, r) if a.cop_win(c, r) else 4 * n * n
+
+    robber = rank_max_robber_strategy(a)
+    cop = extract_cop_strategy(a) if a.is_cop_win else None
+    for c in range(n):
+        assert robber.initial(c) == max(range(n), key=lambda r: score(c, r))
+        for r in range(n):
+            assert robber.move(c, r) == max(closed[r], key=lambda y: score(c, y))
+            if cop is not None:
+                to = [y for y in closed[c] if a.cop_win(y, r, 1)]
+                expected = min(to, key=lambda y: (a.rank(y, r, 1), y)) if to else c
+                assert cop.move(c, r) == expected
+    for turn, plane in enumerate((a.win_cop_move, a.win_robber_move)):
+        assert len(plane) == n * n
+        assert all(plane[c * n + r] == a.cop_win(c, r, turn)
+                   for c in range(n) for r in range(n))
+        assert bytes(plane).count(1) == sum(bin(col).count("1")
+                                            for col in a.columns[turn])
+
+
+def _reassign(a, turn, c, r, into):
+    """Copy of a with state (c, r) taken out of its round: put into round
+    `into`, or, when into is None, cleared from the columns as well."""
+    t = a.rank(c, r, turn)
+    rounds = [tuple(dict(layer) for layer in layers) for layers in a.rounds]
+    columns = tuple(list(col) for col in a.columns)
+    rounds[t][turn][r] &= ~(1 << c)
+    if into is None:
+        columns[turn][r] &= ~(1 << c)
+    else:
+        rounds[into][turn][r] = rounds[into][turn].get(r, 0) | 1 << c
+    return replace(a, columns=columns, rounds=rounds)
+
+
+def _certified_line(g):
+    """Analysis at rc and the cop-to-move states of the rank-greedy cop's
+    play-out against the rank-max robber, before capture."""
+    a = solve_cwrc(g, radius_capture_number(g))
+    cop, robber = extract_cop_strategy(a), rank_max_robber_strategy(a)
+    c = cop.initial()
+    r = robber.initial(c)
+    line = []
+    while a.dm[c][r] > a.k:
+        line.append((c, r))
+        c = cop.move(c, r)
+        if a.dm[c][r] <= a.k:
+            break
+        r = robber.move(c, r)
+    return a, line
+
+
+@pytest.mark.parametrize("g", [basic_family("cycle", 9), sierpinski(2, 3),
+                               sierpinski(3, 3)])
+def test_certify_rejects_robber_state_in_later_round(g):
+    # the first cop move of the play-out with a single successor of rank
+    # t - 1 (on C_8 every such move has two, so moving either one's bit
+    # leaves a valid certificate)
+    a, line = _certified_line(g)
+    for c, r in line:
+        t = a.rank(c, r)
+        ties = [x for x in g.closed[c] if a.rank(x, r, 1) == t - 1]
+        if len(ties) == 1:
+            break
+    y = extract_cop_strategy(a).move(c, r)
+    assert ties == [y]
+    certify_cop_strategy(a)
+    with pytest.raises(InvariantViolation, match="does not reduce rank"):
+        certify_cop_strategy(_reassign(a, 1, y, r, t))
+
+
+@pytest.mark.parametrize("g", [basic_family("cycle", 8), sierpinski(2, 3),
+                               sierpinski(3, 3)])
+def test_certify_rejects_cleared_cop_state(g):
+    # the last cop-to-move state of the play-out is reached by the walk
+    a, line = _certified_line(g)
+    c, r = line[-1]
+    certify_cop_strategy(a)
+    with pytest.raises(InvariantViolation, match="escapes"):
+        certify_cop_strategy(_reassign(a, 0, c, r, None))
 
 
 def test_capture_within_rank_bound():
