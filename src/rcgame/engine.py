@@ -38,7 +38,7 @@ from .errors import (
     NoEvasionStrategy,
     NoWinningStrategy,
 )
-from .graph import Graph, all_pairs_distances, balls, eccentricities, is_connected
+from .graph import Graph, all_pairs_distances, balls, is_connected
 
 COP_TO_MOVE = 0
 ROBBER_TO_MOVE = 1
@@ -448,11 +448,15 @@ def rank_max_robber_strategy(a: WinAnalysis) -> Strategy:
 def greedy_chase_cop_strategy(g: Graph, k: int,
                               dm: list[list[int]] | None = None) -> Strategy:
     """Distance-minimizing cop (no winning guarantee): start at the lowest
-    center vertex, always move to the closed neighbor nearest the robber."""
+    center vertex, always move to the closed neighbor nearest the robber.
+    The centre is read off the distance rows, whose maxima are the
+    eccentricities."""
+    if g.n == 0:
+        raise InvalidParam("empty graph has no radius")
     if dm is None:
         dm = all_pairs_distances(g)
     closed = g.closed
-    ecc = eccentricities(g)
+    ecc = [max(row) for row in dm]
     start = ecc.index(min(ecc))
 
     def move(cop: int, robber: int) -> int:

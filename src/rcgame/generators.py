@@ -94,15 +94,21 @@ def hamming(d: int, q: int, size_guard: int = DEFAULT_SIZE_GUARD) -> Graph:
 
 def generalized_johnson(n: int, k: int, i: int) -> Graph:
     """J(n, k, i): k-subsets of {1..n}, adjacent when the intersection has
-    size exactly i. May be disconnected; callers check."""
+    size exactly i. May be disconnected; callers check.
+
+    Two k-subsets of an n-set share at least 2k - n points, so for
+    n < 2k - i the graph is edgeless and no pair is checked.
+    """
     if not (n > k > i >= 0):
         raise InvalidParam(f"need n > k > i >= 0, got ({n},{k},{i})")
-    subsets = list(combinations(range(1, n + 1), k))
-    masks = [sum(1 << x for x in s) for s in subsets]
-    edges = [(a, b) for a, ma in enumerate(masks)
-             for b in range(a + 1, len(masks)) if (ma & masks[b]).bit_count() == i]
-    labels = tuple("{" + ",".join(str(x) for x in s) + "}" for s in subsets)
-    return build_graph(len(subsets), edges, labels)
+    digits = [str(x) for x in range(1, n + 1)]
+    labels = tuple("{" + ",".join(t) + "}" for t in combinations(digits, k))
+    edges = []
+    if n >= 2 * k - i:
+        masks = [sum(1 << x for x in s) for s in combinations(range(1, n + 1), k)]
+        edges = [(a, b) for a, ma in enumerate(masks)
+                 for b in range(a + 1, len(masks)) if (ma & masks[b]).bit_count() == i]
+    return build_graph(len(labels), edges, labels)
 
 
 def sierpinski(n: int, k: int, size_guard: int = DEFAULT_SIZE_GUARD) -> Graph:

@@ -16,6 +16,9 @@ from .graph import Graph, build_graph
 
 _G6_HEADER = b">>graph6<<"
 _G6_MAX_N = 1 << 18
+# data byte -> its six bits, most significant first, and back
+_G6_BITS = {63 + v: format(v, "06b") for v in range(64)}
+_G6_BYTE = {bits: b for b, bits in _G6_BITS.items()}
 
 
 def _as_bytes(data) -> bytes:
@@ -57,22 +60,25 @@ def parse_graph6(line) -> Graph:
         raise ParseError(
             f"expected {nbytes} data bytes for n={n}, got {len(raw) - pos}",
             offset=pos)
-    bits = []
-    for i in range(nbytes):
-        b = raw[pos + i]
-        if not (63 <= b <= 126):
-            raise ParseError(f"data byte {b} outside graph6 range", offset=pos + i)
-        val = b - 63
-        bits.extend((val >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    data = raw[pos:]
+    try:
+        bits = "".join(map(_G6_BITS.__getitem__, data))
+    except KeyError as exc:
+        # map stops at the first bad byte, so no earlier byte has its value
+        bad = exc.args[0]
+        raise ParseError(f"data byte {bad} outside graph6 range",
+                         offset=pos + data.index(bad)) from None
+    if "1" in bits[nbits:]:
         raise ParseError("nonzero padding bits", offset=pos + nbytes - 1)
     edges = []
-    idx = 0
+    start = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
+        end = start + v
+        u = bits.find("1", start, end)
+        while u >= 0:
+            edges.append((u - start, v))
+            u = bits.find("1", u + 1, end)
+        start = end
     return build_graph(n, edges)
 
 
@@ -87,18 +93,12 @@ def write_graph6(g: Graph) -> str:
     else:
         out.append(126)
         out.extend(63 + ((n >> s) & 63) for s in (12, 6, 0))
-    acc = 0
-    filled = 0
-    for v in range(1, n):
-        for u in range(v):
-            acc = (acc << 1) | (1 if g.has_edge(u, v) else 0)
-            filled += 1
-            if filled == 6:
-                out.append(63 + acc)
-                acc = 0
-                filled = 0
-    if filled:
-        out.append(63 + (acc << (6 - filled)))
+    # column v lists x(0,v) .. x(v-1,v): adj_bits[v] below bit v, lowest first
+    adj_bits = g.adj_bits
+    cols = "".join(format(adj_bits[v] & ((1 << v) - 1), f"0{v}b")[::-1]
+                   for v in range(1, n))
+    cols += "0" * (-len(cols) % 6)
+    out.extend(_G6_BYTE[cols[j:j + 6]] for j in range(0, len(cols), 6))
     return out.decode("ascii")
 
 

@@ -1,10 +1,14 @@
-"""Shared test helpers: conversion to networkx for independent oracles."""
+"""Shared test helpers: conversion to networkx for independent oracles, and
+a hypothesis strategy for arbitrary small graphs."""
+
+from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import strategies as st
 
 from rcgame.generators import generalized_johnson, named_instance
-from rcgame.graph import Graph
+from rcgame.graph import Graph, build_graph
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -12,6 +16,15 @@ def to_networkx(g: Graph) -> nx.Graph:
     G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges())
     return G
+
+
+@st.composite
+def graphs(draw, min_n=0, max_n=70):
+    """Any graph on min_n..max_n vertices, its edge set drawn as one mask."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = list(combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return build_graph(n, [p for j, p in enumerate(pairs) if mask >> j & 1])
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,21 @@
 """CLI behavior: commands, exit codes, determinism, environment overrides."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
+import pytest
+from hypothesis import given, strategies as st
 
 from rcgame import engine, graph
 from rcgame.cli import compute_record, main
+from rcgame.errors import ParseError
 from rcgame.generators import basic_family, named_instance, sierpinski
 from rcgame.graph import build_graph
+from rcgame.ioformats import emit_results, parse_graph6, write_graph6
+
+from conftest import graphs
 
 
 def run(capsys, *argv):
@@ -362,3 +371,48 @@ def test_compute_record_ball_sweeps(monkeypatch):
     started.clear()
     compute_record(build_graph(4, [(0, 1), (2, 3)]), "split")
     assert len(started) == 1
+
+
+def _malformed(record: str, how: str, byte: int, at: int) -> str:
+    """Break a graph6 record on at most 62 vertices: a data byte outside the
+    range, a set padding bit, one data byte short, or one too many. A way
+    the record has no room for (no data bytes, no padding) adds a byte."""
+    n, data = ord(record[0]) - 63, record[1:]
+    if how == "byte" and data:
+        j = at % len(data)
+        return record[:1 + j] + chr(byte) + record[2 + j:]
+    if how == "padding" and n * (n - 1) // 2 % 6:
+        return record[:-1] + chr(63 + ((ord(record[-1]) - 63) | 1))
+    if how == "short" and data:
+        return record[:-1]
+    return record + "?"
+
+
+@given(st.lists(st.tuples(graphs(min_n=1, max_n=8),
+                          st.sampled_from(["good", "byte", "padding", "short", "long"]),
+                          st.integers(33, 62) | st.just(127),
+                          st.integers(0, 10)),
+                min_size=1, max_size=6))
+def test_compute_batch_mixed_records(batch):
+    """One CSV row per good line and one error line per bad line, each in
+    input order; the exit code is 2 when any line is bad."""
+    lines, rows, errors = [], [], []
+    for no, (g, how, byte, at) in enumerate(batch, start=1):
+        gid = f"stdin:{no}"
+        line = write_graph6(g)
+        if how == "good":
+            rows.append(emit_results([compute_record(g, gid)]).splitlines()[1])
+        else:
+            line = _malformed(line, how, byte, at)
+            with pytest.raises(ParseError) as err:
+                parse_graph6(line)
+            errors.append(f"error: {gid}: {err.value}")
+        lines.append(line)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO("\n".join(lines) + "\n")), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(["compute", "-"])
+    assert code == (2 if errors else 0)
+    assert out.getvalue().splitlines()[1:] == rows
+    err_lines = err.getvalue().splitlines()
+    assert [e for e in err_lines if not e.startswith("warning: ")] == errors

@@ -1,6 +1,7 @@
 """Family generators: structure, counts, labels, determinism, guards."""
 
 import math
+from itertools import combinations
 
 import pytest
 
@@ -100,6 +101,33 @@ def test_generalized_johnson_disconnected_matching():
     assert g.n == 6 and g.m == 3
     assert all(g.degree(v) == 1 for v in range(6))
     assert not is_connected(g)
+
+
+def test_generalized_johnson_matches_brute_force():
+    """Every J(n, k, i) on at most 35 vertices: the edges are the pairs of
+    k-subsets meeting in exactly i points, the edgeless n < 2k - i ones
+    included, and each label is the subset written as "{1,2,...}"."""
+    params = [(n, k, i) for n in range(2, 36) for k in range(1, n)
+              if math.comb(n, k) <= 35 for i in range(k)]
+    assert sum(n < 2 * k - i for n, k, i in params) > 100
+    for n, k, i in params:
+        subsets = [set(s) for s in combinations(range(1, n + 1), k)]
+        expected = {(a, b) for a, b in combinations(range(len(subsets)), 2)
+                    if len(subsets[a] & subsets[b]) == i}
+        g = generalized_johnson(n, k, i)
+        assert g.edge_set() == expected, (n, k, i)
+        assert g.labels == tuple("{" + ",".join(str(x) for x in sorted(s)) + "}"
+                                 for s in subsets), (n, k, i)
+
+
+def test_generalized_johnson_co_singletons():
+    """(n-1)-subsets of an n-set meet in n - 2 points: J(n, n-1, n-2) is
+    K_n and every other i gives no edge."""
+    for n in range(2, 71):
+        assert generalized_johnson(n, n - 1, n - 2).edge_set() == \
+            basic_family("complete", n).edge_set()
+        for i in range(n - 2):
+            assert generalized_johnson(n, n - 1, i).m == 0, (n, i)
 
 
 def test_generalized_johnson_param_errors():

@@ -5,7 +5,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rcgame.errors import InvalidParam, InvariantViolation, ParseError
 from rcgame.generators import basic_family
@@ -18,7 +18,7 @@ from rcgame.ioformats import (
     write_graph6,
 )
 
-from conftest import to_networkx
+from conftest import graphs, to_networkx
 
 
 def test_parse_small_records():
@@ -91,13 +91,39 @@ def test_parse_errors_carry_offsets():
         write_graph6(build_graph(1 << 18, []))
 
 
-@given(st.integers(0, 12).flatmap(
-    lambda n: st.tuples(st.just(n), st.sets(
-        st.tuples(st.integers(0, max(0, n - 1)), st.integers(0, max(0, n - 1)))))))
-def test_round_trip_property(case):
-    n, raw = case
-    g = build_graph(n, [(u, v) for u, v in raw if u != v])
-    assert parse_graph6(write_graph6(g)).edge_set() == g.edge_set()
+# n = 7: a size byte "F", 21 adjacency bits in 4 data bytes, 3 padding bits
+@pytest.mark.parametrize("record, message, offset", [
+    ("F>???", "data byte 62 outside graph6 range", 1),
+    ("F?" + chr(127) + "??", "data byte 127 outside graph6 range", 2),
+    ("F???!", "data byte 33 outside graph6 range", 4),
+    ("F?!?>", "data byte 33 outside graph6 range", 2),    # the first of two
+    ("F>??@", "data byte 62 outside graph6 range", 1),    # before the padding
+    ("F???@", "nonzero padding bits", 4),                  # the last padding bit
+    ("F???C", "nonzero padding bits", 4),                  # the first padding bit
+    ("F???", "expected 4 data bytes for n=7, got 3", 1),
+    ("F?????", "expected 4 data bytes for n=7, got 5", 1),
+    ("~?@@" + "?" * 346 + "@", "nonzero padding bits", 350),
+    ("~?@@" + "?" * 200 + "!" + "?" * 146, "data byte 33 outside graph6 range", 204),
+    ("~?@@" + "?" * 346, "expected 347 data bytes for n=65, got 346", 4),
+])
+def test_parse_error_messages_and_offsets(record, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse_graph6(record)
+    assert str(err.value) == message
+    assert err.value.offset == offset
+
+
+@given(graphs())
+@example(build_graph(62, [(0, 61)]))
+@example(build_graph(63, [(61, 62)]))
+@example(basic_family("complete", 70))
+def test_round_trip_property(g):
+    """Up to n = 70, on both sides of the '~' size field: the writer agrees
+    with networkx and the parser restores the graph."""
+    encoded = write_graph6(g)
+    assert encoded == nx.to_graph6_bytes(to_networkx(g), header=False).decode().strip()
+    back = parse_graph6(encoded)
+    assert back.n == g.n and back.adj == g.adj
 
 
 def test_parse_edge_list():
