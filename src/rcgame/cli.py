@@ -37,6 +37,7 @@ from .generators import (
     FamilySpec,
     NAMED_INSTANCES,
     build_family,
+    check_cap,
     named_instance,
     predicted_rc,
 )
@@ -56,11 +57,6 @@ def _size_guard_from_env() -> int:
     if guard < 1:
         raise InvalidParam(f"RC_SIZE_GUARD must be >= 1, got {guard}")
     return guard
-
-
-def _check_cap(g: Graph, guard: int) -> None:
-    if g.n > guard:
-        raise SizeGuard(f"{g.n} vertices exceeds the cap {guard}")
 
 
 def compute_record(g: Graph, instance_id: str,
@@ -103,7 +99,7 @@ def _read_graphs(args):
     if args.format == "edgelist":
         try:
             g = parse_edge_list(text)
-        except (ParseError, GraphGameError) as exc:
+        except GraphGameError as exc:
             yield stem, None, str(exc)
         else:
             yield stem, g, None
@@ -126,7 +122,7 @@ def cmd_compute(args) -> int:
     for gid, g, problem in _read_graphs(args):
         if problem is None:
             try:
-                _check_cap(g, guard)
+                check_cap(g.n, guard)
                 rec = compute_record(g, gid, args.timings)
             except GraphGameError as exc:
                 problem = str(exc)
@@ -202,7 +198,7 @@ def _graph_for_strategy(args) -> tuple[str, Graph]:
         gid, g, _ = graphs[0]
     else:
         raise InvalidParam("need --instance, --family, or an input path")
-    _check_cap(g, guard)
+    check_cap(g.n, guard)
     return gid, g
 
 

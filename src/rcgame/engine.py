@@ -235,7 +235,6 @@ class Strategy:
     """
 
     role: str
-    k: int
     initial: Callable
     move: Callable[[int, int], int]
     name: str = ""
@@ -261,7 +260,7 @@ def extract_cop_strategy(a: WinAnalysis) -> Strategy:
                 return (bits & -bits).bit_length() - 1
         return cop
 
-    return Strategy("cop", a.k, lambda: start, move, "rank-greedy cop", positional=True)
+    return Strategy("cop", lambda: start, move, "rank-greedy cop", positional=True)
 
 
 def extract_robber_strategy(a: WinAnalysis) -> Strategy:
@@ -286,8 +285,7 @@ def extract_robber_strategy(a: WinAnalysis) -> Strategy:
         raise InvariantViolation(
             f"no safe move at state (cop={cop}, robber={robber})")
 
-    return Strategy("robber", a.k, initial, move, "attractor-evading robber",
-                    positional=True)
+    return Strategy("robber", initial, move, "attractor-evading robber", positional=True)
 
 
 class Step(NamedTuple):
@@ -301,7 +299,6 @@ class Step(NamedTuple):
 class Transcript:
     """Full record of one play-out: placements, every move, the outcome."""
 
-    k: int
     cop_start: int
     robber_start: int
     start_distance: int
@@ -320,65 +317,49 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
     single moves, checking capture after the placements and after every
     move. Deterministic for deterministic strategies.
 
-    When both strategies are positional, the play-out is a walk on the n^2
-    cop-to-move states, each keyed cop * n + robber to its index in steps.
-    At the first repeated state no capture has happened and every later
-    move repeats the cycle since that state, so the remaining moves up to
-    max_moves are filled in from it (the Step objects are shared) and the
-    robber survives. Every distinct move is still checked for legality
-    and capture before that.
+    One step serves both sides: the cop moves at even move counts, the
+    robber at odd ones, and every move is checked for legality and then
+    for capture. When both strategies are positional, the play-out is a
+    walk on the n^2 cop-to-move states, each keyed cop * n + robber to its
+    index in steps. At the first repeated state no capture has happened
+    and every later move repeats the cycle since that state, so the
+    remaining moves up to max_moves are filled in from it (the Step
+    objects are shared) and the robber survives.
     """
     if cop_strategy.role != "cop" or robber_strategy.role != "robber":
         raise InvalidParam("simulate needs a cop strategy and a robber strategy")
     if dm is None:
         dm = all_pairs_distances(g)
-    closed_bits = g.closed_bits
-
-    def check(v: int, origin: int, cop: int, robber: int, turn: int) -> None:
-        if not (0 <= v < g.n) or not (closed_bits[origin] >> v) & 1:
-            raise IllegalMove(f"move {origin}->{v} at state "
-                              f"(cop={cop}, robber={robber}, turn={turn})")
-
+    n, closed_bits = g.n, g.closed_bits
     cop_start = cop_strategy.initial()
     robber_start = robber_strategy.initial(cop_start)
-    if not (0 <= cop_start < g.n) or not (0 <= robber_start < g.n):
-        raise IllegalMove(f"placement outside 0..{g.n - 1}")
-    cop, robber = cop_start, robber_start
+    if not (0 <= cop_start < n) or not (0 <= robber_start < n):
+        raise IllegalMove(f"placement outside 0..{n - 1}")
+    players = (cop_strategy, robber_strategy)   # indexed by turn
+    at = [cop_start, robber_start]              # vertices, indexed by turn
     steps: list[Step] = []
-    d0 = dm[cop][robber]
-    if d0 <= k:
-        return Transcript(k, cop_start, robber_start, d0, steps, "captured", 0)
-    n = g.n
+    d0 = d = dm[cop_start][robber_start]
     seen = {} if cop_strategy.positional and robber_strategy.positional else None
     moves = 0
-    while moves < max_moves:
-        if seen is not None:
-            start = seen.setdefault(cop * n + robber, moves)
+    while d > k and moves < max_moves:
+        turn = moves & 1
+        if seen is not None and turn == COP_TO_MOVE:
+            start = seen.setdefault(at[0] * n + at[1], moves)
             if start != moves:
                 steps.extend(islice(cycle(steps[start:]), max_moves - moves))
-                return Transcript(k, cop_start, robber_start, d0, steps,
-                                  "survived", max_moves)
-        origin = cop
-        nxt = cop_strategy.move(cop, robber)
-        check(nxt, cop, cop, robber, COP_TO_MOVE)
-        cop = nxt
+                moves = max_moves
+                break
+        origin = at[turn]
+        nxt = players[turn].move(*at)
+        if not (0 <= nxt < n and closed_bits[origin] >> nxt & 1):
+            raise IllegalMove(f"move {origin}->{nxt} at state "
+                              f"(cop={at[0]}, robber={at[1]}, turn={turn})")
+        at[turn] = nxt
         moves += 1
-        d = dm[cop][robber]
-        steps.append(Step("cop", origin, cop, d))
-        if d <= k:
-            return Transcript(k, cop_start, robber_start, d0, steps, "captured", moves)
-        if moves >= max_moves:
-            break
-        origin = robber
-        nxt = robber_strategy.move(cop, robber)
-        check(nxt, robber, cop, robber, ROBBER_TO_MOVE)
-        robber = nxt
-        moves += 1
-        d = dm[cop][robber]
-        steps.append(Step("robber", origin, robber, d))
-        if d <= k:
-            return Transcript(k, cop_start, robber_start, d0, steps, "captured", moves)
-    return Transcript(k, cop_start, robber_start, d0, steps, "survived", moves)
+        d = dm[at[0]][at[1]]
+        steps.append(Step(players[turn].role, origin, nxt, d))
+    outcome = "captured" if d <= k else "survived"
+    return Transcript(cop_start, robber_start, d0, steps, outcome, moves)
 
 
 def naive_rc_oracle(g: Graph) -> int | None:
@@ -442,7 +423,7 @@ def rank_max_robber_strategy(a: WinAnalysis) -> Strategy:
     def move(cop: int, robber: int) -> int:
         return max(closed[robber], key=lambda y: score(cop, y))
 
-    return Strategy("robber", a.k, initial, move, "rank-max robber", positional=True)
+    return Strategy("robber", initial, move, "rank-max robber", positional=True)
 
 
 def greedy_chase_cop_strategy(g: Graph, k: int,
@@ -450,7 +431,7 @@ def greedy_chase_cop_strategy(g: Graph, k: int,
     """Distance-minimizing cop (no winning guarantee): start at the lowest
     center vertex, always move to the closed neighbor nearest the robber.
     The centre is read off the distance rows, whose maxima are the
-    eccentricities."""
+    eccentricities. The moves do not depend on the capture radius k."""
     if g.n == 0:
         raise InvalidParam("empty graph has no radius")
     if dm is None:
@@ -463,11 +444,12 @@ def greedy_chase_cop_strategy(g: Graph, k: int,
         row = dm[robber]
         return min(closed[cop], key=lambda y: (row[y], y))
 
-    return Strategy("cop", k, lambda: start, move, "greedy-chase cop", positional=True)
+    return Strategy("cop", lambda: start, move, "greedy-chase cop", positional=True)
 
 
 def random_cop_strategy(g: Graph, k: int, seed: int) -> Strategy:
-    """Seeded uniformly random cop policy, for robustness play-outs."""
+    """Seeded uniformly random cop policy, for robustness play-outs; the
+    moves do not depend on the capture radius k."""
     rng = random.Random(seed)
     closed = g.closed
 
@@ -477,7 +459,7 @@ def random_cop_strategy(g: Graph, k: int, seed: int) -> Strategy:
     def move(cop: int, robber: int) -> int:
         return rng.choice(closed[cop])
 
-    return Strategy("cop", k, initial, move, f"random cop seed={seed}")
+    return Strategy("cop", initial, move, f"random cop seed={seed}")
 
 
 def certify_cop_strategy(a: WinAnalysis) -> int:

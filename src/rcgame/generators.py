@@ -25,9 +25,10 @@ class FamilySpec:
     seed: int | None = None
 
 
-def _guard(n_vertices: int, size_guard: int) -> None:
+def check_cap(n_vertices: int, size_guard: int) -> None:
+    """Raise SizeGuard when a graph on n_vertices would exceed the vertex cap."""
     if n_vertices > size_guard:
-        raise SizeGuard(f"{n_vertices} vertices exceeds the configured cap {size_guard}")
+        raise SizeGuard(f"{n_vertices} vertices exceeds the cap {size_guard}")
 
 
 def basic_family(kind: str, n: int) -> Graph:
@@ -49,14 +50,11 @@ def basic_family(kind: str, n: int) -> Graph:
 
 
 def hypercube(d: int, size_guard: int = DEFAULT_SIZE_GUARD) -> Graph:
-    """d-dimensional hypercube on binary words, adjacency = one flipped bit."""
+    """d-dimensional hypercube on binary words, adjacency = one flipped bit:
+    the Hamming graph H(d, 2)."""
     if d < 1:
         raise InvalidParam(f"hypercube needs d >= 1, got {d}")
-    _guard(1 << d, size_guard)
-    n = 1 << d
-    edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)]
-    labels = tuple(format(v, f"0{d}b") for v in range(n))
-    return build_graph(n, edges, labels)
+    return hamming(d, 2, size_guard)
 
 
 def _tuple_label(t: tuple[int, ...], alphabet_size: int) -> str:
@@ -72,7 +70,7 @@ def hamming(d: int, q: int, size_guard: int = DEFAULT_SIZE_GUARD) -> Graph:
     if d < 1 or q < 2:
         raise InvalidParam(f"hamming needs d >= 1 and q >= 2, got ({d},{q})")
     n = q ** d
-    _guard(n, size_guard)
+    check_cap(n, size_guard)
     # word -> index is big-endian base q, matching iterated product order
     edges = []
     for v in range(n):
@@ -120,7 +118,7 @@ def sierpinski(n: int, k: int, size_guard: int = DEFAULT_SIZE_GUARD) -> Graph:
     """
     if n < 0 or k < 1:
         raise InvalidParam(f"sierpinski needs n >= 0 and k >= 1, got ({n},{k})")
-    _guard(k ** n, size_guard)
+    check_cap(k ** n, size_guard)
     words: list[tuple[int, ...]] = [()]
     edges: list[tuple[int, int]] = []
     size = 1
@@ -173,21 +171,24 @@ def named_instance(instance_id: str) -> Graph:
     raise UnknownInstance(f"unknown instance {instance_id!r}")
 
 
-def random_connected_gnp(n: int, p: float, seed: int,
-                         max_retries: int = 200) -> Graph:
-    """Erdos-Renyi G(n, p), resampled until connected; deterministic per seed."""
+_GNP_DRAWS = 200
+
+
+def random_connected_gnp(n: int, p: float, seed: int) -> Graph:
+    """Erdos-Renyi G(n, p), resampled until connected (at most 200 draws);
+    deterministic per seed."""
     if n < 1:
         raise InvalidParam(f"need n >= 1, got {n}")
     if not (0.0 <= p <= 1.0):
         raise InvalidParam(f"edge probability {p} outside [0, 1]")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(_GNP_DRAWS):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < p]
         g = build_graph(n, edges, tuple(str(i) for i in range(n)))
         if is_connected(g):
             return g
-    raise CouldNotConnect(f"no connected sample in {max_retries} tries (n={n}, p={p})")
+    raise CouldNotConnect(f"no connected sample in {_GNP_DRAWS} tries (n={n}, p={p})")
 
 
 def _ints(kind: str, params: tuple) -> tuple:
@@ -203,7 +204,7 @@ def build_family(spec: FamilySpec, size_guard: int = DEFAULT_SIZE_GUARD) -> Grap
     try:
         if kind in ("cycle", "path", "complete"):
             (n,) = _ints(kind, params)
-            _guard(n, size_guard)
+            check_cap(n, size_guard)
             return basic_family(kind, n)
         if kind == "hypercube":
             (d,) = _ints(kind, params)
@@ -220,12 +221,12 @@ def build_family(spec: FamilySpec, size_guard: int = DEFAULT_SIZE_GUARD) -> Grap
             return sierpinski(n, k, size_guard)
         if kind == "circulant":
             n, *steps = _ints(kind, params)
-            _guard(n, size_guard)
+            check_cap(n, size_guard)
             return circulant(n, steps)
         if kind == "named_instance":
             (name,) = params
             g = named_instance(name)   # hard-coded and small, so checked once built
-            _guard(g.n, size_guard)
+            check_cap(g.n, size_guard)
             return g
         if kind == "random_gnp_connected":
             n, p = params
@@ -234,7 +235,7 @@ def build_family(spec: FamilySpec, size_guard: int = DEFAULT_SIZE_GUARD) -> Grap
                 raise InvalidParam(f"{kind} takes a numeric edge probability, got {p!r}")
             if spec.seed is None:
                 raise InvalidParam("random_gnp_connected requires a seed")
-            _guard(n, size_guard)
+            check_cap(n, size_guard)
             return random_connected_gnp(n, p, spec.seed)
     except ValueError as exc:
         raise InvalidParam(f"bad parameter count for {kind}: {params}") from exc
@@ -243,7 +244,7 @@ def build_family(spec: FamilySpec, size_guard: int = DEFAULT_SIZE_GUARD) -> Grap
 
 def _guard_binomial(n: int, k: int, size_guard: int) -> None:
     if 0 <= k <= n:
-        _guard(math.comb(n, k), size_guard)
+        check_cap(math.comb(n, k), size_guard)
 
 
 _SIERPINSKI4_REFERENCE_RC = {3: 5, 4: 11}

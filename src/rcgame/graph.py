@@ -6,13 +6,15 @@ sorted tuples for iteration and as one bitmask per vertex for constant
 time membership tests; closed neighbourhoods N[v] = adj[v] + {v} are
 kept the same two ways.
 
-Each distance fact has one source. The closed-ball sweep (balls) grows
-one bitset per vertex a hop at a time, bit-parallel BFS in the style of
-Akiba, Iwata and Yoshida (SIGMOD 2013). eccentricities reads connectivity
-and every eccentricity (so rad, diam and the centres) off it, and the rc
-pass of the engine reads the balls directly. All-pairs distances (APSP)
-are bare BFS rows, built only for callers that read pair distances, and
-only on connected graphs.
+Each distance fact has one source. is_connected, one BFS, answers
+connectivity. The closed-ball sweep (balls) grows one bitset per vertex a
+hop at a time, bit-parallel BFS in the style of Akiba, Iwata and Yoshida
+(SIGMOD 2013). eccentricities reads every eccentricity (so rad, diam and
+the centres) off it, and the rc pass of the engine reads the balls
+directly. All-pairs distances (APSP) are bare BFS rows, built only for
+callers that read pair distances, and only on connected graphs; such a
+caller reads rad and diam off its rows, whose maxima are the
+eccentricities.
 """
 
 from __future__ import annotations
@@ -152,23 +154,25 @@ def balls(g: Graph) -> Iterator[list[int]]:
 def eccentricities(g: Graph) -> tuple[int, ...] | None:
     """ecc(v) for every vertex, or None when g is disconnected.
 
-    ecc(v) is the first k at which ball_k[v] holds every vertex, counted as
-    the levels at which it falls short. The sweep stops at the first level
-    where every ball is full; if the balls stop growing before that, g is
-    disconnected.
+    One BFS answers a disconnected g before any sweep. Otherwise ecc(v) is
+    the first k at which ball_k[v] holds every vertex, counted as the
+    levels at which it falls short; the sweep stops at the first level
+    where every ball is full.
     """
     n = g.n
     if n == 0:
         raise InvalidParam("empty graph has no radius")
+    if not is_connected(g):
+        return None
     full = (1 << n) - 1
     ecc = [0] * n
     for ball in balls(g):
         short = [v for v, reach in enumerate(ball) if reach != full]
         if not short:
-            return tuple(ecc)
+            break
         for v in short:
             ecc[v] += 1
-    return None
+    return tuple(ecc)
 
 
 def all_pairs_distances(g: Graph) -> list[list[int]]:

@@ -152,6 +152,42 @@ def test_strategy_cop_cut_off_by_move_cap(capsys):
     assert out.splitlines()[-1] == "outcome: cut off after 1 move(s)"
 
 
+def test_strategy_readme_transcripts(capsys):
+    # the three README strategy commands, stdout pinned byte for byte
+    code, out, err = run(capsys, "strategy", "--family", "cycle", "8",
+                         "-k", "3", "--role", "cop")
+    assert (code, err) == (0, "")
+    assert out == ("cycle-8: n=8 m=8 k=3 role=cop\n"
+                   "cop strategy: rank-greedy cop; robber strategy: rank-max robber\n"
+                   "place cop at 0\n"
+                   "place robber at 4  d=4\n"
+                   "    1 cop    0 -> 1  d=3  capture\n"
+                   "outcome: captured after 1 move(s)\n")
+
+    code, out, err = run(capsys, "strategy", "--family", "cycle", "8",
+                         "-k", "2", "--role", "robber")
+    assert (code, err) == (0, "")
+    # the greedy chase and the evasion repeat one 4-move cycle for all 4n^2 moves
+    cycle = ("cop    0 -> 1  d=3", "robber 4 -> 5  d=4",
+             "cop    1 -> 0  d=3", "robber 5 -> 4  d=4")
+    assert out == ("cycle-8: n=8 m=8 k=2 role=robber\n"
+                   "cop strategy: greedy-chase cop; robber strategy: attractor-evading robber\n"
+                   "place cop at 0\n"
+                   "place robber at 4  d=4\n"
+                   + "".join(f"  {i:3d} {cycle[(i - 1) % 4]}\n" for i in range(1, 257))
+                   + "outcome: survived after 256 move(s)\n")
+
+    code, out, err = run(capsys, "strategy", "--family", "sierpinski", "3", "3",
+                         "-k", "5", "--role", "cop", "--max-moves", "1")
+    assert (code, err) == (0, "")
+    assert out == ("sierpinski-3-3: n=27 m=39 k=5 role=cop\n"
+                   "cop strategy: rank-greedy cop; robber strategy: rank-max robber\n"
+                   "place cop at 111\n"
+                   "place robber at 233  d=7\n"
+                   "    1 cop    111 -> 112  d=6\n"
+                   "outcome: cut off after 1 move(s)\n")
+
+
 def test_strategy_size_guard_every_input(tmp_path, capsys, monkeypatch):
     path = tmp_path / "c6.g6"
     path.write_text("EhEG\n")
@@ -357,7 +393,8 @@ def test_failing_theorems_carry_counterexamples(capsys, monkeypatch):
 
 def test_compute_record_ball_sweeps(monkeypatch):
     # eccentricities gives the row's rad and diam, and the rc pass reads its
-    # own balls: two sweeps on a connected graph, one on a disconnected one
+    # own balls: two sweeps on a connected graph, none on a disconnected one,
+    # which a BFS answers first
     real, started = graph.balls, []
 
     def counted(g):
@@ -370,7 +407,7 @@ def test_compute_record_ball_sweeps(monkeypatch):
     assert len(started) == 2
     started.clear()
     compute_record(build_graph(4, [(0, 1), (2, 3)]), "split")
-    assert len(started) == 1
+    assert len(started) == 0
 
 
 def _malformed(record: str, how: str, byte: int, at: int) -> str:

@@ -344,16 +344,16 @@ def test_positional_play_out_moves_once_per_state(g, k):
 
 def test_simulate_immediate_capture_at_placement():
     g = basic_family("cycle", 5)
-    cop = Strategy("cop", 1, lambda: 0, lambda c, r: c)
-    robber = Strategy("robber", 1, lambda c: 1, lambda c, r: r)
+    cop = Strategy("cop", lambda: 0, lambda c, r: c)
+    robber = Strategy("robber", lambda c: 1, lambda c, r: r)
     t = simulate(g, 1, cop, robber, 0)
     assert t.captured and t.moves == 0 and t.steps == []
 
 
 def test_simulate_illegal_move_detected():
     g = basic_family("cycle", 6)
-    cop = Strategy("cop", 0, lambda: 0, lambda c, r: 3)
-    robber = Strategy("robber", 0, lambda c: 3, lambda c, r: r)
+    cop = Strategy("cop", lambda: 0, lambda c, r: 3)
+    robber = Strategy("robber", lambda c: 3, lambda c, r: r)
     with pytest.raises(IllegalMove):
         simulate(g, 0, cop, robber, 10)
     with pytest.raises(InvalidParam):

@@ -220,7 +220,7 @@ def test_random_gnp():
     b = random_connected_gnp(10, 0.3, 42)
     assert a.edge_set() == b.edge_set()
     with pytest.raises(CouldNotConnect):
-        random_connected_gnp(5, 0.0, 1, max_retries=10)
+        random_connected_gnp(5, 0.0, 1)
     with pytest.raises(InvalidParam):
         random_connected_gnp(5, 1.5, 1)
 

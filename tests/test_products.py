@@ -86,8 +86,8 @@ def test_product_errors():
     with pytest.raises(InvalidParam):
         product("cartesian", build_graph(0, []), k2)
     with pytest.raises(SizeGuard):
-        product("cartesian", basic_family("cycle", 10), basic_family("cycle", 10),
-                size_guard=50)
+        # 90000 vertices, over the default cap of 65536
+        product("cartesian", basic_family("cycle", 300), basic_family("cycle", 300))
 
 
 def test_products_of_disconnected_factors_allowed():

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rcgame.engine import radius_capture_number
 from rcgame.errors import InvalidParam, NotARetraction, NotConnected
@@ -18,6 +19,7 @@ from rcgame.graph import (
     build_graph,
     eccentricities,
     induced_subgraph,
+    is_connected,
 )
 from rcgame.verify import (
     EVEN,
@@ -36,6 +38,8 @@ from rcgame.verify import (
     verify_retraction,
 )
 from rcgame.verify import _Budget, _bfs_row, _swap_automorphism_exists
+
+from conftest import graphs
 
 
 def test_retraction_fold_leaf():
@@ -67,6 +71,58 @@ def test_retraction_violations():
     # edge (3,4) maps to the non-adjacent distinct pair (2,0)
     with pytest.raises(NotARetraction, match="non-adjacent"):
         verify_retraction(c5, Retraction(frozenset({0, 1, 2}), (0, 1, 2, 2, 0)))
+
+
+@st.composite
+def accepted_retractions(draw):
+    """A connected graph with a map verify_retraction accepts: a corner fold
+    of a graph with an appended dominated vertex, the projection of a
+    Cartesian product onto one of its layers, or a random map onto a
+    random target that passes the check."""
+    source = draw(st.sampled_from(("fold", "layer", "random")))
+    connected = graphs(min_n=1, max_n=6).filter(is_connected)
+    if source == "layer":
+        g, h = draw(connected), draw(connected)
+        return layer_projection_retraction(g, h, draw(st.integers(0, h.n - 1)))
+    base = draw(connected)
+    if source == "fold":
+        v = draw(st.integers(0, base.n - 1))
+        extra = draw(st.sets(st.sampled_from(base.adj[v]))) if base.adj[v] else set()
+        edges = [*base.edges(), (base.n, v), *((base.n, u) for u in extra)]
+        g = build_graph(base.n + 1, edges)
+        return g, corner_fold_retraction(g)
+    target = draw(st.sets(st.integers(0, base.n - 1), min_size=1))
+    images = sorted(target)
+    mapping = tuple(x if x in target else draw(st.sampled_from(images))
+                    for x in range(base.n))
+    retr = Retraction(frozenset(target), mapping)
+    try:
+        verify_retraction(base, retr)
+    except NotARetraction:
+        assume(False)
+    return base, retr
+
+
+@settings(max_examples=150, deadline=None)
+@given(accepted_retractions())
+def test_accepted_retraction_target_is_isometric(case):
+    """Every map verify_retraction accepts leaves the induced target with
+    the graph's own distances, which is why the check runs no BFS.
+
+    Proof: let x, y be target vertices and x = v_0, ..., v_d = y a shortest
+    path in g. The map fixes x and y, sends every v_i into the target, and
+    sends each edge v_i v_(i+1) to an edge or to a single vertex. So the
+    images form a walk from x to y of at most d edges, and each of its
+    edges joins two target vertices, so it lies in the induced target H.
+    Hence d_H(x, y) <= d_G(x, y); the reverse holds since H is a subgraph
+    of g. In particular H is connected whenever g is.
+    """
+    g, retr = case
+    sub, index = induced_subgraph(g, sorted(retr.target))
+    dg, dh = all_pairs_distances(g), all_pairs_distances(sub)
+    for x in retr.target:
+        for y in retr.target:
+            assert dh[index[x]][index[y]] == dg[x][y]
 
 
 def test_retract_distance_nonexpansion_property():
