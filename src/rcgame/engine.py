@@ -14,13 +14,8 @@ column of states at once. Round t wins every state that round t - 1
 decided, and a state first won in round t has rank t: the number of
 single moves (plies) to guaranteed capture, with the cop minimizing and
 the robber maximizing. A round costs a few bigint operations per column
-that changed in the round before.
-
-radius_capture_number runs the same kernel once over k = 0, 1, ... with
-the closed balls of rcgame.graph as capture targets, once a BFS has ruled
-out a disconnected graph. The pass reads no radius: on a connected graph
-a centre's row is fully captured by k = rad, and the theorem rc <= rad - 1
-is checked where rc is reported.
+that changed in the round before. solve_cwrc and radius_capture_number
+both take the closed balls of rcgame.graph as capture targets.
 """
 
 from __future__ import annotations
@@ -57,8 +52,9 @@ class WinAnalysis:
     c of columns[turn][r] means state (c, r) is won. rounds[t] is the pair
     of dicts {r: bits} of the states first won in round t, so a state's
     rank is the round that holds it, and -1 outside the cop-win region.
-    initial_cop_choices lists the cop start vertices that beat every robber
-    placement.
+    Round 0 holds exactly the capture states, so rank 0 is capture. dm
+    keeps the distance rows for play-outs. initial_cop_choices lists the
+    cop start vertices that beat every robber placement.
     """
 
     graph: Graph
@@ -76,10 +72,11 @@ class WinAnalysis:
         return self.columns[turn][robber] >> cop & 1 == 1
 
     def rank(self, cop: int, robber: int, turn: int = COP_TO_MOVE) -> int:
-        if not self.cop_win(cop, robber, turn):
-            return -1
-        return next(t for t, layer in enumerate(self.rounds)
-                    if layer[turn].get(robber, 0) >> cop & 1)
+        if self.cop_win(cop, robber, turn):
+            for t, layer in enumerate(self.rounds):
+                if layer[turn].get(robber, 0) >> cop & 1:
+                    return t
+        return -1
 
     def _plane(self, turn: int) -> bytearray:
         n = self.graph.n
@@ -198,15 +195,16 @@ def radius_capture_number(g: Graph) -> int | None:
 
     A disconnected g is answered by one BFS before any attractor work.
     Otherwise one incremental attractor pass runs over the closed balls,
-    and no pair distance is stored. The cop-win region only grows with k,
-    so the pass raises k from 0, adds the distance-k states (ball_k) as
-    new capture targets and resumes propagation from the planes left at
-    k - 1. Each state is won at most once over the whole pass, so it costs
-    about one solve at the answer. It stops at the first k where some cop
-    start wins against every robber placement. On a connected graph that
-    is k = rad at the latest: ball_rad of every vertex holds a centre, so
-    the centre's whole row is captured at once. The bound rc <= rad - 1 is
-    checked where rc is reported, not assumed here. Ranks are not recorded.
+    storing no pair distance and no rank. The cop-win region only grows
+    with k, so the pass raises k from 0, adds the distance-k states
+    (ball_k) as new capture targets and resumes propagation from the planes
+    left at k - 1. Each state is won at most once, but in many thin rounds,
+    so the pass costs more than one solve at the answer: on S(6,3) (rc 47)
+    2006 rounds in 0.46 s against 65 in 0.27 s (Python 3.11), on C_400
+    (rc 199) 401 rounds against 3. It stops at the first k where some cop
+    start wins against every robber placement: k = rad at the latest on a
+    connected graph, since ball_rad of every vertex holds a centre. The
+    bound rc <= rad - 1 is checked where rc is reported, not assumed here.
     """
     n = g.n
     if n == 0:
@@ -241,24 +239,25 @@ class Strategy:
     positional: bool = False
 
 
+def _greedy_cop_move(a: WinAnalysis, cop: int, robber: int, t: int) -> int:
+    """The rank-greedy cop's move at a cop-to-move state of rank t: the
+    lowest vertex of N[cop] in robber-to-move round max(t - 1, 0), or -1
+    when that round misses N[cop], as it does outside the cop-win region."""
+    layer = a.rounds[max(t - 1, 0)][ROBBER_TO_MOVE]
+    bits = a.graph.closed_bits[cop] & layer.get(robber, 0)
+    return (bits & -bits).bit_length() - 1
+
+
 def extract_cop_strategy(a: WinAnalysis) -> Strategy:
-    """Rank-greedy winning cop: start at the lowest winning vertex, always
-    move to a closed-neighborhood successor of minimal rank (ties to the
-    lowest vertex index): the lowest bit of N[cop] in the earliest
-    robber-to-move round that meets it. Outside the cop-win region the cop
-    stays."""
+    """Rank-greedy winning cop: start at the lowest winning vertex, move by
+    _greedy_cop_move at the state's rank, and stay where it finds none."""
     if not a.is_cop_win:
         raise NoWinningStrategy(f"cop does not win at radius {a.k}")
-    closed_bits, rounds = a.graph.closed_bits, a.rounds
     start = a.initial_cop_choices[0]
 
     def move(cop: int, robber: int) -> int:
-        reach = closed_bits[cop]
-        for _, layer in rounds:
-            bits = reach & layer.get(robber, 0)
-            if bits:
-                return (bits & -bits).bit_length() - 1
-        return cop
+        y = _greedy_cop_move(a, cop, robber, a.rank(cop, robber))
+        return cop if y < 0 else y
 
     return Strategy("cop", lambda: start, move, "rank-greedy cop", positional=True)
 
@@ -447,9 +446,8 @@ def greedy_chase_cop_strategy(g: Graph, k: int,
     return Strategy("cop", lambda: start, move, "greedy-chase cop", positional=True)
 
 
-def random_cop_strategy(g: Graph, k: int, seed: int) -> Strategy:
-    """Seeded uniformly random cop policy, for robustness play-outs; the
-    moves do not depend on the capture radius k."""
+def random_cop_strategy(g: Graph, seed: int) -> Strategy:
+    """Seeded uniformly random cop policy, for robustness play-outs."""
     rng = random.Random(seed)
     closed = g.closed
 
@@ -465,24 +463,22 @@ def random_cop_strategy(g: Graph, k: int, seed: int) -> Strategy:
 def certify_cop_strategy(a: WinAnalysis) -> int:
     """Exhaustively play the rank-greedy cop against every robber reply.
 
-    Walks the full reachable game tree (at most 2n^2 states), checking that
-    the rank drops on every ply and that each line ends in capture: a cop
-    move from a state of rank t must land in robber-to-move round t - 1,
-    and every robber reply in a cop-to-move round below that, found by
-    scanning down from t - 2. Returns the worst-case number of single moves
-    to capture over all robber placements. Raises InvariantViolation on any
-    escape or rank violation.
+    Walks the reachable game tree (at most 2n^2 states) on the solved
+    rounds alone, carrying each cop-to-move state's rank t; rank 0 is
+    capture. The cop moves by _greedy_cop_move at t, which must find a
+    vertex; every robber reply must lie in a cop-to-move round below t - 1,
+    scanning down from t - 2. Returns the worst-case number of moves to
+    capture; raises InvariantViolation on any escape or rank violation.
     """
-    strat = extract_cop_strategy(a)
-    g, k, n = a.graph, a.k, a.graph.n
-    dm, closed, rounds = a.dm, g.closed, a.rounds
-    cop0 = strat.initial()
+    cop0 = extract_cop_strategy(a).initial()
+    n, closed = a.graph.n, a.graph.closed
+    cop_rounds = [layer[COP_TO_MOVE] for layer in a.rounds]
     seen_cop_states: set[int] = set()
     worst = 0
     for r0 in range(n):
-        if dm[cop0][r0] <= k:
-            continue
         t0 = a.rank(cop0, r0)
+        if t0 == 0:
+            continue
         if t0 < 0:
             raise InvariantViolation(
                 f"placement {r0} escapes the certified cop start {cop0}")
@@ -494,19 +490,19 @@ def certify_cop_strategy(a: WinAnalysis) -> int:
             if state in seen_cop_states:
                 continue
             seen_cop_states.add(state)
-            c2 = strat.move(c, r)
-            if t < 1 or not rounds[t - 1][ROBBER_TO_MOVE].get(r, 0) >> c2 & 1:
+            c2 = _greedy_cop_move(a, c, r, t)
+            if c2 < 0:
                 raise InvariantViolation(
-                    f"cop move {c}->{c2} does not reduce rank at robber {r}")
-            if dm[c2][r] <= k:
-                continue
+                    f"cop move from {c} does not reduce rank at robber {r}")
+            if t == 1:
+                continue                  # c2 is in round 0: capture
             for r2 in closed[r]:
-                if dm[c2][r2] <= k:
-                    continue
-                t2 = next((s for s in range(t - 2, -1, -1)
-                           if rounds[s][COP_TO_MOVE].get(r2, 0) >> c2 & 1), -1)
+                t2 = t - 2
+                while t2 >= 0 and not cop_rounds[t2].get(r2, 0) >> c2 & 1:
+                    t2 -= 1
                 if t2 < 0:
                     raise InvariantViolation(
                         f"robber move {r}->{r2} escapes at cop {c2}")
-                stack.append((c2, r2, t2))
+                if t2:                    # rank 0: the reply is captured
+                    stack.append((c2, r2, t2))
     return worst

@@ -257,7 +257,7 @@ def test_robber_survives_random_cop_policies():
     a = solve_cwrc(c7, 1)
     robber = extract_robber_strategy(a)
     for seed in range(100):
-        t = simulate(c7, 1, random_cop_strategy(c7, 1, seed), robber, 4 * 49)
+        t = simulate(c7, 1, random_cop_strategy(c7, seed), robber, 4 * 49)
         assert t.outcome == "survived"
         _assert_far_enough(t, 1)
 
@@ -568,11 +568,36 @@ def test_certify_rejects_cleared_cop_state(g):
         certify_cop_strategy(_reassign(a, 0, c, r, None))
 
 
+def _assert_bound_attained(g):
+    # the rank-max robber places at the worst rank and each ply lowers the
+    # rank by exactly one, so the play-out takes the certified bound
+    rc = radius_capture_number(g)
+    a = solve_cwrc(g, rc)
+    bound = certify_cop_strategy(a)
+    t = simulate(g, rc, extract_cop_strategy(a), rank_max_robber_strategy(a),
+                 4 * g.n * g.n)
+    assert t.captured and t.moves == bound
+
+
 def test_capture_within_rank_bound():
     for g in [basic_family("cycle", 9), hypercube(3), sierpinski(2, 3)]:
-        rc = radius_capture_number(g)
-        a = solve_cwrc(g, rc)
-        bound = certify_cop_strategy(a)
-        t = simulate(g, rc, extract_cop_strategy(a), rank_max_robber_strategy(a),
-                     4 * g.n * g.n)
-        assert t.captured and t.moves <= bound
+        _assert_bound_attained(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(random_connected_gnp, st.integers(1, 12), st.floats(0.15, 0.7),
+                 st.integers(0, 2 ** 32 - 1)))
+def test_certified_bound_attained_gnp(g):
+    _assert_bound_attained(g)
+
+
+@pytest.mark.parametrize("g", [basic_family("cycle", 9), hypercube(3),
+                               sierpinski(3, 3)])
+def test_certify_reads_no_pair_distance(g):
+    # round 0 holds the capture states, so the certificate reads the
+    # solved rounds only: distance rows of zeros change nothing
+    rc = radius_capture_number(g)
+    zeros = [[0] * g.n for _ in range(g.n)]
+    bound = certify_cop_strategy(solve_cwrc(g, rc))
+    assert bound > 0
+    assert certify_cop_strategy(solve_cwrc(g, rc, zeros)) == bound
