@@ -33,7 +33,7 @@ from .errors import (
     NoEvasionStrategy,
     NoWinningStrategy,
 )
-from .graph import Graph, all_pairs_distances, balls, is_connected
+from .graph import Graph, all_pairs_distances, balls
 
 COP_TO_MOVE = 0
 ROBBER_TO_MOVE = 1
@@ -72,9 +72,21 @@ class WinAnalysis:
         return self.columns[turn][robber] >> cop & 1 == 1
 
     def rank(self, cop: int, robber: int, turn: int = COP_TO_MOVE) -> int:
+        """Capture rank of a state, -1 outside the cop-win region.
+
+        Above 0 a cop-to-move rank is odd and a robber-to-move rank even,
+        by induction: a cop rank is 1 + the least robber rank it can move
+        to, each 0 or even; a robber rank is 1 + the largest cop rank it
+        can move to, each 0 or odd, and staying put leads to an uncaptured
+        state of odd rank. So only round 0 and the rounds of the turn's
+        parity are scanned.
+        """
         if self.cop_win(cop, robber, turn):
-            for t, layer in enumerate(self.rounds):
-                if layer[turn].get(robber, 0) >> cop & 1:
+            rounds = self.rounds
+            if rounds[0][turn].get(robber, 0) >> cop & 1:
+                return 0
+            for t in range(1 + turn, len(rounds), 2):
+                if rounds[t][turn].get(robber, 0) >> cop & 1:
                     return t
         return -1
 
@@ -193,31 +205,66 @@ def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalys
 def radius_capture_number(g: Graph) -> int | None:
     """Least k at which the cop wins, or None when g is disconnected.
 
-    A disconnected g is answered by one BFS before any attractor work.
-    Otherwise one incremental attractor pass runs over the closed balls,
-    storing no pair distance and no rank. The cop-win region only grows
-    with k, so the pass raises k from 0, adds the distance-k states
-    (ball_k) as new capture targets and resumes propagation from the planes
-    left at k - 1. Each state is won at most once, but in many thin rounds,
-    so the pass costs more than one solve at the answer: on S(6,3) (rc 47)
-    2006 rounds in 0.46 s against 65 in 0.27 s (Python 3.11), on C_400
-    (rc 199) 401 rounds against 3. It stops at the first k where some cop
-    start wins against every robber placement: k = rad at the latest on a
-    connected graph, since ball_rad of every vertex holds a centre. The
-    bound rc <= rad - 1 is checked where rc is reported, not assumed here.
+    One closed-ball sweep finds rad, the first k at which some ball is
+    full, keeping only ball_{rad-2}, ball_{rad-1} and ball_rad. On a
+    disconnected g the balls stop growing short of full, and None comes
+    before any attractor work. The cop wins at k = rad, since ball_rad of
+    every vertex holds a centre, and the cop-win region only grows with k.
+    The probes follow the paper's bound rc <= rad - 1, which is tight on
+    most graphs, without assuming it: the bound is checked where rc is
+    reported.
+
+    - Upward: solve at max(rad - 2, 0) from empty planes. While the cop
+      loses, add the next ball as capture targets and resume the same
+      planes in place, at rad - 1 and then at rad; the kernel's flags stay
+      exact, since the region only grows. rc = rad - 1 takes two probes,
+      which decide both sides: on S(6,3) (rc 47) 65 rounds at k = 46 and
+      65 more at k = 47, 0.25 s on Python 3.11.
+    - Downward, when the cop already wins at rad - 2 >= 1: bisect on
+      (lo, hi] = (-1, rad - 2]. Each probe sweeps its ball again from
+      ball_0 and starts from a copy of the fixed-point planes at lo; a
+      winning probe's planes are discarded. That is about log2(rad) probes
+      after the one at rad - 2: on S(4,4) (rc 11, rad 14) five probes and
+      82 rounds.
+
+    So the search holds a fixed number of balls, never one per radius,
+    and at most two pairs of planes.
     """
     n = g.n
     if n == 0:
         raise InvalidParam("empty graph has no radius")
-    if not is_connected(g):
+    full = (1 << n) - 1
+    kept: deque[list[int]] = deque(maxlen=3)
+    for rad, ball in enumerate(balls(g)):
+        kept.append(ball)
+        if full in ball:
+            break
+    else:
         return None
+    low = rad + 1 - len(kept)             # max(rad - 2, 0): kept[0] is ball_low
     win_c, win_r = [0] * n, [0] * n
-    for k, ball in enumerate(balls(g)):
+    for k, ball in enumerate(kept, low):
         for _ in _attract(g, win_c, win_r, ball):
             pass
         if _full_rows(win_c, n):
-            return k
-    raise InvariantViolation("the balls stopped growing with no full cop row")
+            break
+    else:
+        raise InvariantViolation("the cop loses at k = rad, where a centre captures")
+    if k > low:
+        return k
+    lo, hi = -1, k
+    lose_c, lose_r = [0] * n, [0] * n    # the fixed-point planes at lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        ball = next(islice(balls(g), mid, None))
+        win_c, win_r = lose_c.copy(), lose_r.copy()
+        for _ in _attract(g, win_c, win_r, ball):
+            pass
+        if _full_rows(win_c, n):
+            hi = mid
+        else:
+            lo, lose_c, lose_r = mid, win_c, win_r
+    return hi
 
 
 @dataclass(frozen=True)
@@ -249,15 +296,25 @@ def _greedy_cop_move(a: WinAnalysis, cop: int, robber: int, t: int) -> int:
 
 
 def extract_cop_strategy(a: WinAnalysis) -> Strategy:
-    """Rank-greedy winning cop: start at the lowest winning vertex, move by
-    _greedy_cop_move at the state's rank, and stay where it finds none."""
+    """Rank-greedy winning cop: start at the lowest winning vertex and move
+    by _greedy_cop_move at the state's rank.
+
+    On a connected graph a cop that wins from one start wins every
+    cop-to-move state (walk to that start, then play it), so a state of
+    rank -1, or one whose round below holds no closed neighbour, means a
+    tampered analysis and raises InvariantViolation.
+    """
     if not a.is_cop_win:
         raise NoWinningStrategy(f"cop does not win at radius {a.k}")
     start = a.initial_cop_choices[0]
 
     def move(cop: int, robber: int) -> int:
-        y = _greedy_cop_move(a, cop, robber, a.rank(cop, robber))
-        return cop if y < 0 else y
+        t = a.rank(cop, robber)
+        y = _greedy_cop_move(a, cop, robber, t) if t >= 0 else -1
+        if y < 0:
+            raise InvariantViolation(
+                f"no rank-reducing cop move at state (cop={cop}, robber={robber})")
+        return y
 
     return Strategy("cop", lambda: start, move, "rank-greedy cop", positional=True)
 
@@ -466,9 +523,10 @@ def certify_cop_strategy(a: WinAnalysis) -> int:
     Walks the reachable game tree (at most 2n^2 states) on the solved
     rounds alone, carrying each cop-to-move state's rank t; rank 0 is
     capture. The cop moves by _greedy_cop_move at t, which must find a
-    vertex; every robber reply must lie in a cop-to-move round below t - 1,
-    scanning down from t - 2. Returns the worst-case number of moves to
-    capture; raises InvariantViolation on any escape or rank violation.
+    vertex; every robber reply must lie in a cop-to-move round below t - 1:
+    round 0, or an odd round (see WinAnalysis.rank), scanning down by 2
+    from t - 2. Returns the worst-case number of moves to capture; raises
+    InvariantViolation on any escape or rank violation.
     """
     cop0 = extract_cop_strategy(a).initial()
     n, closed = a.graph.n, a.graph.closed
@@ -498,11 +556,11 @@ def certify_cop_strategy(a: WinAnalysis) -> int:
                 continue                  # c2 is in round 0: capture
             for r2 in closed[r]:
                 t2 = t - 2
-                while t2 >= 0 and not cop_rounds[t2].get(r2, 0) >> c2 & 1:
-                    t2 -= 1
-                if t2 < 0:
+                while t2 > 0 and not cop_rounds[t2].get(r2, 0) >> c2 & 1:
+                    t2 -= 2
+                if t2 > 0:
+                    stack.append((c2, r2, t2))
+                elif not cop_rounds[0].get(r2, 0) >> c2 & 1:
                     raise InvariantViolation(
                         f"robber move {r}->{r2} escapes at cop {c2}")
-                if t2:                    # rank 0: the reply is captured
-                    stack.append((c2, r2, t2))
     return worst

@@ -6,15 +6,16 @@ sorted tuples for iteration and as one bitmask per vertex for constant
 time membership tests; closed neighbourhoods N[v] = adj[v] + {v} are
 kept the same two ways.
 
-Each distance fact has one source. is_connected, one BFS, answers
-connectivity. The closed-ball sweep (balls) grows one bitset per vertex a
-hop at a time, bit-parallel BFS in the style of Akiba, Iwata and Yoshida
-(SIGMOD 2013). eccentricities reads every eccentricity (so rad, diam and
-the centres) off it, and the rc pass of the engine reads the balls
-directly. All-pairs distances (APSP) are bare BFS rows, built only for
-callers that read pair distances, and only on connected graphs; such a
-caller reads rad and diam off its rows, whose maxima are the
-eccentricities.
+is_connected, one BFS, answers connectivity before eccentricities and
+APSP. The closed-ball sweep (balls) grows one bitset per vertex a hop at
+a time, bit-parallel BFS in the style of Akiba, Iwata and Yoshida (SIGMOD
+2013). eccentricities reads every eccentricity (so rad, diam and the
+centres) off it, and the rc search of the engine reads the balls
+directly, connectivity included: on a disconnected graph they stop
+growing short of full. All-pairs distances (APSP) are bare BFS rows,
+built only for callers that read pair distances, and only on connected
+graphs; such a caller reads rad and diam off its rows, whose maxima are
+the eccentricities.
 """
 
 from __future__ import annotations

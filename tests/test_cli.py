@@ -392,9 +392,9 @@ def test_failing_theorems_carry_counterexamples(capsys, monkeypatch):
 
 
 def test_compute_record_ball_sweeps(monkeypatch):
-    # eccentricities gives the row's rad and diam, and the rc pass reads its
-    # own balls: two sweeps on a connected graph, none on a disconnected one,
-    # which a BFS answers first
+    # eccentricities gives the row's rad and diam, and the rc search reads
+    # its own balls: two sweeps on a connected graph whose rc is rad - 1,
+    # none on a disconnected one, which a BFS answers first
     real, started = graph.balls, []
 
     def counted(g):

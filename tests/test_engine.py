@@ -4,9 +4,11 @@ import itertools
 import random
 from dataclasses import replace
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rcgame import engine
 from rcgame.engine import (
     Strategy,
     certify_cop_strategy,
@@ -87,7 +89,7 @@ def test_rc_beyond_one_machine_word():
 
 
 def test_rc_disconnected_needs_no_attractor(monkeypatch):
-    # a disconnected graph is answered by one BFS before any attractor round
+    # the ball sweep answers a disconnected graph before any attractor round
     def no_attractor(*args):
         raise AssertionError("attractor ran on a disconnected graph")
 
@@ -98,8 +100,38 @@ def test_rc_disconnected_needs_no_attractor(monkeypatch):
     assert radius_capture_number(build_graph(3, [])) is None
 
 
+def _lollipop(cycle, path):
+    """C_cycle with a path of `path` more vertices hung from vertex 0: rc
+    stays near the cycle's while rad grows with the path."""
+    edges = [(i, (i + 1) % cycle) for i in range(cycle)]
+    edges += [(cycle + j - 1 if j else 0, cycle + j) for j in range(path)]
+    return build_graph(cycle + path, edges)
+
+
+@pytest.mark.parametrize("g,rc,probes", [
+    (basic_family("complete", 1), 0, 1),
+    (basic_family("cycle", 10), 4, 2),      # rad 5: loses at 3, resumed wins at 4
+    (sierpinski(3, 3), 5, 2),               # rad 6
+    (basic_family("path", 9), 0, 2),        # rad 4: wins at 2, then at 0
+    (sierpinski(4, 4), 11, 5),              # rad 14: wins at 12; 5, 8, 10 lose
+    (_lollipop(9, 30), 3, 5),               # rad 17: wins at 15, 7, 3; 1, 2 lose
+])
+def test_rc_probes_follow_the_radius_bound(monkeypatch, g, rc, probes):
+    # one attractor call per probe: rc = rad - 1 takes two, and a cop that
+    # already wins at rad - 2 sends the search bisecting below it
+    real, calls = engine._attract, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_attract", counted)
+    assert radius_capture_number(g) == rc
+    assert len(calls) == probes
+
+
 def per_k_scan(g):
-    """Reference for the incremental pass: the least k at which a fresh
+    """Reference for the rc search: the least k at which a fresh
     solve_cwrc is a cop win (some k <= diam always is)."""
     dm = all_pairs_distances(g)
     return next(k for k in itertools.count() if solve_cwrc(g, k, dm).is_cop_win)
@@ -108,7 +140,8 @@ def per_k_scan(g):
 def test_rc_matches_per_k_scan():
     for g in [basic_family("cycle", 9), basic_family("path", 6), hypercube(3),
               generalized_johnson(5, 2, 0), sierpinski(3, 3),
-              basic_family("complete", 1)]:
+              basic_family("complete", 1), _lollipop(8, 12), _lollipop(10, 16),
+              _lollipop(9, 30)]:
         assert radius_capture_number(g) == per_k_scan(g)
 
 
@@ -157,7 +190,7 @@ def _gnp(n, p, seed):
 @example(build_graph(3, []))
 @example(build_graph(4, [(0, 1), (1, 2), (0, 2)]))
 def test_rc_property_small_gnp(g):
-    # the pass decides connectivity itself: a disconnected draw gives None
+    # the search decides connectivity itself: a disconnected draw gives None
     rc = radius_capture_number(g)
     assert rc == naive_rc_oracle(g)
     ecc = eccentricities(g)
@@ -165,6 +198,24 @@ def test_rc_property_small_gnp(g):
         assert rc is None
     else:
         assert girth(g) // 2 - 1 <= rc <= min(ecc) - 1
+
+
+def test_rc_census_connected_atlas():
+    # the 996 connected graphs on 1..7 vertices of networkx's bundled atlas;
+    # the search stays on its upward branch on the 707 with
+    # rc = max(0, rad - 1) and takes the downward one on the 289 where the
+    # cop already wins at rad - 2
+    split = {"up": 0, "down": 0}
+    for G in nx.graph_atlas_g():
+        if G.number_of_nodes() == 0 or not nx.is_connected(G):
+            continue
+        g = build_graph(G.number_of_nodes(), list(G.edges()))
+        rc = radius_capture_number(g)
+        assert rc == naive_rc_oracle(g)
+        rad = min(eccentricities(g))
+        assert max(0, girth(g) // 2 - 1) <= rc <= max(0, rad - 1)
+        split["down" if rc < rad - 1 else "up"] += 1
+    assert split == {"up": 707, "down": 289}
 
 
 def test_oracle_examples():
@@ -207,6 +258,17 @@ def test_cop_strategy_exhaustive_random():
                                  rng.getrandbits(32))
         rc = radius_capture_number(g)
         certify_cop_strategy(solve_cwrc(g, rc))
+
+
+@pytest.mark.parametrize("g", [basic_family("cycle", 8), sierpinski(3, 3)])
+def test_cop_move_raises_on_cleared_state(g):
+    # a cop-win analysis has full cop-to-move planes, so a state of rank -1
+    # comes from tampering: the cop raises instead of staying put
+    a = solve_cwrc(g, radius_capture_number(g))
+    c, r = next((c, r) for c in range(g.n) for r in range(g.n) if a.rank(c, r) > 0)
+    cop = extract_cop_strategy(_reassign(a, 0, c, r, None))
+    with pytest.raises(InvariantViolation, match="no rank-reducing cop move"):
+        cop.move(c, r)
 
 
 def test_strategy_extraction_preconditions():
@@ -505,6 +567,19 @@ def test_ranks_meet_rank_equations(g, k):
                    for c in range(n) for r in range(n))
         assert bytes(plane).count(1) == sum(bin(col).count("1")
                                             for col in a.columns[turn])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(random_connected_gnp, st.integers(1, 12), st.floats(0.15, 0.7),
+                 st.integers(0, 2 ** 32 - 1)))
+@example(basic_family("cycle", 9))
+@example(sierpinski(2, 3))
+def test_rank_parity_gnp(g):
+    # past round 0, odd rounds win only cop-to-move states and even rounds
+    # only robber-to-move ones, which the rank scans rely on
+    for k in range(min(eccentricities(g)) + 1):
+        for t, (cop, robber) in enumerate(solve_cwrc(g, k).rounds[1:], 1):
+            assert not (robber if t % 2 else cop)
 
 
 def _reassign(a, turn, c, r, into):
