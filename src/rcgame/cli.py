@@ -80,10 +80,11 @@ def _safe_id(text: str) -> str:
     return text.replace(",", "_")
 
 
-def _read_graphs(args):
+def _read_graphs(args, guard: int):
     """Yield (id, graph, error) from --instance or the input path, one
     record at a time so a batch never holds more than one graph. error is
-    the parse message, and graph None, for a record that does not parse."""
+    the message, and graph None, for a record that does not parse or whose
+    edge-list header exceeds the vertex cap guard."""
     if args.instance:
         yield args.instance, named_instance(args.instance), None
         return
@@ -98,7 +99,7 @@ def _read_graphs(args):
         stem = _safe_id(os.path.splitext(os.path.basename(args.input))[0])
     if args.format == "edgelist":
         try:
-            g = parse_edge_list(text)
+            g = parse_edge_list(text, guard)
         except GraphGameError as exc:
             yield stem, None, str(exc)
         else:
@@ -119,7 +120,7 @@ def cmd_compute(args) -> int:
     guard = _size_guard_from_env()
     records = []
     failed = False
-    for gid, g, problem in _read_graphs(args):
+    for gid, g, problem in _read_graphs(args, guard):
         if problem is None:
             try:
                 check_cap(g.n, guard)
@@ -189,7 +190,7 @@ def _graph_for_strategy(args) -> tuple[str, Graph]:
         kind, *raw = args.family
         gid, _, g = _family_graph(kind, raw, args.seed, guard)
     elif args.input:
-        graphs = list(_read_graphs(args))
+        graphs = list(_read_graphs(args, guard))
         errors = [f"{gid}: {problem}" for gid, _, problem in graphs if problem]
         if errors:
             raise ParseError("; ".join(errors))

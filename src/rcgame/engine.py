@@ -175,6 +175,14 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], targets: list[int]):
             win_r[r] |= bits
 
 
+def _ball(g: Graph, k: int) -> list[int]:
+    """ball_k of rcgame.graph.balls, or the last ball when k is past the
+    diameter."""
+    for ball in islice(balls(g), k + 1):
+        pass
+    return ball
+
+
 def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalysis:
     """Decide whether the cop wins the radius-k game on connected g
     (NotConnected otherwise, from the pair distances; InvalidParam when g
@@ -193,10 +201,8 @@ def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalys
         raise InvalidParam("empty graph has no radius")
     if dm is None:
         dm = all_pairs_distances(g)
-    for _, ball in zip(range(k + 1), balls(g)):   # ball_k, or all of g past diam
-        pass
     win_c, win_r = [0] * n, [0] * n
-    rounds = list(_attract(g, win_c, win_r, ball))
+    rounds = list(_attract(g, win_c, win_r, _ball(g, k)))
     full = _full_rows(win_c, n)
     choices = tuple(c for c in range(n) if full >> c & 1)
     return WinAnalysis(g, k, dm, (win_c, win_r), rounds, choices)
@@ -206,64 +212,49 @@ def radius_capture_number(g: Graph) -> int | None:
     """Least k at which the cop wins, or None when g is disconnected.
 
     One closed-ball sweep finds rad, the first k at which some ball is
-    full, keeping only ball_{rad-2}, ball_{rad-1} and ball_rad. On a
-    disconnected g the balls stop growing short of full, and None comes
-    before any attractor work. The cop wins at k = rad, since ball_rad of
-    every vertex holds a centre, and the cop-win region only grows with k.
-    The probes follow the paper's bound rc <= rad - 1, which is tight on
-    most graphs, without assuming it: the bound is checked where rc is
-    reported.
+    full, keeping only its last three balls. On a disconnected g the balls
+    stop growing short of full, and None comes before any attractor work.
+    The cop wins at k = rad, since ball_rad of every vertex holds a centre,
+    and the cop-win region only grows with k.
 
-    - Upward: solve at max(rad - 2, 0) from empty planes. While the cop
-      loses, add the next ball as capture targets and resume the same
-      planes in place, at rad - 1 and then at rad; the kernel's flags stay
-      exact, since the region only grows. rc = rad - 1 takes two probes,
-      which decide both sides: on S(6,3) (rc 47) 65 rounds at k = 46 and
-      65 more at k = 47, 0.25 s on Python 3.11.
-    - Downward, when the cop already wins at rad - 2 >= 1: bisect on
-      (lo, hi] = (-1, rad - 2]. Each probe sweeps its ball again from
-      ball_0 and starts from a copy of the fixed-point planes at lo; a
-      winning probe's planes are discarded. That is about log2(rad) probes
-      after the one at rad - 2: on S(4,4) (rc 11, rad 14) five probes and
-      82 rounds.
+    So the search bisects on (lo, hi] = (-1, rad]. Its first probe is at
+    max(rad - 2, 0), after the paper's bound rc <= rad - 1, which is tight
+    on most graphs; the bound is not assumed, but checked where rc is
+    reported. Every later probe is at (lo + hi) // 2. A probe solves from
+    a copy of the fixed-point planes at lo (empty at first): the kernel's
+    flags stay exact, since the region only grows with k. A losing probe's
+    planes become those at lo, a winning probe's are dropped. rc = rad - 1
+    takes two probes, at rad - 2 and rad - 1: on S(6,3) (rc 47) 65 rounds
+    each. A cop that already wins at rad - 2 takes about log2(rad) more:
+    on S(4,4) (rc 11, rad 14) five probes and 82 rounds.
 
-    So the search holds a fixed number of balls, never one per radius,
+    A probe reads its ball from the three kept, or else sweeps it again,
+    so the search holds a fixed number of balls, never one per radius,
     and at most two pairs of planes.
     """
     n = g.n
     if n == 0:
         raise InvalidParam("empty graph has no radius")
     full = (1 << n) - 1
-    kept: deque[list[int]] = deque(maxlen=3)
+    kept: dict[int, list[int]] = {}
     for rad, ball in enumerate(balls(g)):
-        kept.append(ball)
+        kept[rad] = ball
+        kept.pop(rad - 3, None)
         if full in ball:
             break
     else:
         return None
-    low = rad + 1 - len(kept)             # max(rad - 2, 0): kept[0] is ball_low
-    win_c, win_r = [0] * n, [0] * n
-    for k, ball in enumerate(kept, low):
-        for _ in _attract(g, win_c, win_r, ball):
-            pass
-        if _full_rows(win_c, n):
-            break
-    else:
-        raise InvariantViolation("the cop loses at k = rad, where a centre captures")
-    if k > low:
-        return k
-    lo, hi = -1, k
+    lo, hi, k = -1, rad, max(rad - 2, 0)
     lose_c, lose_r = [0] * n, [0] * n    # the fixed-point planes at lo
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        ball = next(islice(balls(g), mid, None))
         win_c, win_r = lose_c.copy(), lose_r.copy()
-        for _ in _attract(g, win_c, win_r, ball):
+        for _ in _attract(g, win_c, win_r, kept[k] if k in kept else _ball(g, k)):
             pass
         if _full_rows(win_c, n):
-            hi = mid
+            hi = k
         else:
-            lo, lose_c, lose_r = mid, win_c, win_r
+            lo, lose_c, lose_r = k, win_c, win_r
+        k = (lo + hi) // 2
     return hi
 
 

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvalidParam, InvariantViolation, ParseError
+from .generators import DEFAULT_SIZE_GUARD, check_cap
 from .graph import Graph, build_graph
 
 _G6_HEADER = b">>graph6<<"
@@ -102,8 +103,9 @@ def write_graph6(g: Graph) -> str:
     return out.decode("ascii")
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Edge-list text: first line "n <count>", then one "u v" per line."""
+def parse_edge_list(text: str, size_guard: int = DEFAULT_SIZE_GUARD) -> Graph:
+    """Edge-list text: first line "n <count>", then one "u v" per line. A
+    count above size_guard raises SizeGuard before anything is built."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty edge-list input", line=1)
@@ -116,6 +118,7 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"bad vertex count {head[1]!r}", line=1) from None
     if n < 0:
         raise ParseError(f"negative vertex count {n}", line=1)
+    check_cap(n, size_guard)
     edges = []
     for no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():

@@ -278,6 +278,19 @@ def test_size_guard_env(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+def test_edge_list_cap_before_building(capsys, monkeypatch):
+    # the header alone is checked, so a huge count allocates nothing
+    def no_build(*args):
+        raise AssertionError("built a graph over the vertex cap")
+
+    monkeypatch.setattr("rcgame.ioformats.build_graph", no_build)
+    for argv in (["compute"], ["strategy", "-k", "0", "--role", "cop"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO("n 70000\n0 1\n"))
+        code, _, err = run(capsys, *argv, "--format", "edgelist", "-")
+        assert code == 2
+        assert "70000 vertices exceeds the cap 65536" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["compute", "--format", "dot"]) == 2
     assert main(["verify", "imaginary-suite"]) == 2

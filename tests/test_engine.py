@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import networkx as nx
@@ -37,7 +38,15 @@ from rcgame.generators import (
     random_connected_gnp,
     sierpinski,
 )
-from rcgame.graph import all_pairs_distances, build_graph, eccentricities, girth
+from rcgame.graph import (
+    all_pairs_distances,
+    balls,
+    build_graph,
+    eccentricities,
+    girth,
+    induced_subgraph,
+)
+from rcgame.verify import check_retract_monotonicity, corner_fold_retraction
 
 
 def test_solve_c4():
@@ -108,26 +117,29 @@ def _lollipop(cycle, path):
     return build_graph(cycle + path, edges)
 
 
+# a row's id ends in its probe count
 @pytest.mark.parametrize("g,rc,probes", [
-    (basic_family("complete", 1), 0, 1),
-    (basic_family("cycle", 10), 4, 2),      # rad 5: loses at 3, resumed wins at 4
-    (sierpinski(3, 3), 5, 2),               # rad 6
-    (basic_family("path", 9), 0, 2),        # rad 4: wins at 2, then at 0
-    (sierpinski(4, 4), 11, 5),              # rad 14: wins at 12; 5, 8, 10 lose
-    (_lollipop(9, 30), 3, 5),               # rad 17: wins at 15, 7, 3; 1, 2 lose
-])
+    (basic_family("complete", 1), 0, []),   # rad 0: no probe, the cop wins at rad
+    (basic_family("cycle", 10), 4, [3, 4]),  # rad 5: loses at 3, wins at 4
+    (sierpinski(3, 3), 5, [4, 5]),          # rad 6
+    (basic_family("path", 9), 0, [2, 0]),   # rad 4: wins at 2, then at 0
+    (sierpinski(4, 4), 11, [12, 5, 8, 10, 11]),  # rad 14: 5, 8, 10 lose
+    (_lollipop(9, 30), 3, [15, 7, 3, 1, 2]),     # rad 17: 1, 2 lose
+    (basic_family("complete", 5), 0, [0]),  # rad 1
+], ids=lambda v: str(len(v)) if isinstance(v, list) else None)
 def test_rc_probes_follow_the_radius_bound(monkeypatch, g, rc, probes):
-    # one attractor call per probe: rc = rad - 1 takes two, and a cop that
-    # already wins at rad - 2 sends the search bisecting below it
+    # one attractor call per probe, at max(rad - 2, 0) first and then
+    # bisecting; each call's k is the ball its targets equal
     real, calls = engine._attract, []
+    every_ball = list(balls(g))
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(g, win_c, win_r, targets):
+        calls.append(every_ball.index(targets))
+        return real(g, win_c, win_r, targets)
 
     monkeypatch.setattr(engine, "_attract", counted)
     assert radius_capture_number(g) == rc
-    assert len(calls) == probes
+    assert calls == probes
 
 
 def per_k_scan(g):
@@ -201,11 +213,14 @@ def test_rc_property_small_gnp(g):
 
 
 def test_rc_census_connected_atlas():
-    # the 996 connected graphs on 1..7 vertices of networkx's bundled atlas;
-    # the search stays on its upward branch on the 707 with
-    # rc = max(0, rad - 1) and takes the downward one on the 289 where the
-    # cop already wins at rad - 2
-    split = {"up": 0, "down": 0}
+    # the 996 connected graphs on 1..7 vertices of networkx's bundled atlas.
+    # rc = 0 exactly on the dismantlable ones (Nowakowski and Winkler), those
+    # that corner folds take down to one vertex, and no fold raises rc.
+    # split says whether the search's first probe, at rad - 2, wins: it does
+    # on the 289 graphs with rc < rad - 1, and the search bisects below it;
+    # on the other 707 it loses, or rad < 2 and there is no probe at rad - 2
+    split = {"wins": 0, "loses or rad < 2": 0}
+    slack, folded, dismantlable = Counter(), 0, 0
     for G in nx.graph_atlas_g():
         if G.number_of_nodes() == 0 or not nx.is_connected(G):
             continue
@@ -214,8 +229,20 @@ def test_rc_census_connected_atlas():
         assert rc == naive_rc_oracle(g)
         rad = min(eccentricities(g))
         assert max(0, girth(g) // 2 - 1) <= rc <= max(0, rad - 1)
-        split["down" if rc < rad - 1 else "up"] += 1
-    assert split == {"up": 707, "down": 289}
+        split["wins" if rc < rad - 1 else "loses or rad < 2"] += 1
+        slack[max(0, rad - 1) - rc] += 1
+        fold, h = corner_fold_retraction(g), g
+        if fold is not None:
+            folded += 1
+            assert check_retract_monotonicity(g, fold).passed
+        while fold is not None:
+            h, _ = induced_subgraph(h, sorted(fold.target))
+            fold = corner_fold_retraction(h)
+        assert (rc == 0) == (h.n == 1)
+        dismantlable += h.n == 1
+    assert split == {"wins": 289, "loses or rad < 2": 707}
+    assert slack == {0: 707, 1: 280, 2: 9}
+    assert (folded, dismantlable) == (937, 496)
 
 
 def test_oracle_examples():
