@@ -13,9 +13,15 @@ marks state (c, r) as won, so a single bigint AND or OR settles a whole
 column of states at once. Round t wins every state that round t - 1
 decided, and a state first won in round t has rank t: the number of
 single moves (plies) to guaranteed capture, with the cop minimizing and
-the robber maximizing. A round costs a few bigint operations per column
-that changed in the round before. solve_cwrc and radius_capture_number
-both take the closed balls of rcgame.graph as capture targets.
+the robber maximizing. solve_cwrc and radius_capture_number both take
+the closed balls of rcgame.graph as capture targets: ball_k, and ball_{k+1}
+for the first cop step.
+
+A round's cop step costs one bigint AND-NOT per column in round 1, which
+reads the cops next to the capture states off ball_{k+1}, and one OR of a
+closed-neighbourhood mask per newly won robber-to-move state after that.
+Its robber step costs one AND per closed neighbour of each column next to
+a column whose cop-to-move states changed.
 """
 
 from __future__ import annotations
@@ -118,14 +124,16 @@ def _full_rows(win_c: list[int], n: int) -> int:
     return full
 
 
-def _attract(g: Graph, win_c: list[int], win_r: list[int], targets: list[int]):
-    """Add capture targets to the cop-win region and propagate backwards,
-    one level per round.
+def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
+             grown: list[int]):
+    """Add the capture states ball to the cop-win region and propagate
+    backwards, one level per round.
 
     win_c and win_r are the cop-to-move and robber-to-move planes: bit c
-    of win_c[r] means state (c, r) is won. targets[r] is the bitset of
-    cops that capture a robber at r; those not yet won are won in both
-    planes in round 0. Round t reads the planes left by round t - 1:
+    of win_c[r] means state (c, r) is won. ball[r] is the bitset of cops
+    that capture a robber at r, ball_k of rcgame.graph.balls; those not yet
+    won are won in both planes in round 0. grown is ball_{k+1}. Round t
+    reads the planes left by round t - 1:
 
     - cop step: (c, r) is won once the cop can move onto a robber-to-move
       state (y, r) won in round t - 1, i.e. c is in N[y];
@@ -136,12 +144,18 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], targets: list[int]):
     yielded as ({r: bits} cop to move, {r: bits} robber to move). A state
     first won in round t thus has rank t = 1 + the least (cop) or largest
     (robber) rank among its successors. The generator ends at the fixed
-    point. On planes left by an earlier call the flags are still exact,
-    since the region only grows with the targets.
+    point.
+
+    The input planes must be a fixed point: empty, or left by an earlier
+    call at a smaller k. Their flags then stay exact, since the region only
+    grows with k, and round 1's cop step is grown[r] & ~win_c[r]: the cops
+    next to ball_k[r] are ball_{k+1}[r], and a cop next to a robber-to-move
+    state won before round 0 is already in win_c. Later cop steps OR the
+    closed neighbourhoods of the newly won states, one set bit at a time.
     """
     closed, closed_bits = g.closed, g.closed_bits
     cop, robber = {}, {}
-    for r, bits in enumerate(targets):
+    for r, bits in enumerate(ball):
         fresh = bits & ~win_c[r]
         if fresh:
             cop[r] = fresh
@@ -150,19 +164,27 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], targets: list[int]):
         if fresh:
             robber[r] = fresh
             win_r[r] |= fresh
+    first = True
     while cop or robber:
         yield cop, robber
         new_c, new_r = cop, robber
         cop, robber = {}, {}
-        for r, bits in new_r.items():
-            reach = 0
-            while bits:
-                low = bits & -bits
-                reach |= closed_bits[low.bit_length() - 1]
-                bits ^= low
-            reach &= ~win_c[r]
-            if reach:
-                cop[r] = reach
+        if first:
+            first = False
+            for r, bits in enumerate(grown):
+                reach = bits & ~win_c[r]
+                if reach:
+                    cop[r] = reach
+        else:
+            for r, bits in new_r.items():
+                reach = 0
+                while bits:
+                    low = bits & -bits
+                    reach |= closed_bits[low.bit_length() - 1]
+                    bits ^= low
+                reach &= ~win_c[r]
+                if reach:
+                    cop[r] = reach
         for r in {x for y in new_c for x in closed[y]}:
             safe = ~win_r[r]
             for y in closed[r]:
@@ -175,12 +197,14 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], targets: list[int]):
             win_r[r] |= bits
 
 
-def _ball(g: Graph, k: int) -> list[int]:
-    """ball_k of rcgame.graph.balls, or the last ball when k is past the
-    diameter."""
-    for ball in islice(balls(g), k + 1):
-        pass
-    return ball
+def _ball(g: Graph, k: int) -> tuple[list[int], list[int]]:
+    """(ball_k, ball_{k+1}) of rcgame.graph.balls, from one sweep that keeps
+    two balls; past the diameter both are the last ball."""
+    ball = grown = None
+    for i, grown in enumerate(islice(balls(g), k + 2)):
+        if i <= k:
+            ball = grown
+    return ball, grown
 
 
 def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalysis:
@@ -202,7 +226,7 @@ def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalys
     if dm is None:
         dm = all_pairs_distances(g)
     win_c, win_r = [0] * n, [0] * n
-    rounds = list(_attract(g, win_c, win_r, _ball(g, k)))
+    rounds = list(_attract(g, win_c, win_r, *_ball(g, k)))
     full = _full_rows(win_c, n)
     choices = tuple(c for c in range(n) if full >> c & 1)
     return WinAnalysis(g, k, dm, (win_c, win_r), rounds, choices)
@@ -228,9 +252,11 @@ def radius_capture_number(g: Graph) -> int | None:
     each. A cop that already wins at rad - 2 takes about log2(rad) more:
     on S(4,4) (rc 11, rad 14) five probes and 82 rounds.
 
-    A probe reads its ball from the three kept, or else sweeps it again,
-    so the search holds a fixed number of balls, never one per radius,
-    and at most two pairs of planes.
+    A probe at k needs ball_k and ball_{k+1}, the capture states and their
+    dilation (see _attract). The probes at rad - 2 and rad - 1 read both
+    from the three kept; any other probe sweeps them again with _ball. So
+    the search holds the three kept balls and _ball's two, never one per
+    radius, and at most two pairs of planes.
     """
     n = g.n
     if n == 0:
@@ -248,7 +274,8 @@ def radius_capture_number(g: Graph) -> int | None:
     lose_c, lose_r = [0] * n, [0] * n    # the fixed-point planes at lo
     while hi - lo > 1:
         win_c, win_r = lose_c.copy(), lose_r.copy()
-        for _ in _attract(g, win_c, win_r, kept[k] if k in kept else _ball(g, k)):
+        pair = (kept[k], kept[k + 1]) if k in kept else _ball(g, k)
+        for _ in _attract(g, win_c, win_r, *pair):
             pass
         if _full_rows(win_c, n):
             hi = k

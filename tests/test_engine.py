@@ -133,9 +133,9 @@ def test_rc_probes_follow_the_radius_bound(monkeypatch, g, rc, probes):
     real, calls = engine._attract, []
     every_ball = list(balls(g))
 
-    def counted(g, win_c, win_r, targets):
+    def counted(g, win_c, win_r, targets, grown):
         calls.append(every_ball.index(targets))
-        return real(g, win_c, win_r, targets)
+        return real(g, win_c, win_r, targets, grown)
 
     monkeypatch.setattr(engine, "_attract", counted)
     assert radius_capture_number(g) == rc
@@ -243,6 +243,85 @@ def test_rc_census_connected_atlas():
     assert split == {"wins": 289, "loses or rad < 2": 707}
     assert slack == {0: 707, 1: 280, 2: 9}
     assert (folded, dismantlable) == (937, 496)
+
+
+def _attract_per_bit(g, win_c, win_r, targets):
+    """Reference kernel: _attract with the per-bit cop step in every round,
+    round 1 included, so it needs no ball_{k+1}."""
+    closed, closed_bits = g.closed, g.closed_bits
+    cop, robber = {}, {}
+    for r, bits in enumerate(targets):
+        fresh = bits & ~win_c[r]
+        if fresh:
+            cop[r] = fresh
+            win_c[r] |= fresh
+        fresh = bits & ~win_r[r]
+        if fresh:
+            robber[r] = fresh
+            win_r[r] |= fresh
+    while cop or robber:
+        yield cop, robber
+        new_c, new_r = cop, robber
+        cop, robber = {}, {}
+        for r, bits in new_r.items():
+            reach = 0
+            for y in range(g.n):
+                if bits >> y & 1:
+                    reach |= closed_bits[y]
+            reach &= ~win_c[r]
+            if reach:
+                cop[r] = reach
+        for r in {x for y in new_c for x in closed[y]}:
+            safe = ~win_r[r]
+            for y in closed[r]:
+                safe &= win_c[y]
+            if safe:
+                robber[r] = safe
+        for r, bits in cop.items():
+            win_c[r] |= bits
+        for r, bits in robber.items():
+            win_r[r] |= bits
+
+
+def _assert_attract_matches_per_bit(g):
+    # from empty planes at every k up to diam, and from the fixed-point
+    # planes at every j < k: the same rounds, in the same order, and the
+    # same final planes; _ball(g, k) is (ball_k, ball_{k+1}), capped at
+    # the last ball
+    every = list(balls(g))
+    last = len(every) - 1
+    for k in range(last + 2):
+        assert engine._ball(g, k) == (every[min(k, last)], every[min(k + 1, last)])
+    fixed = []                        # the fixed-point planes at each j < k
+    for k in range(last + 1):
+        for start_c, start_r in [([0] * g.n, [0] * g.n), *fixed]:
+            want_c, want_r = start_c.copy(), start_r.copy()
+            want = list(_attract_per_bit(g, want_c, want_r, every[k]))
+            got_c, got_r = start_c.copy(), start_r.copy()
+            got = list(engine._attract(g, got_c, got_r, *engine._ball(g, k)))
+            assert [(list(c.items()), list(r.items())) for c, r in got] == \
+                [(list(c.items()), list(r.items())) for c, r in want]
+            assert (got_c, got_r) == (want_c, want_r)
+        fixed.append((want_c, want_r))   # the planes at k, as resumed last
+
+
+def test_attract_round_one_matches_per_bit_atlas():
+    # every connected graph on 1..7 vertices of networkx's bundled atlas
+    for G in nx.graph_atlas_g():
+        if G.number_of_nodes() and nx.is_connected(G):
+            _assert_attract_matches_per_bit(
+                build_graph(G.number_of_nodes(), list(G.edges())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(_gnp, st.integers(1, 14), st.floats(0.0, 0.8),
+                 st.integers(0, 2 ** 32 - 1)))
+@example(sierpinski(3, 3))
+@example(_lollipop(6, 5))
+def test_attract_round_one_matches_per_bit_gnp(g):
+    # disconnected draws too: past the largest component's diameter the
+    # balls stop growing, and the last ball is its own dilation
+    _assert_attract_matches_per_bit(g)
 
 
 def test_oracle_examples():
