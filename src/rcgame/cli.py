@@ -33,7 +33,6 @@ from .errors import (
     UnknownInstance,
 )
 from .generators import (
-    DEFAULT_SIZE_GUARD,
     FamilySpec,
     NAMED_INSTANCES,
     build_family,
@@ -46,19 +45,6 @@ from .ioformats import ResultRecord, emit_results, parse_edge_list, parse_graph6
 from .verify import SUITE_NAMES, run_suite
 
 
-def _size_guard_from_env() -> int:
-    raw = os.environ.get("RC_SIZE_GUARD")
-    if raw is None:
-        return DEFAULT_SIZE_GUARD
-    try:
-        guard = int(raw)
-    except ValueError:
-        raise InvalidParam(f"RC_SIZE_GUARD must be an integer, got {raw!r}") from None
-    if guard < 1:
-        raise InvalidParam(f"RC_SIZE_GUARD must be >= 1, got {guard}")
-    return guard
-
-
 def compute_record(g: Graph, instance_id: str,
                    with_timing: bool = False) -> ResultRecord:
     """Solve one graph and package the result row."""
@@ -66,25 +52,23 @@ def compute_record(g: Graph, instance_id: str,
     gir = girth(g)
     ecc = eccentricities(g)
     if ecc is None:
-        rad = diam = rc = ub = None
+        rad = diam = rc = None
     else:
         rad, diam = min(ecc), max(ecc)
         rc = radius_capture_number(g)
-        ub = max(0, rad - 1)
     ms = (time.perf_counter() - t0) * 1000.0 if with_timing else 0.0
-    return ResultRecord(instance_id, g.n, g.m, rad, diam, gir, rc,
-                        max(0, gir // 2 - 1), ub, round(ms, 3))
+    return ResultRecord(instance_id, g.n, g.m, rad, diam, gir, rc, round(ms, 3))
 
 
 def _safe_id(text: str) -> str:
     return text.replace(",", "_")
 
 
-def _read_graphs(args, guard: int):
+def _read_graphs(args):
     """Yield (id, graph, error) from --instance or the input path, one
     record at a time so a batch never holds more than one graph. error is
     the message, and graph None, for a record that does not parse or whose
-    edge-list header exceeds the vertex cap guard."""
+    edge-list header exceeds the vertex cap."""
     if args.instance:
         yield args.instance, named_instance(args.instance), None
         return
@@ -99,7 +83,7 @@ def _read_graphs(args, guard: int):
         stem = _safe_id(os.path.splitext(os.path.basename(args.input))[0])
     if args.format == "edgelist":
         try:
-            g = parse_edge_list(text, guard)
+            g = parse_edge_list(text)
         except GraphGameError as exc:
             yield stem, None, str(exc)
         else:
@@ -117,13 +101,12 @@ def _read_graphs(args, guard: int):
 
 
 def cmd_compute(args) -> int:
-    guard = _size_guard_from_env()
     records = []
     failed = False
-    for gid, g, problem in _read_graphs(args, guard):
+    for gid, g, problem in _read_graphs(args):
         if problem is None:
             try:
-                check_cap(g.n, guard)
+                check_cap(g.n)
                 rec = compute_record(g, gid, args.timings)
             except GraphGameError as exc:
                 problem = str(exc)
@@ -148,17 +131,16 @@ def _parse_param(token: str):
     return token
 
 
-def _family_graph(kind: str, tokens, seed: int, guard: int) -> tuple[str, tuple, Graph]:
+def _family_graph(kind: str, tokens, seed: int) -> tuple[str, tuple, Graph]:
     """Build a family member from its command-line parameters; returns its
     id, the parsed parameters and the graph."""
     params = tuple(_parse_param(t) for t in tokens)
-    g = build_family(FamilySpec(kind, params, seed), guard)
+    g = build_family(FamilySpec(kind, params, seed))
     return "-".join([kind, *(str(p) for p in params)]), params, g
 
 
 def cmd_family(args) -> int:
-    gid, params, g = _family_graph(args.kind, args.params, args.seed,
-                                   _size_guard_from_env())
+    gid, params, g = _family_graph(args.kind, args.params, args.seed)
     rec = compute_record(g, _safe_id(gid), args.timings)
     print(f"{gid}: n={rec.n} m={rec.m} girth={rec.girth} "
           f"rad={_show(rec.rad)} diam={_show(rec.diam)} rc={_show(rec.rc)}")
@@ -183,14 +165,13 @@ def _show(value) -> str:
 
 
 def _graph_for_strategy(args) -> tuple[str, Graph]:
-    guard = _size_guard_from_env()
     if args.instance:
         gid, g = args.instance, named_instance(args.instance)
     elif args.family:
         kind, *raw = args.family
-        gid, _, g = _family_graph(kind, raw, args.seed, guard)
+        gid, _, g = _family_graph(kind, raw, args.seed)
     elif args.input:
-        graphs = list(_read_graphs(args, guard))
+        graphs = list(_read_graphs(args))
         errors = [f"{gid}: {problem}" for gid, _, problem in graphs if problem]
         if errors:
             raise ParseError("; ".join(errors))
@@ -199,7 +180,7 @@ def _graph_for_strategy(args) -> tuple[str, Graph]:
         gid, g, _ = graphs[0]
     else:
         raise InvalidParam("need --instance, --family, or an input path")
-    check_cap(g.n, guard)
+    check_cap(g.n)
     return gid, g
 
 

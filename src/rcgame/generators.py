@@ -6,10 +6,11 @@ random kinds) produce an identical Graph, including labels.
 
 from __future__ import annotations
 
-import math
+import os
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
+from operator import mul
 
 from .errors import CouldNotConnect, InvalidParam, SizeGuard, UnknownInstance
 from .graph import Graph, build_graph, is_connected
@@ -25,10 +26,32 @@ class FamilySpec:
     seed: int | None = None
 
 
-def check_cap(n_vertices: int, size_guard: int) -> None:
-    """Raise SizeGuard when a graph on n_vertices would exceed the vertex cap."""
-    if n_vertices > size_guard:
-        raise SizeGuard(f"{n_vertices} vertices exceeds the cap {size_guard}")
+def check_cap(n_vertices) -> None:
+    """Raise SizeGuard when a graph on n_vertices would exceed the vertex cap:
+    RC_SIZE_GUARD, else DEFAULT_SIZE_GUARD, read here on each call and nowhere
+    else. A power or binomial order comes as its running products, which never
+    fall, so the first past the cap refuses it and the order is never built."""
+    raw = os.environ.get("RC_SIZE_GUARD", str(DEFAULT_SIZE_GUARD))
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise InvalidParam(f"RC_SIZE_GUARD must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise InvalidParam(f"RC_SIZE_GUARD must be >= 1, got {cap}")
+    exact = isinstance(n_vertices, int)
+    for n in (n_vertices,) if exact else n_vertices:
+        if n > cap:
+            over = "" if exact else "at least "
+            raise SizeGuard(f"{over}{n} vertices exceeds the cap {cap}")
+
+
+def _binomials(n: int, k: int):
+    """Running products C(n, 1), .., C(n, m) = C(n, k), m = min(k, n - k): rising,
+    as m <= n / 2; none when k is outside 0..n, which the generator refuses."""
+    c = 1
+    for j in range(min(k, n - k)):
+        c = c * (n - j) // (j + 1)
+        yield c
 
 
 def basic_family(kind: str, n: int) -> Graph:
@@ -49,12 +72,12 @@ def basic_family(kind: str, n: int) -> Graph:
     raise InvalidParam(f"unknown basic family {kind!r}")
 
 
-def hypercube(d: int, size_guard: int = DEFAULT_SIZE_GUARD) -> Graph:
+def hypercube(d: int) -> Graph:
     """d-dimensional hypercube on binary words, adjacency = one flipped bit:
     the Hamming graph H(d, 2)."""
     if d < 1:
         raise InvalidParam(f"hypercube needs d >= 1, got {d}")
-    return hamming(d, 2, size_guard)
+    return hamming(d, 2)
 
 
 def _tuple_label(t: tuple[int, ...], alphabet_size: int) -> str:
@@ -63,14 +86,14 @@ def _tuple_label(t: tuple[int, ...], alphabet_size: int) -> str:
     return ",".join(str(x) for x in t)
 
 
-def hamming(d: int, q: int, size_guard: int = DEFAULT_SIZE_GUARD) -> Graph:
+def hamming(d: int, q: int) -> Graph:
     """Hamming graph H(d, q): words of length d over 0..q-1, adjacency =
     differ in exactly one coordinate. Equals the d-fold Cartesian power of
     K_q under the same row-major word indexing."""
     if d < 1 or q < 2:
         raise InvalidParam(f"hamming needs d >= 1 and q >= 2, got ({d},{q})")
+    check_cap(accumulate(repeat(q, d), mul))
     n = q ** d
-    check_cap(n, size_guard)
     # word -> index is big-endian base q, matching iterated product order
     edges = []
     for v in range(n):
@@ -109,7 +132,7 @@ def generalized_johnson(n: int, k: int, i: int) -> Graph:
     return build_graph(len(labels), edges, labels)
 
 
-def sierpinski(n: int, k: int, size_guard: int = DEFAULT_SIZE_GUARD) -> Graph:
+def sierpinski(n: int, k: int) -> Graph:
     """Sierpinski graph S(n, k) on words of length n over {1..k}.
 
     Edge set built by the recursive definition: k copies of S(n-1, k)
@@ -118,7 +141,7 @@ def sierpinski(n: int, k: int, size_guard: int = DEFAULT_SIZE_GUARD) -> Graph:
     """
     if n < 0 or k < 1:
         raise InvalidParam(f"sierpinski needs n >= 0 and k >= 1, got ({n},{k})")
-    check_cap(k ** n, size_guard)
+    check_cap(accumulate(repeat(k, n), mul))
     words: list[tuple[int, ...]] = [()]
     edges: list[tuple[int, int]] = []
     size = 1
@@ -191,60 +214,55 @@ def random_connected_gnp(n: int, p: float, seed: int) -> Graph:
     raise CouldNotConnect(f"no connected sample in {_GNP_DRAWS} tries (n={n}, p={p})")
 
 
-def _ints(kind: str, params: tuple) -> tuple:
-    for p in params:
+def _params(kind: str, params: tuple, count: int, ints: int | None = None) -> tuple:
+    """params, checked to hold count values (one or more when count is 0),
+    the first ints of them (all by default) integers."""
+    for p in params[:ints]:
         if not isinstance(p, int):
             raise InvalidParam(f"{kind} takes integer parameters, got {p!r}")
+    if len(params) != count if count else not params:
+        raise InvalidParam(f"bad parameter count for {kind}: {params}")
     return params
 
 
-def build_family(spec: FamilySpec, size_guard: int = DEFAULT_SIZE_GUARD) -> Graph:
+def build_family(spec: FamilySpec) -> Graph:
     """Dispatch a FamilySpec to its generator."""
     kind, params = spec.kind, spec.params
-    try:
-        if kind in ("cycle", "path", "complete"):
-            (n,) = _ints(kind, params)
-            check_cap(n, size_guard)
-            return basic_family(kind, n)
-        if kind == "hypercube":
-            (d,) = _ints(kind, params)
-            return hypercube(d, size_guard)
-        if kind == "hamming":
-            d, q = _ints(kind, params)
-            return hamming(d, q, size_guard)
-        if kind == "generalized_johnson":
-            n, k, i = _ints(kind, params)
-            _guard_binomial(n, k, size_guard)
-            return generalized_johnson(n, k, i)
-        if kind == "sierpinski":
-            n, k = _ints(kind, params)
-            return sierpinski(n, k, size_guard)
-        if kind == "circulant":
-            n, *steps = _ints(kind, params)
-            check_cap(n, size_guard)
-            return circulant(n, steps)
-        if kind == "named_instance":
-            (name,) = params
-            g = named_instance(name)   # hard-coded and small, so checked once built
-            check_cap(g.n, size_guard)
-            return g
-        if kind == "random_gnp_connected":
-            n, p = params
-            _ints(kind, (n,))
-            if not isinstance(p, (int, float)):
-                raise InvalidParam(f"{kind} takes a numeric edge probability, got {p!r}")
-            if spec.seed is None:
-                raise InvalidParam("random_gnp_connected requires a seed")
-            check_cap(n, size_guard)
-            return random_connected_gnp(n, p, spec.seed)
-    except ValueError as exc:
-        raise InvalidParam(f"bad parameter count for {kind}: {params}") from exc
+    if kind in ("cycle", "path", "complete"):
+        (n,) = _params(kind, params, 1)
+        check_cap(n)
+        return basic_family(kind, n)
+    if kind == "hypercube":
+        (d,) = _params(kind, params, 1)
+        return hypercube(d)
+    if kind == "hamming":
+        d, q = _params(kind, params, 2)
+        return hamming(d, q)
+    if kind == "generalized_johnson":
+        n, k, i = _params(kind, params, 3)
+        check_cap(_binomials(n, k))
+        return generalized_johnson(n, k, i)
+    if kind == "sierpinski":
+        n, k = _params(kind, params, 2)
+        return sierpinski(n, k)
+    if kind == "circulant":
+        n, *steps = _params(kind, params, 0)
+        check_cap(n)
+        return circulant(n, steps)
+    if kind == "named_instance":
+        (name,) = _params(kind, params, 1, ints=0)
+        g = named_instance(name)   # hard-coded and small, so checked once built
+        check_cap(g.n)
+        return g
+    if kind == "random_gnp_connected":
+        n, p = _params(kind, params, 2, ints=1)
+        if not isinstance(p, (int, float)):
+            raise InvalidParam(f"{kind} takes a numeric edge probability, got {p!r}")
+        if spec.seed is None:
+            raise InvalidParam("random_gnp_connected requires a seed")
+        check_cap(n)
+        return random_connected_gnp(n, p, spec.seed)
     raise InvalidParam(f"unknown family kind {kind!r}")
-
-
-def _guard_binomial(n: int, k: int, size_guard: int) -> None:
-    if 0 <= k <= n:
-        check_cap(math.comb(n, k), size_guard)
 
 
 _SIERPINSKI4_REFERENCE_RC = {3: 5, 4: 11}

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvalidParam, InvariantViolation, ParseError
-from .generators import DEFAULT_SIZE_GUARD, check_cap
+from .generators import check_cap
 from .graph import Graph, build_graph
 
 _G6_HEADER = b">>graph6<<"
@@ -103,9 +103,9 @@ def write_graph6(g: Graph) -> str:
     return out.decode("ascii")
 
 
-def parse_edge_list(text: str, size_guard: int = DEFAULT_SIZE_GUARD) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Edge-list text: first line "n <count>", then one "u v" per line. A
-    count above size_guard raises SizeGuard before anything is built."""
+    count above the vertex cap raises SizeGuard before anything is built."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty edge-list input", line=1)
@@ -118,7 +118,7 @@ def parse_edge_list(text: str, size_guard: int = DEFAULT_SIZE_GUARD) -> Graph:
         raise ParseError(f"bad vertex count {head[1]!r}", line=1) from None
     if n < 0:
         raise ParseError(f"negative vertex count {n}", line=1)
-    check_cap(n, size_guard)
+    check_cap(n)
     edges = []
     for no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -140,7 +140,8 @@ def parse_edge_list(text: str, size_guard: int = DEFAULT_SIZE_GUARD) -> Graph:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One solver result row; construction re-checks the capture bounds."""
+    """One solver result row; lb and ub are the girth and radius bounds,
+    and construction checks rc against them."""
 
     instance_id: str
     n: int
@@ -149,23 +150,22 @@ class ResultRecord:
     diam: int | None
     girth: int
     rc: int | None
-    lb: int
-    ub: int | None
     ms: float = 0.0
+
+    @property
+    def lb(self) -> int:
+        return max(0, self.girth // 2 - 1)
+
+    @property
+    def ub(self) -> int | None:
+        return None if self.rad is None else max(0, self.rad - 1)
 
     def __post_init__(self):
         if "," in self.instance_id:
             raise InvalidParam(f"record id {self.instance_id!r} contains a comma")
-        if self.lb != max(0, self.girth // 2 - 1):
+        if self.rc is not None and (self.ub is None or not self.lb <= self.rc <= self.ub):
             raise InvariantViolation(
-                f"lower bound {self.lb} inconsistent with girth {self.girth}")
-        if self.rc is not None:
-            if self.rad is None or self.ub != max(0, self.rad - 1):
-                raise InvariantViolation(
-                    f"upper bound {self.ub} inconsistent with radius {self.rad}")
-            if not (self.lb <= self.rc <= self.ub):
-                raise InvariantViolation(
-                    f"rc {self.rc} outside [{self.lb}, {self.ub}] for {self.instance_id}")
+                f"rc {self.rc} outside [{self.lb}, {self.ub}] for {self.instance_id}")
 
 
 _FIELDS = ("instance_id", "n", "m", "rad", "diam", "girth", "rc", "lb", "ub", "ms")

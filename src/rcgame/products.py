@@ -9,7 +9,7 @@ arithmetic.
 from __future__ import annotations
 
 from .errors import InvalidParam
-from .generators import DEFAULT_SIZE_GUARD, check_cap
+from .generators import check_cap
 from .graph import Graph, build_graph
 
 PRODUCT_KINDS = ("cartesian", "strong", "lexicographic")
@@ -21,15 +21,15 @@ def product(kind: str, g: Graph, h: Graph) -> Graph:
     Edge rules: cartesian moves in exactly one coordinate along an edge;
     strong additionally moves in both; lexicographic joins any two
     vertices whose first coordinates are adjacent. The edge sets nest:
-    cartesian <= strong <= lexicographic. An order above the default
-    vertex cap raises SizeGuard before any edge is built.
+    cartesian <= strong <= lexicographic. An order above the vertex cap
+    raises SizeGuard before any edge is built.
     """
     if kind not in PRODUCT_KINDS:
         raise InvalidParam(f"unknown product kind {kind!r}")
     if g.n == 0 or h.n == 0:
         raise InvalidParam("product factors must be nonempty")
     n = g.n * h.n
-    check_cap(n, DEFAULT_SIZE_GUARD)
+    check_cap(n)
     hn = h.n
     edges: list[tuple[int, int]] = []
     for a1, a2 in g.edges():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -212,6 +213,23 @@ def test_family_size_guard_every_kind(capsys, monkeypatch):
         assert err.startswith("error: ") and err.count("\n") == 1 and "cap 4" in err
 
 
+def test_family_orders_past_the_cap_fail_fast(capsys):
+    # these orders have millions of digits; the check refuses them unbuilt
+    start = time.perf_counter()
+    for argv in (["sierpinski", "30000000", "3"], ["sierpinski", "2000000", "3"],
+                 ["generalized_johnson", "2000000", "1000000", "1"]):
+        code, out, err = run(capsys, "family", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "exceeds the cap 65536" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_verify_obeys_the_cap(capsys, monkeypatch):
+    monkeypatch.setenv("RC_SIZE_GUARD", "4")
+    code, out, err = run(capsys, "verify", "products", "--trials", "1")
+    assert code == 2 and "exceeds the cap 4" in err
+
+
 def test_strategy_disconnected_input(tmp_path, capsys):
     path = tmp_path / "split.el"
     path.write_text("n 3\n0 1\n")
@@ -370,7 +388,7 @@ def test_failing_theorems_carry_counterexamples(capsys, monkeypatch):
     # a negative capture number breaks the girth lower bound on every graph,
     # rc(retract) <= rc(graph) on every proper retract, and the strong
     # product value on every pair of factors with at least two vertices
-    monkeypatch.setattr(verify, "radius_capture_number", lambda g, dm=None: -g.n)
+    monkeypatch.setattr(verify, "radius_capture_number", lambda g: -g.n)
     code, out, err = run(capsys, "verify", "bounds", "--trials", "3")
     assert code == 1
     assert "girth-lower-bound: 0/3 pass" in out

@@ -1,6 +1,7 @@
 """Family generators: structure, counts, labels, determinism, guards."""
 
 import math
+import time
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,7 @@ from rcgame.generators import (
     FamilySpec,
     basic_family,
     build_family,
+    check_cap,
     circulant,
     generalized_johnson,
     hamming,
@@ -20,6 +22,7 @@ from rcgame.generators import (
     sierpinski,
 )
 from rcgame.graph import all_pairs_distances, eccentricities, girth, is_connected
+from rcgame.ioformats import parse_edge_list
 from rcgame.products import product
 
 
@@ -51,11 +54,12 @@ def test_hypercube_small():
     assert q3.label(5) == "101"
 
 
-def test_hypercube_guard():
+def test_hypercube_guard(monkeypatch):
     with pytest.raises(SizeGuard):
         hypercube(25)
+    monkeypatch.setenv("RC_SIZE_GUARD", "16")
     with pytest.raises(SizeGuard):
-        hypercube(5, size_guard=16)
+        hypercube(5)
     with pytest.raises(InvalidParam):
         hypercube(0)
 
@@ -262,15 +266,71 @@ def test_build_family_guards_every_kind(monkeypatch):
 
     monkeypatch.setattr("rcgame.generators.basic_family", refuse)
     monkeypatch.setattr("rcgame.generators.circulant", refuse)
+    monkeypatch.setenv("RC_SIZE_GUARD", "4")
     for kind, params in (("cycle", (6,)), ("path", (5,)), ("complete", (10 ** 9,)),
                          ("circulant", (7, 1, 2))):
         with pytest.raises(SizeGuard):
-            build_family(FamilySpec(kind, params), size_guard=4)
+            build_family(FamilySpec(kind, params))
+    monkeypatch.setenv("RC_SIZE_GUARD", "23")
     with pytest.raises(SizeGuard):
-        build_family(FamilySpec("named_instance", ("CubicVT24_6",)), size_guard=23)
+        build_family(FamilySpec("named_instance", ("CubicVT24_6",)))
     monkeypatch.undo()
-    assert build_family(FamilySpec("cycle", (4,)), size_guard=4).n == 4
-    assert build_family(FamilySpec("named_instance", ("CubicVT24_6",)), size_guard=24).n == 24
+    monkeypatch.setenv("RC_SIZE_GUARD", "4")
+    assert build_family(FamilySpec("cycle", (4,))).n == 4
+    monkeypatch.setenv("RC_SIZE_GUARD", "24")
+    assert build_family(FamilySpec("named_instance", ("CubicVT24_6",))).n == 24
+
+
+def test_one_cap_governs_every_construction(monkeypatch):
+    # K_3 x K_2 has 6 vertices, built four ways
+    k3, k2 = basic_family("complete", 3), basic_family("complete", 2)
+    builds = (lambda: product("cartesian", k3, k2),
+              lambda: hamming(1, 6),
+              lambda: parse_edge_list("n 6\n0 1\n"),
+              lambda: build_family(FamilySpec("circulant", (6, 1, 3))))
+    monkeypatch.setenv("RC_SIZE_GUARD", "4")
+    for build in builds:
+        with pytest.raises(SizeGuard, match="exceeds the cap 4"):
+            build()
+    monkeypatch.setenv("RC_SIZE_GUARD", "6")
+    assert [build().n for build in builds] == [6, 6, 6, 6]
+    for raw in ("frog", "0"):
+        monkeypatch.setenv("RC_SIZE_GUARD", raw)
+        with pytest.raises(InvalidParam, match="RC_SIZE_GUARD must be"):
+            check_cap(1)
+
+
+def test_cap_check_never_builds_the_order():
+    # orders with millions of digits: refused from running products, fast,
+    # and never formatted (past 4300 digits str() raises ValueError)
+    start = time.perf_counter()
+    for build in (lambda: sierpinski(10000, 3),
+                  lambda: sierpinski(30000000, 3),
+                  lambda: build_family(FamilySpec("sierpinski", (2000000, 3))),
+                  lambda: build_family(FamilySpec("hamming", (10000, 3))),
+                  lambda: build_family(FamilySpec("generalized_johnson", (20000, 10000, 1))),
+                  lambda: build_family(FamilySpec("generalized_johnson",
+                                                  (2000000, 1000000, 1)))):
+        with pytest.raises(SizeGuard, match="exceeds the cap 65536"):
+            build()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cap_on_running_products_is_exact(monkeypatch):
+    # an order equal to the cap is admitted and one above it refused
+    monkeypatch.setenv("RC_SIZE_GUARD", "20")
+    assert build_family(FamilySpec("generalized_johnson", (6, 3, 1))).n == 20
+    assert hamming(2, 4).n == 16
+    assert sierpinski(0, 7).n == sierpinski(9, 1).n == 1
+    monkeypatch.setenv("RC_SIZE_GUARD", "19")
+    with pytest.raises(SizeGuard):
+        build_family(FamilySpec("generalized_johnson", (6, 3, 1)))
+    with pytest.raises(SizeGuard):
+        hamming(2, 5)
+    with pytest.raises(InvalidParam):
+        build_family(FamilySpec("generalized_johnson", (3, 5, 1)))
+    with pytest.raises(InvalidParam, match="bad parameter count"):
+        build_family(FamilySpec("circulant", ()))
 
 
 def test_predicted_rc_table():

@@ -148,7 +148,7 @@ def test_parse_edge_list_errors():
 
 
 def _c6_record(ms=0.0):
-    return ResultRecord("c6", 6, 6, 3, 3, 6, 2, 2, 2, ms)
+    return ResultRecord("c6", 6, 6, 3, 3, 6, 2, ms)
 
 
 def test_emit_csv_row():
@@ -164,7 +164,7 @@ def test_emit_empty():
 
 
 def test_emit_disconnected_record():
-    rec = ResultRecord("matching", 4, 2, None, None, 0, None, 0, None)
+    rec = ResultRecord("matching", 4, 2, None, None, 0, None)
     csv_line = emit_results([rec]).splitlines()[1]
     assert csv_line == "matching,4,2,,,0,,0,,0"
     payload = json.loads(emit_results([rec], "json"))
@@ -174,18 +174,14 @@ def test_emit_disconnected_record():
 
 def test_record_invariants_enforced():
     with pytest.raises(InvalidParam):
-        ResultRecord("a,b", 2, 1, 1, 1, 0, 0, 0, 0)
+        ResultRecord("a,b", 2, 1, 1, 1, 0, 0)
     with pytest.raises(InvariantViolation):
-        ResultRecord("c6", 6, 6, 3, 3, 6, 3, 2, 2)   # rc above rad - 1
+        ResultRecord("c6", 6, 6, 3, 3, 6, 3)   # rc above rad - 1
     with pytest.raises(InvariantViolation):
-        ResultRecord("c6", 6, 6, 3, 3, 6, 1, 2, 2)   # rc below girth bound
-    with pytest.raises(InvariantViolation):
-        ResultRecord("c6", 6, 6, 3, 3, 6, 2, 1, 2)   # lb inconsistent with girth
-    with pytest.raises(InvariantViolation):
-        ResultRecord("c6", 6, 6, 3, 3, 6, 2, 2, 3)   # ub inconsistent with rad
+        ResultRecord("c6", 6, 6, 3, 3, 6, 1)   # rc below girth bound
     with pytest.raises(InvalidParam):
         emit_results([_c6_record()], "xml")
 
 
 def test_k1_record_allowed():
-    ResultRecord("k1", 1, 0, 0, 0, 0, 0, 0, 0)
+    ResultRecord("k1", 1, 0, 0, 0, 0, 0)
