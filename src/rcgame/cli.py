@@ -14,10 +14,10 @@ import sys
 import time
 
 from .engine import (
+    _search,
     extract_cop_strategy,
     extract_robber_strategy,
     greedy_chase_cop_strategy,
-    radius_capture_number,
     rank_max_robber_strategy,
     simulate,
     solve_cwrc,
@@ -40,22 +40,24 @@ from .generators import (
     named_instance,
     predicted_rc,
 )
-from .graph import Graph, eccentricities, girth
+from .graph import Graph, _sweep, girth
 from .ioformats import ResultRecord, emit_results, parse_edge_list, parse_graph6
 from .verify import SUITE_NAMES, run_suite
 
 
 def compute_record(g: Graph, instance_id: str,
                    with_timing: bool = False) -> ResultRecord:
-    """Solve one graph and package the result row."""
+    """Solve one graph and package the result row: girth, then one ball
+    sweep for rad and diam whose last balls up to rad feed the rc search."""
     t0 = time.perf_counter()
     gir = girth(g)
-    ecc = eccentricities(g)
-    if ecc is None:
+    swept = _sweep(g)
+    if swept is None:
         rad = diam = rc = None
     else:
+        ecc, kept = swept
         rad, diam = min(ecc), max(ecc)
-        rc = radius_capture_number(g)
+        rc = _search(g, rad, kept)
     ms = (time.perf_counter() - t0) * 1000.0 if with_timing else 0.0
     return ResultRecord(instance_id, g.n, g.m, rad, diam, gir, rc, round(ms, 3))
 

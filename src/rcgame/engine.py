@@ -39,7 +39,7 @@ from .errors import (
     NoEvasionStrategy,
     NoWinningStrategy,
 )
-from .graph import Graph, all_pairs_distances, balls
+from .graph import Graph, _sweep, all_pairs_distances, balls
 
 COP_TO_MOVE = 0
 ROBBER_TO_MOVE = 1
@@ -235,50 +235,54 @@ def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalys
 def radius_capture_number(g: Graph) -> int | None:
     """Least k at which the cop wins, or None when g is disconnected.
 
-    One closed-ball sweep finds rad, the first k at which some ball is
-    full, keeping only its last three balls. On a disconnected g the balls
-    stop growing short of full, and None comes before any attractor work.
-    The cop wins at k = rad, since ball_rad of every vertex holds a centre,
-    and the cop-win region only grows with k.
+    The one ball sweep of rcgame.graph._sweep answers a disconnected g
+    before any attractor work, and otherwise gives rad and the balls at
+    rad - 2, rad - 1 and rad; _search takes it from there.
+    """
+    swept = _sweep(g)
+    if swept is None:
+        return None
+    ecc, kept = swept
+    return _search(g, min(ecc), kept)
 
-    So the search bisects on (lo, hi] = (-1, rad]. Its first probe is at
-    max(rad - 2, 0), after the paper's bound rc <= rad - 1, which is tight
-    on most graphs; the bound is not assumed, but checked where rc is
-    reported. Every later probe is at (lo + hi) // 2. A probe solves from
-    a copy of the fixed-point planes at lo (empty at first): the kernel's
-    flags stay exact, since the region only grows with k. A losing probe's
-    planes become those at lo, a winning probe's are dropped. rc = rad - 1
-    takes two probes, at rad - 2 and rad - 1: on S(6,3) (rc 47) 65 rounds
-    each. A cop that already wins at rad - 2 takes about log2(rad) more:
-    on S(4,4) (rc 11, rad 14) five probes and 82 rounds.
+
+def _search(g: Graph, rad: int, kept: dict[int, list[int]]) -> int:
+    """Least k at which the cop wins on connected g of radius rad, given
+    kept, the map from rad - 2, rad - 1 and rad (those >= 0) to their balls.
+
+    The cop wins at k = rad, since ball_rad of every vertex holds a centre,
+    and the cop-win region only grows with k. So the search bisects on
+    (lo, hi] = (-1, rad]. Its first probe is at max(rad - 2, 0), after the
+    paper's bound rc <= rad - 1, which is tight on most graphs; the bound is
+    not assumed, but checked where rc is reported. Every later probe is at
+    (lo + hi) // 2. A probe solves from a copy of the fixed-point planes at
+    lo (empty at first): the kernel's flags stay exact, since the region
+    only grows with k.
+
+    A losing probe runs to its fixed point, and its planes become those at
+    lo. A winning probe is dropped at its verdict: the search stops
+    consuming _attract after the first round with new cop bits that leaves
+    a full cop row, which no later round can empty. On S(6,3) (rc 47, rad
+    48) the probe at 46 loses in 65 rounds, and the one at 47 wins after
+    round 1. A cop that already wins at rad - 2 takes about log2(rad) more
+    probes: five on S(4,4) (rc 11, rad 14).
 
     A probe at k needs ball_k and ball_{k+1}, the capture states and their
     dilation (see _attract). The probes at rad - 2 and rad - 1 read both
-    from the three kept; any other probe sweeps them again with _ball. So
-    the search holds the three kept balls and _ball's two, never one per
-    radius, and at most two pairs of planes.
+    from kept; any other probe sweeps them again with _ball. So the search
+    holds the three kept balls and _ball's two, never one per radius, and
+    at most two pairs of planes.
     """
     n = g.n
-    if n == 0:
-        raise InvalidParam("empty graph has no radius")
-    full = (1 << n) - 1
-    kept: dict[int, list[int]] = {}
-    for rad, ball in enumerate(balls(g)):
-        kept[rad] = ball
-        kept.pop(rad - 3, None)
-        if full in ball:
-            break
-    else:
-        return None
     lo, hi, k = -1, rad, max(rad - 2, 0)
     lose_c, lose_r = [0] * n, [0] * n    # the fixed-point planes at lo
     while hi - lo > 1:
         win_c, win_r = lose_c.copy(), lose_r.copy()
         pair = (kept[k], kept[k + 1]) if k in kept else _ball(g, k)
-        for _ in _attract(g, win_c, win_r, *pair):
-            pass
-        if _full_rows(win_c, n):
-            hi = k
+        for cop, _ in _attract(g, win_c, win_r, *pair):
+            if cop and _full_rows(win_c, n):
+                hi = k
+                break
         else:
             lo, lose_c, lose_r = k, win_c, win_r
         k = (lo + hi) // 2

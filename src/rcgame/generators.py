@@ -137,10 +137,14 @@ def sierpinski(n: int, k: int) -> Graph:
 
     Edge set built by the recursive definition: k copies of S(n-1, k)
     prefixed by each letter, plus the connecting edges {i j^(n-1), j i^(n-1)}
-    for every pair of distinct letters i, j.
+    for every pair of distinct letters i, j. S(n, 1) is built directly: one
+    vertex, the word 1^n.
     """
     if n < 0 or k < 1:
         raise InvalidParam(f"sierpinski needs n >= 0 and k >= 1, got ({n},{k})")
+    if k == 1:
+        check_cap(1)
+        return build_graph(1, [], ("1" * n,))
     check_cap(accumulate(repeat(k, n), mul))
     words: list[tuple[int, ...]] = [()]
     edges: list[tuple[int, int]] = []

@@ -6,16 +6,19 @@ sorted tuples for iteration and as one bitmask per vertex for constant
 time membership tests; closed neighbourhoods N[v] = adj[v] + {v} are
 kept the same two ways.
 
-is_connected, one BFS, answers connectivity before eccentricities and
-APSP. The closed-ball sweep (balls) grows one bitset per vertex a hop at
-a time, bit-parallel BFS in the style of Akiba, Iwata and Yoshida (SIGMOD
-2013). eccentricities reads every eccentricity (so rad, diam and the
-centres) off it, and the rc search of the engine reads the balls
-directly, connectivity included: on a disconnected graph they stop
-growing short of full. All-pairs distances (APSP) are bare BFS rows,
-built only for callers that read pair distances, and only on connected
-graphs; such a caller reads rad and diam off its rows, whose maxima are
-the eccentricities.
+is_connected, one BFS, answers connectivity before any sweep and APSP.
+The closed-ball sweep (balls) grows one bitset per vertex a hop at a
+time, bit-parallel BFS in the style of Akiba, Iwata and Yoshida (SIGMOD
+2013). _sweep makes one pass of it to the diameter that reads every
+eccentricity (so rad, diam and the centres) and keeps the balls at
+rad - 2, rad - 1 and rad, where the rc search of the engine probes
+first; eccentricities and the engine's radius_capture_number both read
+that one pass, and a compute row makes it once. All-pairs distances
+(APSP) are bare BFS rows, built only for callers that read pair
+distances, and only on connected graphs; such a caller reads rad and
+diam off its rows, whose maxima are the eccentricities. girth peels the
+graph to its 2-core and runs one pruned BFS per remaining start, deleting
+each start after its BFS.
 """
 
 from __future__ import annotations
@@ -152,13 +155,16 @@ def balls(g: Graph) -> Iterator[list[int]]:
         ball = grown
 
 
-def eccentricities(g: Graph) -> tuple[int, ...] | None:
-    """ecc(v) for every vertex, or None when g is disconnected.
+def _sweep(g: Graph) -> tuple[tuple[int, ...], dict[int, list[int]]] | None:
+    """(ecc, kept) from one closed-ball sweep, or None when g is disconnected.
 
     One BFS answers a disconnected g before any sweep. Otherwise ecc(v) is
     the first k at which ball_k[v] holds every vertex, counted as the
     levels at which it falls short; the sweep stops at the first level
-    where every ball is full.
+    where every ball is full, the diameter. rad is the first level where
+    some ball is full, and kept maps each of rad - 2, rad - 1 and rad (those
+    >= 0) to its ball, the balls the rc search of the engine probes first:
+    balls up to rad are a prefix of the sweep to the diameter.
     """
     n = g.n
     if n == 0:
@@ -167,13 +173,25 @@ def eccentricities(g: Graph) -> tuple[int, ...] | None:
         return None
     full = (1 << n) - 1
     ecc = [0] * n
-    for ball in balls(g):
-        short = [v for v, reach in enumerate(ball) if reach != full]
+    short = range(n)
+    kept: dict[int, list[int]] = {}
+    for level, ball in enumerate(balls(g)):
+        if len(short) == n:     # no ball was full before: level <= rad
+            kept[level] = ball
+            kept.pop(level - 3, None)
+        short = [v for v in short if ball[v] != full]
         if not short:
             break
         for v in short:
             ecc[v] += 1
-    return tuple(ecc)
+    return tuple(ecc), kept
+
+
+def eccentricities(g: Graph) -> tuple[int, ...] | None:
+    """ecc(v) for every vertex, or None when g is disconnected; read off
+    the one sweep of _sweep."""
+    swept = _sweep(g)
+    return None if swept is None else swept[0]
 
 
 def all_pairs_distances(g: Graph) -> list[list[int]]:
@@ -187,19 +205,46 @@ def all_pairs_distances(g: Graph) -> list[list[int]]:
 def girth(g: Graph) -> int:
     """Length of a shortest cycle, or 0 when the graph is acyclic.
 
-    One BFS per start vertex; a non-tree edge (u, w) seen from start s
-    witnesses a cycle of length at most dist(s, u) + dist(s, w) + 1, and
-    the minimum over all starts and edges is exact. The search stops at the
-    first triangle, since no simple graph has a shorter cycle.
+    A vertex of degree <= 1 is on no cycle, so girth first peels them off,
+    again and again, leaving the 2-core. It then repeats: BFS from a live
+    vertex s, delete s, peel again, until nothing is left or a triangle is
+    found, since no simple graph has a shorter cycle. From s, a non-tree
+    edge (u, w) with dist(s, w) >= dist(s, u) witnesses a closed walk, and
+    so a cycle, of length at most dist(s, u) + dist(s, w) + 1; the parent
+    edge of u is one level down and never counts. A BFS stops at the level
+    where no such edge can beat the best found.
+
+    This is exact. Every candidate bounds the length of some cycle of g
+    from above, so none is below the girth. Let C be a shortest cycle and s the first of its
+    vertices deleted as a start: peeling never takes a vertex of a whole
+    cycle, so C is whole when the BFS from s runs, and a BFS from a vertex
+    of a shortest cycle finds its length (Itai and Rodeh, SIAM J. Comput.
+    7(4), 1978). Each BFS starts from a copy of one dist row, -1 on live
+    and -2 on deleted vertices, so deleted vertices are never entered.
     """
-    n = g.n
-    adj = g.adj
+    n, adj = g.n, g.adj
+    deg = [len(row) for row in adj]
+    fresh = [-1] * n
+
+    def delete(stack: list[int]) -> None:
+        while stack:
+            v = stack.pop()
+            if fresh[v] == -1:
+                fresh[v] = -2
+                for w in adj[v]:
+                    if fresh[w] == -1:
+                        deg[w] -= 1
+                        if deg[w] <= 1:
+                            stack.append(w)
+
+    delete([v for v in range(n) if deg[v] <= 1])
     best = 0
     for s in range(n):
         if best == 3:
             break
-        dist = [-1] * n
-        parent = [-1] * n
+        if fresh[s] != -1:
+            continue
+        dist = fresh.copy()
         dist[s] = 0
         q = deque([s])
         while q:
@@ -208,14 +253,15 @@ def girth(g: Graph) -> int:
             if best and 2 * du >= best:
                 break
             for w in adj[u]:
-                if dist[w] < 0:
+                dw = dist[w]
+                if dw == -1:
                     dist[w] = du + 1
-                    parent[w] = u
                     q.append(w)
-                elif w != parent[u] and dist[w] >= du:
-                    cand = du + dist[w] + 1
+                elif dw >= du:
+                    cand = du + dw + 1
                     if best == 0 or cand < best:
                         best = cand
+        delete([s])
     return best
 
 

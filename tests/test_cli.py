@@ -423,9 +423,9 @@ def test_failing_theorems_carry_counterexamples(capsys, monkeypatch):
 
 
 def test_compute_record_ball_sweeps(monkeypatch):
-    # eccentricities gives the row's rad and diam, and the rc search reads
-    # its own balls: two sweeps on a connected graph whose rc is rad - 1,
-    # none on a disconnected one, which a BFS answers first
+    # one sweep gives the row's rad and diam and the balls the rc search
+    # reads: one sweep on a connected graph whose rc is rad - 1, none on a
+    # disconnected one, which a BFS answers first
     real, started = graph.balls, []
 
     def counted(g):
@@ -435,7 +435,7 @@ def test_compute_record_ball_sweeps(monkeypatch):
     monkeypatch.setattr(graph, "balls", counted)
     monkeypatch.setattr(engine, "balls", counted)
     compute_record(sierpinski(3, 3), "s33")
-    assert len(started) == 2
+    assert len(started) == 1
     started.clear()
     compute_record(build_graph(4, [(0, 1), (2, 3)]), "split")
     assert len(started) == 0

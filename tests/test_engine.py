@@ -142,6 +142,55 @@ def test_rc_probes_follow_the_radius_bound(monkeypatch, g, rc, probes):
     assert calls == probes
 
 
+def test_rc_winning_probe_stops_at_its_verdict(monkeypatch):
+    # S(5,3) (rc 23, rad 24): the losing probe at 22 runs all 33 rounds to
+    # its fixed point; the winning one at 23 has a full cop row after round
+    # 1 of its 33 and is consumed no further
+    g = sierpinski(5, 3)
+    real, consumed = engine._attract, []
+    every_ball = list(balls(g))
+
+    def counted(g, win_c, win_r, targets, grown):
+        probe = [every_ball.index(targets), 0]
+        consumed.append(probe)
+        for new in real(g, win_c, win_r, targets, grown):
+            probe[1] += 1
+            yield new
+
+    monkeypatch.setattr(engine, "_attract", counted)
+    assert radius_capture_number(g) == 23
+    assert consumed == [[22, 33], [23, 2]]     # rounds 0..32, rounds 0..1
+    assert len(solve_cwrc(g, 23).rounds) == 33
+
+
+@pytest.mark.parametrize("g", [sierpinski(4, 4), _lollipop(9, 30)],
+                         ids=["S(4,4)", "lollipop(9,30)"])
+def test_rc_probes_resume_from_fixed_points(monkeypatch, g):
+    # a losing probe runs to its fixed point: every probe starts from the
+    # planes a full solve leaves at the largest k that lost before it, or
+    # from empty planes. Both graphs resume after a losing probe below rc
+    real, starts = engine._attract, []
+    every_ball = list(balls(g))
+
+    def counted(g, win_c, win_r, targets, grown):
+        starts.append((every_ball.index(targets), win_c.copy(), win_r.copy()))
+        return real(g, win_c, win_r, targets, grown)
+
+    monkeypatch.setattr(engine, "_attract", counted)
+    rc = radius_capture_number(g)
+    monkeypatch.undo()
+    lo, resumed = -1, 0
+    for k, win_c, win_r in starts:
+        if lo < 0:
+            assert not any(win_c) and not any(win_r)
+        else:
+            assert (win_c, win_r) == solve_cwrc(g, lo).columns
+            resumed += 1
+        if k < rc:
+            lo = k
+    assert resumed
+
+
 def per_k_scan(g):
     """Reference for the rc search: the least k at which a fresh
     solve_cwrc is a cop win (some k <= diam always is)."""

@@ -154,6 +154,16 @@ def test_sierpinski_degenerate_and_base():
     assert sierpinski(3, 2).n == 8
 
 
+def test_sierpinski_one_letter_is_one_vertex():
+    # S(n, 1) is built directly, not level by level: a million letters at once
+    start = time.perf_counter()
+    g = sierpinski(10 ** 6, 1)
+    assert time.perf_counter() - start < 1.0
+    assert (g.n, g.m, g.labels) == (1, 0, ("1" * 10 ** 6,))
+    assert sierpinski(3, 1).labels == ("111",)
+    assert sierpinski(0, 1).labels == ("",)
+
+
 def test_sierpinski_s23_exact_edges():
     g = sierpinski(2, 3)
     by_label = {g.label(v): v for v in range(g.n)}

@@ -5,7 +5,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rcgame.errors import InvalidParam, InvalidVertex, NotConnected, SelfLoop
 from rcgame.generators import (
@@ -164,6 +164,12 @@ def test_girth_petersen(petersen):
     assert girth(petersen) == 5
 
 
+def _nx_girth(g):
+    """networkx's girth, whose inf on an acyclic graph is 0 here."""
+    expected = nx.girth(to_networkx(g))
+    return 0 if expected == float("inf") else expected
+
+
 def test_girth_matches_networkx_on_random_graphs():
     rng = random.Random(7)
     for _ in range(40):
@@ -171,8 +177,53 @@ def test_girth_matches_networkx_on_random_graphs():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < 0.4]
         g = build_graph(n, edges)
-        expected = nx.girth(to_networkx(g))
-        assert girth(g) == (0 if expected == float("inf") else expected)
+        assert girth(g) == _nx_girth(g)
+
+
+def test_girth_matches_networkx_atlas():
+    # the 1253 graphs on 0..7 vertices of networkx's bundled atlas, forests
+    # and graphs with pendant trees included: peeling keeps girth exact.
+    # The 80 acyclic ones are the forests on 0..7 vertices (1, 1, 2, 3, 6,
+    # 10, 20, 37 by order)
+    acyclic = 0
+    for G in nx.graph_atlas_g():
+        g = build_graph(G.number_of_nodes(), list(G.edges()))
+        found = girth(g)
+        assert found == _nx_girth(g)
+        acyclic += found == 0
+    assert acyclic == 80
+
+
+@st.composite
+def _trees_on_cycles(draw):
+    """A forest drawn as parent pointers (-1 starts a new tree), hung on a
+    cycle through the first c vertices when c >= 3, plus up to two chords:
+    trees, forests and cycles with pendant trees."""
+    n = draw(st.integers(1, 30))
+    c = draw(st.sampled_from([0, *range(3, n + 1)]))
+    edges = [(i, (i + 1) % c) for i in range(c)]
+    for v in range(max(c, 1), n):
+        parent = draw(st.integers(-1, v - 1))
+        if parent >= 0:
+            edges.append((parent, v))
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=2))
+    return build_graph(n, edges + [(u, v) for u, v in chords if u != v])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees_on_cycles())
+@example(basic_family("path", 5))
+@example(build_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]))
+def test_girth_matches_networkx_on_trees_and_cycles(g):
+    assert girth(g) == _nx_girth(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 30), st.floats(0.0, 0.6), st.integers(0, 2 ** 32 - 1))
+def test_girth_matches_networkx_gnp(n, p, seed):
+    g = build_graph(n, list(nx.gnp_random_graph(n, p, seed=seed).edges()))
+    assert girth(g) == _nx_girth(g)
 
 
 @settings(max_examples=80, deadline=None)
