@@ -66,6 +66,22 @@ def _safe_id(text: str) -> str:
     return text.replace(",", "_")
 
 
+def _read_text(path: str) -> str:
+    """The text at path, or on stdin for "-", with each non-ASCII byte
+    decoded to a lone surrogate, so the parsers refuse the record that
+    holds it and no other. A stdin without a byte buffer (io.StringIO)
+    gives its text as it is; an unreadable path raises InvalidParam."""
+    if path == "-":
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
+    else:
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise InvalidParam(f"cannot read {path}: {exc.strerror}") from None
+    return data if isinstance(data, str) else data.decode("ascii", "surrogateescape")
+
+
 def _read_graphs(args):
     """Yield (id, graph, error) from --instance or the input path, one
     record at a time so a batch never holds more than one graph. error is
@@ -76,13 +92,9 @@ def _read_graphs(args):
         return
     if args.input is None:
         raise InvalidParam("need an input path or --instance")
-    if args.input == "-":
-        text = sys.stdin.read()
-        stem = "stdin"
-    else:
-        with open(args.input, "r", encoding="ascii") as fh:
-            text = fh.read()
-        stem = _safe_id(os.path.splitext(os.path.basename(args.input))[0])
+    text = _read_text(args.input)
+    stem = ("stdin" if args.input == "-"
+            else _safe_id(os.path.splitext(os.path.basename(args.input))[0]))
     if args.format == "edgelist":
         try:
             g = parse_edge_list(text)

@@ -14,12 +14,11 @@ column of states at once. Round t wins every state that round t - 1
 decided, and a state first won in round t has rank t: the number of
 single moves (plies) to guaranteed capture, with the cop minimizing and
 the robber maximizing. solve_cwrc and radius_capture_number both take
-the closed balls of rcgame.graph as capture targets: ball_k, and ball_{k+1}
-for the first cop step.
+one closed ball of rcgame.graph, ball_k, as the capture targets.
 
-A round's cop step costs one bigint AND-NOT per column in round 1, which
-reads the cops next to the capture states off ball_{k+1}, and one OR of a
-closed-neighbourhood mask per newly won robber-to-move state after that.
+A round's cop step costs one bigint AND-NOT per column of ball_{k+1}, the
+kernel's own dilate of ball_k, in round 1, and one OR of a closed
+neighbourhood mask per newly won robber-to-move state after that.
 Its robber step costs one AND per closed neighbour of each column next to
 a column whose cop-to-move states changed.
 """
@@ -39,7 +38,7 @@ from .errors import (
     NoEvasionStrategy,
     NoWinningStrategy,
 )
-from .graph import Graph, _sweep, all_pairs_distances, balls
+from .graph import Graph, _sweep, all_pairs_distances, balls, dilate
 
 COP_TO_MOVE = 0
 ROBBER_TO_MOVE = 1
@@ -124,16 +123,15 @@ def _full_rows(win_c: list[int], n: int) -> int:
     return full
 
 
-def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
-             grown: list[int]):
+def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int]):
     """Add the capture states ball to the cop-win region and propagate
     backwards, one level per round.
 
     win_c and win_r are the cop-to-move and robber-to-move planes: bit c
     of win_c[r] means state (c, r) is won. ball[r] is the bitset of cops
     that capture a robber at r, ball_k of rcgame.graph.balls; those not yet
-    won are won in both planes in round 0. grown is ball_{k+1}. Round t
-    reads the planes left by round t - 1:
+    won are won in both planes in round 0. Round t reads the planes left
+    by round t - 1:
 
     - cop step: (c, r) is won once the cop can move onto a robber-to-move
       state (y, r) won in round t - 1, i.e. c is in N[y];
@@ -148,10 +146,10 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
 
     The input planes must be a fixed point: empty, or left by an earlier
     call at a smaller k. Their flags then stay exact, since the region only
-    grows with k, and round 1's cop step is grown[r] & ~win_c[r]: the cops
-    next to ball_k[r] are ball_{k+1}[r], and a cop next to a robber-to-move
-    state won before round 0 is already in win_c. Later cop steps OR the
-    closed neighbourhoods of the newly won states, one set bit at a time.
+    grows with k, and round 1's cop step is dilate(g, ball)[r] & ~win_c[r]:
+    dilate maps ball_k to ball_{k+1}, the cops next to ball_k[r], and a cop
+    next to a robber-to-move state won before round 0 is already in win_c.
+    Later cop steps OR the closed neighbourhoods of the newly won states.
     """
     closed, closed_bits = g.closed, g.closed_bits
     cop, robber = {}, {}
@@ -171,7 +169,7 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
         cop, robber = {}, {}
         if first:
             first = False
-            for r, bits in enumerate(grown):
+            for r, bits in enumerate(dilate(g, ball)):
                 reach = bits & ~win_c[r]
                 if reach:
                     cop[r] = reach
@@ -197,14 +195,11 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
             win_r[r] |= bits
 
 
-def _ball(g: Graph, k: int) -> tuple[list[int], list[int]]:
-    """(ball_k, ball_{k+1}) of rcgame.graph.balls, from one sweep that keeps
-    two balls; past the diameter both are the last ball."""
-    ball = grown = None
-    for i, grown in enumerate(islice(balls(g), k + 2)):
-        if i <= k:
-            ball = grown
-    return ball, grown
+def _ball(g: Graph, k: int) -> list[int]:
+    """ball_k of rcgame.graph.balls; past the diameter, the last ball."""
+    for ball in islice(balls(g), k + 1):
+        pass
+    return ball
 
 
 def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalysis:
@@ -226,7 +221,7 @@ def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalys
     if dm is None:
         dm = all_pairs_distances(g)
     win_c, win_r = [0] * n, [0] * n
-    rounds = list(_attract(g, win_c, win_r, *_ball(g, k)))
+    rounds = list(_attract(g, win_c, win_r, _ball(g, k)))
     full = _full_rows(win_c, n)
     choices = tuple(c for c in range(n) if full >> c & 1)
     return WinAnalysis(g, k, dm, (win_c, win_r), rounds, choices)
@@ -237,7 +232,7 @@ def radius_capture_number(g: Graph) -> int | None:
 
     The one ball sweep of rcgame.graph._sweep answers a disconnected g
     before any attractor work, and otherwise gives rad and the balls at
-    rad - 2, rad - 1 and rad; _search takes it from there.
+    rad - 2 and rad - 1; _search takes it from there.
     """
     swept = _sweep(g)
     if swept is None:
@@ -248,7 +243,7 @@ def radius_capture_number(g: Graph) -> int | None:
 
 def _search(g: Graph, rad: int, kept: dict[int, list[int]]) -> int:
     """Least k at which the cop wins on connected g of radius rad, given
-    kept, the map from rad - 2, rad - 1 and rad (those >= 0) to their balls.
+    kept, the map from rad - 2 and rad - 1 (those >= 0) to their balls.
 
     The cop wins at k = rad, since ball_rad of every vertex holds a centre,
     and the cop-win region only grows with k. So the search bisects on
@@ -267,19 +262,19 @@ def _search(g: Graph, rad: int, kept: dict[int, list[int]]) -> int:
     round 1. A cop that already wins at rad - 2 takes about log2(rad) more
     probes: five on S(4,4) (rc 11, rad 14).
 
-    A probe at k needs ball_k and ball_{k+1}, the capture states and their
-    dilation (see _attract). The probes at rad - 2 and rad - 1 read both
-    from kept; any other probe sweeps them again with _ball. So the search
-    holds the three kept balls and _ball's two, never one per radius, and
-    at most two pairs of planes.
+    A probe at k needs ball_k alone, the capture states; _attract dilates
+    it for its first cop step. The probes at rad - 2 and rad - 1 read it
+    from kept; any other probe sweeps it again with _ball. So the search
+    holds the two kept balls, one swept ball and its dilation, never one
+    per radius, and at most two pairs of planes.
     """
     n = g.n
     lo, hi, k = -1, rad, max(rad - 2, 0)
     lose_c, lose_r = [0] * n, [0] * n    # the fixed-point planes at lo
     while hi - lo > 1:
         win_c, win_r = lose_c.copy(), lose_r.copy()
-        pair = (kept[k], kept[k + 1]) if k in kept else _ball(g, k)
-        for cop, _ in _attract(g, win_c, win_r, *pair):
+        ball = kept[k] if k in kept else _ball(g, k)
+        for cop, _ in _attract(g, win_c, win_r, ball):
             if cop and _full_rows(win_c, n):
                 hi = k
                 break

@@ -1,24 +1,23 @@
 """Immutable simple undirected graphs and their metric invariants.
 
 Vertices are dense integers 0..n-1; family coordinates (words, subsets,
-tuples) live only in the optional labels. Adjacency is stored both as
-sorted tuples for iteration and as one bitmask per vertex for constant
-time membership tests; closed neighbourhoods N[v] = adj[v] + {v} are
-kept the same two ways.
+tuples) live only in the optional labels. Adjacency is stored as sorted
+tuples. Closed neighbourhoods N[v] = adj[v] + {v} are built on first use,
+as sorted tuples and as one bitmask per vertex, which has_edge reads.
 
 is_connected, one BFS, answers connectivity before any sweep and APSP.
 The closed-ball sweep (balls) grows one bitset per vertex a hop at a
 time, bit-parallel BFS in the style of Akiba, Iwata and Yoshida (SIGMOD
-2013). _sweep makes one pass of it to the diameter that reads every
-eccentricity (so rad, diam and the centres) and keeps the balls at
-rad - 2, rad - 1 and rad, where the rc search of the engine probes
-first; eccentricities and the engine's radius_capture_number both read
-that one pass, and a compute row makes it once. All-pairs distances
-(APSP) are bare BFS rows, built only for callers that read pair
-distances, and only on connected graphs; such a caller reads rad and
-diam off its rows, whose maxima are the eccentricities. girth peels the
-graph to its 2-core and runs one pruned BFS per remaining start, deleting
-each start after its BFS.
+2013); each hop is dilate, which the engine's kernel also calls for its
+first cop step. _sweep makes one pass of it to the diameter that reads
+every eccentricity (so rad, diam and the centres) and keeps the balls at
+rad - 2 and rad - 1, where the rc search of the engine probes first;
+eccentricities and the engine's radius_capture_number both read that one
+pass, and a compute row makes it once. All-pairs distances (APSP) are
+bare BFS rows, built only for callers that read pair distances, and only
+on connected graphs; such a caller reads rad and diam off its rows, whose
+maxima are the eccentricities. girth peels the graph to its 2-core and
+runs one pruned BFS per remaining start, deleting each after its BFS.
 """
 
 from __future__ import annotations
@@ -36,20 +35,13 @@ class Graph:
     constructor trusts its arguments.
     """
 
-    __slots__ = ("n", "m", "adj", "adj_bits", "labels", "_closed", "_closed_bits")
+    __slots__ = ("n", "m", "adj", "labels", "_closed", "_closed_bits")
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...],
                  labels: tuple[str, ...] | None = None):
         self.n = n
         self.adj = adj
         self.m = sum(len(row) for row in adj) // 2
-        bits = []
-        for row in adj:
-            b = 0
-            for v in row:
-                b |= 1 << v
-            bits.append(b)
-        self.adj_bits = tuple(bits)
         self.labels = labels
         self._closed = None
         self._closed_bits = None
@@ -59,7 +51,7 @@ class Graph:
         """Closed neighbourhoods N[v] = adj[v] plus v, as sorted tuples.
 
         Built on first use and then kept, as is closed_bits, so graphs that
-        are only generated, stored or written never pay for them.
+        are only generated or stored never pay for them.
         """
         if self._closed is None:
             self._closed = tuple(tuple(sorted((*row, v))) for v, row in enumerate(self.adj))
@@ -69,11 +61,17 @@ class Graph:
     def closed_bits(self) -> tuple[int, ...]:
         """N[v] as one bitmask per vertex."""
         if self._closed_bits is None:
-            self._closed_bits = tuple(b | 1 << v for v, b in enumerate(self.adj_bits))
+            bits = []
+            for v, row in enumerate(self.adj):
+                b = 1 << v
+                for w in row:
+                    b |= 1 << w
+                bits.append(b)
+            self._closed_bits = tuple(bits)
         return self._closed_bits
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (self.adj_bits[u] >> v) & 1 == 1
+        return u != v and self.closed_bits[u] >> v & 1 == 1
 
     def degree(self, u: int) -> int:
         return len(self.adj[u])
@@ -134,22 +132,28 @@ def _bfs_row(adj: tuple[tuple[int, ...], ...], n: int, source: int) -> list[int]
     return dist
 
 
+def dilate(g: Graph, ball: list[int]) -> list[int]:
+    """One hop of the closed-ball sweep: entry r of the result is the OR
+    of ball[y] over y in N[r], so dilate(g, ball_k) is ball_{k+1}."""
+    grown = []
+    for row in g.closed:
+        acc = 0
+        for y in row:
+            acc |= ball[y]
+        grown.append(acc)
+    return grown
+
+
 def balls(g: Graph) -> Iterator[list[int]]:
     """Yield ball_0, ball_1, ...: bit c of ball_k[r] is set iff d(c, r) <= k.
 
-    ball_k[r] is the OR of ball_{k-1}[y] over y in N[r]. The generator
-    ends once the balls stop growing.
+    Each ball is the dilate of the one before. The generator ends once the
+    balls stop growing.
     """
-    closed = g.closed
     ball = [1 << v for v in range(g.n)]
     while True:
         yield ball
-        grown = []
-        for row in closed:
-            acc = 0
-            for y in row:
-                acc |= ball[y]
-            grown.append(acc)
+        grown = dilate(g, ball)
         if grown == ball:
             return
         ball = grown
@@ -162,9 +166,9 @@ def _sweep(g: Graph) -> tuple[tuple[int, ...], dict[int, list[int]]] | None:
     the first k at which ball_k[v] holds every vertex, counted as the
     levels at which it falls short; the sweep stops at the first level
     where every ball is full, the diameter. rad is the first level where
-    some ball is full, and kept maps each of rad - 2, rad - 1 and rad (those
+    some ball is full, and kept maps each of rad - 2 and rad - 1 (those
     >= 0) to its ball, the balls the rc search of the engine probes first:
-    balls up to rad are a prefix of the sweep to the diameter.
+    balls below rad are a prefix of the sweep to the diameter.
     """
     n = g.n
     if n == 0:
@@ -176,10 +180,10 @@ def _sweep(g: Graph) -> tuple[tuple[int, ...], dict[int, list[int]]] | None:
     short = range(n)
     kept: dict[int, list[int]] = {}
     for level, ball in enumerate(balls(g)):
-        if len(short) == n:     # no ball was full before: level <= rad
-            kept[level] = ball
-            kept.pop(level - 3, None)
         short = [v for v in short if ball[v] != full]
+        if len(short) == n:     # no ball is full yet: level < rad
+            kept[level] = ball
+            kept.pop(level - 2, None)
         if not short:
             break
         for v in short:

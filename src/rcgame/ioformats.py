@@ -23,8 +23,14 @@ _G6_BYTE = {bits: b for b, bits in _G6_BITS.items()}
 
 
 def _as_bytes(data) -> bytes:
+    """data as bytes; a str with a non-ASCII character is a ParseError at
+    that character's offset."""
     if isinstance(data, str):
-        return data.encode("ascii")
+        try:
+            return data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise ParseError("non-ASCII character in graph6 record",
+                             offset=exc.start) from None
     return bytes(data)
 
 
@@ -94,9 +100,9 @@ def write_graph6(g: Graph) -> str:
     else:
         out.append(126)
         out.extend(63 + ((n >> s) & 63) for s in (12, 6, 0))
-    # column v lists x(0,v) .. x(v-1,v): adj_bits[v] below bit v, lowest first
-    adj_bits = g.adj_bits
-    cols = "".join(format(adj_bits[v] & ((1 << v) - 1), f"0{v}b")[::-1]
+    # column v lists x(0,v) .. x(v-1,v): N[v] below bit v, lowest first
+    closed_bits = g.closed_bits
+    cols = "".join(format(closed_bits[v] & ((1 << v) - 1), f"0{v}b")[::-1]
                    for v in range(1, n))
     cols += "0" * (-len(cols) % 6)
     out.extend(_G6_BYTE[cols[j:j + 6]] for j in range(0, len(cols), 6))

@@ -35,7 +35,6 @@ from .graph import (
     eccentricities,
     girth,
     induced_subgraph,
-    is_connected,
 )
 from .outerplanar import random_outerplanar, rc_outerplanar_formula, validate_embedding
 from .products import product
@@ -120,10 +119,10 @@ def verify_retraction(g: Graph, r: Retraction) -> None:
 def check_retract_monotonicity(g: Graph, r: Retraction) -> TheoremReport:
     """Capture number never grows when passing to a retract."""
     verify_retraction(g, r)
-    if not is_connected(g):
+    rc_g = radius_capture_number(g)
+    if rc_g is None:
         raise NotConnected("monotonicity check needs a connected graph")
     sub, _ = induced_subgraph(g, sorted(r.target))
-    rc_g = radius_capture_number(g)
     rc_h = radius_capture_number(sub)
     return TheoremReport(
         theorem="retract-monotonicity",
@@ -264,7 +263,7 @@ def _swap_automorphism_exists(g: Graph, dist: list[list[int]],
     used[u] = used[v] = True
     order = [x for x in sorted(range(n), key=lambda x: (dist[u][x], x))
              if x not in (u, v)]
-    bits = g.adj_bits
+    bits = g.closed_bits   # every bit read is off the diagonal
     # x can only map to a c with (d(c, u), d(c, v)) == (d(x, v), d(x, u));
     # each pool keeps its candidates in increasing vertex order
     by_key: dict[tuple[int, int], list[int]] = {}

@@ -286,6 +286,37 @@ def test_compute_batch_keeps_rows_around_failed_graph(capsys, monkeypatch):
     assert lines[2].startswith("stdin:3,3,3,")
 
 
+def test_compute_file_with_a_non_ascii_byte_keeps_the_other_rows(tmp_path, capsys):
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(b"A_\n\xc3\xa9\nBw\n")
+    code, out, err = run(capsys, "compute", str(path))
+    assert code == 2
+    assert err == "error: graphs:2: non-ASCII character in graph6 record\n"
+    assert out.splitlines()[1:] == ["graphs:1,2,1,1,1,0,0,0,0,0",
+                                    "graphs:3,3,3,1,1,3,0,0,0,0"]
+
+
+def test_compute_stdin_bytes_with_non_ascii_record(capsys, monkeypatch):
+    # a real stdin is read through its byte buffer, undecoded
+    stdin = io.TextIOWrapper(io.BytesIO(b"A_\n\xc3\xa9\nA_\n"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "compute", "-")
+    assert code == 2
+    assert err == "error: stdin:2: non-ASCII character in graph6 record\n"
+    assert out.splitlines()[1:] == ["stdin:1,2,1,1,1,0,0,0,0,0",
+                                    "stdin:3,2,1,1,1,0,0,0,0,0"]
+
+
+@pytest.mark.parametrize("argv", [["compute"], ["strategy", "-k", "0", "--role", "cop"]])
+def test_unreadable_path_is_a_usage_error(tmp_path, capsys, argv):
+    for path, reason in [(tmp_path / "missing.g6", "No such file or directory"),
+                         (tmp_path, "Is a directory")]:
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read {path}: {reason}\n"
+
+
 def test_size_guard_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RC_SIZE_GUARD", "10")
     code, _, err = run(capsys, "compute", "--instance", "CubicVT24_6")

@@ -39,6 +39,7 @@ from rcgame.generators import (
     sierpinski,
 )
 from rcgame.graph import (
+    _sweep,
     all_pairs_distances,
     balls,
     build_graph,
@@ -117,6 +118,20 @@ def _lollipop(cycle, path):
     return build_graph(cycle + path, edges)
 
 
+def test_sweep_keeps_the_two_levels_below_rad():
+    # kept is ball_{rad-2} and ball_{rad-1} (those >= 0), the levels the
+    # search probes first: on K_1, the lollipops and the connected atlas
+    graphs = [basic_family("complete", 1)]
+    graphs += [_lollipop(c, p) for c in (3, 4, 9) for p in (0, 1, 2, 5, 30)]
+    graphs += [build_graph(G.number_of_nodes(), list(G.edges()))
+               for G in nx.graph_atlas_g()
+               if G.number_of_nodes() and nx.is_connected(G)]
+    for g in graphs:
+        ecc, kept = _sweep(g)
+        rad, every = min(ecc), list(balls(g))
+        assert kept == {k: every[k] for k in (rad - 2, rad - 1) if k >= 0}
+
+
 # a row's id ends in its probe count
 @pytest.mark.parametrize("g,rc,probes", [
     (basic_family("complete", 1), 0, []),   # rad 0: no probe, the cop wins at rad
@@ -133,9 +148,9 @@ def test_rc_probes_follow_the_radius_bound(monkeypatch, g, rc, probes):
     real, calls = engine._attract, []
     every_ball = list(balls(g))
 
-    def counted(g, win_c, win_r, targets, grown):
+    def counted(g, win_c, win_r, targets):
         calls.append(every_ball.index(targets))
-        return real(g, win_c, win_r, targets, grown)
+        return real(g, win_c, win_r, targets)
 
     monkeypatch.setattr(engine, "_attract", counted)
     assert radius_capture_number(g) == rc
@@ -150,10 +165,10 @@ def test_rc_winning_probe_stops_at_its_verdict(monkeypatch):
     real, consumed = engine._attract, []
     every_ball = list(balls(g))
 
-    def counted(g, win_c, win_r, targets, grown):
+    def counted(g, win_c, win_r, targets):
         probe = [every_ball.index(targets), 0]
         consumed.append(probe)
-        for new in real(g, win_c, win_r, targets, grown):
+        for new in real(g, win_c, win_r, targets):
             probe[1] += 1
             yield new
 
@@ -172,9 +187,9 @@ def test_rc_probes_resume_from_fixed_points(monkeypatch, g):
     real, starts = engine._attract, []
     every_ball = list(balls(g))
 
-    def counted(g, win_c, win_r, targets, grown):
+    def counted(g, win_c, win_r, targets):
         starts.append((every_ball.index(targets), win_c.copy(), win_r.copy()))
-        return real(g, win_c, win_r, targets, grown)
+        return real(g, win_c, win_r, targets)
 
     monkeypatch.setattr(engine, "_attract", counted)
     rc = radius_capture_number(g)
@@ -296,7 +311,7 @@ def test_rc_census_connected_atlas():
 
 def _attract_per_bit(g, win_c, win_r, targets):
     """Reference kernel: _attract with the per-bit cop step in every round,
-    round 1 included, so it needs no ball_{k+1}."""
+    round 1 included, so it dilates no ball."""
     closed, closed_bits = g.closed, g.closed_bits
     cop, robber = {}, {}
     for r, bits in enumerate(targets):
@@ -335,19 +350,18 @@ def _attract_per_bit(g, win_c, win_r, targets):
 def _assert_attract_matches_per_bit(g):
     # from empty planes at every k up to diam, and from the fixed-point
     # planes at every j < k: the same rounds, in the same order, and the
-    # same final planes; _ball(g, k) is (ball_k, ball_{k+1}), capped at
-    # the last ball
+    # same final planes; _ball(g, k) is ball_k, capped at the last ball
     every = list(balls(g))
     last = len(every) - 1
     for k in range(last + 2):
-        assert engine._ball(g, k) == (every[min(k, last)], every[min(k + 1, last)])
+        assert engine._ball(g, k) == every[min(k, last)]
     fixed = []                        # the fixed-point planes at each j < k
     for k in range(last + 1):
         for start_c, start_r in [([0] * g.n, [0] * g.n), *fixed]:
             want_c, want_r = start_c.copy(), start_r.copy()
             want = list(_attract_per_bit(g, want_c, want_r, every[k]))
             got_c, got_r = start_c.copy(), start_r.copy()
-            got = list(engine._attract(g, got_c, got_r, *engine._ball(g, k)))
+            got = list(engine._attract(g, got_c, got_r, engine._ball(g, k)))
             assert [(list(c.items()), list(r.items())) for c, r in got] == \
                 [(list(c.items()), list(r.items())) for c, r in want]
             assert (got_c, got_r) == (want_c, want_r)

@@ -16,7 +16,9 @@ from rcgame.generators import (
 )
 from rcgame.graph import (
     all_pairs_distances,
+    balls,
     build_graph,
+    dilate,
     eccentricities,
     girth,
     induced_subgraph,
@@ -64,6 +66,7 @@ def test_closed_neighborhoods_match_adjacency(n, p, seed):
     for v in range(n):
         assert g.closed[v] == tuple(sorted(g.adj[v] + (v,)))
         assert g.closed_bits[v] == sum(1 << y for y in g.closed[v])
+        assert [g.has_edge(v, y) for y in range(n)] == [y in g.adj[v] for y in range(n)]
 
 
 def test_label_validation():
@@ -120,6 +123,29 @@ def test_eccentricities_match_networkx(n, p, seed):
         assert ecc is None
         with pytest.raises(NotConnected):
             all_pairs_distances(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 0.6), st.integers(0, 2 ** 32 - 1))
+def test_dilate_maps_each_ball_to_the_next(n, p, seed):
+    # dilate(g, ball_k) is ball_{k+1}, against networkx distances; the last
+    # ball, once the balls stop growing, is its own dilation
+    rng = random.Random(seed)
+    g = build_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                        if rng.random() < p])
+    dist = dict(nx.all_pairs_shortest_path_length(to_networkx(g)))
+    every = list(balls(g))
+    for k, ball in enumerate(every):
+        assert dilate(g, ball) == [sum(1 << c for c, d in dist[r].items() if d <= k + 1)
+                                   for r in range(n)]
+    assert dilate(g, every[-1]) == every[-1]
+
+
+def test_dilate_fixes_the_last_ball_of_a_disconnected_graph():
+    g = build_graph(6, [(0, 1), (1, 2), (3, 4)])
+    *_, last = balls(g)
+    assert last == [0b111, 0b111, 0b111, 0b11000, 0b11000, 0b100000]
+    assert dilate(g, last) == last
 
 
 def test_eccentricities_empty_graph():

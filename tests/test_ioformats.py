@@ -113,6 +113,14 @@ def test_parse_error_messages_and_offsets(record, message, offset):
     assert err.value.offset == offset
 
 
+def test_parse_non_ascii_str_is_a_parse_error():
+    for record, offset in [("Aé", 1), ("é", 0), ("F??" + chr(0xdcc3) + "?", 3)]:
+        with pytest.raises(ParseError) as err:
+            parse_graph6(record)
+        assert str(err.value) == "non-ASCII character in graph6 record"
+        assert err.value.offset == offset
+
+
 @given(graphs())
 @example(build_graph(62, [(0, 61)]))
 @example(build_graph(63, [(61, 62)]))

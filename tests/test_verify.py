@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from rcgame import graph
 from rcgame.engine import radius_capture_number
 from rcgame.errors import InvalidParam, NotARetraction, NotConnected
 from rcgame.generators import (
@@ -207,6 +208,16 @@ def test_harmonic_even_implies_tight_capture():
         assert classify_evenness(g) == HARMONIC_EVEN
         rad = min(eccentricities(g))
         assert radius_capture_number(g) == rad - 1
+
+
+def test_retract_monotonicity_requires_connected(monkeypatch):
+    # the search's own BFS is the one connectivity check
+    real, bfs = graph.is_connected, []
+    monkeypatch.setattr(graph, "is_connected", lambda g: bfs.append(g) or real(g))
+    two_edges = build_graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(NotConnected, match="monotonicity check needs a connected graph"):
+        check_retract_monotonicity(two_edges, Retraction(frozenset({0, 1}), (0, 1, 0, 1)))
+    assert bfs == [two_edges]
 
 
 def test_classify_evenness_requires_connected():
