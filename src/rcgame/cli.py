@@ -3,7 +3,8 @@ the theorem-verification suites of rcgame.verify, and print strategy
 transcripts.
 
 Exit codes: 0 success, 1 counterexample or verification failure, 2 usage,
-parse or parameter error. RC_SIZE_GUARD overrides the vertex cap.
+parse or parameter error. RC_SIZE_GUARD overrides the vertex cap; each graph
+source (parser, generator, named instance) checks it before it builds.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .generators import (
     FamilySpec,
     NAMED_INSTANCES,
     build_family,
-    check_cap,
     named_instance,
     predicted_rc,
 )
@@ -85,33 +85,28 @@ def _read_text(path: str) -> str:
 def _read_graphs(args):
     """Yield (id, graph, error) from --instance or the input path, one
     record at a time so a batch never holds more than one graph. error is
-    the message, and graph None, for a record that does not parse or whose
-    edge-list header exceeds the vertex cap."""
+    the message, and graph None, for a record its source refuses: one that
+    does not parse or whose order exceeds the vertex cap."""
     if args.instance:
-        yield args.instance, named_instance(args.instance), None
-        return
-    if args.input is None:
+        records = [(args.instance, named_instance, args.instance)]
+    elif args.input is None:
         raise InvalidParam("need an input path or --instance")
-    text = _read_text(args.input)
-    stem = ("stdin" if args.input == "-"
-            else _safe_id(os.path.splitext(os.path.basename(args.input))[0]))
-    if args.format == "edgelist":
+    else:
+        text = _read_text(args.input)
+        stem = ("stdin" if args.input == "-"
+                else _safe_id(os.path.splitext(os.path.basename(args.input))[0]))
+        if args.format == "edgelist":
+            records = [(stem, parse_edge_list, text)]
+        else:
+            records = [(f"{stem}:{no}", parse_graph6, line)
+                       for no, line in enumerate(text.splitlines(), start=1)
+                       if line.strip()]
+    for gid, parse, data in records:
         try:
-            g = parse_edge_list(text)
+            g, problem = parse(data), None
         except GraphGameError as exc:
-            yield stem, None, str(exc)
-        else:
-            yield stem, g, None
-        return
-    for no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            g = parse_graph6(line)
-        except ParseError as exc:
-            yield f"{stem}:{no}", None, str(exc)
-        else:
-            yield f"{stem}:{no}", g, None
+            g, problem = None, str(exc)
+        yield gid, g, problem
 
 
 def cmd_compute(args) -> int:
@@ -120,7 +115,6 @@ def cmd_compute(args) -> int:
     for gid, g, problem in _read_graphs(args):
         if problem is None:
             try:
-                check_cap(g.n)
                 rec = compute_record(g, gid, args.timings)
             except GraphGameError as exc:
                 problem = str(exc)
@@ -179,23 +173,19 @@ def _show(value) -> str:
 
 
 def _graph_for_strategy(args) -> tuple[str, Graph]:
-    if args.instance:
-        gid, g = args.instance, named_instance(args.instance)
-    elif args.family:
+    if args.family and not args.instance:
         kind, *raw = args.family
         gid, _, g = _family_graph(kind, raw, args.seed)
-    elif args.input:
-        graphs = list(_read_graphs(args))
-        errors = [f"{gid}: {problem}" for gid, _, problem in graphs if problem]
-        if errors:
-            raise ParseError("; ".join(errors))
-        if len(graphs) != 1:
-            raise InvalidParam(f"strategy needs exactly one graph, got {len(graphs)}")
-        gid, g, _ = graphs[0]
-    else:
+        return gid, g
+    if not (args.instance or args.input):
         raise InvalidParam("need --instance, --family, or an input path")
-    check_cap(g.n)
-    return gid, g
+    graphs = list(_read_graphs(args))
+    errors = [f"{gid}: {problem}" for gid, _, problem in graphs if problem]
+    if errors:
+        raise ParseError("; ".join(errors))
+    if len(graphs) != 1:
+        raise InvalidParam(f"strategy needs exactly one graph, got {len(graphs)}")
+    return graphs[0][:2]
 
 
 def cmd_strategy(args) -> int:

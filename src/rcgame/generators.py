@@ -1,7 +1,8 @@
 """Generators for every graph family used by the solver and its test suites.
 
 All generators are deterministic: the same parameters (and seed, for the
-random kinds) produce an identical Graph, including labels.
+random kinds) produce an identical Graph, including labels. Each checks
+its order against the vertex cap before it builds anything.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ def _binomials(n: int, k: int):
 
 def basic_family(kind: str, n: int) -> Graph:
     """Cycle C_n (n >= 3), path P_n or complete K_n (n >= 1)."""
+    check_cap(n)
     labels = tuple(str(i) for i in range(n))
     if kind == "cycle":
         if n < 3:
@@ -120,6 +122,7 @@ def generalized_johnson(n: int, k: int, i: int) -> Graph:
     Two k-subsets of an n-set share at least 2k - n points, so for
     n < 2k - i the graph is edgeless and no pair is checked.
     """
+    check_cap(_binomials(n, k))
     if not (n > k > i >= 0):
         raise InvalidParam(f"need n > k > i >= 0, got ({n},{k},{i})")
     digits = [str(x) for x in range(1, n + 1)]
@@ -168,6 +171,7 @@ def sierpinski(n: int, k: int) -> Graph:
 
 def circulant(n: int, steps) -> Graph:
     """Circulant graph: vertex j adjacent to j +- s (mod n) for each step s."""
+    check_cap(n)
     if n < 3:
         raise InvalidParam(f"circulant needs n >= 3, got {n}")
     steps = sorted(set(steps))
@@ -194,6 +198,7 @@ NAMED_INSTANCES = ("CubicVT24_6",)
 def named_instance(instance_id: str) -> Graph:
     """Hard-coded named graphs; currently only "CubicVT24_6"."""
     if instance_id == "CubicVT24_6":
+        check_cap(24)
         return build_graph(24, _CUBIC_VT_24_6_EDGES, tuple(str(i) for i in range(24)))
     raise UnknownInstance(f"unknown instance {instance_id!r}")
 
@@ -204,6 +209,7 @@ _GNP_DRAWS = 200
 def random_connected_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), resampled until connected (at most 200 draws);
     deterministic per seed."""
+    check_cap(n)
     if n < 1:
         raise InvalidParam(f"need n >= 1, got {n}")
     if not (0.0 <= p <= 1.0):
@@ -234,7 +240,6 @@ def build_family(spec: FamilySpec) -> Graph:
     kind, params = spec.kind, spec.params
     if kind in ("cycle", "path", "complete"):
         (n,) = _params(kind, params, 1)
-        check_cap(n)
         return basic_family(kind, n)
     if kind == "hypercube":
         (d,) = _params(kind, params, 1)
@@ -244,27 +249,22 @@ def build_family(spec: FamilySpec) -> Graph:
         return hamming(d, q)
     if kind == "generalized_johnson":
         n, k, i = _params(kind, params, 3)
-        check_cap(_binomials(n, k))
         return generalized_johnson(n, k, i)
     if kind == "sierpinski":
         n, k = _params(kind, params, 2)
         return sierpinski(n, k)
     if kind == "circulant":
         n, *steps = _params(kind, params, 0)
-        check_cap(n)
         return circulant(n, steps)
     if kind == "named_instance":
         (name,) = _params(kind, params, 1, ints=0)
-        g = named_instance(name)   # hard-coded and small, so checked once built
-        check_cap(g.n)
-        return g
+        return named_instance(name)
     if kind == "random_gnp_connected":
         n, p = _params(kind, params, 2, ints=1)
         if not isinstance(p, (int, float)):
             raise InvalidParam(f"{kind} takes a numeric edge probability, got {p!r}")
         if spec.seed is None:
             raise InvalidParam("random_gnp_connected requires a seed")
-        check_cap(n)
         return random_connected_gnp(n, p, spec.seed)
     raise InvalidParam(f"unknown family kind {kind!r}")
 

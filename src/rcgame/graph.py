@@ -199,11 +199,14 @@ def eccentricities(g: Graph) -> tuple[int, ...] | None:
 
 
 def all_pairs_distances(g: Graph) -> list[list[int]]:
-    """BFS rows of connected g, d(u, v) = rows[u][v]; raises NotConnected
-    otherwise."""
-    if not is_connected(g):
+    """BFS rows of connected g, d(u, v) = rows[u][v]: n BFS in all, since
+    connectivity is read off row 0; a disconnected g raises NotConnected."""
+    n, adj = g.n, g.adj
+    rows = [_bfs_row(adj, n, 0)] if n else []
+    if rows and -1 in rows[0]:
         raise NotConnected("the graph is disconnected; distances need a connected graph")
-    return [_bfs_row(g.adj, g.n, s) for s in range(g.n)]
+    rows.extend(_bfs_row(adj, n, s) for s in range(1, n))
+    return rows
 
 
 def girth(g: Graph) -> int:

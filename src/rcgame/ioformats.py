@@ -22,21 +22,22 @@ _G6_BITS = {63 + v: format(v, "06b") for v in range(64)}
 _G6_BYTE = {bits: b for b, bits in _G6_BITS.items()}
 
 
-def _as_bytes(data) -> bytes:
+def _as_bytes(data, what: str) -> bytes:
     """data as bytes; a str with a non-ASCII character is a ParseError at
-    that character's offset."""
+    that character's offset, naming what the str holds."""
     if isinstance(data, str):
         try:
             return data.encode("ascii")
         except UnicodeEncodeError as exc:
-            raise ParseError("non-ASCII character in graph6 record",
+            raise ParseError(f"non-ASCII character in {what}",
                              offset=exc.start) from None
     return bytes(data)
 
 
 def parse_graph6(line) -> Graph:
-    """Decode one graph6 record (str or bytes; optional header stripped)."""
-    raw = _as_bytes(line).strip()
+    """Decode one graph6 record (str or bytes; optional header stripped); an
+    order above the vertex cap raises SizeGuard before any data byte is read."""
+    raw = _as_bytes(line, "graph6 record").strip()
     if raw.startswith(_G6_HEADER):
         raw = raw[len(_G6_HEADER):]
     if not raw:
@@ -67,6 +68,7 @@ def parse_graph6(line) -> Graph:
         raise ParseError(
             f"expected {nbytes} data bytes for n={n}, got {len(raw) - pos}",
             offset=pos)
+    check_cap(n)
     data = raw[pos:]
     try:
         bits = "".join(map(_G6_BITS.__getitem__, data))
@@ -111,7 +113,9 @@ def write_graph6(g: Graph) -> str:
 
 def parse_edge_list(text: str) -> Graph:
     """Edge-list text: first line "n <count>", then one "u v" per line. A
-    count above the vertex cap raises SizeGuard before anything is built."""
+    non-ASCII character is a ParseError at its offset, and a count above
+    the vertex cap raises SizeGuard before anything is built."""
+    _as_bytes(text, "edge-list input")   # raises on a non-ASCII character
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty edge-list input", line=1)

@@ -193,10 +193,14 @@ def test_strategy_size_guard_every_input(tmp_path, capsys, monkeypatch):
     path = tmp_path / "c6.g6"
     path.write_text("EhEG\n")
     monkeypatch.setenv("RC_SIZE_GUARD", "4")
-    for source in ([str(path)], ["--instance", "CubicVT24_6"], ["--family", "cycle", "6"]):
+    # a record read from a file or named carries its id, as in compute
+    for source, err_line in [([str(path)], "error: c6:1: 6 vertices exceeds the cap 4\n"),
+                             (["--instance", "CubicVT24_6"],
+                              "error: CubicVT24_6: 24 vertices exceeds the cap 4\n"),
+                             (["--family", "cycle", "6"],
+                              "error: 6 vertices exceeds the cap 4\n")]:
         code, out, err = run(capsys, "strategy", *source, "-k", "1", "--role", "robber")
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "exceeds" in err and "cap 4" in err
+        assert (code, out, err) == (2, "", err_line)
     monkeypatch.setenv("RC_SIZE_GUARD", "6")
     code, out, _ = run(capsys, "strategy", str(path), "-k", "1", "--role", "robber",
                        "--max-moves", "4")
@@ -284,6 +288,24 @@ def test_compute_batch_keeps_rows_around_failed_graph(capsys, monkeypatch):
     assert len(lines) == 3
     assert lines[1].startswith("stdin:1,2,1,")
     assert lines[2].startswith("stdin:3,3,3,")
+
+
+def test_compute_batch_refuses_an_over_cap_record_alone(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("A_\nE???\nA_\n"))
+    monkeypatch.setenv("RC_SIZE_GUARD", "4")
+    code, out, err = run(capsys, "compute", "-")
+    assert code == 2
+    assert err == "error: stdin:2: 6 vertices exceeds the cap 4\n"
+    assert out.splitlines()[1:] == ["stdin:1,2,1,1,1,0,0,0,0,0",
+                                    "stdin:3,2,1,1,1,0,0,0,0,0"]
+
+
+def test_compute_edge_list_with_a_non_ascii_byte(tmp_path, capsys):
+    path = tmp_path / "k2.el"
+    path.write_bytes(b"n 2\n0 1\n\xc3\xa9\n")
+    code, out, err = run(capsys, "compute", "--format", "edgelist", str(path))
+    assert (code, out) == (2, "id,n,m,rad,diam,girth,rc,lb,ub,ms\n")
+    assert err == "error: k2: non-ASCII character in edge-list input\n"
 
 
 def test_compute_file_with_a_non_ascii_byte_keeps_the_other_rows(tmp_path, capsys):

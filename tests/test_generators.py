@@ -22,7 +22,7 @@ from rcgame.generators import (
     sierpinski,
 )
 from rcgame.graph import all_pairs_distances, eccentricities, girth, is_connected
-from rcgame.ioformats import parse_edge_list
+from rcgame.ioformats import parse_edge_list, parse_graph6
 from rcgame.products import product
 
 
@@ -270,12 +270,12 @@ def test_build_family_dispatch():
 
 
 def test_build_family_guards_every_kind(monkeypatch):
-    # the cap is checked from the parameters, before any edge is built
+    # each generator checks the cap from its parameters, before any label
+    # or edge is made, so build_family never builds past it
     def refuse(*_args):
         raise AssertionError("built past the size guard")
 
-    monkeypatch.setattr("rcgame.generators.basic_family", refuse)
-    monkeypatch.setattr("rcgame.generators.circulant", refuse)
+    monkeypatch.setattr("rcgame.generators.build_graph", refuse)
     monkeypatch.setenv("RC_SIZE_GUARD", "4")
     for kind, params in (("cycle", (6,)), ("path", (5,)), ("complete", (10 ** 9,)),
                          ("circulant", (7, 1, 2))):
@@ -292,18 +292,26 @@ def test_build_family_guards_every_kind(monkeypatch):
 
 
 def test_one_cap_governs_every_construction(monkeypatch):
-    # K_3 x K_2 has 6 vertices, built four ways
+    # every graph source, with the order it builds: refused one below it
     k3, k2 = basic_family("complete", 3), basic_family("complete", 2)
-    builds = (lambda: product("cartesian", k3, k2),
-              lambda: hamming(1, 6),
-              lambda: parse_edge_list("n 6\n0 1\n"),
-              lambda: build_family(FamilySpec("circulant", (6, 1, 3))))
-    monkeypatch.setenv("RC_SIZE_GUARD", "4")
-    for build in builds:
-        with pytest.raises(SizeGuard, match="exceeds the cap 4"):
+    builds = ((6, lambda: product("cartesian", k3, k2)),
+              (6, lambda: hamming(1, 6)),
+              (6, lambda: parse_edge_list("n 6\n0 1\n")),
+              (6, lambda: build_family(FamilySpec("circulant", (6, 1, 3)))),
+              (6, lambda: basic_family("cycle", 6)),
+              (6, lambda: basic_family("path", 6)),
+              (6, lambda: basic_family("complete", 6)),
+              (6, lambda: generalized_johnson(4, 2, 1)),
+              (6, lambda: circulant(6, [1])),
+              (6, lambda: random_connected_gnp(6, 0.9, 1)),
+              (24, lambda: named_instance("CubicVT24_6")),
+              (6, lambda: parse_graph6("E???")))
+    for n, build in builds:
+        monkeypatch.setenv("RC_SIZE_GUARD", str(n - 1))
+        with pytest.raises(SizeGuard, match=f"{n} vertices exceeds the cap {n - 1}$"):
             build()
-    monkeypatch.setenv("RC_SIZE_GUARD", "6")
-    assert [build().n for build in builds] == [6, 6, 6, 6]
+        monkeypatch.setenv("RC_SIZE_GUARD", str(n))
+        assert build().n == n
     for raw in ("frog", "0"):
         monkeypatch.setenv("RC_SIZE_GUARD", raw)
         with pytest.raises(InvalidParam, match="RC_SIZE_GUARD must be"):

@@ -15,6 +15,7 @@ from rcgame.generators import (
     sierpinski,
 )
 from rcgame.graph import (
+    _bfs_row,
     all_pairs_distances,
     balls,
     build_graph,
@@ -89,6 +90,26 @@ def test_distances_path():
     p4 = basic_family("path", 4)
     assert all_pairs_distances(p4)[0][3] == 3
     assert eccentricities(p4)[1] == 2
+
+
+def test_distances_one_bfs_per_row(monkeypatch):
+    # connectivity is read off row 0, not from a BFS of its own
+    calls = []
+
+    def counted(adj, n, source):
+        calls.append(source)
+        return _bfs_row(adj, n, source)
+
+    monkeypatch.setattr("rcgame.graph._bfs_row", counted)
+    for g in (basic_family("cycle", 7), basic_family("path", 1)):
+        calls.clear()
+        assert len(all_pairs_distances(g)) == g.n
+        assert calls == list(range(g.n))
+    calls.clear()
+    assert all_pairs_distances(build_graph(0, [])) == [] and calls == []
+    with pytest.raises(NotConnected, match="^the graph is disconnected; distances"):
+        all_pairs_distances(build_graph(4, [(0, 1), (2, 3)]))
+    assert calls == [0]
 
 
 def test_distances_disconnected():

@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rcgame.errors import InvalidParam, InvariantViolation, ParseError
+from rcgame.errors import InvalidParam, InvariantViolation, ParseError, SizeGuard
 from rcgame.generators import basic_family
 from rcgame.graph import build_graph
 from rcgame.ioformats import (
@@ -119,6 +119,29 @@ def test_parse_non_ascii_str_is_a_parse_error():
             parse_graph6(record)
         assert str(err.value) == "non-ASCII character in graph6 record"
         assert err.value.offset == offset
+
+
+def test_parse_edge_list_refuses_non_ascii_str():
+    # Arabic-Indic digits pass int(); the parser must not read them as 0 and 1
+    for text, offset in [("n 2\n\u0660 \u0661\n", 4), ("n \u0662\n", 2),
+                         ("n 2\n0 1\n" + chr(0xdcc3) + "\n", 8)]:
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == "non-ASCII character in edge-list input"
+        assert err.value.offset == offset
+
+
+def test_parse_graph6_refuses_over_cap_before_building(monkeypatch):
+    # n = 6 and n = 70 records under a cap of 5: refused from the size field
+    def refuse(*_args):
+        raise AssertionError("built past the size guard")
+
+    records = [("E???", 6), (write_graph6(basic_family("path", 70)), 70)]
+    monkeypatch.setattr("rcgame.ioformats.build_graph", refuse)
+    monkeypatch.setenv("RC_SIZE_GUARD", "5")
+    for record, n in records:
+        with pytest.raises(SizeGuard, match=f"^{n} vertices exceeds the cap 5$"):
+            parse_graph6(record)
 
 
 @given(graphs())
