@@ -4,7 +4,9 @@ transcripts.
 
 Exit codes: 0 success, 1 counterexample or verification failure, 2 usage,
 parse or parameter error. RC_SIZE_GUARD overrides the vertex cap; each graph
-source (parser, generator, named instance) checks it before it builds.
+source (parser, generator, named instance) checks it before it builds. Input
+is read as bytes and handed to the parsers undecoded, so the ASCII check is
+theirs alone.
 """
 
 from __future__ import annotations
@@ -66,27 +68,27 @@ def _safe_id(text: str) -> str:
     return text.replace(",", "_")
 
 
-def _read_text(path: str) -> str:
-    """The text at path, or on stdin for "-", with each non-ASCII byte
-    decoded to a lone surrogate, so the parsers refuse the record that
-    holds it and no other. A stdin without a byte buffer (io.StringIO)
-    gives its text as it is; an unreadable path raises InvalidParam."""
+def _read_text(path: str):
+    """The bytes at path, or on stdin for "-", undecoded: the parsers refuse
+    a record that holds a non-ASCII byte, and no other. A stdin without a
+    byte buffer (io.StringIO) gives its text as a str; an unreadable path
+    raises InvalidParam."""
     if path == "-":
-        data = getattr(sys.stdin, "buffer", sys.stdin).read()
-    else:
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise InvalidParam(f"cannot read {path}: {exc.strerror}") from None
-    return data if isinstance(data, str) else data.decode("ascii", "surrogateescape")
+        return getattr(sys.stdin, "buffer", sys.stdin).read()
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InvalidParam(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _read_graphs(args):
     """Yield (id, graph, error) from --instance or the input path, one
-    record at a time so a batch never holds more than one graph. error is
-    the message, and graph None, for a record its source refuses: one that
-    does not parse or whose order exceeds the vertex cap."""
+    record at a time so a batch never holds more than one graph. A graph6
+    record is one line, ended by LF, CR LF or CR; a blank line is skipped
+    but keeps its number in the ids. error is the message, and graph None,
+    for a record its source refuses: one that does not parse, holds a
+    non-ASCII byte or whose order exceeds the vertex cap."""
     if args.instance:
         records = [(args.instance, named_instance, args.instance)]
     elif args.input is None:

@@ -9,6 +9,7 @@ packed six bits per byte, each byte offset by 63. Padding bits are zero.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .errors import InvalidParam, InvariantViolation, ParseError
@@ -20,18 +21,19 @@ _G6_MAX_N = 1 << 18
 # data byte -> its six bits, most significant first, and back
 _G6_BITS = {63 + v: format(v, "06b") for v in range(64)}
 _G6_BYTE = {bits: b for b, bits in _G6_BITS.items()}
+_NON_ASCII = re.compile(rb"[^\x00-\x7f]")
+_INTEGER = re.compile(rb"-?[0-9]+")
 
 
-def _as_bytes(data, what: str) -> bytes:
-    """data as bytes; a str with a non-ASCII character is a ParseError at
-    that character's offset, naming what the str holds."""
-    if isinstance(data, str):
-        try:
-            return data.encode("ascii")
-        except UnicodeEncodeError as exc:
-            raise ParseError(f"non-ASCII character in {what}",
-                             offset=exc.start) from None
-    return bytes(data)
+def _as_bytes(data, what: str):
+    """data as bytes, or bytes-like as it is; a non-ASCII byte or character
+    is a ParseError at its offset, naming what data holds."""
+    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    if not raw.isascii():
+        # every byte before the first non-ASCII one is one ASCII character
+        raise ParseError(f"non-ASCII character in {what}",
+                         offset=_NON_ASCII.search(raw).start())
+    return raw
 
 
 def parse_graph6(line) -> Graph:
@@ -111,33 +113,33 @@ def write_graph6(g: Graph) -> str:
     return out.decode("ascii")
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Edge-list text: first line "n <count>", then one "u v" per line. A
-    non-ASCII character is a ParseError at its offset, and a count above
-    the vertex cap raises SizeGuard before anything is built."""
-    _as_bytes(text, "edge-list input")   # raises on a non-ASCII character
-    lines = text.splitlines()
+def parse_edge_list(text) -> Graph:
+    """Edge-list text (str or bytes): first line "n <count>", then one "u v"
+    per line, each number -?[0-9]+. A non-ASCII character is a ParseError at
+    its offset, and a count above the vertex cap raises SizeGuard before
+    anything is built."""
+    lines = _as_bytes(text, "edge-list input").splitlines()
     if not lines:
         raise ParseError("empty edge-list input", line=1)
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "n":
+    if len(head) != 2 or head[0] != b"n":
         raise ParseError('first line must be "n <count>"', line=1)
     try:
-        n = int(head[1])
+        n = _integer(head[1])
     except ValueError:
-        raise ParseError(f"bad vertex count {head[1]!r}", line=1) from None
+        raise ParseError(f"bad vertex count {head[1].decode()!r}", line=1) from None
     if n < 0:
         raise ParseError(f"negative vertex count {n}", line=1)
     check_cap(n)
     edges = []
     for no, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
         parts = raw.split()
+        if not parts:
+            continue
         if len(parts) != 2:
             raise ParseError(f'expected "u v" on line {no}', line=no)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _integer(parts[0]), _integer(parts[1])
         except ValueError:
             raise ParseError(f"non-integer endpoint on line {no}", line=no) from None
         if not (0 <= u < n) or not (0 <= v < n):
@@ -146,6 +148,14 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"loop at vertex {u} on line {no}", line=no)
         edges.append((u, v))
     return build_graph(n, edges)
+
+
+def _integer(token: bytes) -> int:
+    """token as an int if it is -?[0-9]+; ValueError otherwise, as from int
+    on a string past its digit limit."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
 
 
 @dataclass(frozen=True)

@@ -27,16 +27,12 @@ class OuterplanarEmbedding:
     chords: frozenset[tuple[int, int]]
 
 
-def _normalize_chord(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 def validate_embedding(g: Graph, e: OuterplanarEmbedding) -> None:
     """Check the embedding invariants and that g's edges are exactly the
     outer cycle plus the chords.
 
-    Raises NotOuterplanarEmbedding for a bad outer order, a degenerate or
-    crossing chord; EdgeSetMismatch when the edge sets differ.
+    Raises NotOuterplanarEmbedding for a bad outer order, a degenerate,
+    reversed (u > v) or crossing chord; EdgeSetMismatch when the edge sets differ.
     """
     n = g.n
     if sorted(e.outer) != list(range(n)):
@@ -48,6 +44,8 @@ def validate_embedding(g: Graph, e: OuterplanarEmbedding) -> None:
     for u, v in e.chords:
         if u == v:
             raise NotOuterplanarEmbedding(f"chord ({u},{v}) is degenerate")
+        if u > v:
+            raise NotOuterplanarEmbedding(f"chord ({u},{v}) is not written u < v")
         if u not in pos or v not in pos:
             raise NotOuterplanarEmbedding(f"chord ({u},{v}) uses unknown vertices")
         pu, pv = pos[u], pos[v]
@@ -66,7 +64,7 @@ def validate_embedding(g: Graph, e: OuterplanarEmbedding) -> None:
                     f"chords at outer positions ({a},{b}) and ({c},{d}) cross")
     expected = {(min(e.outer[i], e.outer[(i + 1) % n]),
                  max(e.outer[i], e.outer[(i + 1) % n])) for i in range(n)}
-    expected.update(_normalize_chord(u, v) for u, v in e.chords)
+    expected.update(e.chords)
     actual = set(g.edge_set())
     if expected != actual:
         missing = sorted(expected - actual)

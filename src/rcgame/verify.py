@@ -13,19 +13,20 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 
 from .engine import radius_capture_number
 from .errors import InvalidParam, NotARetraction, NotConnected
 from .generators import (
+    FamilySpec,
     basic_family,
+    build_family,
     circulant,
     generalized_johnson,
-    hamming,
     hypercube,
     named_instance,
+    predicted_rc,
     random_connected_gnp,
-    sierpinski,
 )
 from .graph import (
     Graph,
@@ -77,14 +78,7 @@ class TheoremReport:
             self.counterexample = {**witness, **self.measured}
 
     def to_json(self) -> str:
-        return json.dumps({
-            "theorem": self.theorem,
-            "inputs": self.inputs,
-            "predicted": self.predicted,
-            "measured": self.measured,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-        })
+        return json.dumps(asdict(self))
 
 
 def verify_retraction(g: Graph, r: Retraction) -> None:
@@ -527,7 +521,9 @@ def suite_outerplanar(trials: int, seed: int, max_n: int = 14) -> _Tally:
 
 
 def suite_families() -> _Tally:
-    """Closed-form capture numbers across the generated families."""
+    """Closed-form capture numbers across the generated families, against
+    generators.predicted_rc (the table `rcgame family` prints) except for
+    the literal Johnson k - 1 line and the named instance."""
     tally = _Tally()
 
     def expect(tid: str, name: str, g: Graph, expected_rc: int) -> None:
@@ -535,24 +531,27 @@ def suite_families() -> _Tally:
         tally.record(tid, rc == expected_rc, {"instance": name},
                      f"rc == {expected_rc}", {"rc": rc})
 
+    def expect_family(tid: str, name: str, kind: str, *params) -> None:
+        g = build_family(FamilySpec(kind, params))
+        ecc = eccentricities(g)
+        if ecc is not None:
+            expect(tid, name, g, predicted_rc(kind, params, min(ecc))[0])
+
     for n in range(3, 13):
-        expect("cycle-closed-form", f"C_{n}", basic_family("cycle", n), n // 2 - 1)
+        expect_family("cycle-closed-form", f"C_{n}", "cycle", n)
     for d in range(1, 5):
-        expect("hypercube-closed-form", f"Q_{d}", hypercube(d), d - 1)
+        expect_family("hypercube-closed-form", f"Q_{d}", "hypercube", d)
     for d, q in ((2, 3), (2, 4)):
-        expect("hamming-closed-form", f"H({d},{q})", hamming(d, q), d - 1)
+        expect_family("hamming-closed-form", f"H({d},{q})", "hamming", d, q)
     for n, k in ((4, 2), (5, 2)):
         expect("johnson-closed-form", f"J({n},{k})",
                generalized_johnson(n, k, k - 1), k - 1)
     for n, k, i in ((5, 2, 0), (6, 2, 0), (5, 3, 1), (6, 2, 1)):
-        g = generalized_johnson(n, k, i)
-        ecc = eccentricities(g)
-        if ecc is not None:
-            expect("generalized-johnson-radius", f"J({n},{k},{i})", g, min(ecc) - 1)
+        expect_family("generalized-johnson-radius", f"J({n},{k},{i})",
+                      "generalized_johnson", n, k, i)
     for n in range(1, 4):
-        expected = 2 ** n - 2 if n < 3 else 3 * 2 ** (n - 2) - 1
-        expect("sierpinski3-closed-form", f"S({n},3)", sierpinski(n, 3), expected)
-    expect("sierpinski4-reference", "S(3,4)", sierpinski(3, 4), 5)
+        expect_family("sierpinski3-closed-form", f"S({n},3)", "sierpinski", n, 3)
+    expect_family("sierpinski4-reference", "S(3,4)", "sierpinski", 3, 4)
     cubic = named_instance("CubicVT24_6")
     rad = min(eccentricities(cubic))
     tally.record("named-instance-values", rad == 5,

@@ -318,15 +318,38 @@ def test_compute_file_with_a_non_ascii_byte_keeps_the_other_rows(tmp_path, capsy
                                     "graphs:3,3,3,1,1,3,0,0,0,0"]
 
 
+def _byte_stdin(data):
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def test_compute_stdin_bytes_with_non_ascii_record(capsys, monkeypatch):
     # a real stdin is read through its byte buffer, undecoded
-    stdin = io.TextIOWrapper(io.BytesIO(b"A_\n\xc3\xa9\nA_\n"), encoding="utf-8")
-    monkeypatch.setattr("sys.stdin", stdin)
+    monkeypatch.setattr("sys.stdin", _byte_stdin(b"A_\n\xc3\xa9\nA_\n"))
     code, out, err = run(capsys, "compute", "-")
     assert code == 2
     assert err == "error: stdin:2: non-ASCII character in graph6 record\n"
     assert out.splitlines()[1:] == ["stdin:1,2,1,1,1,0,0,0,0,0",
                                     "stdin:3,2,1,1,1,0,0,0,0,0"]
+
+
+def test_compute_stdin_records_end_at_lf_crlf_and_cr(capsys, monkeypatch):
+    # line 3 is blank: skipped, and its number is not reused
+    monkeypatch.setattr("sys.stdin", _byte_stdin(b"A_\r\nBw\r\n\r\nA_\rBw\n"))
+    code, out, err = run(capsys, "compute", "-")
+    assert (code, err) == (0, "")
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == [
+        "stdin:1", "stdin:2", "stdin:4", "stdin:5"]
+
+
+def test_compute_stdin_form_feed_and_separators_stay_in_their_record(capsys, monkeypatch):
+    # only LF, CR LF and CR end a record: a form feed and the ASCII
+    # separators are bytes of the record that holds them
+    monkeypatch.setattr("sys.stdin", _byte_stdin(b"A_\x0cBw\nA_\n\x1c\x1f\n"))
+    code, out, err = run(capsys, "compute", "-")
+    assert code == 2
+    assert err == ("error: stdin:1: expected 1 data bytes for n=2, got 4\n"
+                   "error: stdin:3: size byte 28 outside graph6 range\n")
+    assert out.splitlines()[1:] == ["stdin:2,2,1,1,1,0,0,0,0,0"]
 
 
 @pytest.mark.parametrize("argv", [["compute"], ["strategy", "-k", "0", "--role", "cop"]])

@@ -131,6 +131,59 @@ def test_parse_edge_list_refuses_non_ascii_str():
         assert err.value.offset == offset
 
 
+def _outcome(parse, data):
+    try:
+        g = parse(data)
+    except ParseError as exc:
+        return str(exc), exc.offset, exc.line
+    return g.n, g.edge_set()
+
+
+_G6_NON_ASCII = "non-ASCII character in graph6 record"
+_EL_NON_ASCII = "non-ASCII character in edge-list input"
+
+
+# (parser, content as str, the same content as bytes, outcome); a lone
+# surrogate stands for the undecodable byte it escapes
+@pytest.mark.parametrize("parse, text, raw, expected", [
+    (parse_graph6, "Bw", b"Bw", (3, {(0, 1), (0, 2), (1, 2)})),
+    (parse_graph6, ">>graph6<<A_\r\n", b">>graph6<<A_\r\n", (2, {(0, 1)})),
+    (parse_graph6, "é", "é".encode(), (_G6_NON_ASCII, 0, None)),
+    (parse_graph6, "Aé", "Aé".encode(), (_G6_NON_ASCII, 1, None)),
+    (parse_graph6, "F??é?", "F??é?".encode(), (_G6_NON_ASCII, 3, None)),
+    (parse_graph6, "F??" + chr(0xdcc3) + "?", b"F??\xc3?", (_G6_NON_ASCII, 3, None)),
+    (parse_graph6, "F>???", b"F>???", ("data byte 62 outside graph6 range", 1, None)),
+    (parse_edge_list, "n 3\r\n0 1\r1 2\n", b"n 3\r\n0 1\r1 2\n",
+     (3, {(0, 1), (1, 2)})),
+    (parse_edge_list, "é", "é".encode(), (_EL_NON_ASCII, 0, None)),
+    (parse_edge_list, "né 2", "né 2".encode(), (_EL_NON_ASCII, 1, None)),
+    (parse_edge_list, "n 2\n0 é\n", "n 2\n0 é\n".encode(), (_EL_NON_ASCII, 6, None)),
+    (parse_edge_list, "n 2\n0 1\n" + chr(0xdcc3), b"n 2\n0 1\n\xc3",
+     (_EL_NON_ASCII, 8, None)),
+    (parse_edge_list, "n 2\n0 2\n", b"n 2\n0 2\n",
+     ("vertex outside 0..1 on line 2", None, 2)),
+])
+def test_parsers_read_str_and_bytes_alike(parse, text, raw, expected):
+    for data in (text, raw, bytearray(raw)):
+        assert _outcome(parse, data) == expected
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n 1_0\n0 9\n", "bad vertex count '1_0'"),
+    ("n +3\n0 2\n", "bad vertex count '+3'"),
+    ("n 0x3\n", "bad vertex count '0x3'"),
+    ("n -1\n", "negative vertex count -1"),
+    ("n 3\n+0 +2\n", "non-integer endpoint on line 2"),
+    ("n 20\n0 1_0\n", "non-integer endpoint on line 2"),
+    ("n 3\n0 2.0\n", "non-integer endpoint on line 2"),
+    ("n 3\n0 1\n-1 2\n", "vertex outside 0..2 on line 3"),
+])
+def test_parse_edge_list_reads_only_plain_integers(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
+
+
 def test_parse_graph6_refuses_over_cap_before_building(monkeypatch):
     # n = 6 and n = 70 records under a cap of 5: refused from the size field
     def refuse(*_args):

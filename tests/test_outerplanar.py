@@ -64,6 +64,15 @@ def test_validate_edge_mismatch():
         validate_embedding(g2, OuterplanarEmbedding(tuple(range(6)), frozenset()))
 
 
+def test_validate_reversed_chord_rejected():
+    # (2, 0) would otherwise pass as a second copy of (0, 2) and add a face
+    g, _ = _polygon_with_chords(4, [(0, 2)])
+    for chords in ({(2, 0)}, {(0, 2), (2, 0)}):
+        emb = OuterplanarEmbedding(tuple(range(4)), frozenset(chords))
+        with pytest.raises(NotOuterplanarEmbedding, match=r"^chord \(2,0\) is not written u < v$"):
+            validate_embedding(g, emb)
+
+
 def test_validate_non_permutation_outer():
     g, _ = _polygon_with_chords(4, [])
     with pytest.raises(NotOuterplanarEmbedding):
