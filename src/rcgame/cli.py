@@ -1,6 +1,7 @@
 """Command-line interface: compute capture numbers, build families, run
 the theorem-verification suites of rcgame.verify, and print strategy
-transcripts.
+transcripts. A result row's rad, diam and rc come from
+engine.capture_radii, the one reader of the balls its sweep keeps.
 
 Exit codes: 0 success, 1 counterexample or verification failure, 2 usage,
 parse or parameter error. RC_SIZE_GUARD overrides the vertex cap; each graph
@@ -17,7 +18,7 @@ import sys
 import time
 
 from .engine import (
-    _search,
+    capture_radii,
     extract_cop_strategy,
     extract_robber_strategy,
     greedy_chase_cop_strategy,
@@ -42,24 +43,19 @@ from .generators import (
     named_instance,
     predicted_rc,
 )
-from .graph import Graph, _sweep, girth
+from .graph import Graph, girth
 from .ioformats import ResultRecord, emit_results, parse_edge_list, parse_graph6
 from .verify import SUITE_NAMES, run_suite
 
 
 def compute_record(g: Graph, instance_id: str,
                    with_timing: bool = False) -> ResultRecord:
-    """Solve one graph and package the result row: girth, then one ball
-    sweep for rad and diam whose last balls up to rad feed the rc search."""
+    """Solve one graph and package the result row: girth, then rad, diam
+    and rc from engine.capture_radii, whose one ball sweep also keeps the
+    balls its rc search probes first."""
     t0 = time.perf_counter()
     gir = girth(g)
-    swept = _sweep(g)
-    if swept is None:
-        rad = diam = rc = None
-    else:
-        ecc, kept = swept
-        rad, diam = min(ecc), max(ecc)
-        rc = _search(g, rad, kept)
+    rad, diam, rc = capture_radii(g) or (None, None, None)
     ms = (time.perf_counter() - t0) * 1000.0 if with_timing else 0.0
     return ResultRecord(instance_id, g.n, g.m, rad, diam, gir, rc, round(ms, 3))
 

@@ -13,8 +13,12 @@ marks state (c, r) as won, so a single bigint AND or OR settles a whole
 column of states at once. Round t wins every state that round t - 1
 decided, and a state first won in round t has rank t: the number of
 single moves (plies) to guaranteed capture, with the cop minimizing and
-the robber maximizing. solve_cwrc and radius_capture_number both take
-one closed ball of rcgame.graph, ball_k, as the capture targets.
+the robber maximizing. solve_cwrc and capture_radii both take one closed
+ball of rcgame.graph, ball_k, as the capture targets. capture_radii is
+the one rc search: from one ball sweep it gives a graph's rad, diam and
+rc, and it alone reads the balls the sweep keeps at rad - 2 and rad - 1;
+radius_capture_number, the command line's rows and every theorem check
+that needs rad and rc together go through it.
 
 A round's cop step costs one bigint AND-NOT per column of ball_{k+1}, the
 kernel's own dilate of ball_k, in round 1, and one OR of a closed
@@ -228,22 +232,20 @@ def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalys
 
 
 def radius_capture_number(g: Graph) -> int | None:
-    """Least k at which the cop wins, or None when g is disconnected.
+    """Least k at which the cop wins, or None when g is disconnected: the
+    rc of capture_radii."""
+    radii = capture_radii(g)
+    return None if radii is None else radii[2]
+
+
+def capture_radii(g: Graph) -> tuple[int, int, int] | None:
+    """(rad, diam, rc) of g, or None when g is disconnected (InvalidParam
+    when g is empty); rc is the least k at which the cop wins.
 
     The one ball sweep of rcgame.graph._sweep answers a disconnected g
-    before any attractor work, and otherwise gives rad and the balls at
-    rad - 2 and rad - 1; _search takes it from there.
-    """
-    swept = _sweep(g)
-    if swept is None:
-        return None
-    ecc, kept = swept
-    return _search(g, min(ecc), kept)
-
-
-def _search(g: Graph, rad: int, kept: dict[int, list[int]]) -> int:
-    """Least k at which the cop wins on connected g of radius rad, given
-    kept, the map from rad - 2 and rad - 1 (those >= 0) to their balls.
+    before any attractor work, and otherwise gives every eccentricity, so
+    rad and diam, and kept, the map from rad - 2 and rad - 1 (those >= 0)
+    to their balls. capture_radii is the one reader of kept.
 
     The cop wins at k = rad, since ball_rad of every vertex holds a centre,
     and the cop-win region only grows with k. So the search bisects on
@@ -268,7 +270,11 @@ def _search(g: Graph, rad: int, kept: dict[int, list[int]]) -> int:
     holds the two kept balls, one swept ball and its dilation, never one
     per radius, and at most two pairs of planes.
     """
-    n = g.n
+    swept = _sweep(g)
+    if swept is None:
+        return None
+    ecc, kept = swept
+    n, rad = g.n, min(ecc)
     lo, hi, k = -1, rad, max(rad - 2, 0)
     lose_c, lose_r = [0] * n, [0] * n    # the fixed-point planes at lo
     while hi - lo > 1:
@@ -281,7 +287,7 @@ def _search(g: Graph, rad: int, kept: dict[int, list[int]]) -> int:
         else:
             lo, lose_c, lose_r = k, win_c, win_r
         k = (lo + hi) // 2
-    return hi
+    return rad, max(ecc), hi
 
 
 @dataclass(frozen=True)
@@ -436,7 +442,8 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
 
 
 def naive_rc_oracle(g: Graph) -> int | None:
-    """Independent slow oracle for the radius capture number.
+    """Independent slow oracle for the radius capture number: None when g
+    is disconnected, InvalidParam when g is empty, as radius_capture_number.
 
     Recomputes distances with its own BFS and labels cop-win states by
     repeated full sweeps to a fixed point (no counters, no early exit),
@@ -444,7 +451,7 @@ def naive_rc_oracle(g: Graph) -> int | None:
     """
     n = g.n
     if n == 0:
-        return None
+        raise InvalidParam("empty graph has no radius")
     dist = []
     for s in range(n):
         row = [-1] * n

@@ -11,13 +11,15 @@ time, bit-parallel BFS in the style of Akiba, Iwata and Yoshida (SIGMOD
 2013); each hop is dilate, which the engine's kernel also calls for its
 first cop step. _sweep makes one pass of it to the diameter that reads
 every eccentricity (so rad, diam and the centres) and keeps the balls at
-rad - 2 and rad - 1, where the rc search of the engine probes first;
-eccentricities and the engine's radius_capture_number both read that one
-pass, and a compute row makes it once. All-pairs distances (APSP) are
-bare BFS rows, built only for callers that read pair distances, and only
-on connected graphs; such a caller reads rad and diam off its rows, whose
-maxima are the eccentricities. girth peels the graph to its 2-core and
-runs one pruned BFS per remaining start, deleting each after its BFS.
+rad - 2 and rad - 1, where the rc search of the engine probes first.
+eccentricities and the engine's capture_radii both read that one pass,
+and capture_radii is the one reader of the kept balls: it gives rad, diam
+and rc from one sweep, so a compute row or a theorem check makes it
+once. All-pairs distances (APSP) are bare BFS rows, built only for
+callers that read pair distances, and only on connected graphs; such a
+caller reads rad and diam off its rows, whose maxima are the
+eccentricities. girth peels the graph to its 2-core and runs one pruned
+BFS per remaining start, deleting each after its BFS.
 """
 
 from __future__ import annotations
@@ -167,8 +169,9 @@ def _sweep(g: Graph) -> tuple[tuple[int, ...], dict[int, list[int]]] | None:
     levels at which it falls short; the sweep stops at the first level
     where every ball is full, the diameter. rad is the first level where
     some ball is full, and kept maps each of rad - 2 and rad - 1 (those
-    >= 0) to its ball, the balls the rc search of the engine probes first:
-    balls below rad are a prefix of the sweep to the diameter.
+    >= 0) to its ball, the balls the rc search of engine.capture_radii, their
+    one reader, probes first: balls below rad are a prefix of the sweep to
+    the diameter.
     """
     n = g.n
     if n == 0:

@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import InitVar, asdict, dataclass, field
 
-from .engine import radius_capture_number
+from .engine import capture_radii, radius_capture_number
 from .errors import InvalidParam, NotARetraction, NotConnected
 from .generators import (
     FamilySpec,
@@ -33,7 +33,6 @@ from .graph import (
     _bfs_row,
     all_pairs_distances,
     build_graph,
-    eccentricities,
     girth,
     induced_subgraph,
 )
@@ -323,11 +322,10 @@ def check_product_theorems(g: Graph, h: Graph) -> list[TheoremReport]:
     pair. Cartesian and lexicographic checks need both factors on at
     least two vertices; the strong check applies to any connected pair.
     """
-    ecc_g, ecc_h = eccentricities(g), eccentricities(h)
-    if ecc_g is None or ecc_h is None:
+    radii_g, radii_h = capture_radii(g), capture_radii(h)
+    if radii_g is None or radii_h is None:
         raise NotConnected("product theorems require connected factors")
-    rc_g, rc_h = radius_capture_number(g), radius_capture_number(h)
-    rad_g, rad_h = min(ecc_g), min(ecc_h)
+    (rad_g, _, rc_g), (rad_h, _, rc_h) = radii_g, radii_h
     inputs = {"n_g": g.n, "m_g": g.m, "n_h": h.n, "m_h": h.m,
               "rc_g": rc_g, "rc_h": rc_h, "rad_g": rad_g, "rad_h": rad_h}
     witness = {"edges_g": sorted(g.edge_set()), "edges_h": sorted(h.edge_set())}
@@ -418,9 +416,8 @@ def suite_bounds(trials: int, seed: int, max_n: int = 14) -> _Tally:
     tally = _Tally()
     for _ in range(trials):
         g = _random_connected(rng, max_n)
-        rad = min(eccentricities(g))
+        rad, _, rc = capture_radii(g)
         gir = girth(g)
-        rc = radius_capture_number(g)
         inputs = {"n": g.n, "m": g.m, "rad": rad, "girth": gir,
                   "edges": sorted(g.edge_set())}
         tally.record("radius-upper-bound", rc <= max(0, rad - 1), inputs,
@@ -526,16 +523,15 @@ def suite_families() -> _Tally:
     the literal Johnson k - 1 line and the named instance."""
     tally = _Tally()
 
-    def expect(tid: str, name: str, g: Graph, expected_rc: int) -> None:
-        rc = radius_capture_number(g)
+    def expect(tid: str, name: str, rc: int, expected_rc: int) -> None:
         tally.record(tid, rc == expected_rc, {"instance": name},
                      f"rc == {expected_rc}", {"rc": rc})
 
     def expect_family(tid: str, name: str, kind: str, *params) -> None:
-        g = build_family(FamilySpec(kind, params))
-        ecc = eccentricities(g)
-        if ecc is not None:
-            expect(tid, name, g, predicted_rc(kind, params, min(ecc))[0])
+        radii = capture_radii(build_family(FamilySpec(kind, params)))
+        if radii is not None:
+            rad, _, rc = radii
+            expect(tid, name, rc, predicted_rc(kind, params, rad)[0])
 
     for n in range(3, 13):
         expect_family("cycle-closed-form", f"C_{n}", "cycle", n)
@@ -545,18 +541,17 @@ def suite_families() -> _Tally:
         expect_family("hamming-closed-form", f"H({d},{q})", "hamming", d, q)
     for n, k in ((4, 2), (5, 2)):
         expect("johnson-closed-form", f"J({n},{k})",
-               generalized_johnson(n, k, k - 1), k - 1)
+               radius_capture_number(generalized_johnson(n, k, k - 1)), k - 1)
     for n, k, i in ((5, 2, 0), (6, 2, 0), (5, 3, 1), (6, 2, 1)):
         expect_family("generalized-johnson-radius", f"J({n},{k},{i})",
                       "generalized_johnson", n, k, i)
     for n in range(1, 4):
         expect_family("sierpinski3-closed-form", f"S({n},3)", "sierpinski", n, 3)
     expect_family("sierpinski4-reference", "S(3,4)", "sierpinski", 3, 4)
-    cubic = named_instance("CubicVT24_6")
-    rad = min(eccentricities(cubic))
+    rad, _, rc = capture_radii(named_instance("CubicVT24_6"))
     tally.record("named-instance-values", rad == 5,
                  {"instance": "CubicVT24_6"}, "rad == 5", {"rad": rad})
-    expect("named-instance-values", "CubicVT24_6", cubic, 3)
+    expect("named-instance-values", "CubicVT24_6", rc, 3)
     return tally
 
 
@@ -573,11 +568,10 @@ def transitive_sweep_lines() -> list[str]:
                               circulant(n, steps)))
     instances.append(("CubicVT24_6", named_instance("CubicVT24_6")))
     for name, g in instances:
-        ecc = eccentricities(g)
-        if ecc is None:
+        radii = capture_radii(g)
+        if radii is None:
             continue
-        rad = min(ecc)
-        rc = radius_capture_number(g)
+        rad, _, rc = radii
         lines.append(f"{name} {rad} {rc} {rad / 2:g} "
                      f"{'yes' if rc >= rad / 2 else 'no'}")
     return lines

@@ -463,8 +463,11 @@ def test_failing_theorems_carry_counterexamples(capsys, monkeypatch):
 
     # a negative capture number breaks the girth lower bound on every graph,
     # rc(retract) <= rc(graph) on every proper retract, and the strong
-    # product value on every pair of factors with at least two vertices
+    # product value on every pair of factors with at least two vertices;
+    # the bounds suite and the factors read rc from capture_radii
+    real = verify.capture_radii
     monkeypatch.setattr(verify, "radius_capture_number", lambda g: -g.n)
+    monkeypatch.setattr(verify, "capture_radii", lambda g: real(g)[:2] + (-g.n,))
     code, out, err = run(capsys, "verify", "bounds", "--trials", "3")
     assert code == 1
     assert "girth-lower-bound: 0/3 pass" in out

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from rcgame import engine
 from rcgame.engine import (
     Strategy,
+    capture_radii,
     certify_cop_strategy,
     extract_cop_strategy,
     extract_robber_strategy,
@@ -73,6 +74,8 @@ def test_solve_errors():
         solve_cwrc(basic_family("cycle", 4), -1)
     with pytest.raises(InvalidParam, match="empty graph has no radius"):
         solve_cwrc(build_graph(0, []), 0)
+    with pytest.raises(InvalidParam, match="empty graph has no radius"):
+        capture_radii(build_graph(0, []))
 
 
 def test_capture_rank_semantics():
@@ -107,6 +110,7 @@ def test_rc_disconnected_needs_no_attractor(monkeypatch):
     two_copies = build_graph(18, [(u + 9 * i, v + 9 * i) for i in range(2)
                                   for u, v in sierpinski(2, 3).edges()])
     assert radius_capture_number(two_copies) is None
+    assert capture_radii(two_copies) is None
     assert radius_capture_number(build_graph(3, [])) is None
 
 
@@ -291,7 +295,9 @@ def test_rc_census_connected_atlas():
         g = build_graph(G.number_of_nodes(), list(G.edges()))
         rc = radius_capture_number(g)
         assert rc == naive_rc_oracle(g)
-        rad = min(eccentricities(g))
+        ecc = eccentricities(g)
+        rad = min(ecc)
+        assert capture_radii(g) == (rad, max(ecc), rc)
         assert max(0, girth(g) // 2 - 1) <= rc <= max(0, rad - 1)
         split["wins" if rc < rad - 1 else "loses or rad < 2"] += 1
         slack[max(0, rad - 1) - rc] += 1
@@ -392,6 +398,14 @@ def test_oracle_examples():
     assert naive_rc_oracle(basic_family("cycle", 5)) == 1
     assert naive_rc_oracle(generalized_johnson(4, 2, 1)) == 1
     assert naive_rc_oracle(build_graph(4, [(0, 1), (2, 3)])) is None
+
+
+def test_oracle_refuses_the_empty_graph():
+    # n = 0 has no radius, not the disconnected answer None, for the oracle
+    # as for radius_capture_number
+    for rc in (naive_rc_oracle, radius_capture_number):
+        with pytest.raises(InvalidParam, match="empty graph has no radius"):
+            rc(build_graph(0, []))
 
 
 def test_circulant_attains_radius_bound():

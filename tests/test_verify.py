@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rcgame import graph
+from rcgame import engine, graph
 from rcgame.engine import radius_capture_number
 from rcgame.errors import InvalidParam, NotARetraction, NotConnected
 from rcgame.generators import (
@@ -35,6 +35,9 @@ from rcgame.verify import (
     corner_fold_retraction,
     is_generously_transitive,
     layer_projection_retraction,
+    suite_bounds,
+    suite_families,
+    transitive_sweep_lines,
     unique_antipodes,
     verify_retraction,
 )
@@ -331,6 +334,31 @@ def test_product_theorems_require_connected():
     with pytest.raises(NotConnected):
         check_product_theorems(build_graph(4, [(0, 1), (2, 3)]),
                                basic_family("cycle", 4))
+
+
+def test_checks_sweep_each_graph_once(monkeypatch):
+    # a check that needs rad and rc together reads both off one ball sweep,
+    # engine.capture_radii's, and never sweeps a graph a second time
+    real, swept = graph._sweep, []
+
+    def counted(g):
+        swept.append(g)     # keeps g alive, so no two graphs share an id
+        return real(g)
+
+    monkeypatch.setattr(graph, "_sweep", counted)
+    monkeypatch.setattr(engine, "_sweep", counted)
+    runs = [
+        (lambda: suite_bounds(12, 3), 12),
+        (suite_families, 27),
+        (transitive_sweep_lines, 79),
+        # both factors, then the Cartesian, strong and lexicographic products
+        (lambda: check_product_theorems(basic_family("cycle", 4),
+                                        basic_family("path", 3)), 5),
+    ]
+    for run, graphs in runs:
+        swept.clear()
+        run()
+        assert len(swept) == len({id(g) for g in swept}) == graphs
 
 
 def test_theorem_report_json():
