@@ -1,8 +1,15 @@
 """Generators for every graph family used by the solver and its test suites.
 
 All generators are deterministic: the same parameters (and seed, for the
-random kinds) produce an identical Graph, including labels. Each checks
-its order against the vertex cap before it builds anything.
+random kinds) produce an identical Graph, with labels identical when read.
+Each checks its order against the vertex cap before it builds anything.
+
+A family whose neighbours follow from a vertex's index (cycles, paths,
+complete graphs, circulants, Hamming graphs, generalized Johnson graphs)
+builds its sorted adjacency rows directly and hands Graph a function that
+formats its labels on first read, so a graph that is only solved pays for
+neither an edge list nor a label. Sierpinski graphs, the named instance and
+G(n, p) go through build_graph with their labels.
 """
 
 from __future__ import annotations
@@ -10,7 +17,8 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations, product, repeat
+from math import comb
 from operator import mul
 
 from .errors import CouldNotConnect, InvalidParam, SizeGuard, UnknownInstance
@@ -55,23 +63,30 @@ def _binomials(n: int, k: int):
         yield c
 
 
+def _index_labels(n: int):
+    """Labels "0".."n-1", formatted on first read."""
+    return lambda: map(str, range(n))
+
+
 def basic_family(kind: str, n: int) -> Graph:
-    """Cycle C_n (n >= 3), path P_n or complete K_n (n >= 1)."""
+    """Cycle C_n (n >= 3), the circulant with step 1; path P_n or complete
+    K_n (n >= 1)."""
     check_cap(n)
-    labels = tuple(str(i) for i in range(n))
     if kind == "cycle":
         if n < 3:
             raise InvalidParam(f"cycle needs n >= 3, got {n}")
-        return build_graph(n, [(i, (i + 1) % n) for i in range(n)], labels)
+        return circulant(n, (1,))
     if kind == "path":
         if n < 1:
             raise InvalidParam(f"path needs n >= 1, got {n}")
-        return build_graph(n, [(i, i + 1) for i in range(n - 1)], labels)
-    if kind == "complete":
+        adj = tuple(tuple(w for w in (v - 1, v + 1) if 0 <= w < n) for v in range(n))
+    elif kind == "complete":
         if n < 1:
             raise InvalidParam(f"complete needs n >= 1, got {n}")
-        return build_graph(n, list(combinations(range(n), 2)), labels)
-    raise InvalidParam(f"unknown basic family {kind!r}")
+        adj = tuple(tuple(w for w in range(n) if w != v) for v in range(n))
+    else:
+        raise InvalidParam(f"unknown basic family {kind!r}")
+    return Graph(n, adj, _index_labels(n))
 
 
 def hypercube(d: int) -> Graph:
@@ -95,24 +110,15 @@ def hamming(d: int, q: int) -> Graph:
     if d < 1 or q < 2:
         raise InvalidParam(f"hamming needs d >= 1 and q >= 2, got ({d},{q})")
     check_cap(accumulate(repeat(q, d), mul))
-    n = q ** d
     # word -> index is big-endian base q, matching iterated product order
-    edges = []
-    for v in range(n):
-        weight = 1
-        for _ in range(d):
-            digit = (v // weight) % q
-            for other in range(digit + 1, q):
-                edges.append((v, v + (other - digit) * weight))
-            weight *= q
-    def word(v: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(d):
-            out.append(v % q)
-            v //= q
-        return tuple(reversed(out))
-    labels = tuple(_tuple_label(word(v), q) for v in range(n))
-    return build_graph(n, edges, labels)
+    weights = [q ** t for t in range(d)]
+
+    def row(v: int) -> tuple[int, ...]:
+        digits = [v // w % q for w in weights]
+        return tuple(sorted(v + (x - y) * w for w, y in zip(weights, digits)
+                            for x in range(q) if x != y))
+    return Graph(q ** d, tuple(map(row, range(q ** d))),
+                 lambda: (_tuple_label(w, q) for w in product(range(q), repeat=d)))
 
 
 def generalized_johnson(n: int, k: int, i: int) -> Graph:
@@ -125,14 +131,13 @@ def generalized_johnson(n: int, k: int, i: int) -> Graph:
     check_cap(_binomials(n, k))
     if not (n > k > i >= 0):
         raise InvalidParam(f"need n > k > i >= 0, got ({n},{k},{i})")
-    digits = [str(x) for x in range(1, n + 1)]
-    labels = tuple("{" + ",".join(t) + "}" for t in combinations(digits, k))
-    edges = []
+    adj = ((),) * comb(n, k)
     if n >= 2 * k - i:
-        masks = [sum(1 << x for x in s) for s in combinations(range(1, n + 1), k)]
-        edges = [(a, b) for a, ma in enumerate(masks)
-                 for b in range(a + 1, len(masks)) if (ma & masks[b]).bit_count() == i]
-    return build_graph(len(labels), edges, labels)
+        masks = list(map(sum, combinations([1 << x for x in range(n)], k)))
+        adj = tuple(tuple([b for b, mb in enumerate(masks) if (ma & mb).bit_count() == i])
+                    for ma in masks)
+    return Graph(len(adj), adj, lambda: ("{" + ",".join(t) + "}"
+                                         for t in combinations(map(str, range(1, n + 1)), k)))
 
 
 def sierpinski(n: int, k: int) -> Graph:
@@ -149,11 +154,9 @@ def sierpinski(n: int, k: int) -> Graph:
         check_cap(1)
         return build_graph(1, [], ("1" * n,))
     check_cap(accumulate(repeat(k, n), mul))
-    words: list[tuple[int, ...]] = [()]
     edges: list[tuple[int, int]] = []
     size = 1
     for level in range(1, n + 1):
-        words = [(i,) + w for i in range(1, k + 1) for w in words]
         shifted = [(i * size + a, i * size + b) for i in range(k) for a, b in edges]
         connectors = []
         for i in range(1, k + 1):
@@ -165,8 +168,8 @@ def sierpinski(n: int, k: int) -> Graph:
                     connectors.append((u, v))
         edges = shifted + connectors
         size *= k
-    labels = tuple(_tuple_label(w, k) for w in words)
-    return build_graph(size, edges, labels)
+    words = product(range(1, k + 1), repeat=n)   # big-endian, as the indices
+    return build_graph(size, edges, tuple(_tuple_label(w, k) for w in words))
 
 
 def circulant(n: int, steps) -> Graph:
@@ -178,8 +181,10 @@ def circulant(n: int, steps) -> Graph:
     for s in steps:
         if not (1 <= s <= n // 2):
             raise InvalidParam(f"step {s} outside 1..{n // 2}")
-    edges = [(j, (j + s) % n) for j in range(n) for s in steps]
-    return build_graph(n, edges, tuple(str(i) for i in range(n)))
+    # a set per row, since j + n/2 and j - n/2 are one neighbour on even n
+    adj = tuple(tuple(sorted({(j + t) % n for s in steps for t in (s, -s)}))
+                for j in range(n))
+    return Graph(n, adj, _index_labels(n))
 
 
 # 24-vertex cubic vertex-transitive graph with radius 5; the one solver
@@ -215,10 +220,11 @@ def random_connected_gnp(n: int, p: float, seed: int) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise InvalidParam(f"edge probability {p} outside [0, 1]")
     rng = random.Random(seed)
+    labels = tuple(map(str, range(n)))
     for _ in range(_GNP_DRAWS):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < p]
-        g = build_graph(n, edges, tuple(str(i) for i in range(n)))
+        g = build_graph(n, edges, labels)
         if is_connected(g):
             return g
     raise CouldNotConnect(f"no connected sample in {_GNP_DRAWS} tries (n={n}, p={p})")

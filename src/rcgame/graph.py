@@ -1,9 +1,11 @@
 """Immutable simple undirected graphs and their metric invariants.
 
 Vertices are dense integers 0..n-1; family coordinates (words, subsets,
-tuples) live only in the optional labels. Adjacency is stored as sorted
-tuples. Closed neighbourhoods N[v] = adj[v] + {v} are built on first use,
-as sorted tuples and as one bitmask per vertex, which has_edge reads.
+tuples) live only in the optional labels, which a generator may hand over
+as a function that formats them on first read. Adjacency is stored as
+sorted tuples. Closed neighbourhoods N[v] = adj[v] + {v} are built on
+first use, as sorted tuples and as one bitmask per vertex, which has_edge
+reads.
 
 is_connected, one BFS, answers connectivity before any sweep and APSP.
 The closed-ball sweep (balls) grows one bitset per vertex a hop at a
@@ -25,7 +27,7 @@ BFS per remaining start, deleting each after its BFS.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidParam, InvalidVertex, NotConnected, SelfLoop
 
@@ -34,19 +36,27 @@ class Graph:
     """Simple undirected graph, immutable after construction.
 
     Use :func:`build_graph` rather than constructing directly; the
-    constructor trusts its arguments.
+    constructor trusts its arguments. labels is a tuple, None, or a
+    function of no arguments that yields them, called on the first read
+    of labels, so a graph whose labels are never read never formats them.
     """
 
-    __slots__ = ("n", "m", "adj", "labels", "_closed", "_closed_bits")
+    __slots__ = ("n", "m", "adj", "_labels", "_closed", "_closed_bits")
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...],
-                 labels: tuple[str, ...] | None = None):
+                 labels: tuple[str, ...] | Callable[[], Iterable[str]] | None = None):
         self.n = n
         self.adj = adj
-        self.m = sum(len(row) for row in adj) // 2
-        self.labels = labels
+        self.m = sum(map(len, adj)) // 2
+        self._labels = labels
         self._closed = None
         self._closed_bits = None
+
+    @property
+    def labels(self) -> tuple[str, ...] | None:
+        if callable(self._labels):
+            self._labels = tuple(self._labels())
+        return self._labels
 
     @property
     def closed(self) -> tuple[tuple[int, ...], ...]:
@@ -74,9 +84,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and self.closed_bits[u] >> v & 1 == 1
-
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""

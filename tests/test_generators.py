@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from rcgame.cli import compute_record
 from rcgame.errors import CouldNotConnect, InvalidParam, SizeGuard, UnknownInstance
 from rcgame.generators import (
     FamilySpec,
@@ -21,8 +22,14 @@ from rcgame.generators import (
     random_connected_gnp,
     sierpinski,
 )
-from rcgame.graph import all_pairs_distances, eccentricities, girth, is_connected
-from rcgame.ioformats import parse_edge_list, parse_graph6
+from rcgame.graph import (
+    all_pairs_distances,
+    build_graph,
+    eccentricities,
+    girth,
+    is_connected,
+)
+from rcgame.ioformats import parse_edge_list, parse_graph6, write_graph6
 from rcgame.products import product
 
 
@@ -50,7 +57,7 @@ def test_hypercube_small():
     q3 = hypercube(3)
     assert q3.n == 8 and q3.m == 12
     assert min(eccentricities(q3)) == 3
-    assert all(q3.degree(v) == 3 for v in range(8))
+    assert all(len(q3.adj[v]) == 3 for v in range(8))
     assert q3.label(5) == "101"
 
 
@@ -71,7 +78,7 @@ def test_hamming_is_complete_for_one_coordinate():
 def test_hamming_rook():
     g = hamming(2, 3)
     assert g.n == 9
-    assert all(g.degree(v) == 4 for v in range(9))
+    assert all(len(g.adj[v]) == 4 for v in range(9))
 
 
 def test_hamming_equals_hypercube():
@@ -90,20 +97,20 @@ def test_hamming_matches_iterated_cartesian_power(d, q):
 
 def test_generalized_johnson_octahedron():
     g = generalized_johnson(4, 2, 1)
-    assert g.n == 6 and all(g.degree(v) == 4 for v in range(6))
+    assert g.n == 6 and all(len(g.adj[v]) == 4 for v in range(6))
     assert g.label(0) == "{1,2}"
 
 
 def test_generalized_johnson_petersen(petersen):
     assert petersen.n == 10
-    assert all(petersen.degree(v) == 3 for v in range(10))
+    assert all(len(petersen.adj[v]) == 3 for v in range(10))
     assert is_connected(petersen)
 
 
 def test_generalized_johnson_disconnected_matching():
     g = generalized_johnson(4, 2, 0)
     assert g.n == 6 and g.m == 3
-    assert all(g.degree(v) == 1 for v in range(6))
+    assert all(len(g.adj[v]) == 1 for v in range(6))
     assert not is_connected(g)
 
 
@@ -144,7 +151,7 @@ def test_generalized_johnson_param_errors():
 def test_johnson_regularity(n, k):
     g = generalized_johnson(n, k, k - 1)
     assert g.n == math.comb(n, k)
-    assert all(g.degree(v) == k * (n - k) for v in range(g.n))
+    assert all(len(g.adj[v]) == k * (n - k) for v in range(g.n))
 
 
 def test_sierpinski_degenerate_and_base():
@@ -191,7 +198,7 @@ def test_sierpinski_s33_structure():
     assert g.n == 27 and g.m == 39
     by_label = {g.label(v): v for v in range(g.n)}
     # the three extreme vertices are the only ones of degree k - 1
-    corners = [v for v in range(27) if g.degree(v) == 2]
+    corners = [v for v in range(27) if len(g.adj[v]) == 2]
     assert sorted(g.label(v) for v in corners) == ["111", "222", "333"]
     # top-level connector edges
     for a, b in (("122", "211"), ("133", "311"), ("233", "322")):
@@ -201,7 +208,7 @@ def test_sierpinski_s33_structure():
 def test_circulant():
     assert circulant(8, {1}).edge_set() == basic_family("cycle", 8).edge_set()
     g = circulant(8, {1, 2})
-    assert all(g.degree(v) == 4 for v in range(8))
+    assert all(len(g.adj[v]) == 4 for v in range(8))
     matching = circulant(6, {3})
     assert matching.m == 3 and not is_connected(matching)
     with pytest.raises(InvalidParam):
@@ -220,7 +227,7 @@ def test_circulant_distance_profile_identical_from_every_vertex():
 
 def test_named_instance(cubic_vt):
     assert cubic_vt.n == 24 and cubic_vt.m == 36
-    assert all(cubic_vt.degree(v) == 3 for v in range(24))
+    assert all(len(cubic_vt.adj[v]) == 3 for v in range(24))
     assert set(eccentricities(cubic_vt)) == {5}
     with pytest.raises(UnknownInstance):
         named_instance("CubicVT56_12")
@@ -250,6 +257,64 @@ def test_generators_deterministic():
         a, b = make_a(), make_b()
         assert a.edge_set() == b.edge_set()
         assert a.labels == b.labels
+
+
+_JOHNSON_35 = [(n, k, i) for n in range(2, 36) for k in range(1, n)
+               if math.comb(n, k) <= 35 for i in range(k)]
+
+FAMILY_CASES = {
+    "cycle": [lambda n=n: basic_family("cycle", n) for n in range(3, 13)],
+    "path": [lambda n=n: basic_family("path", n) for n in range(1, 13)],
+    "complete": [lambda n=n: basic_family("complete", n) for n in range(1, 9)],
+    "hypercube": [lambda d=d: hypercube(d) for d in range(1, 7)],
+    "hamming": [lambda d=d, q=q: hamming(d, q)
+                for d, q in [(1, 2), (1, 5), (2, 3), (3, 3), (2, 5), (4, 3), (2, 11), (3, 12)]],
+    "generalized_johnson": [lambda p=p: generalized_johnson(*p) for p in _JOHNSON_35],
+    "sierpinski": [lambda n=n, k=k: sierpinski(n, k)
+                   for n, k in [(0, 1), (1, 1), (4, 1), (0, 3), (1, 3), (3, 3),
+                                (2, 4), (3, 4), (2, 11), (3, 2)]],
+    "circulant": [lambda n=n, s=s: circulant(n, s)
+                  for n, s in [(3, {1}), (4, {2}), (6, {3}), (8, {1, 4}), (9, {1, 4}),
+                               (10, {2, 5}), (12, {1, 2, 3, 4, 5, 6}), (13, {3, 5})]],
+    "named_instance": [lambda: named_instance("CubicVT24_6")],
+    "random_gnp_connected": [lambda s=s: random_connected_gnp(9, 0.4, s) for s in range(5)],
+}
+
+
+def test_family_cases_cover_the_edge_rules():
+    """The J(n, k, i) cases include edgeless (n < 2k - i) and Kneser (i = 0)
+    graphs; the literal lists above hold S(n, 1) and the step n/2 on even n,
+    where j + n/2 and j - n/2 are one neighbour."""
+    assert any(n < 2 * k - i for n, k, i in _JOHNSON_35)
+    assert any(i == 0 and n >= 2 * k for n, k, i in _JOHNSON_35)
+    assert len(_JOHNSON_35) == sum(k for n in range(2, 36) for k in range(1, n)
+                                   if math.comb(n, k) <= 35)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_CASES))
+def test_family_matches_build_graph_rebuild(kind):
+    """Every family equals its rebuild through build_graph, the checked path:
+    same order, size, adjacency rows, labels and graph6, with the labels
+    pairwise distinct. A direct row that listed a neighbour twice or out of
+    order, or a label function that drifted, would differ here."""
+    for make in FAMILY_CASES[kind]:
+        g = make()
+        again = build_graph(g.n, list(g.edges()), g.labels)
+        assert (g.n, g.m, g.adj, g.labels) == (again.n, again.m, again.adj, again.labels)
+        assert write_graph6(g) == write_graph6(again)
+        assert len(set(g.labels)) == g.n
+        assert [g.label(v) for v in range(g.n)] == list(g.labels)
+
+
+def test_johnson_row_formats_no_label():
+    """A J(n, k, i) that is only built and solved never formats a label; the
+    first read formats them all, as the subsets written "{1,2,...}"."""
+    for params in [(5, 2, 0), (7, 3, 2), (6, 4, 0), (8, 1, 0)]:
+        g = generalized_johnson(*params)
+        compute_record(g, "j")
+        assert callable(g._labels), params
+    assert g.label(7) == "{8}"
+    assert g.labels == tuple(f"{{{x}}}" for x in range(1, 9))
 
 
 def test_build_family_dispatch():

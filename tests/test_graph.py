@@ -38,7 +38,7 @@ def test_build_k2():
 
 def test_build_c4_degrees():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert [g.degree(v) for v in range(4)] == [2, 2, 2, 2]
+    assert [len(g.adj[v]) for v in range(4)] == [2, 2, 2, 2]
     assert g.edge_set() == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
 
@@ -190,7 +190,7 @@ def _exhaustive_girth(g):
             break
         for subset in itertools.combinations(range(g.n), size):
             sub, _ = induced_subgraph(g, subset)
-            if sub.m == size and all(sub.degree(v) == 2 for v in range(size)) \
+            if sub.m == size and all(len(sub.adj[v]) == 2 for v in range(size)) \
                     and is_connected(sub):
                 best = size
                 break
