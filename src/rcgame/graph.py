@@ -7,7 +7,8 @@ sorted tuples. Closed neighbourhoods N[v] = adj[v] + {v} are built on
 first use, as sorted tuples and as one bitmask per vertex, which has_edge
 reads.
 
-is_connected, one BFS, answers connectivity before any sweep and APSP.
+is_connected, one BFS (none below n - 1 edges), answers connectivity
+before any sweep and APSP.
 The closed-ball sweep (balls) grows one bitset per vertex a hop at a
 time, bit-parallel BFS in the style of Akiba, Iwata and Yoshida (SIGMOD
 2013); each hop is dilate, which the engine's kernel also calls for its
@@ -17,16 +18,24 @@ rad - 2 and rad - 1, where the rc search of the engine probes first.
 eccentricities and the engine's capture_radii both read that one pass,
 and capture_radii is the one reader of the kept balls: it gives rad, diam
 and rc from one sweep, so a compute row or a theorem check makes it
-once. All-pairs distances (APSP) are bare BFS rows, built only for
-callers that read pair distances, and only on connected graphs; such a
-caller reads rad and diam off its rows, whose maxima are the
-eccentricities. girth peels the graph to its 2-core and runs one pruned
-BFS per remaining start, deleting each after its BFS.
+once. All-pairs distances (APSP) are built only for callers that read
+pair distances, and only on connected graphs; such a caller reads rad and
+diam off its rows, whose maxima are the eccentricities. The BFS from
+vertex 0 that answers connectivity also gives ecc(0), and ecc(0) <= D <=
+2 ecc(0) for the diameter D. When 6 ecc(0) <= n and ecc(0) < 128 (so
+D <= n/3 and D fits a byte) the rows are read off binary planes of one
+ball sweep (_distance_planes); every other graph gets one BFS row per
+vertex, which is faster when the diameter nears n/3 or more, as on long
+cycles, paths and spiders. girth is 0 below three edges; otherwise it
+peels the graph to its 2-core and runs one pruned BFS per remaining
+start, deleting each after its BFS.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat
+from operator import xor
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidParam, InvalidVertex, NotConnected, SelfLoop
@@ -208,15 +217,66 @@ def eccentricities(g: Graph) -> tuple[int, ...] | None:
     return None if swept is None else swept[0]
 
 
+_BINARY = bytes.maketrans(b"01", b"\0\1")
+
+
+def _distance_planes(g: Graph) -> list[list[int]]:
+    """Distance rows of connected g of diameter D < 256, read off binary
+    planes of its balls.
+
+    One walk of balls(g) to D yields the J = D.bit_length() planes: bit c of
+    plane_j[r] is bit j of d(r, c). Bit j is set exactly on the runs of
+    distances [(2t+1) 2^j, (2t+2) 2^j - 1], and ball_b ^ ball_a holds the
+    pairs with a < d <= b since the balls are nested, so the XOR of
+    ball_{m 2^j - 1} over every level m 2^j - 1 <= D telescopes to plane_j,
+    once ball_D closes the last run when the count of such levels is odd.
+    Each plane is then written as one string of n^2 binary digits, pair
+    (r, c) the (r n + c)-th from the right, and read as one integer with a
+    byte per digit. The planes, shifted by j, add up to every distance at
+    once, with no carry between bytes, and the sum's little-endian bytes
+    are the distances in row-major order.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    planes: list[list[int]] = []
+    for level, ball in enumerate(balls(g)):
+        step = level + 1
+        for j in range((step & -step).bit_length()):   # the j with 2^j | step
+            if j < len(planes):
+                planes[j] = list(map(xor, planes[j], ball))
+            else:                                       # step == 2^j: plane j opens
+                planes.append(ball)
+        if ball.count(full) == n:
+            break
+    diam = level
+    digits = repeat(f"0{n}b")
+    total = 0
+    # a plane opened at level D (D + 1 a power of two) is all zeros: skipped
+    for j, plane in enumerate(planes[:diam.bit_length()]):
+        if (diam + 1) >> j & 1:     # an odd count of levels m 2^j - 1 <= D
+            plane = [b ^ full for b in plane]
+        bits = "".join(map(format, reversed(plane), digits))
+        total += int.from_bytes(bits.encode("latin-1").translate(_BINARY), "big") << j
+    lanes = total.to_bytes(n * n, "little")
+    return [list(lanes[i:i + n]) for i in range(0, n * n, n)]
+
+
 def all_pairs_distances(g: Graph) -> list[list[int]]:
-    """BFS rows of connected g, d(u, v) = rows[u][v]: n BFS in all, since
-    connectivity is read off row 0; a disconnected g raises NotConnected."""
+    """Distance rows of connected g, d(u, v) = rows[u][v]; a disconnected g
+    raises NotConnected, read off the BFS row from vertex 0. That row gives
+    ecc(0), and D <= 2 ecc(0), so when 6 ecc(0) <= n (D <= n/3) and
+    ecc(0) < 128 (D < 256, one byte) the rows come from _distance_planes;
+    otherwise from one BFS per vertex."""
     n, adj = g.n, g.adj
-    rows = [_bfs_row(adj, n, 0)] if n else []
-    if rows and -1 in rows[0]:
+    if n == 0:
+        return []
+    row = _bfs_row(adj, n, 0)
+    if -1 in row:
         raise NotConnected("the graph is disconnected; distances need a connected graph")
-    rows.extend(_bfs_row(adj, n, s) for s in range(1, n))
-    return rows
+    ecc = max(row)
+    if 6 * ecc <= n and ecc < 128:
+        return _distance_planes(g)
+    return [row, *(_bfs_row(adj, n, s) for s in range(1, n))]
 
 
 def girth(g: Graph) -> int:
@@ -239,6 +299,8 @@ def girth(g: Graph) -> int:
     7(4), 1978). Each BFS starts from a copy of one dist row, -1 on live
     and -2 on deleted vertices, so deleted vertices are never entered.
     """
+    if g.m < 3:                 # a cycle needs three edges
+        return 0
     n, adj = g.n, g.adj
     deg = [len(row) for row in adj]
     fresh = [-1] * n
@@ -283,9 +345,15 @@ def girth(g: Graph) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff a BFS from vertex 0 reaches every vertex (true for n = 0)."""
+    """True iff a BFS from vertex 0 reaches every vertex (true for n = 0).
+
+    A graph with fewer than n - 1 edges is answered without the BFS, since
+    a connected graph on n vertices has a spanning tree.
+    """
     if g.n == 0:
         return True
+    if g.m < g.n - 1:
+        return False
     row = _bfs_row(g.adj, g.n, 0)
     return all(d >= 0 for d in row)
 

@@ -189,6 +189,32 @@ def test_strategy_readme_transcripts(capsys):
                    "outcome: cut off after 1 move(s)\n")
 
 
+def test_strategy_transcripts_on_distance_planes(capsys):
+    # Q_5 and J(6,2,0) have 6 ecc(0) <= n, so their d= columns read rows
+    # from the ball planes, not from one BFS per vertex; stdout pinned
+    code, out, err = run(capsys, "strategy", "--family", "hypercube", "5",
+                         "-k", "2", "--role", "robber", "--max-moves", "12")
+    assert (code, err) == (0, "")
+    cycle = ("cop    00000 -> 00001  d=3", "robber 01111 -> 01110  d=4",
+             "cop    00001 -> 00000  d=3", "robber 01110 -> 01111  d=4")
+    assert out == ("hypercube-5: n=32 m=80 k=2 role=robber\n"
+                   "cop strategy: greedy-chase cop; robber strategy: attractor-evading robber\n"
+                   "place cop at 00000\n"
+                   "place robber at 01111  d=4\n"
+                   + "".join(f"  {i:3d} {cycle[(i - 1) % 4]}\n" for i in range(1, 13))
+                   + "outcome: survived after 12 move(s)\n")
+
+    code, out, err = run(capsys, "strategy", "--family", "generalized_johnson",
+                         "6", "2", "0", "-k", "1", "--role", "cop")
+    assert (code, err) == (0, "")
+    assert out == ("generalized_johnson-6-2-0: n=15 m=45 k=1 role=cop\n"
+                   "cop strategy: rank-greedy cop; robber strategy: rank-max robber\n"
+                   "place cop at {1,2}\n"
+                   "place robber at {1,3}  d=2\n"
+                   "    1 cop    {1,2} -> {4,5}  d=1  capture\n"
+                   "outcome: captured after 1 move(s)\n")
+
+
 def test_strategy_size_guard_every_input(tmp_path, capsys, monkeypatch):
     path = tmp_path / "c6.g6"
     path.write_text("EhEG\n")

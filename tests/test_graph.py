@@ -11,11 +11,15 @@ from rcgame.errors import InvalidParam, InvalidVertex, NotConnected, SelfLoop
 from rcgame.generators import (
     basic_family,
     generalized_johnson,
+    hamming,
+    hypercube,
+    named_instance,
     random_connected_gnp,
     sierpinski,
 )
 from rcgame.graph import (
     _bfs_row,
+    _distance_planes,
     all_pairs_distances,
     balls,
     build_graph,
@@ -92,8 +96,8 @@ def test_distances_path():
     assert eccentricities(p4)[1] == 2
 
 
-def test_distances_one_bfs_per_row(monkeypatch):
-    # connectivity is read off row 0, not from a BFS of its own
+def _counted_bfs_rows(monkeypatch):
+    """Patch _bfs_row to record its sources; returns the list it fills."""
     calls = []
 
     def counted(adj, n, source):
@@ -101,15 +105,117 @@ def test_distances_one_bfs_per_row(monkeypatch):
         return _bfs_row(adj, n, source)
 
     monkeypatch.setattr("rcgame.graph._bfs_row", counted)
+    return calls
+
+
+def test_distances_one_bfs_per_row(monkeypatch):
+    # connectivity is read off row 0, not from a BFS of its own; C_7
+    # (6 ecc(0) > n) takes one BFS per row, K_6 its planes after row 0
+    calls = _counted_bfs_rows(monkeypatch)
     for g in (basic_family("cycle", 7), basic_family("path", 1)):
         calls.clear()
         assert len(all_pairs_distances(g)) == g.n
         assert calls == list(range(g.n))
     calls.clear()
+    assert all_pairs_distances(basic_family("complete", 6)) == [
+        [int(u != v) for v in range(6)] for u in range(6)]
+    assert calls == [0]
+    calls.clear()
     assert all_pairs_distances(build_graph(0, [])) == [] and calls == []
     with pytest.raises(NotConnected, match="^the graph is disconnected; distances"):
         all_pairs_distances(build_graph(4, [(0, 1), (2, 3)]))
     assert calls == [0]
+
+
+def _bfs_rows(g):
+    return [_bfs_row(g.adj, g.n, s) for s in range(g.n)]
+
+
+# the seven graphs of the benchmark's certify workload, P_256 (diameter
+# 255, the largest a byte holds), P_8 (D + 1 a power of two, so a plane
+# opens at level D) and K_1; C_64, CubicVT24_6 and the paths, which
+# all_pairs_distances sends to BFS, are forced through the planes here
+_PLANE_CASES = {
+    "S(4,4)": lambda: sierpinski(4, 4),
+    "S(5,3)": lambda: sierpinski(5, 3),
+    "Q_7": lambda: hypercube(7),
+    "H(3,5)": lambda: hamming(3, 5),
+    "C_64": lambda: basic_family("cycle", 64),
+    "CubicVT24_6": lambda: named_instance("CubicVT24_6"),
+    "J(7,3)": lambda: generalized_johnson(7, 3, 2),
+    "P_256": lambda: basic_family("path", 256),
+    "P_8": lambda: basic_family("path", 8),
+    "K_1": lambda: build_graph(1, []),
+}
+
+
+@pytest.mark.parametrize("name", _PLANE_CASES)
+def test_distance_planes_equal_bfs_rows(name):
+    g = _PLANE_CASES[name]()
+    rows = _distance_planes(g)
+    assert rows == _bfs_rows(g)
+    assert all_pairs_distances(g) == rows
+
+
+def _spider(legs, length, leaves=0):
+    """Legs of the given length and then leaves, all hung from vertex 0."""
+    edges = [(0 if i % length == 0 else i, i + 1) for i in range(legs * length)]
+    edges += [(0, v) for v in range(legs * length + 1, legs * length + 1 + leaves)]
+    return build_graph(legs * length + 1 + leaves, edges)
+
+
+def test_distances_route_by_ecc0(monkeypatch):
+    # the planes only when 6 ecc(0) <= n (so D <= n/3, where they beat BFS)
+    # and ecc(0) < 128 (so D < 256 fits their one-byte lanes)
+    planes = []
+
+    def counted(g):
+        planes.append(g.n)
+        return _distance_planes(g)
+
+    monkeypatch.setattr("rcgame.graph._distance_planes", counted)
+    cases = [
+        (basic_family("path", 300), False),    # ecc(0) = D = 299
+        (_spider(4, 50), False),               # 4 ecc(0) < n, but D = n/2
+        (_spider(2, 128, 511), False),         # 6 ecc(0) <= n, but D = 256
+        (_spider(8, 30), True),                # D = 60 <= n/3
+    ]
+    for g, on_planes in cases:
+        planes.clear()
+        rows = all_pairs_distances(g)
+        assert planes == ([g.n] if on_planes else [])
+        assert rows == _bfs_rows(g)
+    assert max(map(max, all_pairs_distances(_spider(2, 128, 511)))) == 256
+
+
+def test_distance_rows_are_distinct_lists():
+    # callers may keep or change one row without touching another
+    for g in (basic_family("complete", 4), basic_family("cycle", 9), build_graph(1, [])):
+        rows = all_pairs_distances(g)
+        assert all(type(row) is list for row in rows)
+        assert len({id(row) for row in rows}) == g.n
+
+
+def test_distances_match_networkx_atlas(monkeypatch):
+    # every connected graph on 1..7 vertices of networkx's atlas; the rule
+    # 6 ecc(0) <= n sends some through the planes and the rest through BFS
+    planes = []
+
+    def counted(g):
+        planes.append(g.n)
+        return _distance_planes(g)
+
+    monkeypatch.setattr("rcgame.graph._distance_planes", counted)
+    connected = 0
+    for G in nx.graph_atlas_g()[1:]:
+        if not nx.is_connected(G):
+            continue
+        connected += 1
+        g = build_graph(G.number_of_nodes(), list(G.edges()))
+        lengths = dict(nx.all_pairs_shortest_path_length(G))
+        assert all_pairs_distances(g) == [[lengths[u][v] for v in range(g.n)]
+                                          for u in range(g.n)]
+    assert 0 < len(planes) < connected
 
 
 def test_distances_disconnected():
@@ -200,6 +306,10 @@ def _exhaustive_girth(g):
 def test_girth_tree_zero():
     assert girth(basic_family("path", 6)) == 0
     assert girth(build_graph(1, [])) == 0
+    # below three edges girth answers 0 without peeling
+    assert girth(build_graph(0, [])) == girth(build_graph(9, [])) == 0
+    assert girth(build_graph(4, [(0, 1), (2, 3)])) == 0
+    assert girth(basic_family("cycle", 3)) == 3
 
 
 def test_girth_cycle():
@@ -280,6 +390,17 @@ def test_girth_on_graphs_with_triangles(n, p, seed):
     G = nx.gnp_random_graph(n, p, seed=seed)
     assume(any(nx.triangles(G).values()))
     assert girth(build_graph(n, list(G.edges()))) == nx.girth(G) == 3
+
+
+def test_is_connected_counts_edges_before_a_bfs(monkeypatch):
+    # fewer than n - 1 edges cannot connect n vertices: no BFS is run
+    calls = _counted_bfs_rows(monkeypatch)
+    assert not is_connected(build_graph(5, []))
+    assert not is_connected(build_graph(5, [(0, 1), (1, 2), (3, 4)]))
+    assert calls == []
+    assert not is_connected(build_graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]))
+    assert is_connected(basic_family("path", 5))
+    assert calls == [0, 0]
 
 
 def test_is_connected_examples():
