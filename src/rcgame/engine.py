@@ -13,23 +13,24 @@ marks state (c, r) as won, so a single bigint AND or OR settles a whole
 column of states at once. Round t wins every state that round t - 1
 decided, and a state first won in round t has rank t: the number of
 single moves (plies) to guaranteed capture, with the cop minimizing and
-the robber maximizing. solve_cwrc and capture_radii both take one closed
-ball of rcgame.graph, ball_k, as the capture targets. capture_radii is
-the one rc search: from one ball sweep it gives a graph's rad, diam and
-rc, and it alone reads the balls the sweep keeps at rad - 2 and rad - 1;
+the robber maximizing. solve_cwrc and capture_radii both hand the kernel
+two closed balls of rcgame.graph: ball_k, the capture targets, and
+ball_{k+1}, the cops that reach them in one move. capture_radii is the
+one rc search: from one ball sweep it gives a graph's rad, diam and rc,
+and it alone reads the balls the sweep keeps at rad - 2, rad - 1 and rad;
 radius_capture_number, the command line's rows and every theorem check
-that needs rad and rc together go through it.
+that needs rad and rc together go through it. The kernel computes no
+ball of its own.
 
-A round's cop step costs one bigint AND-NOT per column of ball_{k+1}, the
-kernel's own dilate of ball_k, in round 1, and one OR of a closed
-neighbourhood mask per newly won robber-to-move state after that.
-Its robber step costs one AND per closed neighbour of each column next to
-a column whose cop-to-move states changed.
+A round's cop step costs one bigint AND-NOT per column of ball_{k+1} in
+round 1, and one OR of a closed neighbourhood mask per newly won
+robber-to-move state after that. Its robber step costs one AND per closed
+neighbour of each column next to a column whose cop-to-move states
+changed.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import cycle, islice
@@ -42,7 +43,7 @@ from .errors import (
     NoEvasionStrategy,
     NoWinningStrategy,
 )
-from .graph import Graph, _sweep, all_pairs_distances, balls, dilate
+from .graph import Graph, _sweep, all_pairs_distances, balls
 
 COP_TO_MOVE = 0
 ROBBER_TO_MOVE = 1
@@ -127,15 +128,17 @@ def _full_rows(win_c: list[int], n: int) -> int:
     return full
 
 
-def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int]):
+def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
+             grown: list[int]):
     """Add the capture states ball to the cop-win region and propagate
     backwards, one level per round.
 
     win_c and win_r are the cop-to-move and robber-to-move planes: bit c
     of win_c[r] means state (c, r) is won. ball[r] is the bitset of cops
     that capture a robber at r, ball_k of rcgame.graph.balls; those not yet
-    won are won in both planes in round 0. Round t reads the planes left
-    by round t - 1:
+    won are won in both planes in round 0. grown is ball_{k+1}, which the
+    caller walked with ball_k. Round t reads the planes left by round
+    t - 1:
 
     - cop step: (c, r) is won once the cop can move onto a robber-to-move
       state (y, r) won in round t - 1, i.e. c is in N[y];
@@ -150,10 +153,13 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int]):
 
     The input planes must be a fixed point: empty, or left by an earlier
     call at a smaller k. Their flags then stay exact, since the region only
-    grows with k, and round 1's cop step is dilate(g, ball)[r] & ~win_c[r]:
-    dilate maps ball_k to ball_{k+1}, the cops next to ball_k[r], and a cop
-    next to a robber-to-move state won before round 0 is already in win_c.
-    Later cop steps OR the closed neighbourhoods of the newly won states.
+    grows with k, and round 1's cop step is grown[r] & ~win_c[r]: ball_{k+1}
+    [r] holds the cops next to ball_k[r], and a cop next to a robber-to-move
+    state won before round 0 is already in win_c. The kernel drops ball
+    after round 0 and grown after round 1, so past round 1 it holds no
+    ball, and a caller that kept neither holds none either. Later cop
+    steps OR the closed neighbourhoods of the newly won states, taking the
+    top set bit each time.
     """
     closed, closed_bits = g.closed, g.closed_bits
     cop, robber = {}, {}
@@ -166,24 +172,24 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int]):
         if fresh:
             robber[r] = fresh
             win_r[r] |= fresh
-    first = True
+    del ball
     while cop or robber:
         yield cop, robber
         new_c, new_r = cop, robber
         cop, robber = {}, {}
-        if first:
-            first = False
-            for r, bits in enumerate(dilate(g, ball)):
+        if grown is not None:
+            for r, bits in enumerate(grown):
                 reach = bits & ~win_c[r]
                 if reach:
                     cop[r] = reach
+            grown = None
         else:
             for r, bits in new_r.items():
                 reach = 0
                 while bits:
-                    low = bits & -bits
-                    reach |= closed_bits[low.bit_length() - 1]
-                    bits ^= low
+                    y = bits.bit_length() - 1
+                    reach |= closed_bits[y]
+                    bits ^= 1 << y
                 reach &= ~win_c[r]
                 if reach:
                     cop[r] = reach
@@ -199,11 +205,19 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int]):
             win_r[r] |= bits
 
 
-def _ball(g: Graph, k: int) -> list[int]:
-    """ball_k of rcgame.graph.balls; past the diameter, the last ball."""
-    for ball in islice(balls(g), k + 1):
-        pass
-    return ball
+def _ball(g: Graph, k: int,
+          kept: dict[int, list[int]] | None = None) -> tuple[list[int], list[int]]:
+    """(ball_k, ball_{k+1}) of rcgame.graph.balls: read from kept, a map
+    from levels to balls, when it holds both, else from one walk of balls,
+    past whose diameter both are the last ball. ball_k leaves kept as it
+    is read, since the rc search probes each k once; ball_{k+1} stays for
+    a probe at k + 1."""
+    if kept and k in kept and k + 1 in kept:
+        return kept.pop(k), kept[k + 1]
+    for level, ball in enumerate(islice(balls(g), k + 2)):
+        if level <= k:
+            below = ball
+    return below, ball
 
 
 def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalysis:
@@ -225,7 +239,7 @@ def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalys
     if dm is None:
         dm = all_pairs_distances(g)
     win_c, win_r = [0] * n, [0] * n
-    rounds = list(_attract(g, win_c, win_r, _ball(g, k)))
+    rounds = list(_attract(g, win_c, win_r, *_ball(g, k)))
     full = _full_rows(win_c, n)
     choices = tuple(c for c in range(n) if full >> c & 1)
     return WinAnalysis(g, k, dm, (win_c, win_r), rounds, choices)
@@ -244,8 +258,8 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
 
     The one ball sweep of rcgame.graph._sweep answers a disconnected g
     before any attractor work, and otherwise gives every eccentricity, so
-    rad and diam, and kept, the map from rad - 2 and rad - 1 (those >= 0)
-    to their balls. capture_radii is the one reader of kept.
+    rad and diam, and kept, the map from rad - 2, rad - 1 and rad (those
+    >= 0) to their balls. capture_radii is the one reader of kept.
 
     The cop wins at k = rad, since ball_rad of every vertex holds a centre,
     and the cop-win region only grows with k. So the search bisects on
@@ -264,11 +278,13 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
     round 1. A cop that already wins at rad - 2 takes about log2(rad) more
     probes: five on S(4,4) (rc 11, rad 14).
 
-    A probe at k needs ball_k alone, the capture states; _attract dilates
-    it for its first cop step. The probes at rad - 2 and rad - 1 read it
-    from kept; any other probe sweeps it again with _ball. So the search
-    holds the two kept balls, one swept ball and its dilation, never one
-    per radius, and at most two pairs of planes.
+    A probe at k needs ball_k, the capture states, and ball_{k+1} for its
+    first cop step. _ball reads both from kept for the probes at rad - 2
+    and rad - 1, and walks both again for any other probe. A search whose
+    probes all read kept levels so makes diam - 1 dilates, those of the
+    sweep, and none on a complete graph. The search holds at most the
+    three kept balls and two swept ones, never one per radius, and at most
+    two pairs of planes.
     """
     swept = _sweep(g)
     if swept is None:
@@ -279,8 +295,7 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
     lose_c, lose_r = [0] * n, [0] * n    # the fixed-point planes at lo
     while hi - lo > 1:
         win_c, win_r = lose_c.copy(), lose_r.copy()
-        ball = kept[k] if k in kept else _ball(g, k)
-        for cop, _ in _attract(g, win_c, win_r, ball):
+        for cop, _ in _attract(g, win_c, win_r, *_ball(g, k, kept)):
             if cop and _full_rows(win_c, n):
                 hi = k
                 break
@@ -525,20 +540,6 @@ def greedy_chase_cop_strategy(g: Graph, k: int,
         return min(closed[cop], key=lambda y: (row[y], y))
 
     return Strategy("cop", lambda: start, move, "greedy-chase cop", positional=True)
-
-
-def random_cop_strategy(g: Graph, seed: int) -> Strategy:
-    """Seeded uniformly random cop policy, for robustness play-outs."""
-    rng = random.Random(seed)
-    closed = g.closed
-
-    def initial() -> int:
-        return rng.randrange(g.n)
-
-    def move(cop: int, robber: int) -> int:
-        return rng.choice(closed[cop])
-
-    return Strategy("cop", initial, move, f"random cop seed={seed}")
 
 
 def certify_cop_strategy(a: WinAnalysis) -> int:

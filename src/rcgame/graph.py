@@ -11,10 +11,12 @@ is_connected, one BFS (none below n - 1 edges), answers connectivity
 before any sweep and APSP.
 The closed-ball sweep (balls) grows one bitset per vertex a hop at a
 time, bit-parallel BFS in the style of Akiba, Iwata and Yoshida (SIGMOD
-2013); each hop is dilate, which the engine's kernel also calls for its
-first cop step. _sweep makes one pass of it to the diameter that reads
-every eccentricity (so rad, diam and the centres) and keeps the balls at
-rad - 2 and rad - 1, where the rc search of the engine probes first.
+2013); ball_1 is closed_bits itself, and each later hop is dilate, so a
+graph of diameter D costs D - 1 of them. _sweep makes one pass of it to
+the diameter that reads every eccentricity (so rad, diam and the
+centres) and keeps the balls at rad - 2, rad - 1 and rad: the rc search
+of the engine probes rad - 2 and rad - 1 first, and a probe at k reads
+ball_k for its capture states and ball_{k+1} for its first cop step.
 eccentricities and the engine's capture_radii both read that one pass,
 and capture_radii is the one reader of the kept balls: it gives rad, diam
 and rc from one sweep, so a compute row or a theorem check makes it
@@ -28,7 +30,7 @@ ball sweep (_distance_planes); every other graph gets one BFS row per
 vertex, which is faster when the diameter nears n/3 or more, as on long
 cycles, paths and spiders. girth is 0 below three edges; otherwise it
 peels the graph to its 2-core and runs one pruned BFS per remaining
-start, deleting each after its BFS.
+start, deleting each after its BFS, and returns 3 at its first triangle.
 """
 
 from __future__ import annotations
@@ -165,16 +167,17 @@ def dilate(g: Graph, ball: list[int]) -> list[int]:
 def balls(g: Graph) -> Iterator[list[int]]:
     """Yield ball_0, ball_1, ...: bit c of ball_k[r] is set iff d(c, r) <= k.
 
-    Each ball is the dilate of the one before. The generator ends once the
+    ball_1 is the closed neighbourhoods, list(g.closed_bits); each later
+    ball is the dilate of the one before. The generator ends once the
     balls stop growing.
     """
     ball = [1 << v for v in range(g.n)]
-    while True:
+    yield ball
+    grown = list(g.closed_bits)
+    while grown != ball:
+        ball = grown
         yield ball
         grown = dilate(g, ball)
-        if grown == ball:
-            return
-        ball = grown
 
 
 def _sweep(g: Graph) -> tuple[tuple[int, ...], dict[int, list[int]]] | None:
@@ -184,10 +187,11 @@ def _sweep(g: Graph) -> tuple[tuple[int, ...], dict[int, list[int]]] | None:
     the first k at which ball_k[v] holds every vertex, counted as the
     levels at which it falls short; the sweep stops at the first level
     where every ball is full, the diameter. rad is the first level where
-    some ball is full, and kept maps each of rad - 2 and rad - 1 (those
-    >= 0) to its ball, the balls the rc search of engine.capture_radii, their
-    one reader, probes first: balls below rad are a prefix of the sweep to
-    the diameter.
+    some ball is full, and kept maps each of rad - 2, rad - 1 and rad
+    (those >= 0) to its ball: the rc search of engine.capture_radii, their
+    one reader, probes rad - 2 and then rad - 1 first, and a probe at k
+    reads ball_k and ball_{k+1}. Balls up to rad are a prefix of the sweep
+    to the diameter.
     """
     n = g.n
     if n == 0:
@@ -199,10 +203,10 @@ def _sweep(g: Graph) -> tuple[tuple[int, ...], dict[int, list[int]]] | None:
     short = range(n)
     kept: dict[int, list[int]] = {}
     for level, ball in enumerate(balls(g)):
-        short = [v for v in short if ball[v] != full]
-        if len(short) == n:     # no ball is full yet: level < rad
+        if len(short) == n:     # no ball was full a level down: level <= rad
             kept[level] = ball
-            kept.pop(level - 2, None)
+            kept.pop(level - 3, None)
+        short = [v for v in short if ball[v] != full]
         if not short:
             break
         for v in short:
@@ -284,12 +288,13 @@ def girth(g: Graph) -> int:
 
     A vertex of degree <= 1 is on no cycle, so girth first peels them off,
     again and again, leaving the 2-core. It then repeats: BFS from a live
-    vertex s, delete s, peel again, until nothing is left or a triangle is
-    found, since no simple graph has a shorter cycle. From s, a non-tree
-    edge (u, w) with dist(s, w) >= dist(s, u) witnesses a closed walk, and
-    so a cycle, of length at most dist(s, u) + dist(s, w) + 1; the parent
-    edge of u is one level down and never counts. A BFS stops at the level
-    where no such edge can beat the best found.
+    vertex s, delete s, peel again, until nothing is left. From s, a
+    non-tree edge (u, w) with dist(s, w) >= dist(s, u) witnesses a closed
+    walk, and so a cycle, of length at most dist(s, u) + dist(s, w) + 1;
+    the parent edge of u is one level down and never counts. A BFS stops at
+    the level where no such edge can beat the best found, and a candidate
+    of length 3 returns at once, since no simple graph has a shorter cycle:
+    on a complete graph that reads two adjacency rows, O(deg), not O(m).
 
     This is exact. Every candidate bounds the length of some cycle of g
     from above, so none is below the girth. Let C be a shortest cycle and s the first of its
@@ -319,8 +324,6 @@ def girth(g: Graph) -> int:
     delete([v for v in range(n) if deg[v] <= 1])
     best = 0
     for s in range(n):
-        if best == 3:
-            break
         if fresh[s] != -1:
             continue
         dist = fresh.copy()
@@ -338,6 +341,8 @@ def girth(g: Graph) -> int:
                     q.append(w)
                 elif dw >= du:
                     cand = du + dw + 1
+                    if cand == 3:       # no simple graph has a shorter cycle
+                        return 3
                     if best == 0 or cand < best:
                         best = cand
         delete([s])

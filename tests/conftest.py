@@ -1,5 +1,5 @@
-"""Shared test helpers: conversion to networkx for independent oracles, and
-a hypothesis strategy for arbitrary small graphs."""
+"""Shared test helpers: conversion to networkx for independent oracles, a
+hypothesis strategy for arbitrary small graphs, and a dilate call counter."""
 
 from itertools import combinations
 
@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
+from rcgame import engine, graph
 from rcgame.generators import generalized_johnson, named_instance
 from rcgame.graph import Graph, build_graph
 
@@ -25,6 +26,22 @@ def graphs(draw, min_n=0, max_n=70):
     pairs = list(combinations(range(n), 2))
     mask = draw(st.integers(0, (1 << len(pairs)) - 1))
     return build_graph(n, [p for j, p in enumerate(pairs) if mask >> j & 1])
+
+
+@pytest.fixture
+def dilate_calls(monkeypatch) -> list[Graph]:
+    """The graphs of every dilate call made while the test runs, in call
+    order, through rcgame.graph.dilate or a name of it that rcgame.engine
+    imports."""
+    real, calls = graph.dilate, []
+
+    def counted(g, ball):
+        calls.append(g)
+        return real(g, ball)
+
+    monkeypatch.setattr(graph, "dilate", counted)
+    monkeypatch.setattr(engine, "dilate", counted, raising=False)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,6 @@ from rcgame.engine import (
     greedy_chase_cop_strategy,
     naive_rc_oracle,
     radius_capture_number,
-    random_cop_strategy,
     rank_max_robber_strategy,
     simulate,
     solve_cwrc,
@@ -35,6 +34,7 @@ from rcgame.errors import (
 from rcgame.generators import (
     basic_family,
     generalized_johnson,
+    hamming,
     hypercube,
     random_connected_gnp,
     sierpinski,
@@ -122,9 +122,10 @@ def _lollipop(cycle, path):
     return build_graph(cycle + path, edges)
 
 
-def test_sweep_keeps_the_two_levels_below_rad():
-    # kept is ball_{rad-2} and ball_{rad-1} (those >= 0), the levels the
-    # search probes first: on K_1, the lollipops and the connected atlas
+def test_sweep_keeps_the_three_levels_up_to_rad():
+    # kept is ball_{rad-2}, ball_{rad-1} and ball_rad (those >= 0): the
+    # search probes rad - 2 and rad - 1 first, and a probe at k reads ball_k
+    # and ball_{k+1}: on K_1, the lollipops and the connected atlas
     graphs = [basic_family("complete", 1)]
     graphs += [_lollipop(c, p) for c in (3, 4, 9) for p in (0, 1, 2, 5, 30)]
     graphs += [build_graph(G.number_of_nodes(), list(G.edges()))
@@ -133,7 +134,47 @@ def test_sweep_keeps_the_two_levels_below_rad():
     for g in graphs:
         ecc, kept = _sweep(g)
         rad, every = min(ecc), list(balls(g))
-        assert kept == {k: every[k] for k in (rad - 2, rad - 1) if k >= 0}
+        assert kept == {k: every[k] for k in (rad - 2, rad - 1, rad) if k >= 0}
+
+
+@pytest.mark.parametrize("g,dilates", [
+    *((basic_family("complete", n), 0) for n in range(2, 9)),
+    (generalized_johnson(70, 1, 0), 0),     # K_70
+    (sierpinski(5, 3), 30),
+    (hypercube(7), 6),
+    (hamming(3, 5), 2),
+    (basic_family("cycle", 400), 199),
+], ids=lambda v: None if isinstance(v, int) else repr(v))
+def test_search_walks_each_ball_level_once(dilate_calls, g, dilates):
+    # ball_1 is closed_bits and every probe here reads ball_k and ball_{k+1}
+    # from the levels the sweep kept, so the search's only dilates are the
+    # sweep's, diam - 1 of them: none on a complete graph
+    rad, diam, rc = capture_radii(g)
+    assert len(dilate_calls) == dilates == diam - 1
+
+
+def test_ball_reads_kept_levels_once():
+    # _ball(g, k, kept) takes ball_k out of kept and leaves ball_{k+1} for a
+    # probe at k + 1; a level kept lacks is walked, and kept stays as it was
+    g = sierpinski(3, 3)
+    every = list(balls(g))
+    kept = {k: every[k] for k in (4, 5, 6)}
+    assert engine._ball(g, 4, kept) == (every[4], every[5])
+    assert kept == {5: every[5], 6: every[6]}
+    assert engine._ball(g, 5, kept) == (every[5], every[6])
+    assert engine._ball(g, 2, kept) == (every[2], every[3])
+    assert kept == {6: every[6]}
+
+
+def test_solve_walks_to_ball_k_plus_one(dilate_calls):
+    # solve_cwrc at k < diam walks ball_0 .. ball_{k+1} once, k dilates past
+    # ball_1, and the kernel takes ball_{k+1} from that walk
+    for g in (sierpinski(4, 4), hypercube(5), basic_family("cycle", 9)):
+        dm = all_pairs_distances(g)
+        for k in range(max(max(row) for row in dm)):
+            dilate_calls.clear()
+            solve_cwrc(g, k, dm)
+            assert len(dilate_calls) == k
 
 
 # a row's id ends in its probe count
@@ -148,13 +189,16 @@ def test_sweep_keeps_the_two_levels_below_rad():
 ], ids=lambda v: str(len(v)) if isinstance(v, list) else None)
 def test_rc_probes_follow_the_radius_bound(monkeypatch, g, rc, probes):
     # one attractor call per probe, at max(rad - 2, 0) first and then
-    # bisecting; each call's k is the ball its targets equal
+    # bisecting; each call's k is the ball its targets equal, and its second
+    # ball is the next one
     real, calls = engine._attract, []
     every_ball = list(balls(g))
 
-    def counted(g, win_c, win_r, targets):
-        calls.append(every_ball.index(targets))
-        return real(g, win_c, win_r, targets)
+    def counted(g, win_c, win_r, targets, grown):
+        k = every_ball.index(targets)
+        assert grown == every_ball[min(k + 1, len(every_ball) - 1)]
+        calls.append(k)
+        return real(g, win_c, win_r, targets, grown)
 
     monkeypatch.setattr(engine, "_attract", counted)
     assert radius_capture_number(g) == rc
@@ -169,10 +213,10 @@ def test_rc_winning_probe_stops_at_its_verdict(monkeypatch):
     real, consumed = engine._attract, []
     every_ball = list(balls(g))
 
-    def counted(g, win_c, win_r, targets):
+    def counted(g, win_c, win_r, targets, grown):
         probe = [every_ball.index(targets), 0]
         consumed.append(probe)
-        for new in real(g, win_c, win_r, targets):
+        for new in real(g, win_c, win_r, targets, grown):
             probe[1] += 1
             yield new
 
@@ -191,9 +235,9 @@ def test_rc_probes_resume_from_fixed_points(monkeypatch, g):
     real, starts = engine._attract, []
     every_ball = list(balls(g))
 
-    def counted(g, win_c, win_r, targets):
+    def counted(g, win_c, win_r, targets, grown):
         starts.append((every_ball.index(targets), win_c.copy(), win_r.copy()))
-        return real(g, win_c, win_r, targets)
+        return real(g, win_c, win_r, targets, grown)
 
     monkeypatch.setattr(engine, "_attract", counted)
     rc = radius_capture_number(g)
@@ -356,18 +400,19 @@ def _attract_per_bit(g, win_c, win_r, targets):
 def _assert_attract_matches_per_bit(g):
     # from empty planes at every k up to diam, and from the fixed-point
     # planes at every j < k: the same rounds, in the same order, and the
-    # same final planes; _ball(g, k) is ball_k, capped at the last ball
+    # same final planes; _ball(g, k) is (ball_k, ball_{k+1}), each capped
+    # at the last ball
     every = list(balls(g))
     last = len(every) - 1
     for k in range(last + 2):
-        assert engine._ball(g, k) == every[min(k, last)]
+        assert engine._ball(g, k) == (every[min(k, last)], every[min(k + 1, last)])
     fixed = []                        # the fixed-point planes at each j < k
     for k in range(last + 1):
         for start_c, start_r in [([0] * g.n, [0] * g.n), *fixed]:
             want_c, want_r = start_c.copy(), start_r.copy()
             want = list(_attract_per_bit(g, want_c, want_r, every[k]))
             got_c, got_r = start_c.copy(), start_r.copy()
-            got = list(engine._attract(g, got_c, got_r, engine._ball(g, k)))
+            got = list(engine._attract(g, got_c, got_r, *engine._ball(g, k)))
             assert [(list(c.items()), list(r.items())) for c, r in got] == \
                 [(list(c.items()), list(r.items())) for c, r in want]
             assert (got_c, got_r) == (want_c, want_r)
@@ -495,6 +540,20 @@ def test_robber_strategy_cubic_vt(cubic_vt):
                  extract_robber_strategy(a), 4 * 24 * 24)
     assert t.outcome == "survived"
     _assert_far_enough(t, 2)
+
+
+def random_cop_strategy(g, seed):
+    """Seeded uniformly random cop policy, for robustness play-outs."""
+    rng = random.Random(seed)
+    closed = g.closed
+
+    def initial():
+        return rng.randrange(g.n)
+
+    def move(cop, robber):
+        return rng.choice(closed[cop])
+
+    return Strategy("cop", initial, move, f"random cop seed={seed}")
 
 
 def test_robber_survives_random_cop_policies():

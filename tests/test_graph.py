@@ -18,6 +18,7 @@ from rcgame.generators import (
     sierpinski,
 )
 from rcgame.graph import (
+    Graph,
     _bfs_row,
     _distance_planes,
     all_pairs_distances,
@@ -275,6 +276,20 @@ def test_dilate_fixes_the_last_ball_of_a_disconnected_graph():
     assert dilate(g, last) == last
 
 
+def test_second_ball_is_the_closed_neighbourhoods(dilate_calls):
+    # balls opens on closed_bits: ball_1 is N[v] itself, equal to the dilate
+    # of ball_0, and the walk to it makes no dilate call, on every graph of
+    # networkx's atlas; an edgeless graph's balls end at ball_0. dilate here
+    # is the name imported before the count began, so it is not counted
+    for G in nx.graph_atlas_g():
+        g = build_graph(G.number_of_nodes(), list(G.edges()))
+        first = list(itertools.islice(balls(g), 2))
+        assert dilate_calls == []
+        closed = list(g.closed_bits)
+        assert first[1:] == ([closed] if g.m else [])
+        assert dilate(g, first[0]) == closed
+
+
 def test_eccentricities_empty_graph():
     with pytest.raises(InvalidParam, match="empty graph has no radius"):
         eccentricities(build_graph(0, []))
@@ -390,6 +405,24 @@ def test_girth_on_graphs_with_triangles(n, p, seed):
     G = nx.gnp_random_graph(n, p, seed=seed)
     assume(any(nx.triangles(G).values()))
     assert girth(build_graph(n, list(G.edges()))) == nx.girth(G) == 3
+
+
+def test_girth_stops_at_its_first_triangle():
+    # a candidate of length 3 ends girth at once: on K_70 it reads about two
+    # adjacency rows, not all 2m = 4830 entries
+    reads = []
+
+    class Row(tuple):
+        """An adjacency row that counts the entries iterated from it."""
+
+        def __iter__(self):
+            for w in super().__iter__():
+                reads.append(w)
+                yield w
+
+    k70 = basic_family("complete", 70)
+    assert girth(Graph(k70.n, tuple(map(Row, k70.adj)))) == 3
+    assert 0 < len(reads) <= 3 * k70.n
 
 
 def test_is_connected_counts_edges_before_a_bfs(monkeypatch):
