@@ -54,7 +54,6 @@ from .verify import (
     check_radius_pair_condition,
     check_retract_monotonicity,
     classify_evenness,
-    is_generously_transitive,
     verify_retraction,
 )
 

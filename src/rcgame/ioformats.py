@@ -26,8 +26,8 @@ _INTEGER = re.compile(rb"-?[0-9]+")
 
 
 def _as_bytes(data, what: str):
-    """data as bytes, or bytes-like as it is; a non-ASCII byte or character
-    is a ParseError at its offset, naming what data holds."""
+    """data as bytes, or a bytes or bytearray as it is; a non-ASCII byte or
+    character is a ParseError at its offset, naming what data holds."""
     raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
     if not raw.isascii():
         # every byte before the first non-ASCII one is one ASCII character

@@ -2,11 +2,11 @@
 the suites that drive them over generated graphs.
 
 Covers retractions and capture monotonicity under them, even and harmonic
-even graphs, the distance-expansion and radius-pair conditions, generous
-transitivity search, the three product theorems, the girth/radius bounds
-and the outerplanar face formula. Each check either returns a verdict or a
-TheoremReport carrying a full counterexample; run_suite runs one suite by
-name and returns its pass lines and failing reports.
+even graphs, the distance-expansion and radius-pair conditions, the three
+product theorems, the girth/radius bounds and the outerplanar face
+formula. Each check either returns a verdict or a TheoremReport carrying
+a full counterexample; run_suite runs one suite by name and returns its
+pass lines and failing reports.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .generators import (
 )
 from .graph import (
     Graph,
-    _bfs_row,
     all_pairs_distances,
     build_graph,
     girth,
@@ -229,90 +228,6 @@ def check_radius_pair_condition(g: Graph) -> bool:
             for x2 in closed[x]:
                 if all(dm[x2][y2] != rad for y2 in closed[y]):
                     return False
-    return True
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, left: int):
-        self.left = left
-
-
-def _swap_automorphism_exists(g: Graph, dist: list[list[int]],
-                              signature: list, u: int, v: int,
-                              budget: _Budget) -> bool | None:
-    """Backtracking search for an automorphism exchanging u and v.
-
-    Prunes on degree/distance-profile signatures and on distances to the
-    two swapped vertices. Returns None when the expansion budget runs out.
-    """
-    n = g.n
-    if signature[u] != signature[v]:
-        return False
-    mapping = [-1] * n
-    used = [False] * n
-    mapping[u], mapping[v] = v, u
-    used[u] = used[v] = True
-    order = [x for x in sorted(range(n), key=lambda x: (dist[u][x], x))
-             if x not in (u, v)]
-    bits = g.closed_bits   # every bit read is off the diagonal
-    # x can only map to a c with (d(c, u), d(c, v)) == (d(x, v), d(x, u));
-    # each pool keeps its candidates in increasing vertex order
-    by_key: dict[tuple[int, int], list[int]] = {}
-    for c in range(n):
-        by_key.setdefault((dist[c][u], dist[c][v]), []).append(c)
-    pools = [by_key.get((dist[x][v], dist[x][u]), []) for x in order]
-    # depth-first with an explicit stack: nxt[d] is the position in
-    # pools[d] of the next candidate image to try for order[d]
-    nxt = [0] * len(order)
-    depth = 0
-    while depth < len(order):
-        x = order[depth]
-        pool = pools[depth]
-        for j in range(nxt[depth], len(pool)):
-            cand = pool[j]
-            if (not used[cand] and signature[cand] == signature[x]
-                    and all(((bits[x] >> y) & 1) == ((bits[cand] >> mapping[y]) & 1)
-                            for y in order[:depth])
-                    and ((bits[x] >> u) & 1) == ((bits[cand] >> v) & 1)
-                    and ((bits[x] >> v) & 1) == ((bits[cand] >> u) & 1)):
-                break
-        else:
-            if depth == 0:
-                return False
-            depth -= 1
-            y = order[depth]
-            used[mapping[y]] = False
-            mapping[y] = -1
-            continue
-        budget.left -= 1
-        if budget.left < 0:
-            return None
-        mapping[x] = cand
-        used[cand] = True
-        nxt[depth] = j + 1
-        depth += 1
-        if depth < len(order):
-            nxt[depth] = 0
-    return True
-
-
-def is_generously_transitive(g: Graph, budget: int = 500000) -> bool | None:
-    """True when every vertex pair admits a swapping automorphism, False
-    when some pair provably does not, None (unknown) when the budget of
-    node expansions runs out first. Intended for small graphs."""
-    n = g.n
-    dist = [_bfs_row(g.adj, n, s) for s in range(n)]
-    signature = [tuple(sorted(dist[v])) for v in range(n)]
-    b = _Budget(budget)
-    for u in range(n):
-        for v in range(u + 1, n):
-            found = _swap_automorphism_exists(g, dist, signature, u, v, b)
-            if found is None:
-                return None
-            if not found:
-                return False
     return True
 
 

@@ -96,6 +96,16 @@ def test_family_reference_value(capsys):
     assert "predicted rc: 5 (reference value 5) measured: 5 -> match" in out
 
 
+def test_family_generalized_johnson_readme_output(capsys):
+    # the README command; its prediction note names the family's property
+    code, out, err = run(capsys, "family", "generalized_johnson", "5", "2", "0")
+    assert code == 0 and err == ""
+    assert out == (
+        "generalized_johnson-5-2-0: n=10 m=15 girth=5 rad=2 diam=2 rc=1\n"
+        "predicted rc: 1 (radius - 1 (generously transitive family)) "
+        "measured: 1 -> match\n")
+
+
 def test_family_disconnected_warning(capsys):
     code, out, err = run(capsys, "family", "generalized_johnson", "4", "2", "0")
     assert code == 0

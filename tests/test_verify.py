@@ -1,13 +1,16 @@
-"""Theorem checkers: retractions, evenness, transitivity, products."""
+"""Theorem checkers: retractions, evenness, distance conditions, products,
+outerplanar faces."""
 
 import json
 import random
+from itertools import combinations, product
 
+import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rcgame import engine, graph
-from rcgame.engine import radius_capture_number
+from rcgame.engine import capture_radii, radius_capture_number
 from rcgame.errors import InvalidParam, NotARetraction, NotConnected
 from rcgame.generators import (
     basic_family,
@@ -22,6 +25,11 @@ from rcgame.graph import (
     induced_subgraph,
     is_connected,
 )
+from rcgame.outerplanar import (
+    OuterplanarEmbedding,
+    rc_outerplanar_formula,
+    validate_embedding,
+)
 from rcgame.verify import (
     EVEN,
     HARMONIC_EVEN,
@@ -33,7 +41,6 @@ from rcgame.verify import (
     check_retract_monotonicity,
     classify_evenness,
     corner_fold_retraction,
-    is_generously_transitive,
     layer_projection_retraction,
     suite_bounds,
     suite_families,
@@ -41,7 +48,6 @@ from rcgame.verify import (
     unique_antipodes,
     verify_retraction,
 )
-from rcgame.verify import _Budget, _bfs_row, _swap_automorphism_exists
 
 from conftest import graphs
 
@@ -279,29 +285,14 @@ def test_radius_pair_condition_implies_equality():
     assert hits > 0
 
 
-def test_generously_transitive_examples(petersen):
-    for n in range(3, 9):
-        assert is_generously_transitive(basic_family("cycle", n)) is True
-    assert is_generously_transitive(basic_family("path", 3)) is False
-    assert is_generously_transitive(petersen) is True
-    assert is_generously_transitive(petersen, budget=1) is None
-
-
-def test_swap_search_is_iterative_on_long_cycle():
-    # deeper than the recursion limit if the search took a frame per vertex
-    g = basic_family("cycle", 1100)
-    dist = [_bfs_row(g.adj, g.n, s) for s in range(g.n)]
-    signature = [tuple(sorted(row)) for row in dist]
-    assert _swap_automorphism_exists(g, dist, signature, 0, 1, _Budget(10 ** 6)) is True
-
-
-def test_generously_transitive_implies_tight_capture(petersen):
+def test_transitive_families_have_tight_capture(petersen):
+    # generously transitive instances from the paper's vertex-transitive
+    # section: rc = rad - 1
     instances = [basic_family("cycle", 6), basic_family("complete", 4),
                  generalized_johnson(4, 2, 1), petersen, hypercube(3)]
     for g in instances:
-        assert is_generously_transitive(g) is True
-        rad = min(eccentricities(g))
-        assert radius_capture_number(g) == rad - 1
+        rad, _, rc = capture_radii(g)
+        assert rc == rad - 1
 
 
 def test_product_theorem_examples():
@@ -328,6 +319,21 @@ def test_product_theorems_random_pairs():
                                  rng.getrandbits(32))
         for report in check_product_theorems(g, h):
             assert report.passed, report.to_json()
+
+
+def test_product_theorems_census_connected_atlas():
+    # every ordered pair of connected graphs on 1..5 vertices of networkx's
+    # bundled atlas
+    atlas = [build_graph(G.number_of_nodes(), list(G.edges()))
+             for G in nx.graph_atlas_g()
+             if 0 < G.number_of_nodes() <= 5 and nx.is_connected(G)]
+    pairs = reports = 0
+    for g, h in product(atlas, repeat=2):
+        pairs += 1
+        for report in check_product_theorems(g, h):
+            reports += 1
+            assert report.passed, report.to_json()
+    assert (len(atlas), pairs, reports) == (31, 961, 3625)
 
 
 def test_product_theorems_require_connected():
@@ -375,3 +381,32 @@ def test_generalized_johnson_family_tightness():
         g = generalized_johnson(n, k, i)
         rad = min(eccentricities(g))
         assert radius_capture_number(g) == rad - 1
+
+
+def _dissections(lo: int, hi: int):
+    """Every non-crossing chord set inside the polygon lo, lo+1, ..., hi
+    whose side (lo, hi) is already drawn: pick the corners between lo and
+    hi of the face on that side, then dissect each pocket that two
+    consecutive corners cut off."""
+    inner = range(lo + 1, hi)
+    for size in range(1, len(inner) + 1):
+        for corners in combinations(inner, size):
+            walk = (lo, *corners, hi)
+            pockets = [(a, b) for a, b in zip(walk, walk[1:]) if b - a >= 2]
+            for parts in product(*(_dissections(a, b) for a, b in pockets)):
+                yield set(pockets).union(*parts)
+
+
+def test_outerplanar_formula_census_all_dissections():
+    # every dissection of the n-gon, n = 3..9 (1 + 3 + 11 + 45 + 197 + 903
+    # + 4279 of them, the little Schroeder numbers)
+    embeddings = 0
+    for n in range(3, 10):
+        cycle = [(i, (i + 1) % n) for i in range(n)]
+        for chords in _dissections(0, n - 1):
+            emb = OuterplanarEmbedding(tuple(range(n)), frozenset(chords))
+            g = build_graph(n, cycle + sorted(chords))
+            validate_embedding(g, emb)
+            assert radius_capture_number(g) == rc_outerplanar_formula(emb), chords
+            embeddings += 1
+    assert embeddings == 5439
