@@ -64,13 +64,15 @@ def _safe_id(text: str) -> str:
     return text.replace(",", "_")
 
 
-def _read_text(path: str):
+def _read_text(path: str) -> bytes:
     """The bytes at path, or on stdin for "-", undecoded: the parsers refuse
     a record that holds a non-ASCII byte, and no other. A stdin without a
-    byte buffer (io.StringIO) gives its text as a str; an unreadable path
-    raises InvalidParam."""
+    byte buffer (io.StringIO) gives its text as a str, encoded here as
+    UTF-8, so its records split where the same bytes would; an unreadable
+    path raises InvalidParam."""
     if path == "-":
-        return getattr(sys.stdin, "buffer", sys.stdin).read()
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
+        return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
     try:
         with open(path, "rb") as fh:
             return fh.read()

@@ -24,9 +24,11 @@ ball of its own.
 
 A round's cop step costs one bigint AND-NOT per column of ball_{k+1} in
 round 1, and one OR of a closed neighbourhood mask per newly won
-robber-to-move state after that. Its robber step costs one AND per closed
-neighbour of each column next to a column whose cop-to-move states
-changed.
+robber-to-move state after that. Its robber step visits each column whose
+cop-to-move states changed and each of their neighbours, and costs one
+AND per neighbour of each column it visits. The kernel reads adj and
+closed_bits alone, as the ball sweep does, so a compute row never builds
+the sorted closed neighbourhoods that strategies walk.
 """
 
 from __future__ import annotations
@@ -143,7 +145,10 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
     - cop step: (c, r) is won once the cop can move onto a robber-to-move
       state (y, r) won in round t - 1, i.e. c is in N[y];
     - robber step: (c, r) is won once (c, y) is won for every y in N[r];
-      it can only change for columns next to one whose win_c changed.
+      it can only change for a column whose win_c changed or one next to
+      it. Those columns are the changed ones and their adj rows, and the
+      AND for column r starts from win_c[r] & ~win_r[r] and runs over
+      adj[r].
 
     Then both steps are applied, and the round's newly won states are
     yielded as ({r: bits} cop to move, {r: bits} robber to move). A state
@@ -161,7 +166,7 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
     steps OR the closed neighbourhoods of the newly won states, taking the
     top set bit each time.
     """
-    closed, closed_bits = g.closed, g.closed_bits
+    adj, closed_bits = g.adj, g.closed_bits
     cop, robber = {}, {}
     for r, bits in enumerate(ball):
         fresh = bits & ~win_c[r]
@@ -193,9 +198,9 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
                 reach &= ~win_c[r]
                 if reach:
                     cop[r] = reach
-        for r in {x for y in new_c for x in closed[y]}:
-            safe = ~win_r[r]
-            for y in closed[r]:
+        for r in set(new_c).union(*map(adj.__getitem__, new_c)):
+            safe = win_c[r] & ~win_r[r]
+            for y in adj[r]:
                 safe &= win_c[y]
             if safe:
                 robber[r] = safe

@@ -4,17 +4,22 @@ Vertices are dense integers 0..n-1; family coordinates (words, subsets,
 tuples) live only in the optional labels, which a generator may hand over
 as a function that formats them on first read. Adjacency is stored as
 sorted tuples. Closed neighbourhoods N[v] = adj[v] + {v} are built on
-first use, as sorted tuples and as one bitmask per vertex, which has_edge
-reads.
+first use: closed_bits, one bitmask per vertex, which has_edge, the ball
+sweep and the engine's kernel read, and closed, sorted tuples, which only
+the strategies and the theorem checks read. The compute path (parse,
+sweep, rc search) never builds closed.
 
 is_connected, one BFS (none below n - 1 edges), answers connectivity
 before any sweep and APSP.
 The closed-ball sweep (balls) grows one bitset per vertex a hop at a
 time, bit-parallel BFS in the style of Akiba, Iwata and Yoshida (SIGMOD
-2013); ball_1 is closed_bits itself, and each later hop is dilate, so a
-graph of diameter D costs D - 1 of them. _sweep makes one pass of it to
-the diameter that reads every eccentricity (so rad, diam and the
-centres) and keeps the balls at rad - 2, rad - 1 and rad: the rc search
+2013); ball_1 is closed_bits itself, and each later hop is dilate, which
+starts each vertex's row from its own ball and ORs in its neighbours'
+balls over adj, so a graph of diameter D costs D - 1 of them. _sweep
+makes one pass of it to the diameter that reads every eccentricity (so
+rad, diam and the centres), counting the full balls at each level and
+looking at single vertices only at levels where that count rises, and
+keeps the balls at rad - 2, rad - 1 and rad: the rc search
 of the engine probes rad - 2 and rad - 1 first, and a probe at k reads
 ball_k for its capture states and ball_{k+1} for its first cop step.
 eccentricities and the engine's capture_radii both read that one pass,
@@ -71,7 +76,9 @@ class Graph:
 
     @property
     def closed(self) -> tuple[tuple[int, ...], ...]:
-        """Closed neighbourhoods N[v] = adj[v] plus v, as sorted tuples.
+        """Closed neighbourhoods N[v] = adj[v] plus v, as sorted tuples, for
+        the strategies and theorem checks that walk N[v]; the compute path
+        reads adj and closed_bits instead.
 
         Built on first use and then kept, as is closed_bits, so graphs that
         are only generated or stored never pay for them.
@@ -153,11 +160,11 @@ def _bfs_row(adj: tuple[tuple[int, ...], ...], n: int, source: int) -> list[int]
 
 
 def dilate(g: Graph, ball: list[int]) -> list[int]:
-    """One hop of the closed-ball sweep: entry r of the result is the OR
-    of ball[y] over y in N[r], so dilate(g, ball_k) is ball_{k+1}."""
+    """One hop of the closed-ball sweep: entry r of the result is ball[r]
+    ORed with ball[y] over y in adj[r], the OR over N[r], so dilate(g,
+    ball_k) is ball_{k+1}."""
     grown = []
-    for row in g.closed:
-        acc = 0
+    for acc, row in zip(ball, g.adj):
         for y in row:
             acc |= ball[y]
         grown.append(acc)
@@ -184,10 +191,12 @@ def _sweep(g: Graph) -> tuple[tuple[int, ...], dict[int, list[int]]] | None:
     """(ecc, kept) from one closed-ball sweep, or None when g is disconnected.
 
     One BFS answers a disconnected g before any sweep. Otherwise ecc(v) is
-    the first k at which ball_k[v] holds every vertex, counted as the
-    levels at which it falls short; the sweep stops at the first level
-    where every ball is full, the diameter. rad is the first level where
-    some ball is full, and kept maps each of rad - 2, rad - 1 and rad
+    the first k at which ball_k[v] holds every vertex. Each level counts
+    its full balls with one ball.count(full), and only at a level where
+    that count rises are the still-short vertices compared with full, each
+    one that filled there getting its ecc; the sweep stops at the first
+    level where every ball is full, the diameter. rad is the first level
+    where some ball is full, and kept maps each of rad - 2, rad - 1 and rad
     (those >= 0) to its ball: the rc search of engine.capture_radii, their
     one reader, probes rad - 2 and then rad - 1 first, and a probe at k
     reads ball_k and ball_{k+1}. Balls up to rad are a prefix of the sweep
@@ -200,17 +209,22 @@ def _sweep(g: Graph) -> tuple[tuple[int, ...], dict[int, list[int]]] | None:
         return None
     full = (1 << n) - 1
     ecc = [0] * n
-    short = range(n)
+    short = range(n)            # the vertices whose ball is not yet full
+    filled = 0                  # how many balls are full
     kept: dict[int, list[int]] = {}
     for level, ball in enumerate(balls(g)):
-        if len(short) == n:     # no ball was full a level down: level <= rad
+        if not filled:          # no ball was full a level down: level <= rad
             kept[level] = ball
             kept.pop(level - 3, None)
-        short = [v for v in short if ball[v] != full]
-        if not short:
-            break
-        for v in short:
-            ecc[v] += 1
+        count = ball.count(full)
+        if count > filled:
+            filled = count
+            for v in short:
+                if ball[v] == full:
+                    ecc[v] = level
+            if filled == n:
+                break
+            short = [v for v in short if ball[v] != full]
     return tuple(ecc), kept
 
 

@@ -38,7 +38,14 @@ def _as_bytes(data, what: str):
 
 def parse_graph6(line) -> Graph:
     """Decode one graph6 record (str or bytes; optional header stripped); an
-    order above the vertex cap raises SizeGuard before any data byte is read."""
+    order above the vertex cap raises SizeGuard before any data byte is read.
+
+    The data bits come in column order, x(0, v) .. x(v - 1, v) for v = 1,
+    2, ..., and each edge (u, v) is appended to rows[v] and rows[u] as it is
+    read. Row v so gets its lower neighbours in column v and its higher ones
+    in the later columns, each in increasing order: every row comes out
+    sorted and free of repeats, and the Graph is built from the rows as
+    they are, with no build_graph."""
     raw = _as_bytes(line, "graph6 record").strip()
     if raw.startswith(_G6_HEADER):
         raw = raw[len(_G6_HEADER):]
@@ -81,16 +88,18 @@ def parse_graph6(line) -> Graph:
                          offset=pos + data.index(bad)) from None
     if "1" in bits[nbits:]:
         raise ParseError("nonzero padding bits", offset=pos + nbytes - 1)
-    edges = []
+    rows: list[list[int]] = [[] for _ in range(n)]
     start = 0
     for v in range(1, n):
         end = start + v
+        row = rows[v]
         u = bits.find("1", start, end)
         while u >= 0:
-            edges.append((u - start, v))
+            row.append(u - start)
+            rows[u - start].append(v)
             u = bits.find("1", u + 1, end)
         start = end
-    return build_graph(n, edges)
+    return Graph(n, tuple(map(tuple, rows)))
 
 
 def write_graph6(g: Graph) -> str:

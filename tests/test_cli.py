@@ -388,6 +388,21 @@ def test_compute_stdin_form_feed_and_separators_stay_in_their_record(capsys, mon
     assert out.splitlines()[1:] == ["stdin:2,2,1,1,1,0,0,0,0,0"]
 
 
+@pytest.mark.parametrize("text", ["A_\x0cA_\n", "A_\x85A_\n", "A_\u2028A_\n"])
+def test_compute_str_stdin_splits_records_as_bytes_do(capsys, monkeypatch, text):
+    # str.splitlines would also split at a form feed, NEL or line separator;
+    # a stdin without a byte buffer gives the rows, errors and exit code of
+    # the same text read as bytes
+    results = []
+    for stdin in (io.StringIO(text), _byte_stdin(text.encode())):
+        monkeypatch.setattr("sys.stdin", stdin)
+        results.append(run(capsys, "compute", "-"))
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert (code, out) == (2, "id,n,m,rad,diam,girth,rc,lb,ub,ms\n")
+    assert err.startswith("error: stdin:1: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [["compute"], ["strategy", "-k", "0", "--role", "cop"]])
 def test_unreadable_path_is_a_usage_error(tmp_path, capsys, argv):
     for path, reason in [(tmp_path / "missing.g6", "No such file or directory"),

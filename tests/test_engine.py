@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rcgame import engine
+from rcgame.cli import compute_record
 from rcgame.engine import (
     Strategy,
     capture_radii,
@@ -48,7 +49,7 @@ from rcgame.graph import (
     girth,
     induced_subgraph,
 )
-from rcgame.verify import check_retract_monotonicity, corner_fold_retraction
+from rcgame.verify import Retraction, check_retract_monotonicity, corner_fold_retraction
 
 
 def test_solve_c4():
@@ -359,9 +360,48 @@ def test_rc_census_connected_atlas():
     assert (folded, dismantlable) == (937, 496)
 
 
+def test_retract_monotonicity_census_connected_atlas():
+    # every corner fold of the 996 connected atlas graphs: for each dominated
+    # pair u != v, N[u] inside N[v], the fold of u onto v is a retraction,
+    # and the retract's rc is at most the graph's
+    folds = 0
+    for G in nx.graph_atlas_g():
+        if G.number_of_nodes() == 0 or not nx.is_connected(G):
+            continue
+        g = build_graph(G.number_of_nodes(), list(G.edges()))
+        n, closed = g.n, g.closed_bits
+        for u, v in itertools.permutations(range(n), 2):
+            if closed[u] & ~closed[v] == 0:
+                fold = Retraction(frozenset(range(n)) - {u},
+                                  tuple(v if x == u else x for x in range(n)))
+                report = check_retract_monotonicity(g, fold)
+                assert report.passed, report.to_json()
+                folds += 1
+    assert folds == 5911
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sierpinski(4, 4),
+    lambda: basic_family("cycle", 64),
+    lambda: generalized_johnson(7, 3, 2),
+    lambda: random_connected_gnp(40, 0.15, 25),
+], ids=["S(4,4)", "C_64", "J(7,3,2)", "G(40,0.15)"])
+def test_compute_path_builds_no_closed_tuples(build):
+    # the sweep, the rc search, a solve and the distance rows read adj and
+    # closed_bits alone; only strategies and verify build Graph.closed
+    calls = [lambda g: compute_record(g, "g"), capture_radii,
+             lambda g: solve_cwrc(g, 1), all_pairs_distances]
+    for call in calls:
+        g = build()
+        call(g)
+        assert g._closed is None
+
+
 def _attract_per_bit(g, win_c, win_r, targets):
     """Reference kernel: _attract with the per-bit cop step in every round,
-    round 1 included, so it dilates no ball."""
+    round 1 included, so it dilates no ball. Its robber step walks the
+    columns in the kernel's order, a set built as the kernel builds it,
+    since the rounds are compared as item lists."""
     closed, closed_bits = g.closed, g.closed_bits
     cop, robber = {}, {}
     for r, bits in enumerate(targets):
@@ -385,7 +425,7 @@ def _attract_per_bit(g, win_c, win_r, targets):
             reach &= ~win_c[r]
             if reach:
                 cop[r] = reach
-        for r in {x for y in new_c for x in closed[y]}:
+        for r in set(new_c).union(*(g.adj[y] for y in new_c)):
             safe = ~win_r[r]
             for y in closed[r]:
                 safe &= win_c[y]

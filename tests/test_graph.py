@@ -21,6 +21,7 @@ from rcgame.graph import (
     Graph,
     _bfs_row,
     _distance_planes,
+    _sweep,
     all_pairs_distances,
     balls,
     build_graph,
@@ -288,6 +289,29 @@ def test_second_ball_is_the_closed_neighbourhoods(dilate_calls):
         closed = list(g.closed_bits)
         assert first[1:] == ([closed] if g.m else [])
         assert dilate(g, first[0]) == closed
+
+
+def _sweep_by_bfs(g):
+    # (ecc, kept) of _sweep, read off one BFS row per vertex: ball_k[r] holds
+    # the c with d(r, c) <= k, kept for k = rad - 2, rad - 1 and rad (>= 0)
+    rows = [_bfs_row(g.adj, g.n, v) for v in range(g.n)]
+    ecc = tuple(map(max, rows))
+    rad = min(ecc)
+    return ecc, {k: [sum(1 << c for c, d in enumerate(row) if d <= k) for row in rows]
+                 for k in range(max(rad - 2, 0), rad + 1)}
+
+
+def test_sweep_matches_per_vertex_bfs():
+    # every connected atlas graph; P_40, whose balls fill two at a time at
+    # each of 20 levels; C_400, whose balls all fill at level 200. The sweep
+    # reads adj and closed_bits alone: it builds no closed tuples
+    cases = [build_graph(G.number_of_nodes(), list(G.edges()))
+             for G in nx.graph_atlas_g()
+             if G.number_of_nodes() and nx.is_connected(G)]
+    cases += [basic_family("path", 40), basic_family("cycle", 400)]
+    for g in cases:
+        assert _sweep(g) == _sweep_by_bfs(g)
+        assert g._closed is None
 
 
 def test_eccentricities_empty_graph():

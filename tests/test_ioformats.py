@@ -197,6 +197,29 @@ def test_parse_graph6_refuses_over_cap_before_building(monkeypatch):
             parse_graph6(record)
 
 
+def test_parse_graph6_reads_sorted_rows_without_build_graph(monkeypatch):
+    # column order gives each row sorted, so the parser builds the Graph
+    # itself: on every atlas graph and on seeded G(n, p), n = 60..70, across
+    # the '~' size field, its adj is the build_graph rebuild's and it
+    # round-trips through the writer
+    rng = random.Random(60)
+    cases = [(G.number_of_nodes(), list(G.edges())) for G in nx.graph_atlas_g()]
+    cases += [(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                   if rng.random() < p])
+              for n in range(60, 71) for p in (0.05, 0.3, 0.9)]
+    built = [build_graph(n, edges) for n, edges in cases]
+
+    def no_build(*_args):
+        raise AssertionError("parse_graph6 called build_graph")
+
+    monkeypatch.setattr("rcgame.ioformats.build_graph", no_build)
+    for g in built:
+        record = write_graph6(g)
+        back = parse_graph6(record)
+        assert (back.n, back.m, back.adj) == (g.n, g.m, g.adj)
+        assert write_graph6(back) == record
+
+
 @given(graphs())
 @example(build_graph(62, [(0, 61)]))
 @example(build_graph(63, [(61, 62)]))
