@@ -1,7 +1,7 @@
 """Command-line interface: compute capture numbers, build families, run
 the theorem-verification suites of rcgame.verify, and print strategy
 transcripts. A result row's rad, diam and rc come from
-engine.capture_radii, the one reader of the balls its sweep keeps.
+engine.capture_radii.
 
 Exit codes: 0 success, 1 counterexample or verification failure, 2 usage,
 parse or parameter error. RC_SIZE_GUARD overrides the vertex cap; each graph
@@ -51,8 +51,7 @@ from .verify import SUITE_NAMES, run_suite
 def compute_record(g: Graph, instance_id: str,
                    with_timing: bool = False) -> ResultRecord:
     """Solve one graph and package the result row: girth, then rad, diam
-    and rc from engine.capture_radii, whose one ball sweep also keeps the
-    balls its rc search probes first."""
+    and rc from one engine.capture_radii call."""
     t0 = time.perf_counter()
     gir = girth(g)
     rad, diam, rc = capture_radii(g) or (None, None, None)

@@ -16,8 +16,7 @@ single moves (plies) to guaranteed capture, with the cop minimizing and
 the robber maximizing. solve_cwrc and capture_radii both hand the kernel
 two closed balls of rcgame.graph: ball_k, the capture targets, and
 ball_{k+1}, the cops that reach them in one move. capture_radii is the
-one rc search: from one ball sweep it gives a graph's rad, diam and rc,
-and it alone reads the balls the sweep keeps at rad - 2, rad - 1 and rad;
+one rc search: from one ball sweep it gives a graph's rad, diam and rc;
 radius_capture_number, the command line's rows and every theorem check
 that needs rad and rc together go through it. The kernel computes no
 ball of its own.
@@ -45,7 +44,7 @@ from .errors import (
     NoEvasionStrategy,
     NoWinningStrategy,
 )
-from .graph import Graph, _sweep, all_pairs_distances, balls
+from .graph import Graph, _sweep, all_pairs_distances, balls, dilate
 
 COP_TO_MOVE = 0
 ROBBER_TO_MOVE = 1
@@ -162,7 +161,7 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
     [r] holds the cops next to ball_k[r], and a cop next to a robber-to-move
     state won before round 0 is already in win_c. The kernel drops ball
     after round 0 and grown after round 1, so past round 1 it holds no
-    ball, and a caller that kept neither holds none either. Later cop
+    ball, and a caller that holds neither has none either. Later cop
     steps OR the closed neighbourhoods of the newly won states, taking the
     top set bit each time.
     """
@@ -210,21 +209,6 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
             win_r[r] |= bits
 
 
-def _ball(g: Graph, k: int,
-          kept: dict[int, list[int]] | None = None) -> tuple[list[int], list[int]]:
-    """(ball_k, ball_{k+1}) of rcgame.graph.balls: read from kept, a map
-    from levels to balls, when it holds both, else from one walk of balls,
-    past whose diameter both are the last ball. ball_k leaves kept as it
-    is read, since the rc search probes each k once; ball_{k+1} stays for
-    a probe at k + 1."""
-    if kept and k in kept and k + 1 in kept:
-        return kept.pop(k), kept[k + 1]
-    for level, ball in enumerate(islice(balls(g), k + 2)):
-        if level <= k:
-            below = ball
-    return below, ball
-
-
 def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalysis:
     """Decide whether the cop wins the radius-k game on connected g
     (NotConnected otherwise, from the pair distances; InvalidParam when g
@@ -243,8 +227,11 @@ def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalys
         raise InvalidParam("empty graph has no radius")
     if dm is None:
         dm = all_pairs_distances(g)
+    for level, grown in enumerate(islice(balls(g), k + 2)):
+        if level <= k:          # past the diameter both are the last ball
+            ball = grown
     win_c, win_r = [0] * n, [0] * n
-    rounds = list(_attract(g, win_c, win_r, *_ball(g, k)))
+    rounds = list(_attract(g, win_c, win_r, ball, grown))
     full = _full_rows(win_c, n)
     choices = tuple(c for c in range(n) if full >> c & 1)
     return WinAnalysis(g, k, dm, (win_c, win_r), rounds, choices)
@@ -263,8 +250,7 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
 
     The one ball sweep of rcgame.graph._sweep answers a disconnected g
     before any attractor work, and otherwise gives every eccentricity, so
-    rad and diam, and kept, the map from rad - 2, rad - 1 and rad (those
-    >= 0) to their balls. capture_radii is the one reader of kept.
+    rad and diam, and top, the balls at max(rad - 2, 0) .. rad.
 
     The cop wins at k = rad, since ball_rad of every vertex holds a centre,
     and the cop-win region only grows with k. So the search bisects on
@@ -284,28 +270,42 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
     probes: five on S(4,4) (rc 11, rad 14).
 
     A probe at k needs ball_k, the capture states, and ball_{k+1} for its
-    first cop step. _ball reads both from kept for the probes at rad - 2
-    and rad - 1, and walks both again for any other probe. A search whose
-    probes all read kept levels so makes diam - 1 dilates, those of the
-    sweep, and none on a complete graph. The search holds at most the
-    three kept balls and two swept ones, never one per radius, and at most
-    two pairs of planes.
+    first cop step; k < hi <= rad, so k + 1 <= rad. The probes at rad - 2
+    and rad - 1 read both from top. Any other probe is below rad - 2 and
+    above lo, and its walk starts at the floor ball, ball_{lo+1}: the grown
+    ball of the last losing probe, held with its planes, from which it
+    dilates k - lo times. While lo = -1 there is no floor and the walk is
+    balls(g), whose ball_1 is closed_bits, so k dilates. A search whose
+    probes are all at rad - 2 and rad - 1 so makes diam - 1 dilates, those
+    of the sweep, and none on a complete graph; S(4,4) makes 25. The
+    search holds the three top balls, the floor ball and the current pair,
+    never one per radius, and at most two pairs of planes.
     """
     swept = _sweep(g)
     if swept is None:
         return None
-    ecc, kept = swept
+    ecc, top = swept
     n, rad = g.n, min(ecc)
-    lo, hi, k = -1, rad, max(rad - 2, 0)
+    base = max(rad - 2, 0)               # the level of top[0]
+    lo, hi, k = -1, rad, base
     lose_c, lose_r = [0] * n, [0] * n    # the fixed-point planes at lo
+    floor = None                         # ball_{lo+1}, once lo >= 0
     while hi - lo > 1:
+        if k >= base:
+            ball, grown = top[k - base], top[k - base + 1]
+        elif floor is None:
+            ball, grown = islice(balls(g), k, k + 2)
+        else:
+            grown = floor
+            for _ in range(k - lo):
+                ball, grown = grown, dilate(g, grown)
         win_c, win_r = lose_c.copy(), lose_r.copy()
-        for cop, _ in _attract(g, win_c, win_r, *_ball(g, k, kept)):
+        for cop, _ in _attract(g, win_c, win_r, ball, grown):
             if cop and _full_rows(win_c, n):
                 hi = k
                 break
         else:
-            lo, lose_c, lose_r = k, win_c, win_r
+            lo, lose_c, lose_r, floor = k, win_c, win_r, grown
         k = (lo + hi) // 2
     return rad, max(ecc), hi
 

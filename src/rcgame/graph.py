@@ -18,16 +18,12 @@ starts each vertex's row from its own ball and ORs in its neighbours'
 balls over adj, so a graph of diameter D costs D - 1 of them. _sweep
 makes one pass of it to the diameter that reads every eccentricity (so
 rad, diam and the centres), counting the full balls at each level and
-looking at single vertices only at levels where that count rises, and
-keeps the balls at rad - 2, rad - 1 and rad: the rc search
-of the engine probes rad - 2 and rad - 1 first, and a probe at k reads
-ball_k for its capture states and ball_{k+1} for its first cop step.
+looking at single vertices only at levels where that count rises.
 eccentricities and the engine's capture_radii both read that one pass,
-and capture_radii is the one reader of the kept balls: it gives rad, diam
-and rc from one sweep, so a compute row or a theorem check makes it
-once. All-pairs distances (APSP) are built only for callers that read
-pair distances, and only on connected graphs; such a caller reads rad and
-diam off its rows, whose maxima are the eccentricities. The BFS from
+so a compute row or a theorem check makes it once. All-pairs distances
+(APSP) are built only for callers that read pair distances, and only on
+connected graphs; such a caller reads rad and diam off its rows, whose
+maxima are the eccentricities. The BFS from
 vertex 0 that answers connectivity also gives ecc(0), and ecc(0) <= D <=
 2 ecc(0) for the diameter D. When 6 ecc(0) <= n and ecc(0) < 128 (so
 D <= n/3 and D fits a byte) the rows are read off binary planes of one
@@ -80,7 +76,7 @@ class Graph:
         the strategies and theorem checks that walk N[v]; the compute path
         reads adj and closed_bits instead.
 
-        Built on first use and then kept, as is closed_bits, so graphs that
+        Built on first use and then held, as is closed_bits, so graphs that
         are only generated or stored never pay for them.
         """
         if self._closed is None:
@@ -187,8 +183,8 @@ def balls(g: Graph) -> Iterator[list[int]]:
         grown = dilate(g, ball)
 
 
-def _sweep(g: Graph) -> tuple[tuple[int, ...], dict[int, list[int]]] | None:
-    """(ecc, kept) from one closed-ball sweep, or None when g is disconnected.
+def _sweep(g: Graph) -> tuple[tuple[int, ...], list[list[int]]] | None:
+    """(ecc, top) from one closed-ball sweep, or None when g is disconnected.
 
     One BFS answers a disconnected g before any sweep. Otherwise ecc(v) is
     the first k at which ball_k[v] holds every vertex. Each level counts
@@ -196,11 +192,8 @@ def _sweep(g: Graph) -> tuple[tuple[int, ...], dict[int, list[int]]] | None:
     that count rises are the still-short vertices compared with full, each
     one that filled there getting its ecc; the sweep stops at the first
     level where every ball is full, the diameter. rad is the first level
-    where some ball is full, and kept maps each of rad - 2, rad - 1 and rad
-    (those >= 0) to its ball: the rc search of engine.capture_radii, their
-    one reader, probes rad - 2 and then rad - 1 first, and a probe at k
-    reads ball_k and ball_{k+1}. Balls up to rad are a prefix of the sweep
-    to the diameter.
+    where some ball is full, and top lists the balls at max(rad - 2, 0) ..
+    rad, for engine.capture_radii's first probes.
     """
     n = g.n
     if n == 0:
@@ -211,11 +204,10 @@ def _sweep(g: Graph) -> tuple[tuple[int, ...], dict[int, list[int]]] | None:
     ecc = [0] * n
     short = range(n)            # the vertices whose ball is not yet full
     filled = 0                  # how many balls are full
-    kept: dict[int, list[int]] = {}
+    top: list[list[int]] = []
     for level, ball in enumerate(balls(g)):
         if not filled:          # no ball was full a level down: level <= rad
-            kept[level] = ball
-            kept.pop(level - 3, None)
+            top = [*top[-2:], ball]
         count = ball.count(full)
         if count > filled:
             filled = count
@@ -225,7 +217,7 @@ def _sweep(g: Graph) -> tuple[tuple[int, ...], dict[int, list[int]]] | None:
             if filled == n:
                 break
             short = [v for v in short if ball[v] != full]
-    return tuple(ecc), kept
+    return tuple(ecc), top
 
 
 def eccentricities(g: Graph) -> tuple[int, ...] | None:

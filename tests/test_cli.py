@@ -1,5 +1,6 @@
 """CLI behavior: commands, exit codes, determinism, environment overrides."""
 
+import hashlib
 import io
 import json
 import time
@@ -197,6 +198,55 @@ def test_strategy_readme_transcripts(capsys):
                    "place robber at 233  d=7\n"
                    "    1 cop    111 -> 112  d=6\n"
                    "outcome: cut off after 1 move(s)\n")
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# The output contract: each command CI reruns under two string hash seeds,
+# with its exit code and the sha256 of its stdout and of its stderr. A
+# deliberate output change edits its row.
+PINNED = [
+    ("verify retracts --seed 1", 0,
+     "654f66dfeea5c0b1870878cde43c62c1720661303899e5b4cfc0db5105a090f0", EMPTY),
+    ("verify bounds --seed 1", 0,
+     "0f24baee9b4fe6d1b909fcd07d78b3818971b6e473ce90ec8c8d3ff6ca22bcea", EMPTY),
+    ("verify evenness --seed 1", 0,
+     "71bfb99013d13ea13eaf41f9fad871a355c55acdcbf67613a0294f1f9b0c0af2", EMPTY),
+    ("verify outerplanar --seed 1 --trials 50", 0,
+     "5230ec466edc8dfbb8b92468c086dc80bec2ddc3e47fb9cb583f0f27745b1e0c", EMPTY),
+    ("verify products --seed 1", 0,
+     "91104ec564a567b7e724d059aa568daa7a70a8d9351c36822f769fe932dcccf2", EMPTY),
+    ("verify families", 0,
+     "17452dbd3e416e01d193e505d436e80c4c7abb64e85f7228aff427e1b74db1fc", EMPTY),
+    ("verify transitive-sweep", 0,
+     "8d7e5208d40016d9bb63de2580376c870cfa8e9bd1cd77003f0b7fe2af7fe0cd", EMPTY),
+    ("strategy --family sierpinski 3 3 -k 5 --role cop", 0,
+     "2c4673986d2e599136dfdc8783225945821b948163e4e05c87ca3062e715b850", EMPTY),
+    ("strategy --family sierpinski 3 3 -k 4 --role robber", 0,
+     "b8e682c7d1d94f5a30095be455273caacbbd51d778a44bee9b352f37c129ce53", EMPTY),
+    ("strategy --family generalized_johnson 5 2 0 -k 1 --role cop", 0,
+     "d6c222c7e6737e0e3211d757399c289995998b53ffea055d07bf47748f7680c0", EMPTY),
+    ("compute --instance CubicVT24_6 --out json", 0,
+     "5c964c20eeba500f916eb10ffa9457f71cbc2fd6ed203fb3235d45163314d10c", EMPTY),
+    ("family sierpinski 5 3", 0,
+     "f7bb1ca54c8220453a7e019ba3316c5a2f4fe552e468b91d08e62fe48c8bf81f", EMPTY),
+    ("family sierpinski 4 4", 0,
+     "53f63c08c617b613796835c0251d38d868758da88cfef712397dc53eed0f8720", EMPTY),
+    ("family sierpinski 6 3", 0,
+     "bdff845849c1306538ce32939e1f8b2b39f8a5dbc074ee927e4b831b0252ca8f", EMPTY),
+    ("family generalized_johnson 7 3 2", 0,
+     "6a183658249a034cecd4e725e73dd75c2e82d854bcc3cc70a57c51201e48d450", EMPTY),
+    ("family generalized_johnson 70 1 0", 0,
+     "3d7c3b9ef37b9ca3410cd2167d49d7a080681430c5329436c6b726c738b24793", EMPTY),
+]
+
+
+@pytest.mark.parametrize("argv,code,out_sha,err_sha", PINNED,
+                         ids=[row[0] for row in PINNED])
+def test_command_outputs_pinned(capsys, argv, code, out_sha, err_sha):
+    got, out, err = run(capsys, *argv.split())
+    digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
+    assert (got, *digests) == (code, out_sha, err_sha)
 
 
 def test_strategy_transcripts_on_distance_planes(capsys):

@@ -37,6 +37,7 @@ from rcgame.generators import (
     generalized_johnson,
     hamming,
     hypercube,
+    named_instance,
     random_connected_gnp,
     sierpinski,
 )
@@ -124,7 +125,7 @@ def _lollipop(cycle, path):
 
 
 def test_sweep_keeps_the_three_levels_up_to_rad():
-    # kept is ball_{rad-2}, ball_{rad-1} and ball_rad (those >= 0): the
+    # top lists ball_{rad-2}, ball_{rad-1} and ball_rad (those >= 0): the
     # search probes rad - 2 and rad - 1 first, and a probe at k reads ball_k
     # and ball_{k+1}: on K_1, the lollipops and the connected atlas
     graphs = [basic_family("complete", 1)]
@@ -133,9 +134,9 @@ def test_sweep_keeps_the_three_levels_up_to_rad():
                for G in nx.graph_atlas_g()
                if G.number_of_nodes() and nx.is_connected(G)]
     for g in graphs:
-        ecc, kept = _sweep(g)
+        ecc, top = _sweep(g)
         rad, every = min(ecc), list(balls(g))
-        assert kept == {k: every[k] for k in (rad - 2, rad - 1, rad) if k >= 0}
+        assert top == every[max(rad - 2, 0):rad + 1]
 
 
 @pytest.mark.parametrize("g,dilates", [
@@ -148,23 +149,24 @@ def test_sweep_keeps_the_three_levels_up_to_rad():
 ], ids=lambda v: None if isinstance(v, int) else repr(v))
 def test_search_walks_each_ball_level_once(dilate_calls, g, dilates):
     # ball_1 is closed_bits and every probe here reads ball_k and ball_{k+1}
-    # from the levels the sweep kept, so the search's only dilates are the
+    # from the sweep's top balls, so the search's only dilates are the
     # sweep's, diam - 1 of them: none on a complete graph
     rad, diam, rc = capture_radii(g)
     assert len(dilate_calls) == dilates == diam - 1
 
 
-def test_ball_reads_kept_levels_once():
-    # _ball(g, k, kept) takes ball_k out of kept and leaves ball_{k+1} for a
-    # probe at k + 1; a level kept lacks is walked, and kept stays as it was
-    g = sierpinski(3, 3)
-    every = list(balls(g))
-    kept = {k: every[k] for k in (4, 5, 6)}
-    assert engine._ball(g, 4, kept) == (every[4], every[5])
-    assert kept == {5: every[5], 6: every[6]}
-    assert engine._ball(g, 5, kept) == (every[5], every[6])
-    assert engine._ball(g, 2, kept) == (every[2], every[3])
-    assert kept == {6: every[6]}
+@pytest.mark.parametrize("g,dilates", [
+    (sierpinski(4, 4), 25),     # 14 swept; probes 5, 8, 10, 11 add 5, 3, 2, 1
+    (named_instance("CubicVT24_6"), 6),     # 4 swept; probes 1, 2 add 1, 1
+    (_lollipop(9, 30), 45),     # 33 swept; probes 7, 3, 1, 2 add 7, 3, 1, 1
+    (basic_family("path", 300), 436),   # 298 swept; probes 73 .. 0 walk from ball_0
+], ids=["S(4,4)", "CubicVT24_6", "lollipop(9,30)", "P_300"])
+def test_search_dilates_up_from_the_last_losing_ball(dilate_calls, g, dilates):
+    # a probe below rad - 2 dilates from ball_{lo+1}, the grown ball of the
+    # last losing probe, k - lo times; with no losing probe yet it walks
+    # balls, whose ball_1 is closed_bits, k times
+    capture_radii(g)
+    assert len(dilate_calls) == dilates
 
 
 def test_solve_walks_to_ball_k_plus_one(dilate_calls):
@@ -440,19 +442,18 @@ def _attract_per_bit(g, win_c, win_r, targets):
 def _assert_attract_matches_per_bit(g):
     # from empty planes at every k up to diam, and from the fixed-point
     # planes at every j < k: the same rounds, in the same order, and the
-    # same final planes; _ball(g, k) is (ball_k, ball_{k+1}), each capped
-    # at the last ball
+    # same final planes; the kernel takes ball_k and ball_{k+1}, the second
+    # capped at the last ball
     every = list(balls(g))
     last = len(every) - 1
-    for k in range(last + 2):
-        assert engine._ball(g, k) == (every[min(k, last)], every[min(k + 1, last)])
     fixed = []                        # the fixed-point planes at each j < k
     for k in range(last + 1):
         for start_c, start_r in [([0] * g.n, [0] * g.n), *fixed]:
             want_c, want_r = start_c.copy(), start_r.copy()
             want = list(_attract_per_bit(g, want_c, want_r, every[k]))
             got_c, got_r = start_c.copy(), start_r.copy()
-            got = list(engine._attract(g, got_c, got_r, *engine._ball(g, k)))
+            got = list(engine._attract(g, got_c, got_r, every[k],
+                                       every[min(k + 1, last)]))
             assert [(list(c.items()), list(r.items())) for c, r in got] == \
                 [(list(c.items()), list(r.items())) for c, r in want]
             assert (got_c, got_r) == (want_c, want_r)

@@ -292,13 +292,13 @@ def test_second_ball_is_the_closed_neighbourhoods(dilate_calls):
 
 
 def _sweep_by_bfs(g):
-    # (ecc, kept) of _sweep, read off one BFS row per vertex: ball_k[r] holds
-    # the c with d(r, c) <= k, kept for k = rad - 2, rad - 1 and rad (>= 0)
+    # (ecc, top) of _sweep, read off one BFS row per vertex: ball_k[r] holds
+    # the c with d(r, c) <= k, listed for k = max(rad - 2, 0) .. rad
     rows = [_bfs_row(g.adj, g.n, v) for v in range(g.n)]
     ecc = tuple(map(max, rows))
     rad = min(ecc)
-    return ecc, {k: [sum(1 << c for c, d in enumerate(row) if d <= k) for row in rows]
-                 for k in range(max(rad - 2, 0), rad + 1)}
+    return ecc, [[sum(1 << c for c, d in enumerate(row) if d <= k) for row in rows]
+                 for k in range(max(rad - 2, 0), rad + 1)]
 
 
 def test_sweep_matches_per_vertex_bfs():

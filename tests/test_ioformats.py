@@ -185,12 +185,15 @@ def test_parse_edge_list_reads_only_plain_integers(text, message):
 
 
 def test_parse_graph6_refuses_over_cap_before_building(monkeypatch):
-    # n = 6 and n = 70 records under a cap of 5: refused from the size field
+    # n = 6 and n = 70 records under a cap of 5: refused from the size field,
+    # before the parser constructs its Graph, which it does under the cap
     def refuse(*_args):
         raise AssertionError("built past the size guard")
 
     records = [("E???", 6), (write_graph6(basic_family("path", 70)), 70)]
-    monkeypatch.setattr("rcgame.ioformats.build_graph", refuse)
+    monkeypatch.setattr("rcgame.ioformats.Graph", refuse)
+    with pytest.raises(AssertionError, match="built past the size guard"):
+        parse_graph6("E???")
     monkeypatch.setenv("RC_SIZE_GUARD", "5")
     for record, n in records:
         with pytest.raises(SizeGuard, match=f"^{n} vertices exceeds the cap 5$"):
