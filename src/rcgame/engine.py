@@ -44,7 +44,7 @@ from .errors import (
     NoEvasionStrategy,
     NoWinningStrategy,
 )
-from .graph import Graph, _sweep, all_pairs_distances, balls, dilate
+from .graph import Graph, _sweep, all_pairs_distances, balls
 
 COP_TO_MOVE = 0
 ROBBER_TO_MOVE = 1
@@ -231,7 +231,9 @@ def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalys
         if level <= k:          # past the diameter both are the last ball
             ball = grown
     win_c, win_r = [0] * n, [0] * n
-    rounds = list(_attract(g, win_c, win_r, ball, grown))
+    solve = _attract(g, win_c, win_r, ball, grown)
+    del ball, grown             # so the kernel's own drops free them
+    rounds = list(solve)
     full = _full_rows(win_c, n)
     choices = tuple(c for c in range(n) if full >> c & 1)
     return WinAnalysis(g, k, dm, (win_c, win_r), rounds, choices)
@@ -271,15 +273,13 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
 
     A probe at k needs ball_k, the capture states, and ball_{k+1} for its
     first cop step; k < hi <= rad, so k + 1 <= rad. The probes at rad - 2
-    and rad - 1 read both from top. Any other probe is below rad - 2 and
-    above lo, and its walk starts at the floor ball, ball_{lo+1}: the grown
-    ball of the last losing probe, held with its planes, from which it
-    dilates k - lo times. While lo = -1 there is no floor and the walk is
-    balls(g), whose ball_1 is closed_bits, so k dilates. A search whose
-    probes are all at rad - 2 and rad - 1 so makes diam - 1 dilates, those
-    of the sweep, and none on a complete graph; S(4,4) makes 25. The
-    search holds the three top balls, the floor ball and the current pair,
-    never one per radius, and at most two pairs of planes.
+    and rad - 1 read both from top, each taking ball_k out of it; any other
+    probe walks both again with balls(g). A search whose probes all read
+    top so makes diam - 1 dilates, those of the sweep, and none on a
+    complete graph. The search names neither ball of the pair, so the
+    kernel's drops free them; it holds at most the three top balls and
+    the current pair, never one per radius, and at most two pairs of
+    planes.
     """
     swept = _sweep(g)
     if swept is None:
@@ -289,23 +289,16 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
     base = max(rad - 2, 0)               # the level of top[0]
     lo, hi, k = -1, rad, base
     lose_c, lose_r = [0] * n, [0] * n    # the fixed-point planes at lo
-    floor = None                         # ball_{lo+1}, once lo >= 0
     while hi - lo > 1:
-        if k >= base:
-            ball, grown = top[k - base], top[k - base + 1]
-        elif floor is None:
-            ball, grown = islice(balls(g), k, k + 2)
-        else:
-            grown = floor
-            for _ in range(k - lo):
-                ball, grown = grown, dilate(g, grown)
         win_c, win_r = lose_c.copy(), lose_r.copy()
-        for cop, _ in _attract(g, win_c, win_r, ball, grown):
+        for cop, _ in _attract(g, win_c, win_r, *(
+                (top.pop(0), top[0]) if k >= base
+                else islice(balls(g), k, k + 2))):
             if cop and _full_rows(win_c, n):
                 hi = k
                 break
         else:
-            lo, lose_c, lose_r, floor = k, win_c, win_r, grown
+            lo, lose_c, lose_r = k, win_c, win_r
         k = (lo + hi) // 2
     return rad, max(ecc), hi
 

@@ -246,7 +246,8 @@ PINNED = [
 def test_command_outputs_pinned(capsys, argv, code, out_sha, err_sha):
     got, out, err = run(capsys, *argv.split())
     digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
-    assert (got, *digests) == (code, out_sha, err_sha)
+    assert (got, *digests) == (code, out_sha, err_sha), (
+        f"exit {got}\n--- stdout ---\n{out}--- stderr ---\n{err}")
 
 
 def test_strategy_transcripts_on_distance_planes(capsys):

@@ -156,15 +156,14 @@ def test_search_walks_each_ball_level_once(dilate_calls, g, dilates):
 
 
 @pytest.mark.parametrize("g,dilates", [
-    (sierpinski(4, 4), 25),     # 14 swept; probes 5, 8, 10, 11 add 5, 3, 2, 1
-    (named_instance("CubicVT24_6"), 6),     # 4 swept; probes 1, 2 add 1, 1
-    (_lollipop(9, 30), 45),     # 33 swept; probes 7, 3, 1, 2 add 7, 3, 1, 1
-    (basic_family("path", 300), 436),   # 298 swept; probes 73 .. 0 walk from ball_0
+    (sierpinski(4, 4), 48),     # 14 swept; probes 5, 8, 10, 11
+    (named_instance("CubicVT24_6"), 7),     # 4 swept; probes 1, 2
+    (_lollipop(9, 30), 46),     # 33 swept; probes 7, 3, 1, 2
+    (basic_family("path", 300), 436),   # 298 swept; probes 73 .. 0
 ], ids=["S(4,4)", "CubicVT24_6", "lollipop(9,30)", "P_300"])
-def test_search_dilates_up_from_the_last_losing_ball(dilate_calls, g, dilates):
-    # a probe below rad - 2 dilates from ball_{lo+1}, the grown ball of the
-    # last losing probe, k - lo times; with no losing probe yet it walks
-    # balls, whose ball_1 is closed_bits, k times
+def test_search_walks_lower_probes_from_ball_0(dilate_calls, g, dilates):
+    # a probe at k below rad - 2 walks balls again, whose ball_1 is
+    # closed_bits, so it adds k dilates to the sweep's diam - 1
     capture_radii(g)
     assert len(dilate_calls) == dilates
 
