@@ -1,5 +1,10 @@
 """Exact solver and verification toolkit for the cop and robber game with
-radius of capture."""
+radius of capture.
+
+The top level exports the solver, generator, graph and codec names. The
+theorem checks, graph products and outerplanar embeddings are imported from
+their own modules (rcgame.verify, rcgame.products, rcgame.outerplanar), so
+a process that only computes capture numbers never loads them."""
 
 from .engine import (
     COP_TO_MOVE,
@@ -38,23 +43,5 @@ from .graph import (
     is_connected,
 )
 from .ioformats import ResultRecord, emit_results, parse_edge_list, parse_graph6, write_graph6
-from .outerplanar import (
-    OuterplanarEmbedding,
-    inner_faces,
-    random_outerplanar,
-    rc_outerplanar_formula,
-    validate_embedding,
-)
-from .products import product
-from .verify import (
-    Retraction,
-    TheoremReport,
-    check_distance_expansion,
-    check_product_theorems,
-    check_radius_pair_condition,
-    check_retract_monotonicity,
-    classify_evenness,
-    verify_retraction,
-)
 
 __version__ = "0.1.0"

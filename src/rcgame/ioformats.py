@@ -8,8 +8,8 @@ packed six bits per byte, each byte offset by 63. Padding bits are zero.
 
 from __future__ import annotations
 
-import json
 import re
+from binascii import b2a_base64
 from dataclasses import dataclass
 
 from .errors import InvalidParam, InvariantViolation, ParseError
@@ -18,9 +18,12 @@ from .graph import Graph, build_graph
 
 _G6_HEADER = b">>graph6<<"
 _G6_MAX_N = 1 << 18
-# data byte -> its six bits, most significant first, and back
+# data byte -> its six bits, most significant first
 _G6_BITS = {63 + v: format(v, "06b") for v in range(64)}
-_G6_BYTE = {bits: b for b, bits in _G6_BITS.items()}
+# base64 digit of the six bits v -> graph6 data byte 63 + v
+_B64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)))
 _NON_ASCII = re.compile(rb"[^\x00-\x7f]")
 _INTEGER = re.compile(rb"-?[0-9]+")
 
@@ -117,8 +120,13 @@ def write_graph6(g: Graph) -> str:
     closed_bits = g.closed_bits
     cols = "".join(format(closed_bits[v] & ((1 << v) - 1), f"0{v}b")[::-1]
                    for v in range(1, n))
-    cols += "0" * (-len(cols) % 6)
-    out.extend(_G6_BYTE[cols[j:j + 6]] for j in range(0, len(cols), 6))
+    # base64 turns each 24 bits into four digits of six bits each, in
+    # order; zero-padded to whole quanta it emits no '=', and the digits
+    # past the last data byte are dropped
+    nbytes = (len(cols) + 5) // 6
+    cols += "0" * (-len(cols) % 24)
+    packed = int(cols or "0", 2).to_bytes(len(cols) // 8, "big")
+    out += b2a_base64(packed, newline=False).translate(_B64_TO_G6)[:nbytes]
     return out.decode("ascii")
 
 
@@ -218,6 +226,8 @@ def emit_results(records, fmt: str = "csv") -> str:
             lines.append(",".join(_cell(getattr(rec, f)) for f in _FIELDS))
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        import json   # here, so a CSV-only process never loads it
+
         payload = []
         for rec in records:
             row = {("id" if f == "instance_id" else f): getattr(rec, f)

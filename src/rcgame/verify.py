@@ -499,8 +499,6 @@ _SIZED_SUITES = {
     "evenness": (suite_evenness, 50, 2),
     "outerplanar": (suite_outerplanar, 200, 3),
 }
-SUITE_NAMES = ("bounds", "retracts", "evenness", "products", "outerplanar",
-               "families", "transitive-sweep")
 
 
 def run_suite(name: str, trials: int | None, seed: int,

@@ -3,6 +3,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -19,6 +23,7 @@ from rcgame.ioformats import emit_results, parse_graph6, write_graph6
 
 from conftest import graphs
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -238,6 +243,14 @@ PINNED = [
      "6a183658249a034cecd4e725e73dd75c2e82d854bcc3cc70a57c51201e48d450", EMPTY),
     ("family generalized_johnson 70 1 0", 0,
      "3d7c3b9ef37b9ca3410cd2167d49d7a080681430c5329436c6b726c738b24793", EMPTY),
+    # the README's summary-line commands; their --trials are the defaults,
+    # so the two verify rows print what the --seed 1 rows above print
+    ("verify bounds --trials 200", 0,
+     "0f24baee9b4fe6d1b909fcd07d78b3818971b6e473ce90ec8c8d3ff6ca22bcea", EMPTY),
+    ("verify products --trials 50", 0,
+     "91104ec564a567b7e724d059aa568daa7a70a8d9351c36822f769fe932dcccf2", EMPTY),
+    ("family sierpinski 4 3", 0,
+     "61d5163c0b6643f2099697854511b14152332058c68cd1adc70ad4fcaaeb5d76", EMPTY),
 ]
 
 
@@ -558,6 +571,28 @@ def test_strategy_rejects_negative_max_moves(capsys):
     code, out, _ = run(capsys, "strategy", "--family", "cycle", "8",
                        "-k", "3", "--role", "cop", "--max-moves", "0")
     assert code == 0 and "after 0 move(s)" in out
+
+
+def test_cli_import_leaves_theorem_checks_unloaded():
+    # a compute process imports the compute path only: the theorem checks,
+    # products, outerplanar embeddings and json load when a command needs them
+    script = textwrap.dedent("""
+        import sys
+        import rcgame.cli
+        lazy = ("rcgame.verify", "rcgame.outerplanar", "rcgame.products", "json")
+        print(*[name for name in lazy if name in sys.modules])
+        code = rcgame.cli.main(["verify", "families"])
+        print(code, "rcgame.verify" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "", f"loaded at import: {lines[0]}"
+    assert lines[-1] == "0 True"
+    assert "cycle-closed-form: 10/10 pass" in lines
 
 
 def test_failing_theorems_carry_counterexamples(capsys, monkeypatch):
