@@ -91,8 +91,6 @@ def _read_graphs(args):
     non-ASCII byte or whose order exceeds the vertex cap."""
     if args.instance:
         records = [(args.instance, named_instance, args.instance)]
-    elif args.input is None:
-        raise InvalidParam("need an input path or --instance")
     else:
         text = _read_text(args.input)
         stem = ("stdin" if args.input == "-"
@@ -175,12 +173,10 @@ def _show(value) -> str:
 
 
 def _graph_for_strategy(args) -> tuple[str, Graph]:
-    if args.family and not args.instance:
+    if args.family:
         kind, *raw = args.family
         gid, _, g = _family_graph(kind, raw, args.seed)
         return gid, g
-    if not (args.instance or args.input):
-        raise InvalidParam("need --instance, --family, or an input path")
     graphs = list(_read_graphs(args))
     errors = [f"{gid}: {problem}" for gid, _, problem in graphs if problem]
     if errors:
@@ -248,9 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="capture numbers for graphs from a file")
-    p.add_argument("input", nargs="?", help="input path or - for stdin")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("input", nargs="?", help="input path or - for stdin")
+    source.add_argument("--instance", choices=NAMED_INSTANCES)
     p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
-    p.add_argument("--instance", choices=NAMED_INSTANCES)
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.add_argument("--timings", action="store_true",
                    help="emit wall-clock ms (breaks byte-identical reruns)")
@@ -272,10 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("strategy", help="print a certified strategy transcript")
-    p.add_argument("input", nargs="?", help="input path or - for stdin")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("input", nargs="?", help="input path or - for stdin")
+    source.add_argument("--instance", choices=NAMED_INSTANCES)
+    source.add_argument("--family", nargs="+", metavar="KIND_OR_PARAM")
     p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
-    p.add_argument("--instance", choices=NAMED_INSTANCES)
-    p.add_argument("--family", nargs="+", metavar="KIND_OR_PARAM")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("-k", "--radius", type=int, required=True)
     p.add_argument("--role", choices=("cop", "robber"), required=True)

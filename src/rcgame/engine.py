@@ -26,8 +26,8 @@ round 1, and one OR of a closed neighbourhood mask per newly won
 robber-to-move state after that. Its robber step visits each column whose
 cop-to-move states changed and each of their neighbours, and costs one
 AND per neighbour of each column it visits. The kernel reads adj and
-closed_bits alone, as the ball sweep does, so a compute row never builds
-the sorted closed neighbourhoods that strategies walk.
+closed_bits, as the ball sweep does; a strategy walks N[v] as
+(v, *adj[v]).
 """
 
 from __future__ import annotations
@@ -44,13 +44,10 @@ from .errors import (
     NoEvasionStrategy,
     NoWinningStrategy,
 )
-from .graph import Graph, _sweep, all_pairs_distances, balls
+from .graph import _BINARY, Graph, _sweep, all_pairs_distances, balls
 
 COP_TO_MOVE = 0
 ROBBER_TO_MOVE = 1
-
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 # identity equality as for any solve result, and no repr of the round layers
@@ -105,7 +102,7 @@ class WinAnalysis:
         n = self.graph.n
         plane = bytearray(n * n)
         for r, bits in enumerate(self.columns[turn]):
-            plane[r::n] = f"{bits:0{n}b}"[::-1].encode().translate(_BIT_BYTES)
+            plane[r::n] = f"{bits:0{n}b}"[::-1].encode().translate(_BINARY)
         return plane
 
     @property
@@ -361,7 +358,7 @@ def extract_robber_strategy(a: WinAnalysis) -> Strategy:
     point. Ties go to the lowest vertex index."""
     if a.is_cop_win:
         raise NoEvasionStrategy(f"cop wins at radius {a.k}; no evasion exists")
-    closed = a.graph.closed
+    adj = a.graph.adj
     win_c = a.columns[COP_TO_MOVE]
 
     def initial(cop: int) -> int:
@@ -371,11 +368,11 @@ def extract_robber_strategy(a: WinAnalysis) -> Strategy:
         raise InvariantViolation(f"no safe placement against cop at {cop}")
 
     def move(cop: int, robber: int) -> int:
-        for y in closed[robber]:
-            if not win_c[y] >> cop & 1:
-                return y
-        raise InvariantViolation(
-            f"no safe move at state (cop={cop}, robber={robber})")
+        safe = [y for y in (robber, *adj[robber]) if not win_c[y] >> cop & 1]
+        if not safe:
+            raise InvariantViolation(
+                f"no safe move at state (cop={cop}, robber={robber})")
+        return min(safe)
 
     return Strategy("robber", initial, move, "attractor-evading robber", positional=True)
 
@@ -504,7 +501,7 @@ def rank_max_robber_strategy(a: WinAnalysis) -> Strategy:
     """Longest-resisting robber inside a cop-win analysis: place and move
     to maximize the capture rank (ties to the lowest vertex index). Used
     as the adversary in cop transcripts."""
-    n, closed = a.graph.n, a.graph.closed
+    n, adj = a.graph.n, a.graph.adj
 
     def score(cop: int, robber: int) -> int:
         rank = a.rank(cop, robber)
@@ -514,7 +511,7 @@ def rank_max_robber_strategy(a: WinAnalysis) -> Strategy:
         return max(range(n), key=lambda r: score(cop, r))
 
     def move(cop: int, robber: int) -> int:
-        return max(closed[robber], key=lambda y: score(cop, y))
+        return max((robber, *adj[robber]), key=lambda y: (score(cop, y), -y))
 
     return Strategy("robber", initial, move, "rank-max robber", positional=True)
 
@@ -529,13 +526,13 @@ def greedy_chase_cop_strategy(g: Graph, k: int,
         raise InvalidParam("empty graph has no radius")
     if dm is None:
         dm = all_pairs_distances(g)
-    closed = g.closed
+    adj = g.adj
     ecc = [max(row) for row in dm]
     start = ecc.index(min(ecc))
 
     def move(cop: int, robber: int) -> int:
         row = dm[robber]
-        return min(closed[cop], key=lambda y: (row[y], y))
+        return min((cop, *adj[cop]), key=lambda y: (row[y], y))
 
     return Strategy("cop", lambda: start, move, "greedy-chase cop", positional=True)
 
@@ -552,7 +549,7 @@ def certify_cop_strategy(a: WinAnalysis) -> int:
     InvariantViolation on any escape or rank violation.
     """
     cop0 = extract_cop_strategy(a).initial()
-    n, closed = a.graph.n, a.graph.closed
+    n, adj = a.graph.n, a.graph.adj
     cop_rounds = [layer[COP_TO_MOVE] for layer in a.rounds]
     seen_cop_states: set[int] = set()
     worst = 0
@@ -577,7 +574,7 @@ def certify_cop_strategy(a: WinAnalysis) -> int:
                     f"cop move from {c} does not reduce rank at robber {r}")
             if t == 1:
                 continue                  # c2 is in round 0: capture
-            for r2 in closed[r]:
+            for r2 in (r, *adj[r]):
                 t2 = t - 2
                 while t2 > 0 and not cop_rounds[t2].get(r2, 0) >> c2 & 1:
                     t2 -= 2

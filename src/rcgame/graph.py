@@ -3,11 +3,10 @@
 Vertices are dense integers 0..n-1; family coordinates (words, subsets,
 tuples) live only in the optional labels, which a generator may hand over
 as a function that formats them on first read. Adjacency is stored as
-sorted tuples. Closed neighbourhoods N[v] = adj[v] + {v} are built on
-first use: closed_bits, one bitmask per vertex, which has_edge, the ball
-sweep and the engine's kernel read, and closed, sorted tuples, which only
-the strategies and the theorem checks read. The compute path (parse,
-sweep, rc search) never builds closed.
+sorted tuples. The closed neighbourhood N[v] = adj[v] + {v} has one
+stored form, closed_bits, one bitmask per vertex, built on first use;
+has_edge, the ball sweep and the engine's kernel read it, and a walk
+over N[v] goes over (v, *adj[v]).
 
 is_connected, one BFS (none below n - 1 edges), answers connectivity
 before any sweep and APSP.
@@ -53,7 +52,7 @@ class Graph:
     of labels, so a graph whose labels are never read never formats them.
     """
 
-    __slots__ = ("n", "m", "adj", "_labels", "_closed", "_closed_bits")
+    __slots__ = ("n", "m", "adj", "_labels", "_closed_bits")
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...],
                  labels: tuple[str, ...] | Callable[[], Iterable[str]] | None = None):
@@ -61,7 +60,6 @@ class Graph:
         self.adj = adj
         self.m = sum(map(len, adj)) // 2
         self._labels = labels
-        self._closed = None
         self._closed_bits = None
 
     @property
@@ -71,21 +69,9 @@ class Graph:
         return self._labels
 
     @property
-    def closed(self) -> tuple[tuple[int, ...], ...]:
-        """Closed neighbourhoods N[v] = adj[v] plus v, as sorted tuples, for
-        the strategies and theorem checks that walk N[v]; the compute path
-        reads adj and closed_bits instead.
-
-        Built on first use and then held, as is closed_bits, so graphs that
-        are only generated or stored never pay for them.
-        """
-        if self._closed is None:
-            self._closed = tuple(tuple(sorted((*row, v))) for v, row in enumerate(self.adj))
-        return self._closed
-
-    @property
     def closed_bits(self) -> tuple[int, ...]:
-        """N[v] as one bitmask per vertex."""
+        """N[v] as one bitmask per vertex, built on first use and then held,
+        so graphs that are only generated or stored never pay for it."""
         if self._closed_bits is None:
             bits = []
             for v, row in enumerate(self.adj):

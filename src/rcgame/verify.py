@@ -220,13 +220,13 @@ def check_radius_pair_condition(g: Graph) -> bool:
     neighbor of y at radius distance."""
     dm = all_pairs_distances(g)
     rad, _ = _rad_diam(dm)
-    closed = g.closed
+    adj = g.adj
     for x in range(g.n):
         for y in range(g.n):
             if dm[x][y] != rad:
                 continue
-            for x2 in closed[x]:
-                if all(dm[x2][y2] != rad for y2 in closed[y]):
+            for x2 in (x, *adj[x]):
+                if all(dm[x2][y2] != rad for y2 in (y, *adj[y])):
                     return False
     return True
 

@@ -289,6 +289,27 @@ def test_strategy_transcripts_on_distance_planes(capsys):
                    "outcome: captured after 1 move(s)\n")
 
 
+def test_one_graph_source_per_command(tmp_path, capsys):
+    # a file, --instance and (for strategy) --family exclude each other, and
+    # one of them is required: a second source is a usage error, never
+    # dropped for the first
+    path = tmp_path / "k2.g6"
+    path.write_text("A_\n")
+    game = ("-k", "1", "--role", "robber")
+    for argv, problem in [
+            (("compute", str(path), "--instance", "CubicVT24_6"), "not allowed with"),
+            (("compute", "--instance", "CubicVT24_6", str(path)), "not allowed with"),
+            (("strategy", str(path), "--family", "cycle", "5", *game), "not allowed with"),
+            (("strategy", str(path), "--instance", "CubicVT24_6", *game), "not allowed with"),
+            (("strategy", "--instance", "CubicVT24_6", "--family", "cycle", "5", *game),
+             "not allowed with"),
+            (("compute",), "is required"),
+            (("strategy", *game), "is required")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert problem in err, argv
+
+
 def test_strategy_size_guard_every_input(tmp_path, capsys, monkeypatch):
     path = tmp_path / "c6.g6"
     path.write_text("EhEG\n")

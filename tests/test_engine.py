@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rcgame import engine
-from rcgame.cli import compute_record
 from rcgame.engine import (
     Strategy,
     capture_radii,
@@ -381,29 +380,13 @@ def test_retract_monotonicity_census_connected_atlas():
     assert folds == 5911
 
 
-@pytest.mark.parametrize("build", [
-    lambda: sierpinski(4, 4),
-    lambda: basic_family("cycle", 64),
-    lambda: generalized_johnson(7, 3, 2),
-    lambda: random_connected_gnp(40, 0.15, 25),
-], ids=["S(4,4)", "C_64", "J(7,3,2)", "G(40,0.15)"])
-def test_compute_path_builds_no_closed_tuples(build):
-    # the sweep, the rc search, a solve and the distance rows read adj and
-    # closed_bits alone; only strategies and verify build Graph.closed
-    calls = [lambda g: compute_record(g, "g"), capture_radii,
-             lambda g: solve_cwrc(g, 1), all_pairs_distances]
-    for call in calls:
-        g = build()
-        call(g)
-        assert g._closed is None
-
-
 def _attract_per_bit(g, win_c, win_r, targets):
     """Reference kernel: _attract with the per-bit cop step in every round,
     round 1 included, so it dilates no ball. Its robber step walks the
     columns in the kernel's order, a set built as the kernel builds it,
     since the rounds are compared as item lists."""
-    closed, closed_bits = g.closed, g.closed_bits
+    closed_bits = g.closed_bits
+    closed = [sorted((*g.adj[v], v)) for v in range(g.n)]
     cop, robber = {}, {}
     for r, bits in enumerate(targets):
         fresh = bits & ~win_c[r]
@@ -585,7 +568,7 @@ def test_robber_strategy_cubic_vt(cubic_vt):
 def random_cop_strategy(g, seed):
     """Seeded uniformly random cop policy, for robustness play-outs."""
     rng = random.Random(seed)
-    closed = g.closed
+    closed = [sorted((*g.adj[v], v)) for v in range(g.n)]
 
     def initial():
         return rng.randrange(g.n)
@@ -828,21 +811,33 @@ def test_ranks_meet_rank_equations(g, k):
     # the table strategies read the same ranks: the rank-greedy cop moves to
     # the won successor of least rank, the rank-max robber to the successor
     # of highest score (an escape scores above every rank), ties to the
-    # lowest index; the byte planes the benchmark's tracer counts agree
-    # with cop_win
+    # lowest index. At a losing radius the evading robber places and moves
+    # to the lowest vertex not won, and the greedy chase to the least
+    # (distance to the robber, index). The byte planes the benchmark's
+    # tracer counts agree with cop_win
     def score(c, r):
         return a.rank(c, r) if a.cop_win(c, r) else 4 * n * n
 
     robber = rank_max_robber_strategy(a)
     cop = extract_cop_strategy(a) if a.is_cop_win else None
+    if cop is None:
+        evader = extract_robber_strategy(a)
+        chase = greedy_chase_cop_strategy(g, k, a.dm)
     for c in range(n):
         assert robber.initial(c) == max(range(n), key=lambda r: score(c, r))
+        if cop is None:
+            assert evader.initial(c) == min(r for r in range(n) if not a.cop_win(c, r))
         for r in range(n):
             assert robber.move(c, r) == max(closed[r], key=lambda y: score(c, y))
             if cop is not None:
                 to = [y for y in closed[c] if a.cop_win(y, r, 1)]
                 expected = min(to, key=lambda y: (a.rank(y, r, 1), y)) if to else c
                 assert cop.move(c, r) == expected
+                continue
+            if not a.cop_win(c, r, 1):
+                safe = [y for y in closed[r] if not a.cop_win(c, y)]
+                assert evader.move(c, r) == min(safe)
+            assert chase.move(c, r) == min(closed[c], key=lambda y: (a.dm[r][y], y))
     for turn, plane in enumerate((a.win_cop_move, a.win_robber_move)):
         assert len(plane) == n * n
         assert all(plane[c * n + r] == a.cop_win(c, r, turn)
@@ -904,7 +899,7 @@ def test_certify_rejects_robber_state_in_later_round(g):
     a, line = _certified_line(g)
     for c, r in line:
         t = a.rank(c, r)
-        ties = [x for x in g.closed[c] if a.rank(x, r, 1) == t - 1]
+        ties = [x for x in sorted((*g.adj[c], c)) if a.rank(x, r, 1) == t - 1]
         if len(ties) == 1:
             break
     y = extract_cop_strategy(a).move(c, r)

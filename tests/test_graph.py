@@ -70,9 +70,9 @@ def test_closed_neighborhoods_match_adjacency(n, p, seed):
     rng = random.Random(seed)
     g = build_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
                         if rng.random() < p])
+    closed = [sorted((*g.adj[v], v)) for v in range(n)]
     for v in range(n):
-        assert g.closed[v] == tuple(sorted(g.adj[v] + (v,)))
-        assert g.closed_bits[v] == sum(1 << y for y in g.closed[v])
+        assert g.closed_bits[v] == sum(1 << y for y in closed[v])
         assert [g.has_edge(v, y) for y in range(n)] == [y in g.adj[v] for y in range(n)]
 
 
@@ -303,15 +303,13 @@ def _sweep_by_bfs(g):
 
 def test_sweep_matches_per_vertex_bfs():
     # every connected atlas graph; P_40, whose balls fill two at a time at
-    # each of 20 levels; C_400, whose balls all fill at level 200. The sweep
-    # reads adj and closed_bits alone: it builds no closed tuples
+    # each of 20 levels; C_400, whose balls all fill at level 200
     cases = [build_graph(G.number_of_nodes(), list(G.edges()))
              for G in nx.graph_atlas_g()
              if G.number_of_nodes() and nx.is_connected(G)]
     cases += [basic_family("path", 40), basic_family("cycle", 400)]
     for g in cases:
         assert _sweep(g) == _sweep_by_bfs(g)
-        assert g._closed is None
 
 
 def test_eccentricities_empty_graph():
