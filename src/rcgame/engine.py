@@ -18,8 +18,10 @@ two closed balls of rcgame.graph: ball_k, the capture targets, and
 ball_{k+1}, the cops that reach them in one move. capture_radii is the
 one rc search: from one ball sweep it gives a graph's rad, diam and rc;
 radius_capture_number, the command line's rows and every theorem check
-that needs rad and rc together go through it. The kernel computes no
-ball of its own.
+that needs rad and rc together go through it. It starts at the paper's
+bound rc <= rad - 1, which one cop move proves, so it never probes at
+rad - 1 or above; verify's bounds suite checks that bound with a solve
+of its own. The kernel computes no ball of its own.
 
 A round's cop step costs one bigint AND-NOT per column of ball_{k+1} in
 round 1, and one OR of a closed neighbourhood mask per newly won
@@ -249,47 +251,50 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
 
     The one ball sweep of rcgame.graph._sweep answers a disconnected g
     before any attractor work, and otherwise gives every eccentricity, so
-    rad and diam, and top, the balls at max(rad - 2, 0) .. rad.
+    rad and diam, and top, the balls at max(rad - 2, 0) .. rad - 1.
 
-    The cop wins at k = rad, since ball_rad of every vertex holds a centre,
-    and the cop-win region only grows with k. So the search bisects on
-    (lo, hi] = (-1, rad]. Its first probe is at max(rad - 2, 0), after the
-    paper's bound rc <= rad - 1, which is tight on most graphs; the bound is
-    not assumed, but checked where rc is reported. Every later probe is at
-    (lo + hi) // 2. A probe solves from a copy of the fixed-point planes at
-    lo (empty at first): the kernel's flags stay exact, since the region
-    only grows with k.
+    The cop wins at k = max(rad - 1, 0), the paper's bound rc <= rad - 1,
+    by one move: a cop placed at a centre c (ecc(c) = rad >= 1) is within
+    rad of any robber placement and steps toward it first, so they are
+    within rad - 1 after its move; K_1 (rad 0) is captured at placement.
+    The cop-win region only grows with k, so the search bisects on
+    (lo, hi] = (-1, max(rad - 1, 0)], and rad <= 1 runs no kernel at all.
+    Its first probe is at rad - 2, where the bound is tight on most
+    graphs, and a losing probe there decides rc = rad - 1 alone; every
+    later probe is at (lo + hi) // 2. So the bound is never computed here;
+    verify's bounds suite checks it with a solve of its own. A probe
+    solves from a copy of the fixed-point planes at lo (empty at first):
+    the kernel's flags stay exact, since the region only grows with k.
 
     A losing probe runs to its fixed point, and its planes become those at
     lo. A winning probe is dropped at its verdict: the search stops
     consuming _attract after the first round with new cop bits that leaves
     a full cop row, which no later round can empty. On S(6,3) (rc 47, rad
-    48) the probe at 46 loses in 65 rounds, and the one at 47 wins after
-    round 1. A cop that already wins at rad - 2 takes about log2(rad) more
-    probes: five on S(4,4) (rc 11, rad 14).
+    48) the one probe, at 46, loses in 65 rounds. A cop that already wins
+    at rad - 2 takes about log2(rad) more probes: five in all on S(4,4)
+    (rc 11, rad 14).
 
     A probe at k needs ball_k, the capture states, and ball_{k+1} for its
-    first cop step; k < hi <= rad, so k + 1 <= rad. The probes at rad - 2
-    and rad - 1 read both from top, each taking ball_k out of it; any other
-    probe walks both again with balls(g). A search whose probes all read
-    top so makes diam - 1 dilates, those of the sweep, and none on a
-    complete graph. The search names neither ball of the pair, so the
-    kernel's drops free them; it holds at most the three top balls and
-    the current pair, never one per radius, and at most two pairs of
-    planes.
+    first cop step. The first probe, at rad - 2, reads the sweep's pair,
+    taking both balls out of top; every later probe is below it and walks
+    both again with balls(g). A search whose only probe is the first so
+    makes diam - 1 dilates, those of the sweep, and none on a complete
+    graph. The search names neither ball of the pair, so the kernel's
+    drops free them; it holds at most one pair of balls, never one per
+    radius, and at most two pairs of planes.
     """
     swept = _sweep(g)
     if swept is None:
         return None
     ecc, top = swept
     n, rad = g.n, min(ecc)
-    base = max(rad - 2, 0)               # the level of top[0]
-    lo, hi, k = -1, rad, base
+    lo, hi = -1, max(rad - 1, 0)
+    k = hi - 1                           # rad - 2, the level of top[0]
     lose_c, lose_r = [0] * n, [0] * n    # the fixed-point planes at lo
     while hi - lo > 1:
         win_c, win_r = lose_c.copy(), lose_r.copy()
         for cop, _ in _attract(g, win_c, win_r, *(
-                (top.pop(0), top[0]) if k >= base
+                (top.pop(0), top.pop(0)) if top
                 else islice(balls(g), k, k + 2))):
             if cop and _full_rows(win_c, n):
                 hi = k

@@ -8,7 +8,10 @@ A family whose neighbours follow from a vertex's index (cycles, paths,
 complete graphs, circulants, Hamming graphs, generalized Johnson graphs)
 builds its sorted adjacency rows directly and hands Graph a function that
 formats its labels on first read, so a graph that is only solved pays for
-neither an edge list nor a label. Sierpinski graphs, the named instance and
+neither an edge list nor a label. A complete graph's rows, K_n's and those
+of the complete J(n, k, i), are slices of one tuple of 0..n-1; a J(n, k, i)
+that the intersection sizes force to be edgeless or complete tests no pair
+of subsets. Sierpinski graphs, the named instance and
 G(n, p) go through build_graph with their labels.
 """
 
@@ -68,6 +71,12 @@ def _index_labels(n: int):
     return lambda: map(str, range(n))
 
 
+def _complete_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The adjacency rows of K_n, each sliced out of one tuple of 0..n-1."""
+    r = tuple(range(n))
+    return tuple(r[:v] + r[v + 1:] for v in range(n))
+
+
 def basic_family(kind: str, n: int) -> Graph:
     """Cycle C_n (n >= 3), the circulant with step 1; path P_n or complete
     K_n (n >= 1)."""
@@ -83,7 +92,7 @@ def basic_family(kind: str, n: int) -> Graph:
     elif kind == "complete":
         if n < 1:
             raise InvalidParam(f"complete needs n >= 1, got {n}")
-        adj = tuple(tuple(w for w in range(n) if w != v) for v in range(n))
+        adj = _complete_rows(n)
     else:
         raise InvalidParam(f"unknown basic family {kind!r}")
     return Graph(n, adj, _index_labels(n))
@@ -125,14 +134,20 @@ def generalized_johnson(n: int, k: int, i: int) -> Graph:
     """J(n, k, i): k-subsets of {1..n}, adjacent when the intersection has
     size exactly i. May be disconnected; callers check.
 
-    Two k-subsets of an n-set share at least 2k - n points, so for
-    n < 2k - i the graph is edgeless and no pair is checked.
+    Two distinct k-subsets of an n-set share between max(0, 2k - n) and
+    k - 1 points. Below that range (i < 2k - n) the graph is edgeless; when
+    the range is the single value i (J(n, 1, 0) and J(n, n - 1, n - 2)) it
+    is complete, and its rows are sliced as K_n's. Neither checks a pair;
+    any other i tests each pair of subsets.
     """
     check_cap(_binomials(n, k))
     if not (n > k > i >= 0):
         raise InvalidParam(f"need n > k > i >= 0, got ({n},{k},{i})")
-    adj = ((),) * comb(n, k)
-    if n >= 2 * k - i:
+    if i < 2 * k - n:
+        adj = ((),) * comb(n, k)
+    elif max(0, 2 * k - n) == k - 1:
+        adj = _complete_rows(comb(n, k))
+    else:
         masks = list(map(sum, combinations([1 << x for x in range(n)], k)))
         adj = tuple(tuple([b for b, mb in enumerate(masks) if (ma & mb).bit_count() == i])
                     for ma in masks)

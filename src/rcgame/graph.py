@@ -179,7 +179,8 @@ def _sweep(g: Graph) -> tuple[tuple[int, ...], list[list[int]]] | None:
     one that filled there getting its ecc; the sweep stops at the first
     level where every ball is full, the diameter. rad is the first level
     where some ball is full, and top lists the balls at max(rad - 2, 0) ..
-    rad, for engine.capture_radii's first probes.
+    rad - 1, the pair engine.capture_radii's first probe reads when
+    rad >= 2.
     """
     n = g.n
     if n == 0:
@@ -192,10 +193,10 @@ def _sweep(g: Graph) -> tuple[tuple[int, ...], list[list[int]]] | None:
     filled = 0                  # how many balls are full
     top: list[list[int]] = []
     for level, ball in enumerate(balls(g)):
-        if not filled:          # no ball was full a level down: level <= rad
-            top = [*top[-2:], ball]
         count = ball.count(full)
-        if count > filled:
+        if not count:           # no ball is full yet: level < rad
+            top = [*top[-1:], ball]
+        elif count > filled:
             filled = count
             for v in short:
                 if ball[v] == full:

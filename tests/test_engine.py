@@ -123,10 +123,10 @@ def _lollipop(cycle, path):
     return build_graph(cycle + path, edges)
 
 
-def test_sweep_keeps_the_three_levels_up_to_rad():
-    # top lists ball_{rad-2}, ball_{rad-1} and ball_rad (those >= 0): the
-    # search probes rad - 2 and rad - 1 first, and a probe at k reads ball_k
-    # and ball_{k+1}: on K_1, the lollipops and the connected atlas
+def test_sweep_keeps_the_two_levels_below_rad():
+    # top lists ball_{rad-2} and ball_{rad-1} (those >= 0): the search's
+    # first probe is at rad - 2, and a probe at k reads ball_k and
+    # ball_{k+1}: on K_1, the lollipops and the connected atlas
     graphs = [basic_family("complete", 1)]
     graphs += [_lollipop(c, p) for c in (3, 4, 9) for p in (0, 1, 2, 5, 30)]
     graphs += [build_graph(G.number_of_nodes(), list(G.edges()))
@@ -135,7 +135,7 @@ def test_sweep_keeps_the_three_levels_up_to_rad():
     for g in graphs:
         ecc, top = _sweep(g)
         rad, every = min(ecc), list(balls(g))
-        assert top == every[max(rad - 2, 0):rad + 1]
+        assert top == every[max(rad - 2, 0):rad]
 
 
 @pytest.mark.parametrize("g,dilates", [
@@ -147,9 +147,10 @@ def test_sweep_keeps_the_three_levels_up_to_rad():
     (basic_family("cycle", 400), 199),
 ], ids=lambda v: None if isinstance(v, int) else repr(v))
 def test_search_walks_each_ball_level_once(dilate_calls, g, dilates):
-    # ball_1 is closed_bits and every probe here reads ball_k and ball_{k+1}
-    # from the sweep's top balls, so the search's only dilates are the
-    # sweep's, diam - 1 of them: none on a complete graph
+    # ball_1 is closed_bits, a complete graph runs no probe, and each other
+    # graph here runs one, at rad - 2, reading ball_k and ball_{k+1} from
+    # the sweep's pair, so the search's only dilates are the sweep's,
+    # diam - 1 of them: none on a complete graph
     rad, diam, rc = capture_radii(g)
     assert len(dilate_calls) == dilates == diam - 1
 
@@ -180,18 +181,18 @@ def test_solve_walks_to_ball_k_plus_one(dilate_calls):
 
 # a row's id ends in its probe count
 @pytest.mark.parametrize("g,rc,probes", [
-    (basic_family("complete", 1), 0, []),   # rad 0: no probe, the cop wins at rad
-    (basic_family("cycle", 10), 4, [3, 4]),  # rad 5: loses at 3, wins at 4
-    (sierpinski(3, 3), 5, [4, 5]),          # rad 6
+    (basic_family("complete", 1), 0, []),   # rad 0: no probe
+    (basic_family("cycle", 10), 4, [3]),    # rad 5: loses at 3, so rc 4
+    (sierpinski(3, 3), 5, [4]),             # rad 6
     (basic_family("path", 9), 0, [2, 0]),   # rad 4: wins at 2, then at 0
     (sierpinski(4, 4), 11, [12, 5, 8, 10, 11]),  # rad 14: 5, 8, 10 lose
     (_lollipop(9, 30), 3, [15, 7, 3, 1, 2]),     # rad 17: 1, 2 lose
-    (basic_family("complete", 5), 0, [0]),  # rad 1
+    (basic_family("complete", 5), 0, []),   # rad 1: no probe
 ], ids=lambda v: str(len(v)) if isinstance(v, list) else None)
 def test_rc_probes_follow_the_radius_bound(monkeypatch, g, rc, probes):
-    # one attractor call per probe, at max(rad - 2, 0) first and then
-    # bisecting; each call's k is the ball its targets equal, and its second
-    # ball is the next one
+    # the cop wins at max(rad - 1, 0), so the search bisects below it: one
+    # attractor call per probe, at rad - 2 first; each call's k is the ball
+    # its targets equal, and its second ball is the next one
     real, calls = engine._attract, []
     every_ball = list(balls(g))
 
@@ -206,11 +207,43 @@ def test_rc_probes_follow_the_radius_bound(monkeypatch, g, rc, probes):
     assert calls == probes
 
 
+def test_rc_search_never_probes_at_the_radius_bound(monkeypatch):
+    # one cop move proves the cop wins at max(rad - 1, 0), so no probe sits
+    # there or above it, and rad <= 1 runs no kernel at all; the rc still
+    # agrees with the oracle. K_1..K_8, both complete J(70, k, i), the star
+    # K_{1,6} and every connected atlas graph
+    real, calls = engine._attract, []
+    every_ball = []
+
+    def counted(g, win_c, win_r, targets, grown):
+        calls.append(every_ball.index(targets))
+        return real(g, win_c, win_r, targets, grown)
+
+    graphs = [basic_family("complete", n) for n in range(1, 9)]
+    graphs += [generalized_johnson(70, 1, 0), generalized_johnson(70, 69, 68),
+               build_graph(7, [(0, v) for v in range(1, 7)])]
+    graphs += [build_graph(G.number_of_nodes(), list(G.edges()))
+               for G in nx.graph_atlas_g()
+               if G.number_of_nodes() and nx.is_connected(G)]
+    probed = 0
+    for g in graphs:
+        every_ball[:] = balls(g)
+        calls.clear()
+        monkeypatch.setattr(engine, "_attract", counted)
+        rad, _, rc = capture_radii(g)
+        monkeypatch.undo()
+        assert all(k < rad - 1 for k in calls), (g, rad, calls)
+        assert rad > 1 or not calls
+        assert rc == naive_rc_oracle(g)
+        probed += bool(calls)
+    assert probed > 500
+
+
 def test_rc_winning_probe_stops_at_its_verdict(monkeypatch):
-    # S(5,3) (rc 23, rad 24): the losing probe at 22 runs all 33 rounds to
-    # its fixed point; the winning one at 23 has a full cop row after round
-    # 1 of its 33 and is consumed no further
-    g = sierpinski(5, 3)
+    # S(4,4) (rc 11, rad 14): the first probe, at 12, wins with a full cop
+    # row after round 7 of its 15 and is consumed no further; the losing
+    # probes at 5, 8 and 10 run to their fixed points
+    g = sierpinski(4, 4)
     real, consumed = engine._attract, []
     every_ball = list(balls(g))
 
@@ -222,9 +255,12 @@ def test_rc_winning_probe_stops_at_its_verdict(monkeypatch):
             yield new
 
     monkeypatch.setattr(engine, "_attract", counted)
-    assert radius_capture_number(g) == 23
-    assert consumed == [[22, 33], [23, 2]]     # rounds 0..32, rounds 0..1
-    assert len(solve_cwrc(g, 23).rounds) == 33
+    assert radius_capture_number(g) == 11
+    monkeypatch.undo()
+    assert consumed[0] == [12, 8]               # rounds 0..7
+    assert len(solve_cwrc(g, 12).rounds) == 15
+    assert [k for k, _ in consumed] == [12, 5, 8, 10, 11]
+    assert consumed[1] == [5, len(solve_cwrc(g, 5).rounds)]
 
 
 @pytest.mark.parametrize("g", [sierpinski(4, 4), _lollipop(9, 30)],

@@ -115,28 +115,40 @@ def test_generalized_johnson_disconnected_matching():
 
 
 def test_generalized_johnson_matches_brute_force():
-    """Every J(n, k, i) on at most 35 vertices: the edges are the pairs of
-    k-subsets meeting in exactly i points, the edgeless n < 2k - i ones
-    included, and each label is the subset written as "{1,2,...}"."""
-    params = [(n, k, i) for n in range(2, 36) for k in range(1, n)
-              if math.comb(n, k) <= 35 for i in range(k)]
-    assert sum(n < 2 * k - i for n, k, i in params) > 100
-    for n, k, i in params:
-        subsets = [set(s) for s in combinations(range(1, n + 1), k)]
-        expected = {(a, b) for a, b in combinations(range(len(subsets)), 2)
-                    if len(subsets[a] & subsets[b]) == i}
-        g = generalized_johnson(n, k, i)
-        assert g.edge_set() == expected, (n, k, i)
-        assert g.labels == tuple("{" + ",".join(str(x) for x in sorted(s)) + "}"
-                                 for s in subsets), (n, k, i)
+    """Every J(n, k, i) on at most 70 vertices, the sweep's 2575 triples:
+    row a lists the b != a whose k-subset meets a's in exactly i points,
+    on the edgeless (i < 2k - n), complete (J(n, 1, 0), J(n, n-1, n-2))
+    and pair-testing branches alike, and each label is the subset written
+    as "{1,2,...}"."""
+    edgeless = complete = triples = 0
+    for n in range(2, 71):
+        for k in range(1, n):
+            if math.comb(n, k) > 70:
+                continue
+            subsets = [frozenset(s) for s in combinations(range(1, n + 1), k)]
+            rows = [[[] for _ in subsets] for _ in range(k)]     # rows[i][a]
+            for a, sa in enumerate(subsets):
+                for b, sb in enumerate(subsets):
+                    if a != b:
+                        rows[len(sa & sb)][a].append(b)
+            labels = tuple("{" + ",".join(map(str, sorted(s))) + "}" for s in subsets)
+            for i in range(k):
+                g = generalized_johnson(n, k, i)
+                assert g.adj == tuple(map(tuple, rows[i])), (n, k, i)
+                assert g.labels == labels, (n, k, i)
+                edgeless += g.m == 0
+                complete += g.m == g.n * (g.n - 1) // 2
+                triples += 1
+    assert (triples, complete) == (2575, 137) and edgeless > 2000
 
 
 def test_generalized_johnson_co_singletons():
     """(n-1)-subsets of an n-set meet in n - 2 points: J(n, n-1, n-2) is
-    K_n and every other i gives no edge."""
+    K_n, as J(n, 1, 0) is, row for row, and every other i gives no edge."""
     for n in range(2, 71):
-        assert generalized_johnson(n, n - 1, n - 2).edge_set() == \
-            basic_family("complete", n).edge_set()
+        complete = basic_family("complete", n).adj
+        assert generalized_johnson(n, n - 1, n - 2).adj == complete
+        assert generalized_johnson(n, 1, 0).adj == complete
         for i in range(n - 2):
             assert generalized_johnson(n, n - 1, i).m == 0, (n, i)
 

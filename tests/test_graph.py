@@ -293,12 +293,12 @@ def test_second_ball_is_the_closed_neighbourhoods(dilate_calls):
 
 def _sweep_by_bfs(g):
     # (ecc, top) of _sweep, read off one BFS row per vertex: ball_k[r] holds
-    # the c with d(r, c) <= k, listed for k = max(rad - 2, 0) .. rad
+    # the c with d(r, c) <= k, listed for k = max(rad - 2, 0) .. rad - 1
     rows = [_bfs_row(g.adj, g.n, v) for v in range(g.n)]
     ecc = tuple(map(max, rows))
     rad = min(ecc)
     return ecc, [[sum(1 << c for c, d in enumerate(row) if d <= k) for row in rows]
-                 for k in range(max(rad - 2, 0), rad + 1)]
+                 for k in range(max(rad - 2, 0), rad)]
 
 
 def test_sweep_matches_per_vertex_bfs():

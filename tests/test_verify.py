@@ -4,12 +4,13 @@ outerplanar faces."""
 import json
 import random
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rcgame import engine, graph
+from rcgame import engine, graph, verify
 from rcgame.engine import capture_radii, radius_capture_number
 from rcgame.errors import InvalidParam, NotARetraction, NotConnected
 from rcgame.generators import (
@@ -365,6 +366,28 @@ def test_checks_sweep_each_graph_once(monkeypatch):
         swept.clear()
         run()
         assert len(swept) == len({id(g) for g in swept}) == graphs
+
+
+def test_bounds_suite_solves_the_radius_bound_itself(monkeypatch):
+    # capture_radii starts below the radius bound, so its rc cannot exceed
+    # it: the suite solves each graph at max(rad - 1, 0) itself, and a
+    # solve that loses there fails the bound whatever the search says
+    real, solved = verify.solve_cwrc, []
+
+    def spy(g, k):
+        solved.append(k == max(min(eccentricities(g)) - 1, 0))
+        return real(g, k)
+
+    monkeypatch.setattr(verify, "solve_cwrc", spy)
+    tally = suite_bounds(12, 3)
+    assert tally.passes["radius-upper-bound"] == 12 and solved == [True] * 12
+    monkeypatch.setattr(verify, "solve_cwrc",
+                        lambda g, k: SimpleNamespace(is_cop_win=False))
+    tally = suite_bounds(12, 3)
+    assert "radius-upper-bound" not in tally.passes
+    assert tally.passes["girth-lower-bound"] == 12
+    assert all(r.counterexample["cop_win_at_bound"] is False
+               for r in tally.failures)
 
 
 def test_theorem_report_json():
