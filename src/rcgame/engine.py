@@ -251,7 +251,8 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
 
     The one ball sweep of rcgame.graph._sweep answers a disconnected g
     before any attractor work, and otherwise gives every eccentricity, so
-    rad and diam, and top, the balls at max(rad - 2, 0) .. rad - 1.
+    rad and diam, and top, the balls at max(rad - 2, 0) .. rad - 1; it
+    reads a complete g off its edge count, with no closed_bits and no BFS.
 
     The cop wins at k = max(rad - 1, 0), the paper's bound rc <= rad - 1,
     by one move: a cop placed at a centre c (ecc(c) = rad >= 1) is within

@@ -8,8 +8,9 @@ stored form, closed_bits, one bitmask per vertex, built on first use;
 has_edge, the ball sweep and the engine's kernel read it, and a walk
 over N[v] goes over (v, *adj[v]).
 
-is_connected, one BFS (none below n - 1 edges), answers connectivity
-before any sweep and APSP.
+_sweep answers a complete graph (2m = n(n - 1)) from its edge count,
+with no closed_bits, no BFS and no sweep; otherwise is_connected, one BFS
+(none below n - 1 edges), answers connectivity before any sweep and APSP.
 The closed-ball sweep (balls) grows one bitset per vertex a hop at a
 time, bit-parallel BFS in the style of Akiba, Iwata and Yoshida (SIGMOD
 2013); ball_1 is closed_bits itself, and each later hop is dilate, which
@@ -172,19 +173,23 @@ def balls(g: Graph) -> Iterator[list[int]]:
 def _sweep(g: Graph) -> tuple[tuple[int, ...], list[list[int]]] | None:
     """(ecc, top) from one closed-ball sweep, or None when g is disconnected.
 
-    One BFS answers a disconnected g before any sweep. Otherwise ecc(v) is
-    the first k at which ball_k[v] holds every vertex. Each level counts
-    its full balls with one ball.count(full), and only at a level where
-    that count rises are the still-short vertices compared with full, each
-    one that filled there getting its ecc; the sweep stops at the first
-    level where every ball is full, the diameter. rad is the first level
-    where some ball is full, and top lists the balls at max(rad - 2, 0) ..
-    rad - 1, the pair engine.capture_radii's first probe reads when
-    rad >= 2.
+    A complete g (2m = n(n - 1), its rows being simple) has every ball_1
+    full, ecc 1 (0 on K_1), and is answered with no closed_bits, BFS or
+    sweep. Else one BFS answers a disconnected g before any sweep, and
+    ecc(v) is the first k at which ball_k[v] holds every vertex. Each
+    level counts its full balls with one ball.count(full), and only at a
+    level where that count rises are the still-short vertices compared
+    with full, each one that filled there getting its ecc; the sweep stops
+    at the first level where every ball is full, the diameter. rad is the
+    first level where some ball is full, and top lists the balls at
+    max(rad - 2, 0) .. rad - 1, the pair engine.capture_radii's first
+    probe reads when rad >= 2.
     """
     n = g.n
     if n == 0:
         raise InvalidParam("empty graph has no radius")
+    if 2 * g.m == n * (n - 1):  # complete: every ball_1 is full
+        return (min(n - 1, 1),) * n, ([[1 << v for v in range(n)]] if n > 1 else [])
     if not is_connected(g):
         return None
     full = (1 << n) - 1

@@ -243,6 +243,11 @@ PINNED = [
      "6a183658249a034cecd4e725e73dd75c2e82d854bcc3cc70a57c51201e48d450", EMPTY),
     ("family generalized_johnson 70 1 0", 0,
      "3d7c3b9ef37b9ca3410cd2167d49d7a080681430c5329436c6b726c738b24793", EMPTY),
+    # K_1 and K_2 are answered from their edge counts, with no sweep
+    ("family complete 1", 0,
+     "806288090ab672e0c4c005e402b8fff9a1a76668d604842578261e31bc929c2b", EMPTY),
+    ("family complete 2", 0,
+     "08c43e3923f1110f2432fbc50002fcb7c692eb8fe9f8b368898b142e64de82a7", EMPTY),
     # the README's summary-line commands; their --trials are the defaults,
     # so the two verify rows print what the --seed 1 rows above print
     ("verify bounds --trials 200", 0,

@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from rcgame.engine import capture_radii
 from rcgame.errors import InvalidParam, InvalidVertex, NotConnected, SelfLoop
 from rcgame.generators import (
     basic_family,
@@ -310,6 +311,37 @@ def test_sweep_matches_per_vertex_bfs():
     cases += [basic_family("path", 40), basic_family("cycle", 400)]
     for g in cases:
         assert _sweep(g) == _sweep_by_bfs(g)
+
+
+def test_sweep_matches_networkx_atlas():
+    # networkx's eccentricities on every connected atlas graph and None on
+    # every disconnected one; K_n less the edge (0, 1) is two edges short of
+    # complete, so it still takes the sweep and reads ecc 2 at 0 and 1
+    for G in nx.graph_atlas_g()[1:]:
+        g = build_graph(G.number_of_nodes(), list(G.edges()))
+        if nx.is_connected(G):
+            ecc = nx.eccentricity(G)
+            assert _sweep(g)[0] == tuple(ecc[v] for v in range(g.n))
+        else:
+            assert _sweep(g) is None
+    for n in range(3, 41):
+        g = build_graph(n, list(itertools.combinations(range(n), 2))[1:])
+        assert _sweep(g) == _sweep_by_bfs(g)
+        assert _sweep(g)[0] == (2, 2) + (1,) * (n - 2)
+    with pytest.raises(InvalidParam, match="empty graph has no radius"):
+        _sweep(build_graph(0, []))
+
+
+def test_complete_graphs_are_answered_from_the_edge_count(monkeypatch):
+    # 2m = n(n - 1) answers K_n (and the complete J(70,1,0), J(70,69,68))
+    # before any BFS or sweep, so closed_bits is never built
+    calls = _counted_bfs_rows(monkeypatch)
+    cases = [basic_family("complete", n) for n in range(1, 71)]
+    cases += [generalized_johnson(70, 1, 0), generalized_johnson(70, 69, 68)]
+    for g in cases:
+        assert capture_radii(g) == ((0, 0, 0) if g.n == 1 else (1, 1, 0))
+        assert g._closed_bits is None
+    assert calls == []
 
 
 def test_eccentricities_empty_graph():
