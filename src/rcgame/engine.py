@@ -21,7 +21,12 @@ radius_capture_number, the command line's rows and every theorem check
 that needs rad and rc together go through it. It starts at the paper's
 bound rc <= rad - 1, which one cop move proves, so it never probes at
 rad - 1 or above; verify's bounds suite checks that bound with a solve
-of its own. The kernel computes no ball of its own.
+of its own. Its probes at k = 0 run no kernel: greedy corner elimination
+decides them. One vertex left is a dismantling, and a dismantlable graph
+is cop-win (Nowakowski and Winkler; Quilliot), so rc = 0; a corner-free
+rest of more than one vertex is a retract H that is not cop-win, and
+the paper's rc(H) <= rc(G) gives rc >= 1. The kernel computes no ball
+of its own.
 
 A round's cop step costs one bigint AND-NOT per column of ball_{k+1} in
 round 1, and one OR of a closed neighbourhood mask per newly won
@@ -238,6 +243,31 @@ def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalys
     return WinAnalysis(g, k, dm, (win_c, win_r), rounds, choices)
 
 
+def _dismantlable(g: Graph) -> bool:
+    """Whether greedy corner elimination takes connected g down to one
+    vertex, that is, whether the cop wins the radius-0 game.
+
+    A live vertex u is a corner, and is removed, when N[u] & alive lies
+    inside N[v] for a live v in adj[u]; the removal order does not
+    matter (see capture_radii). todo holds the live vertices still to
+    test: all of them at first, then the live neighbours of each removed
+    vertex, the only ones whose test the removal can change. The last
+    vertex has no live neighbour, so alive never empties.
+    """
+    adj, closed_bits = g.adj, g.closed_bits
+    alive = todo = (1 << g.n) - 1
+    while todo:
+        u = todo.bit_length() - 1
+        todo ^= 1 << u
+        mask = closed_bits[u] & alive
+        for v in adj[u]:
+            if mask >> v & 1 and mask & ~closed_bits[v] == 0:
+                alive ^= 1 << u
+                todo |= mask ^ 1 << u
+                break
+    return alive & alive - 1 == 0
+
+
 def radius_capture_number(g: Graph) -> int | None:
     """Least k at which the cop wins, or None when g is disconnected: the
     rc of capture_radii."""
@@ -267,6 +297,18 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
     solves from a copy of the fixed-point planes at lo (empty at first):
     the kernel's flags stay exact, since the region only grows with k.
 
+    A probe at k = 0 is decided by _dismantlable, with no kernel: the
+    radius-0 game is the classic cop-and-robber game. If corner
+    elimination leaves one vertex, g is dismantlable, so cop-win
+    (Nowakowski and Winkler, Discrete Math. 43, 1983; Quilliot, 1978),
+    and hi = 0. Otherwise each removal was a retraction, so the
+    corner-free rest H, of more than one vertex, is a retract of g that
+    is not cop-win; the paper's rc(H) <= rc(g) gives rc >= 1, and lo = 0.
+    The planes at lo stay as they were, still a fixed point below the next
+    probe, and the bisection goes on: with lo = -1 and hi = 2, k = 0 is
+    not the last probe. So a rad-2 row, where rc is 0 or 1, runs no
+    kernel at all.
+
     A losing probe runs to its fixed point, and its planes become those at
     lo. A winning probe is dropped at its verdict: the search stops
     consuming _attract after the first round with new cop bits that leaves
@@ -293,15 +335,20 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
     k = hi - 1                           # rad - 2, the level of top[0]
     lose_c, lose_r = [0] * n, [0] * n    # the fixed-point planes at lo
     while hi - lo > 1:
-        win_c, win_r = lose_c.copy(), lose_r.copy()
-        for cop, _ in _attract(g, win_c, win_r, *(
-                (top.pop(0), top.pop(0)) if top
-                else islice(balls(g), k, k + 2))):
-            if cop and _full_rows(win_c, n):
-                hi = k
-                break
+        if k:
+            win_c, win_r = lose_c.copy(), lose_r.copy()
+            for cop, _ in _attract(g, win_c, win_r, *(
+                    (top.pop(0), top.pop(0)) if top
+                    else islice(balls(g), k, k + 2))):
+                if cop and _full_rows(win_c, n):
+                    hi = k
+                    break
+            else:
+                lo, lose_c, lose_r = k, win_c, win_r
+        elif _dismantlable(g):      # k = 0; the planes at lo stay a fixed point
+            hi = 0
         else:
-            lo, lose_c, lose_r = k, win_c, win_r
+            lo = 0
         k = (lo + hi) // 2
     return rad, max(ecc), hi
 

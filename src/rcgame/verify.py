@@ -129,12 +129,13 @@ def check_retract_monotonicity(g: Graph, r: Retraction) -> TheoremReport:
 
 def corner_fold_retraction(g: Graph) -> Retraction | None:
     """Fold the first corner u (a vertex with N[u] inside some N[v]) onto
-    its dominating vertex; None when the graph has no corner."""
+    its lowest dominating vertex; None when the graph has no corner. A
+    dominator of u is a neighbour of u, so only adj[u] is scanned."""
     n = g.n
     closed = g.closed_bits
-    for u in range(n):
-        for v in range(n):
-            if v != u and closed[u] & ~closed[v] == 0:
+    for u, row in enumerate(g.adj):
+        for v in row:
+            if closed[u] & ~closed[v] == 0:
                 mapping = tuple(v if x == u else x for x in range(n))
                 return Retraction(frozenset(range(n)) - {u}, mapping)
     return None

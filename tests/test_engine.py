@@ -179,20 +179,22 @@ def test_solve_walks_to_ball_k_plus_one(dilate_calls):
             assert len(dilate_calls) == k
 
 
-# a row's id ends in its probe count
+# a row's id ends in its kernel probe count
 @pytest.mark.parametrize("g,rc,probes", [
     (basic_family("complete", 1), 0, []),   # rad 0: no probe
     (basic_family("cycle", 10), 4, [3]),    # rad 5: loses at 3, so rc 4
     (sierpinski(3, 3), 5, [4]),             # rad 6
-    (basic_family("path", 9), 0, [2, 0]),   # rad 4: wins at 2, then at 0
+    (basic_family("path", 9), 0, [2]),      # rad 4: wins at 2, corner test at 0
     (sierpinski(4, 4), 11, [12, 5, 8, 10, 11]),  # rad 14: 5, 8, 10 lose
     (_lollipop(9, 30), 3, [15, 7, 3, 1, 2]),     # rad 17: 1, 2 lose
     (basic_family("complete", 5), 0, []),   # rad 1: no probe
+    (generalized_johnson(5, 2, 0), 1, []),  # rad 2: the corner test alone
 ], ids=lambda v: str(len(v)) if isinstance(v, list) else None)
 def test_rc_probes_follow_the_radius_bound(monkeypatch, g, rc, probes):
     # the cop wins at max(rad - 1, 0), so the search bisects below it: one
-    # attractor call per probe, at rad - 2 first; each call's k is the ball
-    # its targets equal, and its second ball is the next one
+    # attractor call per probe at k >= 1, at rad - 2 first, and k = 0 is
+    # decided by corner elimination; each call's k is the ball its targets
+    # equal, and its second ball is the next one
     real, calls = engine._attract, []
     every_ball = list(balls(g))
 
@@ -207,18 +209,33 @@ def test_rc_probes_follow_the_radius_bound(monkeypatch, g, rc, probes):
     assert calls == probes
 
 
-def test_rc_search_never_probes_at_the_radius_bound(monkeypatch):
+@pytest.fixture
+def probe_log(monkeypatch):
+    """The rc search's probes in order: the k of each kernel call, read off
+    the ball its targets equal, and 0 for each corner test."""
+    log = []
+    attract, dismantlable = engine._attract, engine._dismantlable
+
+    def kernel(g, win_c, win_r, targets, grown):
+        log.append(list(balls(g)).index(targets))
+        return attract(g, win_c, win_r, targets, grown)
+
+    def corner_test(g):
+        log.append(0)
+        return dismantlable(g)
+
+    monkeypatch.setattr(engine, "_attract", kernel)
+    monkeypatch.setattr(engine, "_dismantlable", corner_test)
+    return log
+
+
+def test_rc_search_never_probes_at_the_radius_bound(probe_log):
     # one cop move proves the cop wins at max(rad - 1, 0), so no probe sits
-    # there or above it, and rad <= 1 runs no kernel at all; the rc still
-    # agrees with the oracle. K_1..K_8, both complete J(70, k, i), the star
-    # K_{1,6} and every connected atlas graph
-    real, calls = engine._attract, []
-    every_ball = []
-
-    def counted(g, win_c, win_r, targets, grown):
-        calls.append(every_ball.index(targets))
-        return real(g, win_c, win_r, targets, grown)
-
+    # there or above it, and rad <= 1 runs no kernel and no corner test;
+    # the rc still agrees with the oracle. K_1..K_8, both complete
+    # J(70, k, i), the star K_{1,6} and every connected atlas graph; more
+    # than 500 of them are decided by a probe, at k >= 1 or by the corner
+    # test at k = 0
     graphs = [basic_family("complete", n) for n in range(1, 9)]
     graphs += [generalized_johnson(70, 1, 0), generalized_johnson(70, 69, 68),
                build_graph(7, [(0, v) for v in range(1, 7)])]
@@ -227,16 +244,69 @@ def test_rc_search_never_probes_at_the_radius_bound(monkeypatch):
                if G.number_of_nodes() and nx.is_connected(G)]
     probed = 0
     for g in graphs:
-        every_ball[:] = balls(g)
-        calls.clear()
-        monkeypatch.setattr(engine, "_attract", counted)
+        probe_log.clear()
         rad, _, rc = capture_radii(g)
-        monkeypatch.undo()
-        assert all(k < rad - 1 for k in calls), (g, rad, calls)
-        assert rad > 1 or not calls
+        assert all(k < rad - 1 for k in probe_log), (g, rad, probe_log)
+        assert rad > 1 or not probe_log
         assert rc == naive_rc_oracle(g)
-        probed += bool(calls)
+        probed += bool(probe_log)
     assert probed > 500
+
+
+def test_corner_elimination_decides_the_radius_0_game():
+    # at k = 0 the cop wins exactly on a dismantlable graph: greedy corner
+    # elimination agrees with the kernel's solve on both verdicts. Every
+    # connected atlas graph, 300 seeded G(n, p), P_300, S(3,3), C_5 and
+    # the Petersen graph J(5, 2, 0)
+    graphs = [build_graph(G.number_of_nodes(), list(G.edges()))
+              for G in nx.graph_atlas_g()
+              if G.number_of_nodes() and nx.is_connected(G)]
+    rng = random.Random(29)
+    graphs += [random_connected_gnp(rng.randint(2, 16), rng.uniform(0.15, 0.6),
+                                    rng.getrandbits(32)) for _ in range(300)]
+    graphs += [basic_family("path", 300), sierpinski(3, 3),
+               basic_family("cycle", 5), generalized_johnson(5, 2, 0)]
+    verdicts = Counter()
+    for g in graphs:
+        won = engine._dismantlable(g)
+        assert won == solve_cwrc(g, 0).is_cop_win, g
+        verdicts[won] += 1
+    assert min(verdicts[True], verdicts[False]) > 600, verdicts
+
+
+def test_rad_2_row_runs_no_kernel(monkeypatch):
+    # rad 2 leaves rc in {0, 1}, and the search's one probe, at k = 0, is
+    # the corner test: Petersen, P_5 and seeded G(n, p) of rad 2 run no kernel
+    def no_attractor(*args):
+        raise AssertionError("attractor ran on a rad-2 row")
+
+    rng = random.Random(2)
+    gnp = [random_connected_gnp(rng.randint(10, 30), rng.uniform(0.3, 0.5),
+                                rng.getrandbits(32)) for _ in range(40)]
+    gnp = [(g, naive_rc_oracle(g)) for g in gnp if min(eccentricities(g)) == 2]
+    monkeypatch.setattr(engine, "_attract", no_attractor)
+    assert capture_radii(generalized_johnson(5, 2, 0)) == (2, 2, 1)
+    assert capture_radii(basic_family("path", 5)) == (2, 4, 0)
+    assert len(gnp) > 30
+    for g, rc in gnp:
+        assert capture_radii(g)[2] == rc
+
+
+def test_rc_search_goes_on_past_the_corner_test(probe_log):
+    # rad 4: the probe at 2 wins, so the bracket is (-1, 2] and the corner
+    # test at 0 is not the last probe; on a graph that is not dismantlable
+    # it sets lo = 0 and the kernel probes at 1
+    rng = random.Random(4)
+    rcs = Counter()
+    for _ in range(1000):
+        g = random_connected_gnp(rng.randint(8, 14), rng.uniform(0.12, 0.3),
+                                 rng.getrandbits(32))
+        probe_log.clear()
+        rad, _, rc = capture_radii(g)
+        if rad >= 4 and 0 in probe_log and 1 in probe_log[probe_log.index(0):]:
+            assert rc == naive_rc_oracle(g), (g, probe_log)
+            rcs[rc] += 1
+    assert rcs[1] >= 25 and rcs[2] >= 8, rcs
 
 
 def test_rc_winning_probe_stops_at_its_verdict(monkeypatch):
