@@ -13,6 +13,7 @@ theirs alone.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import time
@@ -85,10 +86,11 @@ def _read_text(path: str) -> bytes:
 def _read_graphs(args):
     """Yield (id, graph, error) from --instance or the input path, one
     record at a time so a batch never holds more than one graph. A graph6
-    record is one line, ended by LF, CR LF or CR; a blank line is skipped
-    but keeps its number in the ids. error is the message, and graph None,
-    for a record its source refuses: one that does not parse, holds a
-    non-ASCII byte or whose order exceeds the vertex cap."""
+    record is one line, ended by LF, CR LF or CR, and is copied out of the
+    input only when it is read; a blank line is skipped but keeps its
+    number in the ids. error is the message, and graph None, for a record
+    its source refuses: one that does not parse, holds a non-ASCII byte or
+    whose order exceeds the vertex cap."""
     if args.instance:
         records = [(args.instance, named_instance, args.instance)]
     else:
@@ -98,9 +100,12 @@ def _read_graphs(args):
         if args.format == "edgelist":
             records = [(stem, parse_edge_list, text)]
         else:
-            records = [(f"{stem}:{no}", parse_graph6, line)
-                       for no, line in enumerate(text.splitlines(), start=1)
-                       if line.strip()]
+            # io.BytesIO reads text in place, one LF-ended piece at a time, and
+            # splitlines splits a piece at CR too: the lines of text.splitlines().
+            # An input whose lines all end in CR alone is one piece, copied whole
+            lines = (line for piece in io.BytesIO(text) for line in piece.splitlines())
+            records = ((f"{stem}:{no}", parse_graph6, line)
+                       for no, line in enumerate(lines, start=1) if line.strip())
     for gid, parse, data in records:
         try:
             g, problem = parse(data), None
@@ -210,9 +215,9 @@ def cmd_strategy(args) -> int:
     print(f"place cop at {g.label(transcript.cop_start)}")
     print(f"place robber at {g.label(transcript.robber_start)}"
           f"  d={transcript.start_distance}")
+    capture_at = transcript.moves if transcript.captured else 0
     for i, step in enumerate(transcript.steps, start=1):
-        capture = "  capture" if (i == len(transcript.steps)
-                                  and transcript.captured) else ""
+        capture = "  capture" if i == capture_at else ""
         print(f"  {i:3d} {step.mover:6s} {g.label(step.origin)} -> "
               f"{g.label(step.target)}  d={step.distance}{capture}")
     outcome = transcript.outcome

@@ -42,6 +42,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import cycle, islice
+from operator import eq
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -437,14 +438,53 @@ class Step(NamedTuple):
     distance: int
 
 
+class _Cycled:
+    """Read-only steps of a play-out closed on a cycle: the steps played,
+    then played[start:] repeated up to length, each looked up on demand,
+    never copied. Reads (len, index, slice), iterates and compares (==)
+    as the list it stands for."""
+
+    __slots__ = ("_played", "_start", "_len")
+
+    def __init__(self, played: list[Step], start: int, length: int):
+        self._played, self._start, self._len = played, start, length
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        at = range(self._len)[i]   # negative i, slices and IndexError as a list's
+        if isinstance(at, range):
+            return [self[j] for j in at]
+        played, start = self._played, self._start
+        if at >= len(played):
+            at = start + (at - start) % (len(played) - start)
+        return played[at]
+
+    def __iter__(self):
+        played = self._played
+        yield from played
+        yield from islice(cycle(played[self._start:]), self._len - len(played))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _Cycled)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 @dataclass
 class Transcript:
-    """Full record of one play-out: placements, every move, the outcome."""
+    """Full record of one play-out: placements, every move, the outcome.
+
+    steps has one Step per move (len(steps) == moves). A play-out that
+    closed on a cycle holds its steps in a read-only sequence that repeats
+    the cycle on demand, without copying it up to moves; any other holds
+    a list."""
 
     cop_start: int
     robber_start: int
     start_distance: int
-    steps: list[Step]
+    steps: list[Step] | _Cycled
     outcome: str          # "captured" or "survived"
     moves: int
 
@@ -464,9 +504,10 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
     for capture. When both strategies are positional, the play-out is a
     walk on the n^2 cop-to-move states, each keyed cop * n + robber to its
     index in steps. At the first repeated state no capture has happened
-    and every later move repeats the cycle since that state, so the
-    remaining moves up to max_moves are filled in from it (the Step
-    objects are shared) and the robber survives.
+    and every later move repeats the cycle since that state, so the play-out
+    ends there and the robber survives: the transcript's steps repeat the
+    cycle up to max_moves without copying it, in memory of the order of
+    the distinct states visited, not of max_moves.
     """
     if cop_strategy.role != "cop" or robber_strategy.role != "robber":
         raise InvalidParam("simulate needs a cop strategy and a robber strategy")
@@ -479,7 +520,7 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
         raise IllegalMove(f"placement outside 0..{n - 1}")
     players = (cop_strategy, robber_strategy)   # indexed by turn
     at = [cop_start, robber_start]              # vertices, indexed by turn
-    steps: list[Step] = []
+    steps: list[Step] | _Cycled = []
     d0 = d = dm[cop_start][robber_start]
     seen = {} if cop_strategy.positional and robber_strategy.positional else None
     moves = 0
@@ -488,8 +529,7 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
         if seen is not None and turn == COP_TO_MOVE:
             start = seen.setdefault(at[0] * n + at[1], moves)
             if start != moves:
-                steps.extend(islice(cycle(steps[start:]), max_moves - moves))
-                moves = max_moves
+                steps, moves = _Cycled(steps, start, max_moves), max_moves
                 break
         origin = at[turn]
         nxt = players[turn].move(*at)

@@ -1,5 +1,6 @@
 """CLI behavior: commands, exit codes, determinism, environment overrides."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rcgame import engine, graph
-from rcgame.cli import compute_record, main
+from rcgame.cli import _read_graphs, compute_record, main
 from rcgame.errors import ParseError
 from rcgame.generators import basic_family, named_instance, sierpinski
 from rcgame.graph import build_graph
@@ -484,6 +486,25 @@ def test_compute_stdin_form_feed_and_separators_stay_in_their_record(capsys, mon
     assert err == ("error: stdin:1: expected 1 data bytes for n=2, got 4\n"
                    "error: stdin:3: size byte 28 outside graph6 range\n")
     assert out.splitlines()[1:] == ["stdin:2,2,1,1,1,0,0,0,0,0"]
+
+
+def test_graph6_batch_is_held_once_while_its_records_are_read(tmp_path):
+    # 150 records of the edgeless order-400 graph, about 2 MB: each record is
+    # copied out of the input only when it is read, so the batch is not held
+    # a second time as a list of its lines
+    record = write_graph6(build_graph(400, [])) + "\n"
+    path = tmp_path / "batch.g6"
+    path.write_text(record * 150)
+    size = path.stat().st_size
+    args = argparse.Namespace(instance=None, input=str(path), format="graph6")
+    tracemalloc.start()
+    try:
+        ids = [gid for gid, g, problem in _read_graphs(args) if g.n == 400]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ids == [f"batch:{no}" for no in range(1, 151)]
+    assert peak < 1.5 * size, (peak, size)
 
 
 @pytest.mark.parametrize("text", ["A_\x0cA_\n", "A_\x85A_\n", "A_\u2028A_\n"])

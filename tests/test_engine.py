@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -741,9 +742,14 @@ def test_cycle_closing_matches_move_by_move_play(g):
         plain_robber = replace(robber, positional=False)
         for max_moves in (0, 1, 2, 7, 4 * g.n * g.n + 1):
             fast = simulate(g, k, cop, robber, max_moves, dm)
-            assert len(fast.steps) == fast.moves <= max_moves
-            assert _play(fast) == _play(simulate(g, k, plain_cop, plain_robber,
-                                                 max_moves, dm))
+            slow = simulate(g, k, plain_cop, plain_robber, max_moves, dm)
+            assert len(fast.steps) == len(slow.steps) == fast.moves <= max_moves
+            assert _play(fast) == _play(slow)
+            assert fast.steps == slow.steps and slow.steps == fast.steps
+            if fast.moves:
+                for i in (0, fast.moves // 2, -1):
+                    assert fast.steps[i] == slow.steps[i]
+                assert fast.steps[1:fast.moves - 1:3] == slow.steps[1:fast.moves - 1:3]
 
 
 @pytest.mark.parametrize("g,k", [
@@ -773,6 +779,27 @@ def test_positional_play_out_moves_once_per_state(g, k):
     t = simulate(g, k, replace(cop, positional=False),
                  replace(robber, positional=False), budget, a.dm)
     assert t.moves == budget and calls["cop"] + calls["robber"] == budget
+
+
+def test_closed_play_out_holds_its_cycle_not_every_move():
+    # S(4,4) at k = 10: the robber's 4n^2 = 262,144-move evasion closes on a
+    # cycle of a few states; a list of every step would take over 2 MB
+    g = sierpinski(4, 4)
+    a = solve_cwrc(g, 10)
+    cop = greedy_chase_cop_strategy(g, 10, a.dm)
+    robber = extract_robber_strategy(a)
+    tracemalloc.start()
+    try:
+        t = simulate(g, 10, cop, robber, 4 * g.n * g.n, a.dm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.outcome == "survived" and t.moves == len(t.steps) == 262144
+    assert peak < 256 * 1024, peak
+    assert t.steps[-262144] == t.steps[0] and t.steps[262143] == t.steps[-1]
+    for i in (262144, -262145):
+        with pytest.raises(IndexError):
+            t.steps[i]
 
 
 def test_simulate_immediate_capture_at_placement():
