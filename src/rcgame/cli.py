@@ -216,7 +216,7 @@ def cmd_strategy(args) -> int:
     print(f"place robber at {g.label(transcript.robber_start)}"
           f"  d={transcript.start_distance}")
     capture_at = transcript.moves if transcript.captured else 0
-    for i, step in enumerate(transcript.steps, start=1):
+    for i, step in enumerate(transcript.all_steps(), start=1):
         capture = "  capture" if i == capture_at else ""
         print(f"  {i:3d} {step.mover:6s} {g.label(step.origin)} -> "
               f"{g.label(step.target)}  d={step.distance}{capture}")

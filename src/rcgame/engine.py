@@ -42,8 +42,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import cycle, islice
-from operator import eq
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
     IllegalMove,
@@ -438,59 +437,33 @@ class Step(NamedTuple):
     distance: int
 
 
-class _Cycled:
-    """Read-only steps of a play-out closed on a cycle: the steps played,
-    then played[start:] repeated up to length, each looked up on demand,
-    never copied. Reads (len, index, slice), iterates and compares (==)
-    as the list it stands for."""
-
-    __slots__ = ("_played", "_start", "_len")
-
-    def __init__(self, played: list[Step], start: int, length: int):
-        self._played, self._start, self._len = played, start, length
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i):
-        at = range(self._len)[i]   # negative i, slices and IndexError as a list's
-        if isinstance(at, range):
-            return [self[j] for j in at]
-        played, start = self._played, self._start
-        if at >= len(played):
-            at = start + (at - start) % (len(played) - start)
-        return played[at]
-
-    def __iter__(self):
-        played = self._played
-        yield from played
-        yield from islice(cycle(played[self._start:]), self._len - len(played))
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, _Cycled)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-
 @dataclass
 class Transcript:
-    """Full record of one play-out: placements, every move, the outcome.
+    """Full record of one play-out: placements, the steps played, the outcome.
 
-    steps has one Step per move (len(steps) == moves). A play-out that
-    closed on a cycle holds its steps in a read-only sequence that repeats
-    the cycle on demand, without copying it up to moves; any other holds
-    a list."""
+    steps holds each step played. A play-out that closed on a cycle played
+    fewer steps than moves; its cycle_start is the index in steps where the
+    cycle starts, and every later move repeats steps[cycle_start:]. Any
+    other play-out has cycle_start None and one step per move.
+    all_steps() yields one Step per move in either case."""
 
     cop_start: int
     robber_start: int
     start_distance: int
-    steps: list[Step] | _Cycled
+    steps: list[Step]
     outcome: str          # "captured" or "survived"
     moves: int
+    cycle_start: int | None = None
 
     @property
     def captured(self) -> bool:
         return self.outcome == "captured"
+
+    def all_steps(self) -> Iterator[Step]:
+        yield from self.steps
+        if self.cycle_start is not None:
+            yield from islice(cycle(self.steps[self.cycle_start:]),
+                              self.moves - len(self.steps))
 
 
 def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy,
@@ -505,9 +478,9 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
     walk on the n^2 cop-to-move states, each keyed cop * n + robber to its
     index in steps. At the first repeated state no capture has happened
     and every later move repeats the cycle since that state, so the play-out
-    ends there and the robber survives: the transcript's steps repeat the
-    cycle up to max_moves without copying it, in memory of the order of
-    the distinct states visited, not of max_moves.
+    ends there and the robber survives with moves = max_moves: the
+    transcript keeps the steps played and the index where the cycle starts,
+    in memory of the order of the distinct states visited, not of max_moves.
     """
     if cop_strategy.role != "cop" or robber_strategy.role != "robber":
         raise InvalidParam("simulate needs a cop strategy and a robber strategy")
@@ -515,12 +488,15 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
         dm = all_pairs_distances(g)
     n, closed_bits = g.n, g.closed_bits
     cop_start = cop_strategy.initial()
+    if not 0 <= cop_start < n:
+        raise IllegalMove(f"placement outside 0..{n - 1}")
     robber_start = robber_strategy.initial(cop_start)
-    if not (0 <= cop_start < n) or not (0 <= robber_start < n):
+    if not 0 <= robber_start < n:
         raise IllegalMove(f"placement outside 0..{n - 1}")
     players = (cop_strategy, robber_strategy)   # indexed by turn
     at = [cop_start, robber_start]              # vertices, indexed by turn
-    steps: list[Step] | _Cycled = []
+    steps: list[Step] = []
+    cycle_start = None
     d0 = d = dm[cop_start][robber_start]
     seen = {} if cop_strategy.positional and robber_strategy.positional else None
     moves = 0
@@ -529,7 +505,7 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
         if seen is not None and turn == COP_TO_MOVE:
             start = seen.setdefault(at[0] * n + at[1], moves)
             if start != moves:
-                steps, moves = _Cycled(steps, start, max_moves), max_moves
+                cycle_start, moves = start, max_moves
                 break
         origin = at[turn]
         nxt = players[turn].move(*at)
@@ -541,7 +517,7 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
         d = dm[at[0]][at[1]]
         steps.append(Step(players[turn].role, origin, nxt, d))
     outcome = "captured" if d <= k else "survived"
-    return Transcript(cop_start, robber_start, d0, steps, outcome, moves)
+    return Transcript(cop_start, robber_start, d0, steps, outcome, moves, cycle_start)
 
 
 def naive_rc_oracle(g: Graph) -> int | None:

@@ -714,7 +714,7 @@ def test_simulate_survival_by_pigeonhole():
 
 def _play(t):
     return (t.cop_start, t.robber_start, t.start_distance, t.outcome, t.moves,
-            tuple(t.steps))
+            tuple(t.all_steps()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -740,16 +740,25 @@ def test_cycle_closing_matches_move_by_move_play(g):
         assert cop.positional and robber.positional
         plain_cop = replace(cop, positional=False)
         plain_robber = replace(robber, positional=False)
-        for max_moves in (0, 1, 2, 7, 4 * g.n * g.n + 1):
-            fast = simulate(g, k, cop, robber, max_moves, dm)
+        cap = 4 * g.n * g.n + 1
+        capped = simulate(g, k, cop, robber, cap, dm)
+        played = len(capped.steps)
+        fasts = {}
+        for max_moves in (0, 1, 2, 7, played, played + 1, cap):
+            fast = fasts[max_moves] = simulate(g, k, cop, robber, max_moves, dm)
             slow = simulate(g, k, plain_cop, plain_robber, max_moves, dm)
-            assert len(fast.steps) == len(slow.steps) == fast.moves <= max_moves
+            assert slow.cycle_start is None
+            assert len(slow.steps) == fast.moves <= max_moves
+            assert (fast.cycle_start is None) == (len(fast.steps) == fast.moves)
             assert _play(fast) == _play(slow)
-            assert fast.steps == slow.steps and slow.steps == fast.steps
-            if fast.moves:
-                for i in (0, fast.moves // 2, -1):
-                    assert fast.steps[i] == slow.steps[i]
-                assert fast.steps[1:fast.moves - 1:3] == slow.steps[1:fast.moves - 1:3]
+            assert list(fast.all_steps()) == slow.steps
+        if capped.cycle_start is not None:
+            # a cap of the steps played stops before the repeated state; one
+            # more move closes the play-out and repeats one step of its cycle
+            assert fasts[played].cycle_start is None
+            closed = fasts[played + 1]
+            assert closed.cycle_start is not None and len(closed.steps) == played
+            assert closed.moves == played + 1
 
 
 @pytest.mark.parametrize("g,k", [
@@ -772,7 +781,7 @@ def test_positional_play_out_moves_once_per_state(g, k):
     robber = counted(extract_robber_strategy(a))
     budget = 4 * g.n * g.n
     t = simulate(g, k, cop, robber, budget, a.dm)
-    assert t.outcome == "survived" and t.moves == len(t.steps) == budget
+    assert t.outcome == "survived" and t.moves == sum(1 for _ in t.all_steps()) == budget
     # one cop and one robber move per distinct cop-to-move state visited
     assert calls["cop"] <= g.n * g.n and calls["robber"] <= g.n * g.n
     calls.update(cop=0, robber=0)
@@ -794,12 +803,10 @@ def test_closed_play_out_holds_its_cycle_not_every_move():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert t.outcome == "survived" and t.moves == len(t.steps) == 262144
+    assert t.outcome == "survived" and t.moves == 262144
     assert peak < 256 * 1024, peak
-    assert t.steps[-262144] == t.steps[0] and t.steps[262143] == t.steps[-1]
-    for i in (262144, -262145):
-        with pytest.raises(IndexError):
-            t.steps[i]
+    assert len(t.steps) == 10 and t.cycle_start == 6
+    assert sum(1 for _ in t.all_steps()) == 262144
 
 
 def test_simulate_immediate_capture_at_placement():
@@ -818,6 +825,27 @@ def test_simulate_illegal_move_detected():
         simulate(g, 0, cop, robber, 10)
     with pytest.raises(InvalidParam):
         simulate(g, 0, robber, cop, 10)
+
+
+@pytest.mark.parametrize("k,robber_of", [
+    (1, extract_robber_strategy),
+    (1, rank_max_robber_strategy),
+    (2, rank_max_robber_strategy),
+])
+@pytest.mark.parametrize("placement", [-1, 6])
+def test_simulate_checks_cop_placement_before_robber_places(k, robber_of, placement):
+    c6 = basic_family("cycle", 6)
+    robber = robber_of(solve_cwrc(c6, k))
+    asked = []
+
+    def initial(cop):
+        asked.append(cop)
+        return robber.initial(cop)
+
+    cop = Strategy("cop", lambda: placement, lambda c, r: c)
+    with pytest.raises(IllegalMove, match=r"^placement outside 0\.\.5$"):
+        simulate(c6, k, cop, replace(robber, initial=initial), 10)
+    assert asked == []
 
 
 def test_rank_strictly_decreases_along_cop_play():
