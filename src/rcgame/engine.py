@@ -35,12 +35,15 @@ cop-to-move states changed and each of their neighbours, and costs one
 AND per neighbour of each column it visits. The kernel reads adj and
 closed_bits, as the ball sweep does; a strategy walks N[v] as
 (v, *adj[v]).
+
+The records are no dataclasses, so a solve never loads dataclasses:
+Strategy, Step and Transcript are named tuples, and WinAnalysis is a
+slotted class that compares by identity.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import cycle, islice
 from typing import Callable, Iterator, NamedTuple
 
@@ -58,7 +61,6 @@ ROBBER_TO_MOVE = 1
 
 
 # identity equality as for any solve result, and no repr of the round layers
-@dataclass(slots=True, eq=False, repr=False)
 class WinAnalysis:
     """The cop-win region and capture ranks at a fixed radius, as the
     kernel leaves them.
@@ -72,12 +74,18 @@ class WinAnalysis:
     cop start vertices that beat every robber placement.
     """
 
-    graph: Graph
-    k: int
-    dm: list[list[int]]
-    columns: tuple[list[int], list[int]]
-    rounds: list[tuple[dict[int, int], dict[int, int]]]
-    initial_cop_choices: tuple[int, ...]
+    __slots__ = ("graph", "k", "dm", "columns", "rounds", "initial_cop_choices")
+
+    def __init__(self, graph: Graph, k: int, dm: list[list[int]],
+                 columns: tuple[list[int], list[int]],
+                 rounds: list[tuple[dict[int, int], dict[int, int]]],
+                 initial_cop_choices: tuple[int, ...]) -> None:
+        self.graph = graph
+        self.k = k
+        self.dm = dm
+        self.columns = columns
+        self.rounds = rounds
+        self.initial_cop_choices = initial_cop_choices
 
     @property
     def is_cop_win(self) -> bool:
@@ -353,8 +361,7 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
     return rad, max(ecc), hi
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(NamedTuple):
     """Deterministic move rule for one role.
 
     For the cop, initial() gives the start vertex; for the robber,
@@ -437,8 +444,7 @@ class Step(NamedTuple):
     distance: int
 
 
-@dataclass
-class Transcript:
+class Transcript(NamedTuple):
     """Full record of one play-out: placements, the steps played, the outcome.
 
     steps holds each step played. A play-out that closed on a cycle played

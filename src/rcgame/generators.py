@@ -19,18 +19,17 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from itertools import accumulate, combinations, product, repeat
 from math import comb
 from operator import mul
+from typing import NamedTuple
 
 from .errors import CouldNotConnect, InvalidParam, SizeGuard, UnknownInstance
 from .graph import Graph, build_graph, is_connected
 
 DEFAULT_SIZE_GUARD = 65536
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Parameter container for one family instance."""
 
     kind: str

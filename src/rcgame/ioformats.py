@@ -4,13 +4,17 @@ graph6 encoding: a size field (chr(63 + n) for n <= 62, '~' plus three
 6-bit groups for larger n up to 2^18 - 1) followed by the upper-triangle
 adjacency bits in column order x(0,1), x(0,2), x(1,2), x(0,3), ...,
 packed six bits per byte, each byte offset by 63. Padding bits are zero.
+
+A result row is a ResultRecord, a named tuple that checks its id, and its
+rc against the row's bounds, when it is built. It is no dataclass, so a
+compute process never loads dataclasses.
 """
 
 from __future__ import annotations
 
 import re
 from binascii import b2a_base64
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParam, InvariantViolation, ParseError
 from .generators import check_cap
@@ -175,11 +179,7 @@ def _integer(token: bytes) -> int:
     return int(token)
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """One solver result row; lb and ub are the girth and radius bounds,
-    and construction checks rc against them."""
-
+class _ResultFields(NamedTuple):
     instance_id: str
     n: int
     m: int
@@ -189,6 +189,30 @@ class ResultRecord:
     rc: int | None
     ms: float = 0.0
 
+
+class ResultRecord(_ResultFields):
+    """One solver result row; lb and ub are the girth and radius bounds,
+    and construction checks rc against them.
+
+    A named tuple, so immutable and equal field by field; building one,
+    by _replace and _make too, runs the checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, instance_id: str, n: int, m: int, rad: int | None,
+                diam: int | None, girth: int, rc: int | None, ms: float = 0.0):
+        self = tuple.__new__(cls, (instance_id, n, m, rad, diam, girth, rc, ms))
+        if "," in instance_id:
+            raise InvalidParam(f"record id {instance_id!r} contains a comma")
+        if rc is not None and (self.ub is None or not self.lb <= rc <= self.ub):
+            raise InvariantViolation(
+                f"rc {rc} outside [{self.lb}, {self.ub}] for {instance_id}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> ResultRecord:
+        return cls(*iterable)
+
     @property
     def lb(self) -> int:
         return max(0, self.girth // 2 - 1)
@@ -196,13 +220,6 @@ class ResultRecord:
     @property
     def ub(self) -> int | None:
         return None if self.rad is None else max(0, self.rad - 1)
-
-    def __post_init__(self):
-        if "," in self.instance_id:
-            raise InvalidParam(f"record id {self.instance_id!r} contains a comma")
-        if self.rc is not None and (self.ub is None or not self.lb <= self.rc <= self.ub):
-            raise InvariantViolation(
-                f"rc {self.rc} outside [{self.lb}, {self.ub}] for {self.instance_id}")
 
 
 _FIELDS = ("instance_id", "n", "m", "rad", "diam", "girth", "rc", "lb", "ub", "ms")

@@ -511,9 +511,9 @@ _SIZED_SUITES = {
 def run_suite(name: str, trials: int | None, seed: int,
               max_n: int) -> tuple[list[str], list[TheoremReport]]:
     """Run one suite by name and return its output lines and failing
-    reports. trials None takes the suite's default; the products and
-    families suites ignore max_n, and families and transitive-sweep also
-    ignore trials and seed."""
+    reports. trials None takes the suite's default; the products,
+    families and transitive-sweep suites ignore max_n, and families and
+    transitive-sweep also ignore trials and seed."""
     if trials is not None and trials < 0:
         raise InvalidParam(f"trials must be >= 0, got {trials}")
     if name == "transitive-sweep":

@@ -630,24 +630,31 @@ def test_strategy_rejects_negative_max_moves(capsys):
 
 def test_cli_import_leaves_theorem_checks_unloaded():
     # a compute process imports the compute path only: the theorem checks,
-    # products, outerplanar embeddings and json load when a command needs them
-    script = textwrap.dedent("""
-        import sys
-        import rcgame.cli
-        lazy = ("rcgame.verify", "rcgame.outerplanar", "rcgame.products", "json")
-        print(*[name for name in lazy if name in sys.modules])
-        code = rcgame.cli.main(["verify", "families"])
-        print(code, "rcgame.verify" in sys.modules)
-    """)
+    # products, outerplanar embeddings and json load when a command needs
+    # them, and no record on the path is a dataclass, so neither dataclasses
+    # nor the modules it imports load; each import runs in its own interpreter
+    lazy = ("rcgame.verify", "rcgame.outerplanar", "rcgame.products", "json",
+            "dataclasses", "inspect", "ast", "dis", "tokenize")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "", f"loaded at import: {lines[0]}"
-    assert lines[-1] == "0 True"
-    assert "cycle-closed-form: 10/10 pass" in lines
+    for module in ("rcgame", "rcgame.cli"):
+        script = textwrap.dedent(f"""
+            import sys
+            before = set(sys.modules)
+            import {module}
+            loaded = set(sys.modules) - before
+            print(*[name for name in {lazy!r} if name in loaded])
+            import rcgame.cli
+            code = rcgame.cli.main(["verify", "families"])
+            print(code, "rcgame.verify" in sys.modules, "dataclasses" in sys.modules)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "", f"loaded by import {module}: {lines[0]}"
+        assert lines[-1] == "0 True True"
+        assert "cycle-closed-form: 10/10 pass" in lines
 
 
 def test_failing_theorems_carry_counterexamples(capsys, monkeypatch):

@@ -4,7 +4,6 @@ import itertools
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -13,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from rcgame import engine
 from rcgame.engine import (
     Strategy,
+    WinAnalysis,
     capture_radii,
     certify_cop_strategy,
     extract_cop_strategy,
@@ -738,8 +738,8 @@ def test_cycle_closing_matches_move_by_move_play(g):
                       extract_robber_strategy(lose)))
     for k, cop, robber in pairs:
         assert cop.positional and robber.positional
-        plain_cop = replace(cop, positional=False)
-        plain_robber = replace(robber, positional=False)
+        plain_cop = cop._replace(positional=False)
+        plain_robber = robber._replace(positional=False)
         cap = 4 * g.n * g.n + 1
         capped = simulate(g, k, cop, robber, cap, dm)
         played = len(capped.steps)
@@ -775,7 +775,7 @@ def test_positional_play_out_moves_once_per_state(g, k):
         def move(cop, robber):
             calls[strategy.role] += 1
             return strategy.move(cop, robber)
-        return replace(strategy, move=move)
+        return strategy._replace(move=move)
 
     cop = counted(greedy_chase_cop_strategy(g, k, a.dm))
     robber = counted(extract_robber_strategy(a))
@@ -785,8 +785,8 @@ def test_positional_play_out_moves_once_per_state(g, k):
     # one cop and one robber move per distinct cop-to-move state visited
     assert calls["cop"] <= g.n * g.n and calls["robber"] <= g.n * g.n
     calls.update(cop=0, robber=0)
-    t = simulate(g, k, replace(cop, positional=False),
-                 replace(robber, positional=False), budget, a.dm)
+    t = simulate(g, k, cop._replace(positional=False),
+                 robber._replace(positional=False), budget, a.dm)
     assert t.moves == budget and calls["cop"] + calls["robber"] == budget
 
 
@@ -844,7 +844,7 @@ def test_simulate_checks_cop_placement_before_robber_places(k, robber_of, placem
 
     cop = Strategy("cop", lambda: placement, lambda c, r: c)
     with pytest.raises(IllegalMove, match=r"^placement outside 0\.\.5$"):
-        simulate(c6, k, cop, replace(robber, initial=initial), 10)
+        simulate(c6, k, cop, robber._replace(initial=initial), 10)
     assert asked == []
 
 
@@ -1031,7 +1031,7 @@ def _reassign(a, turn, c, r, into):
         columns[turn][r] &= ~(1 << c)
     else:
         rounds[into][turn][r] = rounds[into][turn].get(r, 0) | 1 << c
-    return replace(a, columns=columns, rounds=rounds)
+    return WinAnalysis(a.graph, a.k, a.dm, columns, rounds, a.initial_cop_choices)
 
 
 def _certified_line(g):

@@ -292,6 +292,8 @@ def test_record_invariants_enforced():
         ResultRecord("c6", 6, 6, 3, 3, 6, 3)   # rc above rad - 1
     with pytest.raises(InvariantViolation):
         ResultRecord("c6", 6, 6, 3, 3, 6, 1)   # rc below girth bound
+    with pytest.raises(InvariantViolation):
+        ResultRecord("p3", 3, 2, None, None, 0, 0)   # rc without a radius
     with pytest.raises(InvalidParam):
         emit_results([_c6_record()], "xml")
 
