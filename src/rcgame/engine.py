@@ -36,9 +36,9 @@ AND per neighbour of each column it visits. The kernel reads adj and
 closed_bits, as the ball sweep does; a strategy walks N[v] as
 (v, *adj[v]).
 
-The records are no dataclasses, so a solve never loads dataclasses:
 Strategy, Step and Transcript are named tuples, and WinAnalysis is a
-slotted class that compares by identity.
+slotted class that compares by identity: like every record in the
+package, they load no module beyond typing to define them.
 """
 
 from __future__ import annotations

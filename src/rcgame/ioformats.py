@@ -4,16 +4,18 @@ graph6 encoding: a size field (chr(63 + n) for n <= 62, '~' plus three
 6-bit groups for larger n up to 2^18 - 1) followed by the upper-triangle
 adjacency bits in column order x(0,1), x(0,2), x(1,2), x(0,3), ...,
 packed six bits per byte, each byte offset by 63. Padding bits are zero.
+A data byte is so a base64 digit in another alphabet, and both codecs
+pack and unpack the bits through binascii's base64.
 
 A result row is a ResultRecord, a named tuple that checks its id, and its
-rc against the row's bounds, when it is built. It is no dataclass, so a
-compute process never loads dataclasses.
+rc against the row's bounds, when it is built; like every record in the
+package, it loads no module beyond typing to define it.
 """
 
 from __future__ import annotations
 
 import re
-from binascii import b2a_base64
+from binascii import a2b_base64, b2a_base64
 from typing import NamedTuple
 
 from .errors import InvalidParam, InvariantViolation, ParseError
@@ -22,12 +24,11 @@ from .graph import Graph, build_graph
 
 _G6_HEADER = b">>graph6<<"
 _G6_MAX_N = 1 << 18
-# data byte -> its six bits, most significant first
-_G6_BITS = {63 + v: format(v, "06b") for v in range(64)}
-# base64 digit of the six bits v -> graph6 data byte 63 + v
-_B64_TO_G6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)))
+# base64 digit of the six bits v <-> graph6 data byte 63 + v
+_B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_B64_TO_G6 = bytes.maketrans(_B64_DIGITS, bytes(range(63, 127)))
+_G6_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _B64_DIGITS)
+_G6_BAD_BYTE = re.compile(rb"[^?-~]")
 _NON_ASCII = re.compile(rb"[^\x00-\x7f]")
 _INTEGER = re.compile(rb"-?[0-9]+")
 
@@ -85,26 +86,28 @@ def parse_graph6(line) -> Graph:
             f"expected {nbytes} data bytes for n={n}, got {len(raw) - pos}",
             offset=pos)
     check_cap(n)
-    data = raw[pos:]
-    try:
-        bits = "".join(map(_G6_BITS.__getitem__, data))
-    except KeyError as exc:
-        # map stops at the first bad byte, so no earlier byte has its value
-        bad = exc.args[0]
-        raise ParseError(f"data byte {bad} outside graph6 range",
-                         offset=pos + data.index(bad)) from None
-    if "1" in bits[nbits:]:
+    bad = _G6_BAD_BYTE.search(raw, pos)
+    if bad:
+        raise ParseError(f"data byte {bad[0][0]} outside graph6 range",
+                         offset=bad.start())
+    if (raw[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
         raise ParseError("nonzero padding bits", offset=pos + nbytes - 1)
+    # the data bytes as base64 digits, zero digits ('A') filling the last
+    # quantum, decode to the bit string packed eight bits a byte
+    packed = a2b_base64(raw[pos:].translate(_G6_TO_B64) + b"A" * (-nbytes % 4))
     rows: list[list[int]] = [[] for _ in range(n)]
     start = 0
     for v in range(1, n):
         end = start + v
+        # column v is bits start .. end - 1, x(0, v) the highest of them
+        col = int.from_bytes(packed[start >> 3:(end + 7) >> 3], "big") >> (-end % 8)
+        col &= (1 << v) - 1
         row = rows[v]
-        u = bits.find("1", start, end)
-        while u >= 0:
-            row.append(u - start)
-            rows[u - start].append(v)
-            u = bits.find("1", u + 1, end)
+        while col:
+            u = v - col.bit_length()
+            row.append(u)
+            rows[u].append(v)
+            col ^= 1 << (v - 1 - u)
         start = end
     return Graph(n, tuple(map(tuple, rows)))
 
@@ -222,8 +225,7 @@ class ResultRecord(_ResultFields):
         return None if self.rad is None else max(0, self.rad - 1)
 
 
-_FIELDS = ("instance_id", "n", "m", "rad", "diam", "girth", "rc", "lb", "ub", "ms")
-_HEADER = "id,n,m,rad,diam,girth,rc,lb,ub,ms"
+_COLUMNS = ("id", "n", "m", "rad", "diam", "girth", "rc", "lb", "ub", "ms")
 
 
 def _cell(value) -> str:
@@ -236,19 +238,15 @@ def _cell(value) -> str:
 
 def emit_results(records, fmt: str = "csv") -> str:
     """Render records as CSV (fixed header, empty cells for missing) or as
-    a JSON array with nulls; record order is preserved."""
+    a JSON array with nulls; record order is preserved. A row is a record's
+    seven leading fields, its bounds and its time, in _COLUMNS order."""
+    rows = ((*rec[:7], rec.lb, rec.ub, rec.ms) for rec in records)
     if fmt == "csv":
-        lines = [_HEADER]
-        for rec in records:
-            lines.append(",".join(_cell(getattr(rec, f)) for f in _FIELDS))
+        lines = [",".join(_COLUMNS)]
+        lines += [",".join(map(_cell, row)) for row in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
         import json   # here, so a CSV-only process never loads it
 
-        payload = []
-        for rec in records:
-            row = {("id" if f == "instance_id" else f): getattr(rec, f)
-                   for f in _FIELDS}
-            payload.append(row)
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps([dict(zip(_COLUMNS, row)) for row in rows], indent=2) + "\n"
     raise InvalidParam(f"unknown output format {fmt!r}")

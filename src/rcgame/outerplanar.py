@@ -9,7 +9,7 @@ largest inner face.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     EdgeSetMismatch,
@@ -19,8 +19,7 @@ from .errors import (
 from .graph import Graph, build_graph
 
 
-@dataclass(frozen=True)
-class OuterplanarEmbedding:
+class OuterplanarEmbedding(NamedTuple):
     """Cyclic outer order of all vertices plus a set of chords (u < v)."""
 
     outer: tuple[int, ...]

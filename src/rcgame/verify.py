@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import InitVar, asdict, dataclass, field
+from typing import NamedTuple
 
 from .engine import capture_radii, radius_capture_number, solve_cwrc
 from .errors import InvalidParam, NotARetraction, NotConnected
@@ -43,8 +43,7 @@ EVEN = "even"
 HARMONIC_EVEN = "harmonic_even"
 
 
-@dataclass(frozen=True)
-class Retraction:
+class Retraction(NamedTuple):
     """Total map of V(G) onto a vertex set it fixes pointwise.
 
     mapping[v] is the image of v; target is the retract's vertex set.
@@ -54,8 +53,7 @@ class Retraction:
     mapping: tuple[int, ...]
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Outcome of one theorem check on concrete inputs.
 
     A failing report always carries a counterexample: the witness (what
@@ -68,15 +66,18 @@ class TheoremReport:
     predicted: str
     measured: dict
     passed: bool
-    witness: InitVar[dict]
-    counterexample: dict | None = field(init=False, default=None)
-
-    def __post_init__(self, witness: dict) -> None:
-        if not self.passed:
-            self.counterexample = {**witness, **self.measured}
+    counterexample: dict | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps(self._asdict())
+
+
+def _report(theorem: str, inputs: dict, predicted: str, measured: dict,
+            passed: bool, witness: dict) -> TheoremReport:
+    """A report whose counterexample, when it fails, is the witness then
+    the measured values."""
+    return TheoremReport(theorem, inputs, predicted, measured, passed,
+                         None if passed else {**witness, **measured})
 
 
 def verify_retraction(g: Graph, r: Retraction) -> None:
@@ -116,15 +117,12 @@ def check_retract_monotonicity(g: Graph, r: Retraction) -> TheoremReport:
         raise NotConnected("monotonicity check needs a connected graph")
     sub, _ = induced_subgraph(g, sorted(r.target))
     rc_h = radius_capture_number(sub)
-    return TheoremReport(
-        theorem="retract-monotonicity",
-        inputs={"n": g.n, "m": g.m, "target_size": len(r.target)},
-        predicted="rc(retract) <= rc(graph)",
-        measured={"rc_graph": rc_g, "rc_retract": rc_h},
-        passed=rc_h <= rc_g,
-        witness={"edges": sorted(g.edge_set()), "target": sorted(r.target),
-                 "mapping": list(r.mapping)},
-    )
+    return _report("retract-monotonicity",
+                   {"n": g.n, "m": g.m, "target_size": len(r.target)},
+                   "rc(retract) <= rc(graph)",
+                   {"rc_graph": rc_g, "rc_retract": rc_h}, rc_h <= rc_g,
+                   {"edges": list(g.edges()), "target": sorted(r.target),
+                    "mapping": list(r.mapping)})
 
 
 def corner_fold_retraction(g: Graph) -> Retraction | None:
@@ -244,51 +242,28 @@ def check_product_theorems(g: Graph, h: Graph) -> list[TheoremReport]:
     (rad_g, _, rc_g), (rad_h, _, rc_h) = radii_g, radii_h
     inputs = {"n_g": g.n, "m_g": g.m, "n_h": h.n, "m_h": h.m,
               "rc_g": rc_g, "rc_h": rc_h, "rad_g": rad_g, "rad_h": rad_h}
-    witness = {"edges_g": sorted(g.edge_set()), "edges_h": sorted(h.edge_set())}
+    witness = {"edges_g": list(g.edges()), "edges_h": list(h.edges())}
     nontrivial = g.n >= 2 and h.n >= 2
-    reports = []
+    checks = []
     if nontrivial:
         rc_cart = radius_capture_number(product("cartesian", g, h))
         lower = rc_g + rc_h + 1
         upper = min(rad_g + rc_h, rad_h + rc_g)
-        reports.append(TheoremReport(
-            theorem="cartesian-product-bounds",
-            inputs=inputs,
-            predicted=f"{lower} <= rc <= {upper}",
-            measured={"rc_cartesian": rc_cart},
-            passed=lower <= rc_cart <= upper,
-            witness=witness,
-        ))
+        checks.append(("cartesian-product-bounds", f"{lower} <= rc <= {upper}",
+                       {"rc_cartesian": rc_cart}, lower <= rc_cart <= upper))
         if rc_g == rad_g - 1 or rc_h == rad_h - 1:
-            reports.append(TheoremReport(
-                theorem="cartesian-product-coincidence",
-                inputs=inputs,
-                predicted=f"rc == {lower}",
-                measured={"rc_cartesian": rc_cart},
-                passed=rc_cart == lower,
-                witness=witness,
-            ))
+            checks.append(("cartesian-product-coincidence", f"rc == {lower}",
+                           {"rc_cartesian": rc_cart}, rc_cart == lower))
     rc_strong = radius_capture_number(product("strong", g, h))
-    reports.append(TheoremReport(
-        theorem="strong-product-value",
-        inputs=inputs,
-        predicted=f"rc == max({rc_g},{rc_h})",
-        measured={"rc_strong": rc_strong},
-        passed=rc_strong == max(rc_g, rc_h),
-        witness=witness,
-    ))
+    checks.append(("strong-product-value", f"rc == max({rc_g},{rc_h})",
+                   {"rc_strong": rc_strong}, rc_strong == max(rc_g, rc_h)))
     if nontrivial:
         rc_lex = radius_capture_number(product("lexicographic", g, h))
         expected = rc_g if rc_g >= 1 else min(1, rc_h)
-        reports.append(TheoremReport(
-            theorem="lexicographic-product-value",
-            inputs=inputs,
-            predicted=f"rc == {expected}",
-            measured={"rc_lexicographic": rc_lex},
-            passed=rc_lex == expected,
-            witness=witness,
-        ))
-    return reports
+        checks.append(("lexicographic-product-value", f"rc == {expected}",
+                       {"rc_lexicographic": rc_lex}, rc_lex == expected))
+    return [_report(theorem, inputs, predicted, measured, passed, witness)
+            for theorem, predicted, measured, passed in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +293,7 @@ class _Tally:
 
     def record(self, theorem: str, passed: bool, inputs: dict, predicted: str,
                measured: dict) -> None:
-        self.add(TheoremReport(theorem, inputs, predicted, measured, passed,
-                               witness=inputs))
+        self.add(_report(theorem, inputs, predicted, measured, passed, inputs))
 
     def lines(self) -> list[str]:
         return [f"{tid}: {self.passes.get(tid, 0)}/{self.totals[tid]} pass"
@@ -340,7 +314,7 @@ def suite_bounds(trials: int, seed: int, max_n: int = 14) -> _Tally:
         rad, _, rc = capture_radii(g)
         gir = girth(g)
         inputs = {"n": g.n, "m": g.m, "rad": rad, "girth": gir,
-                  "edges": sorted(g.edge_set())}
+                  "edges": list(g.edges())}
         won = solve_cwrc(g, max(rad - 1, 0)).is_cop_win
         tally.record("radius-upper-bound", won, inputs,
                      "rc <= rad - 1", {"cop_win_at_bound": won})
@@ -359,7 +333,7 @@ def suite_retracts(trials: int, seed: int, max_n: int = 12) -> _Tally:
             base = _random_connected(rng, max_n - 1)
             v = rng.randrange(base.n)
             extra = [u for u in base.adj[v] if rng.random() < 0.5]
-            edges = list(base.edge_set()) + [(base.n, v)] + [(base.n, u) for u in extra]
+            edges = list(base.edges()) + [(base.n, v)] + [(base.n, u) for u in extra]
             g = build_graph(base.n + 1, edges)
             retr = corner_fold_retraction(g)
             tally.add(check_retract_monotonicity(g, retr))
@@ -513,7 +487,8 @@ def run_suite(name: str, trials: int | None, seed: int,
     """Run one suite by name and return its output lines and failing
     reports. trials None takes the suite's default; the products,
     families and transitive-sweep suites ignore max_n, and families and
-    transitive-sweep also ignore trials and seed."""
+    transitive-sweep also ignore trials and seed. An unknown name raises
+    InvalidParam."""
     if trials is not None and trials < 0:
         raise InvalidParam(f"trials must be >= 0, got {trials}")
     if name == "transitive-sweep":
@@ -522,10 +497,13 @@ def run_suite(name: str, trials: int | None, seed: int,
         tally = suite_families()
     elif name == "products":
         tally = suite_products(50 if trials is None else trials, seed)
-    else:
+    elif name in _SIZED_SUITES:
         runner, default_trials, least_n = _SIZED_SUITES[name]
         if max_n < least_n:
             raise InvalidParam(f"max_n must be >= {least_n} for the {name} suite, "
                                f"got {max_n}")
         tally = runner(default_trials if trials is None else trials, seed, max_n)
+    else:
+        suites = ", ".join([*_SIZED_SUITES, "products", "families", "transitive-sweep"])
+        raise InvalidParam(f"unknown suite {name!r}; the suites are {suites}")
     return tally.lines(), tally.failures

@@ -631,8 +631,9 @@ def test_strategy_rejects_negative_max_moves(capsys):
 def test_cli_import_leaves_theorem_checks_unloaded():
     # a compute process imports the compute path only: the theorem checks,
     # products, outerplanar embeddings and json load when a command needs
-    # them, and no record on the path is a dataclass, so neither dataclasses
-    # nor the modules it imports load; each import runs in its own interpreter
+    # them, and no record in the package is a dataclass, so neither
+    # dataclasses nor the modules it imports load, not even once verify has
+    # run; each import runs in its own interpreter
     lazy = ("rcgame.verify", "rcgame.outerplanar", "rcgame.products", "json",
             "dataclasses", "inspect", "ast", "dis", "tokenize")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -653,7 +654,7 @@ def test_cli_import_leaves_theorem_checks_unloaded():
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0] == "", f"loaded by import {module}: {lines[0]}"
-        assert lines[-1] == "0 True True"
+        assert lines[-1] == "0 True False"
         assert "cycle-closed-form: 10/10 pass" in lines
 
 

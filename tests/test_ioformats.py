@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -224,6 +225,20 @@ def test_parse_graph6_reads_sorted_rows_without_build_graph(monkeypatch):
         back = parse_graph6(record)
         assert (back.n, back.m, back.adj) == (g.n, g.m, g.adj)
         assert write_graph6(back) == record
+
+
+def test_parse_graph6_peak_memory_is_a_few_records():
+    # C_2000's record is 333 KB; the reader holds it as bytes, once as base64
+    # digits and once packed eight bits a byte, never a character per bit
+    record = write_graph6(basic_family("cycle", 2000))
+    tracemalloc.start()
+    try:
+        g = parse_graph6(record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 2000 and g.adj[0] == (1, 1999)
+    assert peak < 2_000_000, peak
 
 
 @given(graphs())

@@ -1,8 +1,9 @@
-"""The record types on the compute path: immutability, equality, hashing,
-and the checks a result row runs when it is copied."""
+"""The record types: immutability, equality, hashing, the checks a result
+row runs when it is copied, and a theorem report's JSON."""
 
 import pytest
 
+import rcgame.verify as verify
 from rcgame.engine import (
     Step,
     Strategy,
@@ -13,6 +14,7 @@ from rcgame.engine import (
 from rcgame.errors import InvalidParam, InvariantViolation
 from rcgame.generators import FamilySpec, basic_family
 from rcgame.ioformats import ResultRecord
+from rcgame.outerplanar import OuterplanarEmbedding
 
 
 def _stay(cop, robber):
@@ -31,6 +33,10 @@ VALUE_RECORDS = [
      lambda: FamilySpec("cycle", (5,), 4)),
     ("move", lambda: Strategy("cop", _place, _stay, "still cop", True),
      lambda: Strategy("cop", _place, _stay, "still cop", False)),
+    ("mapping", lambda: verify.Retraction(frozenset({0, 1}), (0, 1, 0)),
+     lambda: verify.Retraction(frozenset({0, 1}), (0, 1, 1))),
+    ("chords", lambda: OuterplanarEmbedding((0, 1, 2, 3), frozenset({(0, 2)})),
+     lambda: OuterplanarEmbedding((0, 1, 2, 3), frozenset({(1, 3)}))),
 ]
 
 
@@ -79,3 +85,22 @@ def test_transcript_fields_and_steps():
     assert [s.mover for s in closed.all_steps()] == ["cop", "robber", "robber",
                                                       "robber", "robber"]
     assert Transcript(0, 1, 1, steps[:1], "captured", 1).captured
+
+
+def test_theorem_report_json_bytes(monkeypatch):
+    # the exact bytes a passing and a failing report print: the fields in
+    # order, and a failing one's counterexample the witness then the
+    # measured values (a negative capture number fails the check)
+    c4 = basic_family("cycle", 4)
+    fold = verify.Retraction(frozenset({0, 1}), (0, 1, 0, 1))
+    head = ('{"theorem": "retract-monotonicity", "inputs": {"n": 4, "m": 4, '
+            '"target_size": 2}, "predicted": "rc(retract) <= rc(graph)", ')
+    assert verify.check_retract_monotonicity(c4, fold).to_json() == head + (
+        '"measured": {"rc_graph": 1, "rc_retract": 0}, "passed": true, '
+        '"counterexample": null}')
+    monkeypatch.setattr(verify, "radius_capture_number", lambda g: -g.n)
+    assert verify.check_retract_monotonicity(c4, fold).to_json() == head + (
+        '"measured": {"rc_graph": -4, "rc_retract": -2}, "passed": false, '
+        '"counterexample": {"edges": [[0, 1], [0, 3], [1, 2], [2, 3]], '
+        '"target": [0, 1], "mapping": [0, 1, 0, 1], "rc_graph": -4, '
+        '"rc_retract": -2}}')

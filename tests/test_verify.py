@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rcgame import engine, graph, verify
+from rcgame.cli import SUITE_NAMES
 from rcgame.engine import capture_radii, radius_capture_number
 from rcgame.errors import InvalidParam, NotARetraction, NotConnected
 from rcgame.generators import (
@@ -43,6 +44,7 @@ from rcgame.verify import (
     classify_evenness,
     corner_fold_retraction,
     layer_projection_retraction,
+    run_suite,
     suite_bounds,
     suite_families,
     transitive_sweep_lines,
@@ -397,6 +399,16 @@ def test_theorem_report_json():
     assert payload["theorem"] == "cartesian-product-bounds"
     assert payload["passed"] is True
     assert payload["counterexample"] is None
+
+
+def test_run_suite_knows_every_command_line_suite():
+    # the command line offers cli.SUITE_NAMES; each one runs, and a name
+    # outside them is refused with the suites named
+    for name in SUITE_NAMES:
+        _, failures = run_suite(name, 0, 1, 14)
+        assert failures == [], name
+    with pytest.raises(InvalidParam, match="unknown suite 'nosuch'.*bounds"):
+        run_suite("nosuch", 0, 1, 14)
 
 
 def test_generalized_johnson_family_tightness():
