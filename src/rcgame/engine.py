@@ -21,12 +21,10 @@ radius_capture_number, the command line's rows and every theorem check
 that needs rad and rc together go through it. It starts at the paper's
 bound rc <= rad - 1, which one cop move proves, so it never probes at
 rad - 1 or above; verify's bounds suite checks that bound with a solve
-of its own. Its probes at k = 0 run no kernel: greedy corner elimination
-decides them. One vertex left is a dismantling, and a dismantlable graph
-is cop-win (Nowakowski and Winkler; Quilliot), so rc = 0; a corner-free
-rest of more than one vertex is a retract H that is not cop-win, and
-the paper's rc(H) <= rc(G) gives rc >= 1. The kernel computes no ball
-of its own.
+of its own. Before its first probe, greedy corner elimination,
+corner_folds, decides k = 0 with no kernel, so every probe runs the
+kernel at k >= 1; the same routine gives rcgame.verify its corner folds.
+The kernel computes no ball of its own.
 
 A round's cop step costs one bigint AND-NOT per column of ball_{k+1} in
 round 1, and one OR of a closed neighbourhood mask per newly won
@@ -251,29 +249,33 @@ def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalys
     return WinAnalysis(g, k, dm, (win_c, win_r), rounds, choices)
 
 
-def _dismantlable(g: Graph) -> bool:
-    """Whether greedy corner elimination takes connected g down to one
-    vertex, that is, whether the cop wins the radius-0 game.
+def corner_folds(g: Graph) -> tuple[int, list[tuple[int, int]]]:
+    """Greedy corner elimination on connected g: the corner-free core, a
+    bitset of live vertices, and the folds (u, v) that took g down to it.
 
-    A live vertex u is a corner, and is removed, when N[u] & alive lies
-    inside N[v] for a live v in adj[u]; the removal order does not
-    matter (see capture_radii). todo holds the live vertices still to
-    test: all of them at first, then the live neighbours of each removed
-    vertex, the only ones whose test the removal can change. The last
-    vertex has no live neighbour, so alive never empties.
+    A live vertex u is a corner when N[u] & alive lies inside N[v] for a
+    live v in adj[u]; it is folded onto the lowest such v and removed.
+    Each fold u -> v is a retraction, so the core is a retract of g.
+    todo holds the live vertices still to test, lowest first: all of them
+    at first, then the live neighbours of each removed vertex, the only
+    ones whose test the removal can change. So the first fold is g's
+    lowest corner onto its lowest dominating neighbour. The last vertex
+    has no live neighbour, so alive never empties.
     """
     adj, closed_bits = g.adj, g.closed_bits
     alive = todo = (1 << g.n) - 1
+    folds = []
     while todo:
-        u = todo.bit_length() - 1
+        u = (todo & -todo).bit_length() - 1
         todo ^= 1 << u
         mask = closed_bits[u] & alive
         for v in adj[u]:
             if mask >> v & 1 and mask & ~closed_bits[v] == 0:
                 alive ^= 1 << u
                 todo |= mask ^ 1 << u
+                folds.append((u, v))
                 break
-    return alive & alive - 1 == 0
+    return alive, folds
 
 
 def radius_capture_number(g: Graph) -> int | None:
@@ -296,34 +298,31 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
     by one move: a cop placed at a centre c (ecc(c) = rad >= 1) is within
     rad of any robber placement and steps toward it first, so they are
     within rad - 1 after its move; K_1 (rad 0) is captured at placement.
-    The cop-win region only grows with k, so the search bisects on
-    (lo, hi] = (-1, max(rad - 1, 0)], and rad <= 1 runs no kernel at all.
-    Its first probe is at rad - 2, where the bound is tight on most
-    graphs, and a losing probe there decides rc = rad - 1 alone; every
-    later probe is at (lo + hi) // 2. So the bound is never computed here;
-    verify's bounds suite checks it with a solve of its own. A probe
-    solves from a copy of the fixed-point planes at lo (empty at first):
-    the kernel's flags stay exact, since the region only grows with k.
+    So rad <= 1 runs no search at all.
 
-    A probe at k = 0 is decided by _dismantlable, with no kernel: the
-    radius-0 game is the classic cop-and-robber game. If corner
-    elimination leaves one vertex, g is dismantlable, so cop-win
-    (Nowakowski and Winkler, Discrete Math. 43, 1983; Quilliot, 1978),
-    and hi = 0. Otherwise each removal was a retraction, so the
-    corner-free rest H, of more than one vertex, is a retract of g that
-    is not cop-win; the paper's rc(H) <= rc(g) gives rc >= 1, and lo = 0.
-    The planes at lo stay as they were, still a fixed point below the next
-    probe, and the bisection goes on: with lo = -1 and hi = 2, k = 0 is
-    not the last probe. So a rad-2 row, where rc is 0 or 1, runs no
-    kernel at all.
+    On rad >= 2, one corner_folds pass decides the radius-0 game, the
+    classic cop-and-robber game, before any probe. If it leaves one
+    vertex, g is dismantlable, so cop-win (Nowakowski and Winkler,
+    Discrete Math. 43, 1983; Quilliot, 1978), and rc = 0 at any radius.
+    Otherwise the corner-free core H, of more than one vertex, is a
+    retract of g that is not cop-win; the paper's rc(H) <= rc(g) gives
+    rc >= 1. The cop-win region only grows with k, so the search bisects
+    on (lo, hi] = (0, rad - 1] with kernel probes alone, and a rad-2 row
+    runs none. The first probe is at rad - 2, where the bound is tight on
+    most graphs, and a losing probe there decides rc = rad - 1 alone;
+    every later probe is at (lo + hi) // 2. So the bound is never
+    computed here; verify's bounds suite checks it with a solve of its
+    own. A probe solves from a copy of the planes of the last losing
+    probe (empty at first), a fixed point below k, so the kernel's flags
+    stay exact.
 
-    A losing probe runs to its fixed point, and its planes become those at
-    lo. A winning probe is dropped at its verdict: the search stops
-    consuming _attract after the first round with new cop bits that leaves
-    a full cop row, which no later round can empty. On S(6,3) (rc 47, rad
-    48) the one probe, at 46, loses in 65 rounds. A cop that already wins
-    at rad - 2 takes about log2(rad) more probes: five in all on S(4,4)
-    (rc 11, rad 14).
+    A losing probe runs to its fixed point and sets lo. A winning probe
+    is dropped at its verdict: the search stops consuming _attract after
+    the first round with new cop bits that leaves a full cop row, which
+    no later round can empty. On S(6,3) (rc 47, rad 48) the one probe, at
+    46, loses in 65 rounds. A cop that already wins at rad - 2 takes about
+    log2(rad) more probes: five in all on S(4,4) (rc 11, rad 14), at 12,
+    6, 9, 10 and 11.
 
     A probe at k needs ball_k, the capture states, and ball_{k+1} for its
     first cop step. The first probe, at rad - 2, reads the sweep's pair,
@@ -340,23 +339,21 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
     ecc, top = swept
     n, rad = g.n, min(ecc)
     lo, hi = -1, max(rad - 1, 0)
+    if hi:                               # rad >= 2: decide k = 0 first
+        core, _ = corner_folds(g)
+        lo, hi = (0, hi) if core & core - 1 else (-1, 0)
     k = hi - 1                           # rad - 2, the level of top[0]
-    lose_c, lose_r = [0] * n, [0] * n    # the fixed-point planes at lo
+    lose_c, lose_r = [0] * n, [0] * n    # the last losing probe's planes
     while hi - lo > 1:
-        if k:
-            win_c, win_r = lose_c.copy(), lose_r.copy()
-            for cop, _ in _attract(g, win_c, win_r, *(
-                    (top.pop(0), top.pop(0)) if top
-                    else islice(balls(g), k, k + 2))):
-                if cop and _full_rows(win_c, n):
-                    hi = k
-                    break
-            else:
-                lo, lose_c, lose_r = k, win_c, win_r
-        elif _dismantlable(g):      # k = 0; the planes at lo stay a fixed point
-            hi = 0
+        win_c, win_r = lose_c.copy(), lose_r.copy()
+        for cop, _ in _attract(g, win_c, win_r, *(
+                (top.pop(0), top.pop(0)) if top
+                else islice(balls(g), k, k + 2))):
+            if cop and _full_rows(win_c, n):
+                hi = k
+                break
         else:
-            lo = 0
+            lo, lose_c, lose_r = k, win_c, win_r
         k = (lo + hi) // 2
     return rad, max(ecc), hi
 

@@ -15,7 +15,7 @@ import json
 import random
 from typing import NamedTuple
 
-from .engine import capture_radii, radius_capture_number, solve_cwrc
+from .engine import capture_radii, corner_folds, radius_capture_number, solve_cwrc
 from .errors import InvalidParam, NotARetraction, NotConnected
 from .generators import (
     FamilySpec,
@@ -126,17 +126,15 @@ def check_retract_monotonicity(g: Graph, r: Retraction) -> TheoremReport:
 
 
 def corner_fold_retraction(g: Graph) -> Retraction | None:
-    """Fold the first corner u (a vertex with N[u] inside some N[v]) onto
-    its lowest dominating vertex; None when the graph has no corner. A
-    dominator of u is a neighbour of u, so only adj[u] is scanned."""
-    n = g.n
-    closed = g.closed_bits
-    for u, row in enumerate(g.adj):
-        for v in row:
-            if closed[u] & ~closed[v] == 0:
-                mapping = tuple(v if x == u else x for x in range(n))
-                return Retraction(frozenset(range(n)) - {u}, mapping)
-    return None
+    """The first fold of engine.corner_folds: the lowest corner u (a vertex
+    with N[u] inside some N[v]) onto its lowest dominating neighbour v, as
+    the retraction u -> v of connected g; None when g has no corner."""
+    folds = corner_folds(g)[1]
+    if not folds:
+        return None
+    u, v = folds[0]
+    return Retraction(frozenset(range(g.n)) - {u},
+                      tuple(v if x == u else x for x in range(g.n)))
 
 
 def layer_projection_retraction(g: Graph, h: Graph,

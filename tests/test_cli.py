@@ -258,14 +258,17 @@ PINNED = [
      "91104ec564a567b7e724d059aa568daa7a70a8d9351c36822f769fe932dcccf2", EMPTY),
     ("family sierpinski 4 3", 0,
      "61d5163c0b6643f2099697854511b14152332058c68cd1adc70ad4fcaaeb5d76", EMPTY),
-    # k = 0 decided by corner elimination: Petersen is corner-free (rc 1),
-    # P_5 dismantlable (rc 0), and P_9 reaches k = 0 after a kernel probe
+    # k = 0 decided by the corner pass before any probe: Petersen is
+    # corner-free (rc 1); P_5, P_9 and P_300 (rad 150) are dismantlable, so
+    # rc 0 with no kernel probe
     ("family generalized_johnson 5 2 0", 0,
      "475190c0a22a95cf3056f332ce4776e627ede90d58e120bf6d2a65399cd56931", EMPTY),
     ("family path 5", 0,
      "9d2e7b52d396c39df3ead091ada9b6970e4c9168506d70b85cdf9674e341dd7a", EMPTY),
     ("family path 9", 0,
      "f754d8f0df416fca145303039d62622a673f44ebd1a079e9e8e5eefb3bf55631", EMPTY),
+    ("family path 300", 0,
+     "a3267bab6a23444bfe364bfeefacb19b4dfde9037807783088d4dc4c9bb4b47a", EMPTY),
 ]
 
 

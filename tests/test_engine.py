@@ -29,6 +29,7 @@ from rcgame.errors import (
     InvalidParam,
     InvariantViolation,
     NoEvasionStrategy,
+    NotARetraction,
     NotConnected,
     NoWinningStrategy,
 )
@@ -157,10 +158,10 @@ def test_search_walks_each_ball_level_once(dilate_calls, g, dilates):
 
 
 @pytest.mark.parametrize("g,dilates", [
-    (sierpinski(4, 4), 48),     # 14 swept; probes 5, 8, 10, 11
+    (sierpinski(4, 4), 50),     # 14 swept; probes 6, 9, 10, 11
     (named_instance("CubicVT24_6"), 7),     # 4 swept; probes 1, 2
     (_lollipop(9, 30), 46),     # 33 swept; probes 7, 3, 1, 2
-    (basic_family("path", 300), 436),   # 298 swept; probes 73 .. 0
+    (basic_family("path", 300), 298),   # 298 swept; dismantlable, no probe
 ], ids=["S(4,4)", "CubicVT24_6", "lollipop(9,30)", "P_300"])
 def test_search_walks_lower_probes_from_ball_0(dilate_calls, g, dilates):
     # a probe at k below rad - 2 walks balls again, whose ball_1 is
@@ -185,17 +186,17 @@ def test_solve_walks_to_ball_k_plus_one(dilate_calls):
     (basic_family("complete", 1), 0, []),   # rad 0: no probe
     (basic_family("cycle", 10), 4, [3]),    # rad 5: loses at 3, so rc 4
     (sierpinski(3, 3), 5, [4]),             # rad 6
-    (basic_family("path", 9), 0, [2]),      # rad 4: wins at 2, corner test at 0
-    (sierpinski(4, 4), 11, [12, 5, 8, 10, 11]),  # rad 14: 5, 8, 10 lose
+    (basic_family("path", 9), 0, []),       # rad 4: dismantlable, no probe
+    (sierpinski(4, 4), 11, [12, 6, 9, 10, 11]),  # rad 14: 6, 9, 10 lose
     (_lollipop(9, 30), 3, [15, 7, 3, 1, 2]),     # rad 17: 1, 2 lose
     (basic_family("complete", 5), 0, []),   # rad 1: no probe
-    (generalized_johnson(5, 2, 0), 1, []),  # rad 2: the corner test alone
+    (generalized_johnson(5, 2, 0), 1, []),  # rad 2: the corner pass alone
 ], ids=lambda v: str(len(v)) if isinstance(v, list) else None)
 def test_rc_probes_follow_the_radius_bound(monkeypatch, g, rc, probes):
-    # the cop wins at max(rad - 1, 0), so the search bisects below it: one
-    # attractor call per probe at k >= 1, at rad - 2 first, and k = 0 is
-    # decided by corner elimination; each call's k is the ball its targets
-    # equal, and its second ball is the next one
+    # the cop wins at max(rad - 1, 0), and the corner pass decides k = 0,
+    # so the search bisects between them: one attractor call per probe, at
+    # rad - 2 first; each call's k is the ball its targets equal, and its
+    # second ball is the next one
     real, calls = engine._attract, []
     every_ball = list(balls(g))
 
@@ -211,54 +212,78 @@ def test_rc_probes_follow_the_radius_bound(monkeypatch, g, rc, probes):
 
 
 @pytest.fixture
-def probe_log(monkeypatch):
-    """The rc search's probes in order: the k of each kernel call, read off
-    the ball its targets equal, and 0 for each corner test."""
+def probe_search(monkeypatch):
+    """Runs the rc search on a graph and returns (rad, rc, log): the log
+    holds "corners" for the corner pass and the k of each kernel probe, read
+    off the ball its targets equal. It checks that rad <= 1 runs no kernel
+    and no corner pass, and rad >= 2 runs the corner pass exactly once,
+    before any kernel probe, with every kernel probe at k >= 1."""
     log = []
-    attract, dismantlable = engine._attract, engine._dismantlable
+    attract, folds = engine._attract, engine.corner_folds
 
     def kernel(g, win_c, win_r, targets, grown):
         log.append(list(balls(g)).index(targets))
         return attract(g, win_c, win_r, targets, grown)
 
-    def corner_test(g):
-        log.append(0)
-        return dismantlable(g)
+    def corner_pass(g):
+        log.append("corners")
+        return folds(g)
 
     monkeypatch.setattr(engine, "_attract", kernel)
-    monkeypatch.setattr(engine, "_dismantlable", corner_test)
-    return log
+    monkeypatch.setattr(engine, "corner_folds", corner_pass)
+
+    def search(g):
+        log.clear()
+        rad, _, rc = capture_radii(g)
+        passes = [i for i, probe in enumerate(log) if probe == "corners"]
+        assert passes == ([0] if rad > 1 else []), (g, rad, log)
+        assert all(0 < k < rad - 1 for k in log[1:]), (g, rad, log)
+        return rad, rc, list(log)
+
+    return search
 
 
-def test_rc_search_never_probes_at_the_radius_bound(probe_log):
+def test_rc_search_never_probes_at_the_radius_bound(probe_search):
     # one cop move proves the cop wins at max(rad - 1, 0), so no probe sits
-    # there or above it, and rad <= 1 runs no kernel and no corner test;
-    # the rc still agrees with the oracle. K_1..K_8, both complete
+    # there or above it, and the corner pass decides k = 0 before any kernel
+    # probe; the rc agrees with the oracle. K_1..K_8, both complete
     # J(70, k, i), the star K_{1,6} and every connected atlas graph; more
-    # than 500 of them are decided by a probe, at k >= 1 or by the corner
-    # test at k = 0
+    # than 500 of them run the corner pass
     graphs = [basic_family("complete", n) for n in range(1, 9)]
     graphs += [generalized_johnson(70, 1, 0), generalized_johnson(70, 69, 68),
                build_graph(7, [(0, v) for v in range(1, 7)])]
     graphs += [build_graph(G.number_of_nodes(), list(G.edges()))
                for G in nx.graph_atlas_g()
                if G.number_of_nodes() and nx.is_connected(G)]
-    probed = 0
+    passed = 0
     for g in graphs:
-        probe_log.clear()
-        rad, _, rc = capture_radii(g)
-        assert all(k < rad - 1 for k in probe_log), (g, rad, probe_log)
-        assert rad > 1 or not probe_log
+        rad, rc, _ = probe_search(g)
         assert rc == naive_rc_oracle(g)
-        probed += bool(probe_log)
-    assert probed > 500
+        passed += rad > 1
+    assert passed > 500
+
+
+def test_rc_search_goes_on_past_the_corner_test(probe_search):
+    # rad >= 4: on a graph that is not dismantlable the corner pass sets
+    # lo = 0, and the bisection goes on down to a kernel probe at 1
+    rng, rcs = random.Random(4), Counter()
+    for _ in range(1000):
+        g = random_connected_gnp(rng.randint(8, 14), rng.uniform(0.12, 0.3),
+                                 rng.getrandbits(32))
+        rad, rc, log = probe_search(g)
+        if rad >= 4 and 1 in log:
+            assert rc == naive_rc_oracle(g), (g, log)
+            rcs[rc] += 1
+    assert rcs[1] >= 25 and rcs[2] >= 8, rcs
 
 
 def test_corner_elimination_decides_the_radius_0_game():
     # at k = 0 the cop wins exactly on a dismantlable graph: greedy corner
-    # elimination agrees with the kernel's solve on both verdicts. Every
-    # connected atlas graph, 300 seeded G(n, p), P_300, S(3,3), C_5 and
-    # the Petersen graph J(5, 2, 0)
+    # elimination agrees with the kernel's solve on both verdicts. Each
+    # fold, replayed in order, is a live corner onto a live neighbour that
+    # dominates it, and the core it leaves has no corner. Every connected
+    # atlas graph, 300 seeded G(n, p), P_300, S(3,3), C_5 and the Petersen
+    # graph J(5, 2, 0)
     graphs = [build_graph(G.number_of_nodes(), list(G.edges()))
               for G in nx.graph_atlas_g()
               if G.number_of_nodes() and nx.is_connected(G)]
@@ -269,51 +294,57 @@ def test_corner_elimination_decides_the_radius_0_game():
                basic_family("cycle", 5), generalized_johnson(5, 2, 0)]
     verdicts = Counter()
     for g in graphs:
-        won = engine._dismantlable(g)
+        core, folds = engine.corner_folds(g)
+        closed, alive = g.closed_bits, (1 << g.n) - 1
+        for u, v in folds:
+            assert v in g.adj[u] and alive >> v & 1, (g, u, v)
+            assert closed[u] & alive & ~closed[v] == 0, (g, u, v)
+            alive ^= 1 << u
+        assert alive == core
+        assert not any(closed[u] & core & ~closed[v] == 0
+                       for u in range(g.n) if core >> u & 1
+                       for v in g.adj[u] if core >> v & 1), g
+        won = core & core - 1 == 0
         assert won == solve_cwrc(g, 0).is_cop_win, g
         verdicts[won] += 1
     assert min(verdicts[True], verdicts[False]) > 600, verdicts
 
 
-def test_rad_2_row_runs_no_kernel(monkeypatch):
-    # rad 2 leaves rc in {0, 1}, and the search's one probe, at k = 0, is
-    # the corner test: Petersen, P_5 and seeded G(n, p) of rad 2 run no kernel
+def _random_tree(rng, n):
+    """A seeded random recursive tree: vertex v hangs from a lower vertex."""
+    return build_graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def test_rad_2_or_dismantlable_row_runs_no_kernel(monkeypatch):
+    # the corner pass decides k = 0 before any probe: a dismantlable row has
+    # rc = 0 at any radius, and a rad-2 row has rc 0 or 1, so neither runs
+    # the kernel. Petersen, P_5, P_9, P_300, seeded G(n, p) of rad 2 and
+    # seeded random trees of rad >= 3
     def no_attractor(*args):
-        raise AssertionError("attractor ran on a rad-2 row")
+        raise AssertionError("attractor ran on a rad-2 or dismantlable row")
 
     rng = random.Random(2)
     gnp = [random_connected_gnp(rng.randint(10, 30), rng.uniform(0.3, 0.5),
                                 rng.getrandbits(32)) for _ in range(40)]
     gnp = [(g, naive_rc_oracle(g)) for g in gnp if min(eccentricities(g)) == 2]
+    trees = [_random_tree(rng, rng.randint(10, 80)) for _ in range(60)]
+    trees = [t for t in trees if min(eccentricities(t)) >= 3]
     monkeypatch.setattr(engine, "_attract", no_attractor)
     assert capture_radii(generalized_johnson(5, 2, 0)) == (2, 2, 1)
     assert capture_radii(basic_family("path", 5)) == (2, 4, 0)
-    assert len(gnp) > 30
+    assert capture_radii(basic_family("path", 9)) == (4, 8, 0)
+    assert capture_radii(basic_family("path", 300)) == (150, 299, 0)
+    assert len(gnp) > 30 and len(trees) > 40
     for g, rc in gnp:
         assert capture_radii(g)[2] == rc
-
-
-def test_rc_search_goes_on_past_the_corner_test(probe_log):
-    # rad 4: the probe at 2 wins, so the bracket is (-1, 2] and the corner
-    # test at 0 is not the last probe; on a graph that is not dismantlable
-    # it sets lo = 0 and the kernel probes at 1
-    rng = random.Random(4)
-    rcs = Counter()
-    for _ in range(1000):
-        g = random_connected_gnp(rng.randint(8, 14), rng.uniform(0.12, 0.3),
-                                 rng.getrandbits(32))
-        probe_log.clear()
-        rad, _, rc = capture_radii(g)
-        if rad >= 4 and 0 in probe_log and 1 in probe_log[probe_log.index(0):]:
-            assert rc == naive_rc_oracle(g), (g, probe_log)
-            rcs[rc] += 1
-    assert rcs[1] >= 25 and rcs[2] >= 8, rcs
+    for t in trees:
+        assert capture_radii(t)[2] == 0
 
 
 def test_rc_winning_probe_stops_at_its_verdict(monkeypatch):
     # S(4,4) (rc 11, rad 14): the first probe, at 12, wins with a full cop
     # row after round 7 of its 15 and is consumed no further; the losing
-    # probes at 5, 8 and 10 run to their fixed points
+    # probes at 6, 9 and 10 run to their fixed points
     g = sierpinski(4, 4)
     real, consumed = engine._attract, []
     every_ball = list(balls(g))
@@ -330,8 +361,8 @@ def test_rc_winning_probe_stops_at_its_verdict(monkeypatch):
     monkeypatch.undo()
     assert consumed[0] == [12, 8]               # rounds 0..7
     assert len(solve_cwrc(g, 12).rounds) == 15
-    assert [k for k, _ in consumed] == [12, 5, 8, 10, 11]
-    assert consumed[1] == [5, len(solve_cwrc(g, 5).rounds)]
+    assert [k for k, _ in consumed] == [12, 6, 9, 10, 11]
+    assert consumed[1] == [6, len(solve_cwrc(g, 6).rounds)]
 
 
 @pytest.mark.parametrize("g", [sierpinski(4, 4), _lollipop(9, 30)],
@@ -468,23 +499,45 @@ def test_rc_census_connected_atlas():
 
 
 def test_retract_monotonicity_census_connected_atlas():
-    # every corner fold of the 996 connected atlas graphs: for each dominated
-    # pair u != v, N[u] inside N[v], the fold of u onto v is a retraction,
-    # and the retract's rc is at most the graph's
-    folds = 0
+    """Every corner fold of the 996 connected atlas graphs keeps rc: for
+    each dominated pair u != v, N[u] inside N[v], the fold f of u onto v is
+    a retraction, and rc(G - u) = rc(G), not just <=. A planted fault, the
+    fold of a corner u onto a neighbour that does not dominate it, raises
+    NotARetraction.
+
+    Why equality holds. Let H = G - u and k = rc(H).
+    - rc(H) <= rc(G): H is a retract of G, the paper's theorem.
+    - rc(G) <= k: H is isometric in G. The cop plays a winning radius-k
+      strategy of H against the robber's shadow f(r). The shadow moves
+      along H's edges or stays, since N(u) lies inside N[v]. When the
+      shadow is caught, d(c, f(r)) <= k. If r != u, the robber is caught.
+      If r = u, then d(c, u) <= k + 1. With the cop to move, it steps
+      toward u and catches the robber. With the robber to move, it goes to
+      some w in N[u], inside N[v], so d(c, w) <= k + 1, and the cop's next
+      step catches it.
+    By induction, rc(G) is the rc of the corner-free core that greedy
+    corner elimination leaves, and rc = 0 exactly when that core is one
+    vertex.
+    """
+    folds = faults = 0
     for G in nx.graph_atlas_g():
         if G.number_of_nodes() == 0 or not nx.is_connected(G):
             continue
         g = build_graph(G.number_of_nodes(), list(G.edges()))
         n, closed = g.n, g.closed_bits
         for u, v in itertools.permutations(range(n), 2):
+            fold = Retraction(frozenset(range(n)) - {u},
+                              tuple(v if x == u else x for x in range(n)))
             if closed[u] & ~closed[v] == 0:
-                fold = Retraction(frozenset(range(n)) - {u},
-                                  tuple(v if x == u else x for x in range(n)))
                 report = check_retract_monotonicity(g, fold)
                 assert report.passed, report.to_json()
+                assert report.measured["rc_retract"] == report.measured["rc_graph"]
                 folds += 1
-    assert folds == 5911
+            elif v in g.adj[u] and any(closed[u] & ~closed[w] == 0 for w in g.adj[u]):
+                with pytest.raises(NotARetraction):
+                    check_retract_monotonicity(g, fold)
+                faults += 1
+    assert (folds, faults) == (5911, 4490)
 
 
 def _attract_per_bit(g, win_c, win_r, targets):
