@@ -473,7 +473,8 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
              max_moves: int, dm: list[list[int]] | None = None) -> Transcript:
     """Play the two strategies against each other for at most max_moves
     single moves, checking capture after the placements and after every
-    move. Deterministic for deterministic strategies.
+    move; a negative max_moves is InvalidParam. Deterministic for
+    deterministic strategies.
 
     One step serves both sides: the cop moves at even move counts, the
     robber at odd ones, and every move is checked for legality and then
@@ -487,6 +488,8 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
     """
     if cop_strategy.role != "cop" or robber_strategy.role != "robber":
         raise InvalidParam("simulate needs a cop strategy and a robber strategy")
+    if max_moves < 0:
+        raise InvalidParam(f"max_moves must be >= 0, got {max_moves}")
     if dm is None:
         dm = all_pairs_distances(g)
     n, closed_bits = g.n, g.closed_bits

@@ -4,15 +4,15 @@ All generators are deterministic: the same parameters (and seed, for the
 random kinds) produce an identical Graph, with labels identical when read.
 Each checks its order against the vertex cap before it builds anything.
 
-A family whose neighbours follow from a vertex's index (cycles, paths,
-complete graphs, circulants, Hamming graphs, generalized Johnson graphs)
-builds its sorted adjacency rows directly and hands Graph a function that
-formats its labels on first read, so a graph that is only solved pays for
-neither an edge list nor a label. A complete graph's rows, K_n's and those
-of the complete J(n, k, i), are slices of one tuple of 0..n-1; a J(n, k, i)
-that the intersection sizes force to be edgeless or complete tests no pair
-of subsets. Sierpinski graphs, the named instance and
-G(n, p) go through build_graph with their labels.
+Every generated family (cycles, paths, complete graphs, circulants,
+Hamming, generalized Johnson and Sierpinski graphs, G(n, p)) builds its
+sorted adjacency rows directly and hands Graph a function that formats its
+labels on first read, so a graph that is only solved pays for neither an
+edge list nor a label. A complete graph's rows, K_n's and those of the
+complete J(n, k, i), are slices of one tuple of 0..n-1; a J(n, k, i) that
+the intersection sizes force to be edgeless or complete tests no pair of
+subsets. Only the named instance, whose edges are fixed data, goes through
+build_graph.
 """
 
 from __future__ import annotations
@@ -155,35 +155,35 @@ def generalized_johnson(n: int, k: int, i: int) -> Graph:
 
 
 def sierpinski(n: int, k: int) -> Graph:
-    """Sierpinski graph S(n, k) on words of length n over {1..k}.
-
-    Edge set built by the recursive definition: k copies of S(n-1, k)
-    prefixed by each letter, plus the connecting edges {i j^(n-1), j i^(n-1)}
-    for every pair of distinct letters i, j. S(n, 1) is built directly: one
-    vertex, the word 1^n.
+    """Sierpinski graph S(n, k) on words of length n over {1..k}, indexed
+    big-endian, by the local edge rule of Klavzar and Milutinovic (1997): a
+    word's row holds the k - 1 words that differ from it in the last letter
+    and at most one bridge u i j^m ~ u j i^m, where j^m is the word's final
+    run and i != j the letter before it (an extreme word j^n has none).
+    S(n, 1) and S(0, k) are one vertex, the word 1^n, built directly.
     """
     if n < 0 or k < 1:
         raise InvalidParam(f"sierpinski needs n >= 0 and k >= 1, got ({n},{k})")
-    if k == 1:
+    if k == 1 or n == 0:
         check_cap(1)
-        return build_graph(1, [], ("1" * n,))
+        return Graph(1, ((),), ("1" * n,))
     check_cap(accumulate(repeat(k, n), mul))
-    edges: list[tuple[int, int]] = []
-    size = 1
-    for level in range(1, n + 1):
-        shifted = [(i * size + a, i * size + b) for i in range(k) for a, b in edges]
-        connectors = []
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                if i < j:
-                    # index of i j^(level-1) under the big-endian word order
-                    u = (i - 1) * size + sum((j - 1) * k ** t for t in range(level - 1))
-                    v = (j - 1) * size + sum((i - 1) * k ** t for t in range(level - 1))
-                    connectors.append((u, v))
-        edges = shifted + connectors
-        size *= k
-    words = product(range(1, k + 1), repeat=n)   # big-endian, as the indices
-    return build_graph(size, edges, tuple(_tuple_label(w, k) for w in words))
+
+    def row(v: int) -> tuple[int, ...]:
+        j = v % k
+        sibs = [v - j + x for x in range(k) if x != j]
+        w, m, p = v // k, 1, k          # p = k^m for the run j^m so far
+        while m < n and w % k == j:
+            w, m, p = w // k, m + 1, p * k
+        if m == n:
+            return tuple(sibs)
+        i = w % k
+        # i j^m -> j i^m: the letter before the run gains (j - i) k^m, and
+        # the run, j (k^m - 1) / (k - 1), becomes i (k^m - 1) / (k - 1)
+        bridge = v + (j - i) * (p - (p - 1) // (k - 1))
+        return (*sibs, bridge) if j > i else (bridge, *sibs)
+    return Graph(k ** n, tuple(map(row, range(k ** n))),
+                 lambda: (_tuple_label(w, k) for w in product(range(1, k + 1), repeat=n)))
 
 
 def circulant(n: int, steps) -> Graph:
@@ -234,11 +234,14 @@ def random_connected_gnp(n: int, p: float, seed: int) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise InvalidParam(f"edge probability {p} outside [0, 1]")
     rng = random.Random(seed)
-    labels = tuple(map(str, range(n)))
     for _ in range(_GNP_DRAWS):
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rng.random() < p]
-        g = build_graph(n, edges, labels)
+        # pairs drawn in (u, v) order, u < v, so every row fills sorted
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for u, v in combinations(range(n), 2):
+            if rng.random() < p:
+                rows[u].append(v)
+                rows[v].append(u)
+        g = Graph(n, tuple(map(tuple, rows)), _index_labels(n))
         if is_connected(g):
             return g
     raise CouldNotConnect(f"no connected sample in {_GNP_DRAWS} tries (n={n}, p={p})")

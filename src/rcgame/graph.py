@@ -20,10 +20,10 @@ makes one pass of it to the diameter that reads every eccentricity (so
 rad, diam and the centres), counting the full balls at each level and
 looking at single vertices only at levels where that count rises.
 eccentricities and the engine's capture_radii both read that one pass,
-so a compute row or a theorem check makes it once. All-pairs distances
+so a compute row makes it once, and a theorem check that reads pair
+distances reads rad and diam from eccentricities too. All-pairs distances
 (APSP) are built only for callers that read pair distances, and only on
-connected graphs; such a caller reads rad and diam off its rows, whose
-maxima are the eccentricities. The BFS from
+connected graphs. The BFS from
 vertex 0 that answers connectivity also gives ecc(0), and ecc(0) <= D <=
 2 ecc(0) for the diameter D. When 6 ecc(0) <= n and ecc(0) < 128 (so
 D <= n/3 and D fits a byte) the rows are read off binary planes of one
@@ -47,10 +47,11 @@ from .errors import InvalidParam, InvalidVertex, NotConnected, SelfLoop
 class Graph:
     """Simple undirected graph, immutable after construction.
 
-    Use :func:`build_graph` rather than constructing directly; the
-    constructor trusts its arguments. labels is a tuple, None, or a
-    function of no arguments that yields them, called on the first read
-    of labels, so a graph whose labels are never read never formats them.
+    The constructor trusts its rows to be sorted, symmetric and loop-free;
+    an edge list goes through :func:`build_graph`. labels is a tuple, None,
+    or a function of no arguments that yields them, called on the first
+    read of labels, so a graph whose labels are never read never formats
+    them.
     """
 
     __slots__ = ("n", "m", "adj", "_labels", "_closed_bits")
@@ -365,13 +366,14 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, dict[int
     """Induced subgraph on the given vertex set.
 
     Returns the subgraph (vertices renumbered in sorted order) and the
-    old-to-new index map. Labels carry over.
+    old-to-new index map, which rises with the old index, so each kept row
+    mapped through it stays sorted. Labels carry over.
     """
     keep = sorted(set(vertices))
     for v in keep:
         if not (0 <= v < g.n):
             raise InvalidVertex(f"vertex {v} outside 0..{g.n - 1}")
     index = {v: i for i, v in enumerate(keep)}
-    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    adj = tuple(tuple(index[w] for w in g.adj[v] if w in index) for v in keep)
     labels = tuple(g.label(v) for v in keep) if g.labels is not None else None
-    return build_graph(len(keep), edges, labels), index
+    return Graph(len(keep), adj, labels), index

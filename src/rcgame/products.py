@@ -3,14 +3,15 @@
 Vertex (a, b) of a product gets index a * |V(H)| + b (row major), so the
 G-layer over h is {a * |V(H)| + h} and the H-layer over g is the block
 g * |V(H)| .. g * |V(H)| + |V(H)| - 1. Layer extraction is index
-arithmetic.
+arithmetic, and each product is built one vertex row at a time from its
+factors' rows, with its labels formatted on first read.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidParam
 from .generators import check_cap
-from .graph import Graph, build_graph
+from .graph import Graph
 
 PRODUCT_KINDS = ("cartesian", "strong", "lexicographic")
 
@@ -18,11 +19,12 @@ PRODUCT_KINDS = ("cartesian", "strong", "lexicographic")
 def product(kind: str, g: Graph, h: Graph) -> Graph:
     """Product graph of the requested kind on V(G) x V(H).
 
-    Edge rules: cartesian moves in exactly one coordinate along an edge;
-    strong additionally moves in both; lexicographic joins any two
-    vertices whose first coordinates are adjacent. The edge sets nest:
-    cartesian <= strong <= lexicographic. An order above the vertex cap
-    raises SizeGuard before any edge is built.
+    The row of (a, b) takes two kinds of step. An H-step stays in its
+    layer: (a, b') for b' ~ b in H. A G-step goes to the layer of each
+    a' ~ a in G and lands on {b} (cartesian), on N_H[b] (strong) or on all
+    of V(H) (lexicographic). The edge sets nest: cartesian <= strong <=
+    lexicographic. An order above the vertex cap raises SizeGuard before
+    any row is built.
     """
     if kind not in PRODUCT_KINDS:
         raise InvalidParam(f"unknown product kind {kind!r}")
@@ -31,22 +33,16 @@ def product(kind: str, g: Graph, h: Graph) -> Graph:
     n = g.n * h.n
     check_cap(n)
     hn = h.n
-    edges: list[tuple[int, int]] = []
-    for a1, a2 in g.edges():
-        if kind == "lexicographic":
-            for b1 in range(hn):
-                for b2 in range(hn):
-                    edges.append((a1 * hn + b1, a2 * hn + b2))
-        else:
-            for b in range(hn):
-                edges.append((a1 * hn + b, a2 * hn + b))
-            if kind == "strong":
-                for b1, b2 in h.edges():
-                    edges.append((a1 * hn + b1, a2 * hn + b2))
-                    edges.append((a1 * hn + b2, a2 * hn + b1))
-    for b1, b2 in h.edges():
-        for a in range(g.n):
-            edges.append((a * hn + b1, a * hn + b2))
-    labels = tuple(f"({g.label(a)},{h.label(b)})"
-                   for a in range(g.n) for b in range(hn))
-    return build_graph(n, edges, labels)
+    if kind == "cartesian":
+        lands = [(b,) for b in range(hn)]
+    elif kind == "strong":
+        lands = [(b, *h.adj[b]) for b in range(hn)]
+    else:
+        lands = [range(hn)] * hn
+
+    def row(v: int) -> tuple[int, ...]:
+        a, b = divmod(v, hn)
+        return tuple(sorted([a * hn + y for y in h.adj[b]]
+                            + [x * hn + y for x in g.adj[a] for y in lands[b]]))
+    return Graph(n, tuple(map(row, range(n))),
+                 lambda: (f"({g.label(a)},{h.label(b)})" for a in range(g.n) for b in range(hn)))

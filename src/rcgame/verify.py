@@ -32,6 +32,7 @@ from .graph import (
     Graph,
     all_pairs_distances,
     build_graph,
+    eccentricities,
     girth,
     induced_subgraph,
 )
@@ -150,15 +151,6 @@ def layer_projection_retraction(g: Graph, h: Graph,
     return prod, Retraction(target, mapping)
 
 
-def _rad_diam(dm: list[list[int]]) -> tuple[int, int]:
-    """rad and diam of a graph from its distance rows, whose maxima are the
-    eccentricities."""
-    if not dm:
-        raise InvalidParam("empty graph has no radius")
-    ecc = [max(row) for row in dm]
-    return min(ecc), max(ecc)
-
-
 def unique_antipodes(g: Graph,
                      dm: list[list[int]] | None = None) -> tuple[int, ...] | None:
     """Per-vertex unique diametral antipode, or None when some vertex has
@@ -166,7 +158,7 @@ def unique_antipodes(g: Graph,
     g's pair distances."""
     if dm is None:
         dm = all_pairs_distances(g)
-    _, diam = _rad_diam(dm)
+    diam = max(eccentricities(g))
     ant = []
     for v in range(g.n):
         far = [u for u in range(g.n) if dm[v][u] == diam]
@@ -200,7 +192,7 @@ def check_distance_expansion(g: Graph, i: int) -> bool:
     grows the distance to i + 1 (a neighbor of the second vertex at
     distance i + 1 from the first)."""
     dm = all_pairs_distances(g)
-    rad, _ = _rad_diam(dm)
+    rad = min(eccentricities(g))
     if not (0 <= i <= rad):
         raise InvalidParam(f"distance {i} outside 0..rad={rad}")
     for x in range(g.n):
@@ -216,7 +208,7 @@ def check_radius_pair_condition(g: Graph) -> bool:
     radius distance, each closed neighbor of x still sees some closed
     neighbor of y at radius distance."""
     dm = all_pairs_distances(g)
-    rad, _ = _rad_diam(dm)
+    rad = min(eccentricities(g))
     adj = g.adj
     for x in range(g.n):
         for y in range(g.n):
@@ -351,7 +343,8 @@ def _evenness_instance_checks(name: str, g: Graph, tally: _Tally,
         tally.record("evenness-classification", cls == expected,
                      {"instance": name}, f"class == {expected}", {"class": cls})
     if cls in (EVEN, HARMONIC_EVEN):
-        rad, diam = _rad_diam(dm)
+        ecc = eccentricities(g)
+        rad, diam = min(ecc), max(ecc)
         ant = unique_antipodes(g, dm)
         ok = all(dm[u][ant[v]] == diam - 1 for u, v in g.edges())
         tally.record("even-antipode-distance", ok, {"instance": name},

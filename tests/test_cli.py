@@ -269,6 +269,11 @@ PINNED = [
      "f754d8f0df416fca145303039d62622a673f44ebd1a079e9e8e5eefb3bf55631", EMPTY),
     ("family path 300", 0,
      "a3267bab6a23444bfe364bfeefacb19b4dfde9037807783088d4dc4c9bb4b47a", EMPTY),
+    # G(n, p) and S(n, k) with k > 3 built straight from their rows
+    ("family random_gnp_connected 12 0.3 --seed 7", 0,
+     "50eff7765d94a699023a85dcb75ed862ff16fb0848107142e3112711bad34147", EMPTY),
+    ("family sierpinski 3 4", 0,
+     "54e7fadee7df1a58c1a30a642791298d5b42e966e0aad963a5f7351f87fe27ff", EMPTY),
 ]
 
 

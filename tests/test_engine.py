@@ -870,6 +870,18 @@ def test_simulate_immediate_capture_at_placement():
     assert t.captured and t.moves == 0 and t.steps == []
 
 
+def test_simulate_refuses_a_negative_move_cap():
+    # a negative cap allows no play at all, so it is refused rather than
+    # read as a robber who survived 0 moves; a cap of 0 is a play of 0 moves
+    c6 = basic_family("cycle", 6)
+    a = solve_cwrc(c6, 1)
+    cop, robber = greedy_chase_cop_strategy(c6, 1), extract_robber_strategy(a)
+    with pytest.raises(InvalidParam, match="max_moves must be >= 0, got -3"):
+        simulate(c6, 1, cop, robber, -3)
+    t = simulate(c6, 1, cop, robber, 0)
+    assert (t.outcome, t.moves, t.steps) == ("survived", 0, [])
+
+
 def test_simulate_illegal_move_detected():
     g = basic_family("cycle", 6)
     cop = Strategy("cop", lambda: 0, lambda c, r: 3)

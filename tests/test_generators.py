@@ -1,6 +1,8 @@
 """Family generators: structure, counts, labels, determinism, guards."""
 
+import itertools
 import math
+import random
 import time
 from itertools import combinations
 
@@ -27,10 +29,11 @@ from rcgame.graph import (
     build_graph,
     eccentricities,
     girth,
+    induced_subgraph,
     is_connected,
 )
 from rcgame.ioformats import parse_edge_list, parse_graph6, write_graph6
-from rcgame.products import product
+from rcgame.products import PRODUCT_KINDS, product
 
 
 def test_basic_families():
@@ -195,6 +198,32 @@ def test_sierpinski_s23_exact_edges():
     assert by_label["12"] != by_label["21"]
 
 
+def _sierpinski_by_levels(n: int, k: int):
+    """S(n, k) by its recursive definition, through build_graph: level by
+    level, k copies of the level below, each prefixed by a letter, plus the
+    connecting edges {i j^(level-1), j i^(level-1)} for letters i < j."""
+    edges: list[tuple[int, int]] = []
+    size = 1
+    for level in range(1, n + 1):
+        edges = [(i * size + a, i * size + b) for i in range(k) for a, b in edges]
+        for i, j in combinations(range(k), 2):
+            edges.append((i * size + sum(j * k ** t for t in range(level - 1)),
+                          j * size + sum(i * k ** t for t in range(level - 1))))
+        size *= k
+    return build_graph(size, edges,
+                       ["".join(map(str, w))
+                        for w in itertools.product(range(1, k + 1), repeat=n)])
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_sierpinski_rows_match_the_recursive_definition(k):
+    # the row rule (k - 1 last-letter siblings and at most one bridge per
+    # word) against the level-by-level edge list, S(n, 1) included
+    for n in range(6):
+        g, ref = sierpinski(n, k), _sierpinski_by_levels(n, k)
+        assert (g.n, g.m, g.adj, g.labels) == (ref.n, ref.m, ref.adj, ref.labels), (n, k)
+
+
 @pytest.mark.parametrize("n,k", [(2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (2, 5)])
 def test_sierpinski_counts(n, k):
     g = sierpinski(n, k)
@@ -258,6 +287,32 @@ def test_random_gnp():
         random_connected_gnp(5, 1.5, 1)
 
 
+def _gnp_by_edge_lists(n: int, p: float, seed: int):
+    """G(n, p) drawn as an edge list per try, pairs (u, v), u < v, in
+    order, each try built through build_graph until one is connected."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = build_graph(n, edges, [str(v) for v in range(n)])
+        if is_connected(g):
+            return g
+    raise CouldNotConnect(f"no connected sample in 200 tries (n={n}, p={p})")
+
+
+def test_gnp_rows_match_the_edge_list_draw():
+    # the same rng.random() order, so the same draws, retries and graph
+    for n, p in [(1, 0.5), (2, 0.5), (7, 0.2), (12, 0.3), (20, 0.15), (30, 0.5), (9, 1.0)]:
+        for seed in range(6):
+            g, ref = random_connected_gnp(n, p, seed), _gnp_by_edge_lists(n, p, seed)
+            assert (g.n, g.m, g.adj, g.labels) == (ref.n, ref.m, ref.adj, ref.labels)
+    assert random_connected_gnp(9, 1.0, 0).adj == basic_family("complete", 9).adj
+    assert random_connected_gnp(1, 0.0, 4).n == 1
+    for n in (2, 5):
+        for make in (random_connected_gnp, _gnp_by_edge_lists):
+            with pytest.raises(CouldNotConnect):
+                make(n, 0.0, 1)
+
+
 def test_generators_deterministic():
     pairs = [
         (lambda: hypercube(4), lambda: hypercube(4)),
@@ -290,6 +345,19 @@ FAMILY_CASES = {
                                (10, {2, 5}), (12, {1, 2, 3, 4, 5, 6}), (13, {3, 5})]],
     "named_instance": [lambda: named_instance("CubicVT24_6")],
     "random_gnp_connected": [lambda s=s: random_connected_gnp(9, 0.4, s) for s in range(5)],
+    "product": [lambda kind=kind, f=f: product(kind, *f())
+                for kind in PRODUCT_KINDS
+                for f in [lambda: (basic_family("complete", 1), basic_family("path", 3)),
+                          lambda: (basic_family("complete", 2), basic_family("complete", 3)),
+                          lambda: (basic_family("cycle", 5), basic_family("path", 4)),
+                          lambda: (sierpinski(2, 3), generalized_johnson(5, 2, 0)),
+                          lambda: (circulant(6, {3}), hypercube(2))]],
+    "induced_subgraph": [lambda f=f, keep=keep: induced_subgraph(f(), keep)[0]
+                         for f, keep in [(lambda: sierpinski(3, 3), range(0, 27, 2)),
+                                         (lambda: sierpinski(3, 3), range(9, 27)),
+                                         (lambda: hypercube(4), [0, 1, 3, 7, 15, 14]),
+                                         (lambda: generalized_johnson(5, 2, 0), []),
+                                         (lambda: basic_family("cycle", 9), range(9))]],
 }
 
 
@@ -347,23 +415,36 @@ def test_build_family_dispatch():
 
 
 def test_build_family_guards_every_kind(monkeypatch):
-    # each generator checks the cap from its parameters, before any label
-    # or edge is made, so build_family never builds past it
+    # each generator, and product, checks the cap from its parameters,
+    # before any label, row or edge is made, so none builds past it: the
+    # generators build from rows through Graph, the named instance through
+    # build_graph, and both refuse here
+    k3 = basic_family("complete", 3)
+
     def refuse(*_args):
         raise AssertionError("built past the size guard")
 
-    monkeypatch.setattr("rcgame.generators.build_graph", refuse)
+    for name in ("generators.build_graph", "generators.Graph", "products.Graph"):
+        monkeypatch.setattr(f"rcgame.{name}", refuse)
     monkeypatch.setenv("RC_SIZE_GUARD", "4")
     for kind, params in (("cycle", (6,)), ("path", (5,)), ("complete", (10 ** 9,)),
-                         ("circulant", (7, 1, 2))):
+                         ("circulant", (7, 1, 2)), ("hypercube", (3,)), ("hamming", (2, 3)),
+                         ("generalized_johnson", (5, 2, 0)), ("sierpinski", (2, 3)),
+                         ("random_gnp_connected", (6, 0.5))):
         with pytest.raises(SizeGuard):
-            build_family(FamilySpec(kind, params))
+            build_family(FamilySpec(kind, params, seed=1))
+    for kind in PRODUCT_KINDS:
+        with pytest.raises(SizeGuard):
+            product(kind, k3, k3)
     monkeypatch.setenv("RC_SIZE_GUARD", "23")
     with pytest.raises(SizeGuard):
         build_family(FamilySpec("named_instance", ("CubicVT24_6",)))
     monkeypatch.undo()
     monkeypatch.setenv("RC_SIZE_GUARD", "4")
     assert build_family(FamilySpec("cycle", (4,))).n == 4
+    assert build_family(FamilySpec("sierpinski", (1, 4))).n == 4
+    assert build_family(FamilySpec("random_gnp_connected", (4, 0.5), seed=1)).n == 4
+    assert product("strong", k3, basic_family("complete", 1)).n == 3
     monkeypatch.setenv("RC_SIZE_GUARD", "24")
     assert build_family(FamilySpec("named_instance", ("CubicVT24_6",))).n == 24
 
@@ -381,6 +462,7 @@ def test_one_cap_governs_every_construction(monkeypatch):
               (6, lambda: generalized_johnson(4, 2, 1)),
               (6, lambda: circulant(6, [1])),
               (6, lambda: random_connected_gnp(6, 0.9, 1)),
+              (9, lambda: sierpinski(2, 3)),
               (24, lambda: named_instance("CubicVT24_6")),
               (6, lambda: parse_graph6("E???")))
     for n, build in builds:

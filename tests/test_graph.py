@@ -555,6 +555,24 @@ def test_induced_subgraph():
     assert sub.label(index[4]) == "4"
 
 
+def test_induced_subgraph_keeps_the_edges_inside():
+    # each kept row against the graph's edges filtered to the kept set and
+    # renumbered through build_graph, on seeded subsets of atlas graphs,
+    # with labels (carried over) and without
+    rng = random.Random(3)
+    cases = [build_graph(G.number_of_nodes(), list(G.edges())) for G in nx.graph_atlas_g()[:400]]
+    cases += [sierpinski(3, 3), generalized_johnson(6, 3, 1)]
+    for g in cases:
+        for _ in range(3):
+            keep = [v for v in range(g.n) if rng.random() < 0.6]
+            sub, index = induced_subgraph(g, keep)
+            assert index == {v: i for i, v in enumerate(keep)}
+            edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+            labels = None if g.labels is None else [g.labels[v] for v in keep]
+            ref = build_graph(len(keep), edges, labels)
+            assert (sub.n, sub.m, sub.adj, sub.labels) == (ref.n, ref.m, ref.adj, ref.labels)
+
+
 def test_johnson_octahedron_distances():
     g = generalized_johnson(4, 2, 1)
     # the octahedron: four neighbours and one antipode per vertex

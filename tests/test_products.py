@@ -1,13 +1,25 @@
 """Product constructions: edge rules, nesting, distance laws, projections."""
 
 import random
+from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from rcgame.errors import InvalidParam, SizeGuard
 from rcgame.generators import basic_family, random_connected_gnp
 from rcgame.graph import all_pairs_distances, build_graph, girth
-from rcgame.products import product
+from rcgame.products import PRODUCT_KINDS, product
+
+# (a1, b1) ~ (a2, b2), for distinct pairs, read off the factors' edges
+EDGE_RULES = {
+    "cartesian": lambda g, h, a1, b1, a2, b2: (
+        (a1 == a2 and h.has_edge(b1, b2)) or (b1 == b2 and g.has_edge(a1, a2))),
+    "strong": lambda g, h, a1, b1, a2, b2: (
+        (a1 == a2 or g.has_edge(a1, a2)) and (b1 == b2 or h.has_edge(b1, b2))),
+    "lexicographic": lambda g, h, a1, b1, a2, b2: (
+        g.has_edge(a1, a2) or (a1 == a2 and h.has_edge(b1, b2))),
+}
 
 
 def test_cartesian_k2_k2_is_c4():
@@ -34,6 +46,25 @@ def test_product_labels_row_major():
         a, b = divmod(idx, 3)
         assert g.label(idx) == f"({a},{b})"
     assert g.label(1 * 3 + 2) == "(1,2)"
+
+
+@pytest.mark.parametrize("kind", PRODUCT_KINDS)
+def test_product_rows_follow_the_edge_rule(kind):
+    # each row against the kind's edge rule tested on every pair of
+    # vertices, built through build_graph, on seeded pairs of atlas graphs
+    atlas = [build_graph(G.number_of_nodes(), list(G.edges()), [f"v{v}" for v in G])
+             for G in nx.graph_atlas_g()[1:]]
+    rng = random.Random(kind)
+    rule = EDGE_RULES[kind]
+    for _ in range(120):
+        g, h = rng.choice(atlas), rng.choice(atlas)
+        n, hn = g.n * h.n, h.n
+        edges = [(u, v) for u, v in combinations(range(n), 2)
+                 if rule(g, h, *divmod(u, hn), *divmod(v, hn))]
+        ref = build_graph(n, edges, [f"({g.label(a)},{h.label(b)})"
+                                     for a in range(g.n) for b in range(hn)])
+        got = product(kind, g, h)
+        assert (got.n, got.m, got.adj, got.labels) == (ref.n, ref.m, ref.adj, ref.labels)
 
 
 def test_edge_set_nesting_and_projections():
