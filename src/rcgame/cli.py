@@ -44,7 +44,7 @@ from .generators import (
     named_instance,
     predicted_rc,
 )
-from .graph import Graph, girth
+from .graph import Graph, all_pairs_distances, girth
 from .ioformats import ResultRecord, emit_results, parse_edge_list, parse_graph6
 
 # the suites of rcgame.verify.run_suite, which only cmd_verify imports
@@ -199,17 +199,16 @@ def cmd_strategy(args) -> int:
     analysis = solve_cwrc(g, k)
     n = g.n
     max_moves = args.max_moves if args.max_moves is not None else 4 * n * n
+    if analysis.is_cop_win != (args.role == "cop"):
+        raise RoleCannotWin(f"the {args.role} does not win on {gid} at radius {k}")
+    dm = all_pairs_distances(g)     # one table for the chase and the play-out
     if args.role == "cop":
-        if not analysis.is_cop_win:
-            raise RoleCannotWin(f"the cop does not win on {gid} at radius {k}")
         cop = extract_cop_strategy(analysis)
         robber = rank_max_robber_strategy(analysis)
     else:
-        if analysis.is_cop_win:
-            raise RoleCannotWin(f"the robber does not win on {gid} at radius {k}")
-        cop = greedy_chase_cop_strategy(g, k, analysis.dm)
+        cop = greedy_chase_cop_strategy(g, k, dm)
         robber = extract_robber_strategy(analysis)
-    transcript = simulate(g, k, cop, robber, max_moves, analysis.dm)
+    transcript = simulate(g, k, cop, robber, max_moves, dm)
     print(f"{gid}: n={n} m={g.m} k={k} role={args.role}")
     print(f"cop strategy: {cop.name}; robber strategy: {robber.name}")
     print(f"place cop at {g.label(transcript.cop_start)}")

@@ -24,7 +24,8 @@ rad - 1 or above; verify's bounds suite checks that bound with a solve
 of its own. Before its first probe, greedy corner elimination,
 corner_folds, decides k = 0 with no kernel, so every probe runs the
 kernel at k >= 1; the same routine gives rcgame.verify its corner folds.
-The kernel computes no ball of its own.
+The kernel computes no ball of its own, and no solve builds pair
+distances: only simulate and the greedy chase read distance rows.
 
 A round's cop step costs one bigint AND-NOT per column of ball_{k+1} in
 round 1, and one OR of a closed neighbourhood mask per newly won
@@ -51,8 +52,9 @@ from .errors import (
     InvariantViolation,
     NoEvasionStrategy,
     NoWinningStrategy,
+    NotConnected,
 )
-from .graph import _BINARY, Graph, _sweep, all_pairs_distances, balls
+from .graph import _BINARY, Graph, _sweep, all_pairs_distances, balls, is_connected
 
 COP_TO_MOVE = 0
 ROBBER_TO_MOVE = 1
@@ -67,20 +69,18 @@ class WinAnalysis:
     c of columns[turn][r] means state (c, r) is won. rounds[t] is the pair
     of dicts {r: bits} of the states first won in round t, so a state's
     rank is the round that holds it, and -1 outside the cop-win region.
-    Round 0 holds exactly the capture states, so rank 0 is capture. dm
-    keeps the distance rows for play-outs. initial_cop_choices lists the
-    cop start vertices that beat every robber placement.
+    Round 0 holds exactly the capture states, so rank 0 is capture.
+    initial_cop_choices lists the cop start vertices that beat every
+    robber placement. It holds no pair distances.
     """
 
-    __slots__ = ("graph", "k", "dm", "columns", "rounds", "initial_cop_choices")
+    __slots__ = ("graph", "k", "columns", "rounds", "initial_cop_choices")
 
-    def __init__(self, graph: Graph, k: int, dm: list[list[int]],
-                 columns: tuple[list[int], list[int]],
+    def __init__(self, graph: Graph, k: int, columns: tuple[list[int], list[int]],
                  rounds: list[tuple[dict[int, int], dict[int, int]]],
                  initial_cop_choices: tuple[int, ...]) -> None:
         self.graph = graph
         self.k = k
-        self.dm = dm
         self.columns = columns
         self.rounds = rounds
         self.initial_cop_choices = initial_cop_choices
@@ -221,8 +221,11 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
 
 def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalysis:
     """Decide whether the cop wins the radius-k game on connected g
-    (NotConnected otherwise, from the pair distances; InvalidParam when g
-    is empty).
+    (NotConnected otherwise, from one BFS of is_connected; InvalidParam
+    when g is empty).
+
+    The solve reads closed balls only and builds no pair distances; dm is
+    not read, and stays only for callers that pass it positionally.
 
     Backward induction from the capture set {d(c, r) <= k}: a cop-to-move
     state is cop-win as soon as one successor is, a robber-to-move state
@@ -235,8 +238,8 @@ def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalys
     n = g.n
     if n == 0:
         raise InvalidParam("empty graph has no radius")
-    if dm is None:
-        dm = all_pairs_distances(g)
+    if not is_connected(g):
+        raise NotConnected("the graph is disconnected; the game needs a connected graph")
     for level, grown in enumerate(islice(balls(g), k + 2)):
         if level <= k:          # past the diameter both are the last ball
             ball = grown
@@ -246,7 +249,7 @@ def solve_cwrc(g: Graph, k: int, dm: list[list[int]] | None = None) -> WinAnalys
     rounds = list(solve)
     full = _full_rows(win_c, n)
     choices = tuple(c for c in range(n) if full >> c & 1)
-    return WinAnalysis(g, k, dm, (win_c, win_r), rounds, choices)
+    return WinAnalysis(g, k, (win_c, win_r), rounds, choices)
 
 
 def corner_folds(g: Graph) -> tuple[int, list[tuple[int, int]]]:
@@ -474,7 +477,8 @@ def simulate(g: Graph, k: int, cop_strategy: Strategy, robber_strategy: Strategy
     """Play the two strategies against each other for at most max_moves
     single moves, checking capture after the placements and after every
     move; a negative max_moves is InvalidParam. Deterministic for
-    deterministic strategies.
+    deterministic strategies. Capture reads g's distance rows dm, built
+    here when the caller hands none.
 
     One step serves both sides: the cop moves at even move counts, the
     robber at odd ones, and every move is checked for legality and then

@@ -10,7 +10,8 @@ over N[v] goes over (v, *adj[v]).
 
 _sweep answers a complete graph (2m = n(n - 1)) from its edge count,
 with no closed_bits, no BFS and no sweep; otherwise is_connected, one BFS
-(none below n - 1 edges), answers connectivity before any sweep and APSP.
+(none below n - 1 edges), answers connectivity before any solve, sweep
+and APSP.
 The closed-ball sweep (balls) grows one bitset per vertex a hop at a
 time, bit-parallel BFS in the style of Akiba, Iwata and Yoshida (SIGMOD
 2013); ball_1 is closed_bits itself, and each later hop is dilate, which
@@ -22,8 +23,8 @@ looking at single vertices only at levels where that count rises.
 eccentricities and the engine's capture_radii both read that one pass,
 so a compute row makes it once, and a theorem check that reads pair
 distances reads rad and diam from eccentricities too. All-pairs distances
-(APSP) are built only for callers that read pair distances, and only on
-connected graphs. The BFS from
+(APSP) are built only by the code that reads them, never by a solve, and
+only on connected graphs. The BFS from
 vertex 0 that answers connectivity also gives ecc(0), and ecc(0) <= D <=
 2 ecc(0) for the diameter D. When 6 ecc(0) <= n and ecc(0) < 128 (so
 D <= n/3 and D fits a byte) the rows are read off binary planes of one
@@ -367,7 +368,8 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, dict[int
 
     Returns the subgraph (vertices renumbered in sorted order) and the
     old-to-new index map, which rises with the old index, so each kept row
-    mapped through it stays sorted. Labels carry over.
+    mapped through it stays sorted. Labels carry over, formatted on the
+    subgraph's first read of them, so g's own stay unformatted until then.
     """
     keep = sorted(set(vertices))
     for v in keep:
@@ -375,5 +377,5 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, dict[int
             raise InvalidVertex(f"vertex {v} outside 0..{g.n - 1}")
     index = {v: i for i, v in enumerate(keep)}
     adj = tuple(tuple(index[w] for w in g.adj[v] if w in index) for v in keep)
-    labels = tuple(g.label(v) for v in keep) if g.labels is not None else None
+    labels = None if g._labels is None else lambda: map(g.label, keep)
     return Graph(len(keep), adj, labels), index

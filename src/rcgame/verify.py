@@ -151,40 +151,36 @@ def layer_projection_retraction(g: Graph, h: Graph,
     return prod, Retraction(target, mapping)
 
 
-def unique_antipodes(g: Graph,
-                     dm: list[list[int]] | None = None) -> tuple[int, ...] | None:
+def _evenness(g: Graph) -> tuple[list[list[int]], tuple[int, ...],
+                                  tuple[int, ...] | None, str]:
+    """(dm, ecc, ant, class) of g: its distance rows, its eccentricities
+    from one sweep, each vertex's unique diametral antipode (ant None when
+    some vertex has zero or several) and the class of classify_evenness."""
+    dm = all_pairs_distances(g)
+    ecc = eccentricities(g)
+    diam = max(ecc)
+    if any(row.count(diam) != 1 for row in dm):
+        return dm, ecc, None, NOT_EVEN
+    ant = tuple(row.index(diam) for row in dm)
+    harmonic = (all(ant[ant[v]] == v for v in range(g.n))
+                and all(g.has_edge(ant[u], ant[v]) for u, v in g.edges()))
+    return dm, ecc, ant, HARMONIC_EVEN if harmonic else EVEN
+
+
+def unique_antipodes(g: Graph) -> tuple[int, ...] | None:
     """Per-vertex unique diametral antipode, or None when some vertex has
-    zero or several vertices at diametral distance. dm, when given, holds
-    g's pair distances."""
-    if dm is None:
-        dm = all_pairs_distances(g)
-    diam = max(eccentricities(g))
-    ant = []
-    for v in range(g.n):
-        far = [u for u in range(g.n) if dm[v][u] == diam]
-        if len(far) != 1:
-            return None
-        ant.append(far[0])
-    return tuple(ant)
+    zero or several vertices at diametral distance."""
+    return _evenness(g)[2]
 
 
-def classify_evenness(g: Graph, dm: list[list[int]] | None = None) -> str:
+def classify_evenness(g: Graph) -> str:
     """Classify as not_even, even, or harmonic_even.
 
     Even: every vertex has exactly one antipode at diametral distance.
     Harmonic: the antipode map is additionally an edge-preserving
-    involution. dm, when given, holds g's pair distances.
+    involution.
     """
-    if dm is None:
-        dm = all_pairs_distances(g)
-    ant = unique_antipodes(g, dm)
-    if ant is None:
-        return NOT_EVEN
-    if any(ant[ant[v]] != v for v in range(g.n)):
-        return EVEN
-    if all(g.has_edge(ant[u], ant[v]) for u, v in g.edges()):
-        return HARMONIC_EVEN
-    return EVEN
+    return _evenness(g)[3]
 
 
 def check_distance_expansion(g: Graph, i: int) -> bool:
@@ -337,15 +333,12 @@ def suite_retracts(trials: int, seed: int, max_n: int = 12) -> _Tally:
 
 def _evenness_instance_checks(name: str, g: Graph, tally: _Tally,
                               expected: str | None = None) -> None:
-    dm = all_pairs_distances(g)
-    cls = classify_evenness(g, dm)
+    dm, ecc, ant, cls = _evenness(g)
     if expected is not None:
         tally.record("evenness-classification", cls == expected,
                      {"instance": name}, f"class == {expected}", {"class": cls})
     if cls in (EVEN, HARMONIC_EVEN):
-        ecc = eccentricities(g)
         rad, diam = min(ecc), max(ecc)
-        ant = unique_antipodes(g, dm)
         ok = all(dm[u][ant[v]] == diam - 1 for u, v in g.edges())
         tally.record("even-antipode-distance", ok, {"instance": name},
                      "d(u, v') == diam - 1 for every edge uv", {"class": cls})

@@ -258,7 +258,7 @@ def test_criterion_15_strategy_certificates(cycles, hypercubes, hammings,
         prev = analysis_cache(name, g, rc - 1)
         robber = extract_robber_strategy(prev)
         cop = extract_cop_strategy(a)
-        t = simulate(g, rc - 1, cop, robber, 4 * g.n * g.n, a.dm)
+        t = simulate(g, rc - 1, cop, robber, 4 * g.n * g.n)
         assert t.outcome == "survived", f"{name}: robber caught at k={rc - 1}"
         for step in t.steps:
             if step.mover == "robber":

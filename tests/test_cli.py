@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from rcgame import engine, graph
+from rcgame import cli, engine, graph
 from rcgame.cli import _read_graphs, compute_record, main
 from rcgame.errors import ParseError
 from rcgame.generators import basic_family, named_instance, sierpinski
@@ -376,6 +376,22 @@ def test_verify_obeys_the_cap(capsys, monkeypatch):
     monkeypatch.setenv("RC_SIZE_GUARD", "4")
     code, out, err = run(capsys, "verify", "products", "--trials", "1")
     assert code == 2 and "exceeds the cap 4" in err
+
+
+@pytest.mark.parametrize("k,role", [("3", "cop"), ("2", "robber")])
+def test_strategy_builds_the_rows_once(capsys, monkeypatch, k, role):
+    # the solve builds no distance rows; the command builds them once and
+    # hands them to the greedy chase and the play-out
+    built = []
+
+    def counted(real):
+        return lambda g: built.append(g) or real(g)
+
+    monkeypatch.setattr(cli, "all_pairs_distances", counted(cli.all_pairs_distances))
+    monkeypatch.setattr(engine, "all_pairs_distances", counted(engine.all_pairs_distances))
+    code, out, _ = run(capsys, "strategy", "--family", "cycle", "8", "-k", k, "--role", role)
+    assert code == 0 and out.startswith(f"cycle-8: n=8 m=8 k={k} role={role}\n")
+    assert len(built) == 1
 
 
 def test_strategy_disconnected_input(tmp_path, capsys):

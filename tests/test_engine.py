@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rcgame import engine
+from rcgame import engine, graph
 from rcgame.engine import (
     Strategy,
     WinAnalysis,
@@ -174,11 +174,30 @@ def test_solve_walks_to_ball_k_plus_one(dilate_calls):
     # solve_cwrc at k < diam walks ball_0 .. ball_{k+1} once, k dilates past
     # ball_1, and the kernel takes ball_{k+1} from that walk
     for g in (sierpinski(4, 4), hypercube(5), basic_family("cycle", 9)):
-        dm = all_pairs_distances(g)
-        for k in range(max(max(row) for row in dm)):
+        for k in range(max(eccentricities(g))):
             dilate_calls.clear()
-            solve_cwrc(g, k, dm)
+            solve_cwrc(g, k)
             assert len(dilate_calls) == k
+
+
+def test_solve_builds_no_pair_distances(monkeypatch):
+    # the kernel reads closed balls only: solving at rc and rc - 1,
+    # certifying the cop and reading every strategy off the analyses build
+    # no distance rows, neither the engine's nor the ball planes'
+    def refuse(g):
+        raise AssertionError("pair distances built")
+
+    monkeypatch.setattr(engine, "all_pairs_distances", refuse)
+    monkeypatch.setattr(graph, "_distance_planes", refuse)
+    for g in (sierpinski(4, 4), hypercube(5), basic_family("cycle", 9)):
+        rc = radius_capture_number(g)
+        win, lose = solve_cwrc(g, rc), solve_cwrc(g, rc - 1)
+        assert win.is_cop_win and not lose.is_cop_win
+        assert certify_cop_strategy(win) > 0
+        cop, robber = extract_cop_strategy(win), extract_robber_strategy(lose)
+        c = cop.initial()
+        assert cop.move(c, robber.initial(c)) in range(g.n)
+        assert rank_max_robber_strategy(win).initial(c) in range(g.n)
 
 
 # a row's id ends in its kernel probe count
@@ -830,16 +849,17 @@ def test_positional_play_out_moves_once_per_state(g, k):
             return strategy.move(cop, robber)
         return strategy._replace(move=move)
 
-    cop = counted(greedy_chase_cop_strategy(g, k, a.dm))
+    dm = all_pairs_distances(g)
+    cop = counted(greedy_chase_cop_strategy(g, k, dm))
     robber = counted(extract_robber_strategy(a))
     budget = 4 * g.n * g.n
-    t = simulate(g, k, cop, robber, budget, a.dm)
+    t = simulate(g, k, cop, robber, budget, dm)
     assert t.outcome == "survived" and t.moves == sum(1 for _ in t.all_steps()) == budget
     # one cop and one robber move per distinct cop-to-move state visited
     assert calls["cop"] <= g.n * g.n and calls["robber"] <= g.n * g.n
     calls.update(cop=0, robber=0)
     t = simulate(g, k, cop._replace(positional=False),
-                 robber._replace(positional=False), budget, a.dm)
+                 robber._replace(positional=False), budget, dm)
     assert t.moves == budget and calls["cop"] + calls["robber"] == budget
 
 
@@ -847,12 +867,12 @@ def test_closed_play_out_holds_its_cycle_not_every_move():
     # S(4,4) at k = 10: the robber's 4n^2 = 262,144-move evasion closes on a
     # cycle of a few states; a list of every step would take over 2 MB
     g = sierpinski(4, 4)
-    a = solve_cwrc(g, 10)
-    cop = greedy_chase_cop_strategy(g, 10, a.dm)
-    robber = extract_robber_strategy(a)
+    dm = all_pairs_distances(g)
+    cop = greedy_chase_cop_strategy(g, 10, dm)
+    robber = extract_robber_strategy(solve_cwrc(g, 10))
     tracemalloc.start()
     try:
-        t = simulate(g, 10, cop, robber, 4 * g.n * g.n, a.dm)
+        t = simulate(g, 10, cop, robber, 4 * g.n * g.n, dm)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -916,22 +936,23 @@ def test_simulate_checks_cop_placement_before_robber_places(k, robber_of, placem
 def test_rank_strictly_decreases_along_cop_play():
     g = basic_family("cycle", 10)
     a = solve_cwrc(g, radius_capture_number(g))
+    dm = all_pairs_distances(g)
     cop = extract_cop_strategy(a)
     robber = rank_max_robber_strategy(a)
     c = cop.initial()
     r = robber.initial(c)
     last = a.rank(c, r)
     guard = 0
-    while a.dm[c][r] > a.k and guard < 1000:
+    while dm[c][r] > a.k and guard < 1000:
         c = cop.move(c, r)
         guard += 1
-        if a.dm[c][r] <= a.k:
+        if dm[c][r] <= a.k:
             break
         r = robber.move(c, r)
         current = a.rank(c, r)
         assert current < last
         last = current
-    assert a.dm[c][r] <= a.k
+    assert dm[c][r] <= a.k
 
 
 def _minimax_ranks(g, k):
@@ -1021,11 +1042,12 @@ def test_ranks_meet_rank_equations(g, k):
     # rank the cop can move to, a robber-to-move rank 1 + the largest rank
     # the robber can move to; -1 outside the cop-win region
     a = solve_cwrc(g, k)
+    dm = all_pairs_distances(g)
     n = g.n
     closed = [sorted((*g.adj[v], v)) for v in range(n)]
     for c in range(n):
         for r in range(n):
-            if a.dm[c][r] <= k:
+            if dm[c][r] <= k:
                 assert a.rank(c, r, 0) == a.rank(c, r, 1) == 0
                 continue
             cop_moves = [a.rank(y, r, 1) for y in closed[c] if a.cop_win(y, r, 1)]
@@ -1048,7 +1070,7 @@ def test_ranks_meet_rank_equations(g, k):
     cop = extract_cop_strategy(a) if a.is_cop_win else None
     if cop is None:
         evader = extract_robber_strategy(a)
-        chase = greedy_chase_cop_strategy(g, k, a.dm)
+        chase = greedy_chase_cop_strategy(g, k, dm)
     for c in range(n):
         assert robber.initial(c) == max(range(n), key=lambda r: score(c, r))
         if cop is None:
@@ -1063,7 +1085,7 @@ def test_ranks_meet_rank_equations(g, k):
             if not a.cop_win(c, r, 1):
                 safe = [y for y in closed[r] if not a.cop_win(c, y)]
                 assert evader.move(c, r) == min(safe)
-            assert chase.move(c, r) == min(closed[c], key=lambda y: (a.dm[r][y], y))
+            assert chase.move(c, r) == min(closed[c], key=lambda y: (dm[r][y], y))
     for turn, plane in enumerate((a.win_cop_move, a.win_robber_move)):
         assert len(plane) == n * n
         assert all(plane[c * n + r] == a.cop_win(c, r, turn)
@@ -1096,21 +1118,22 @@ def _reassign(a, turn, c, r, into):
         columns[turn][r] &= ~(1 << c)
     else:
         rounds[into][turn][r] = rounds[into][turn].get(r, 0) | 1 << c
-    return WinAnalysis(a.graph, a.k, a.dm, columns, rounds, a.initial_cop_choices)
+    return WinAnalysis(a.graph, a.k, columns, rounds, a.initial_cop_choices)
 
 
 def _certified_line(g):
     """Analysis at rc and the cop-to-move states of the rank-greedy cop's
     play-out against the rank-max robber, before capture."""
     a = solve_cwrc(g, radius_capture_number(g))
+    dm = all_pairs_distances(g)
     cop, robber = extract_cop_strategy(a), rank_max_robber_strategy(a)
     c = cop.initial()
     r = robber.initial(c)
     line = []
-    while a.dm[c][r] > a.k:
+    while dm[c][r] > a.k:
         line.append((c, r))
         c = cop.move(c, r)
-        if a.dm[c][r] <= a.k:
+        if dm[c][r] <= a.k:
             break
         r = robber.move(c, r)
     return a, line

@@ -167,6 +167,21 @@ def test_monotonicity_layer_projection_c6_k2():
     assert report.measured == {"rc_graph": 3, "rc_retract": 2}
 
 
+def test_retract_check_leaves_the_labels_unformatted():
+    # the retract's labels are formatted on its own first read, so the
+    # check, which never reads them, leaves the product's label function
+    # unformatted; read, they equal the labels of an eagerly labelled copy
+    prod, retr = layer_projection_retraction(basic_family("cycle", 4),
+                                             basic_family("path", 3))
+    assert check_retract_monotonicity(prod, retr).passed
+    assert callable(prod._labels)
+    keep = sorted(retr.target)
+    sub, _ = induced_subgraph(prod, keep)
+    assert callable(sub._labels) and callable(prod._labels)
+    eager, _ = induced_subgraph(graph.Graph(prod.n, prod.adj, prod.labels), keep)
+    assert eager.labels == sub.labels == tuple(prod.labels[v] for v in keep)
+
+
 def test_monotonicity_tree_fold():
     tree = basic_family("path", 5)
     retr = corner_fold_retraction(tree)
@@ -368,6 +383,24 @@ def test_checks_sweep_each_graph_once(monkeypatch):
         swept.clear()
         run()
         assert len(swept) == len({id(g) for g in swept}) == graphs
+
+
+def test_evenness_checks_read_one_table(monkeypatch):
+    # an even graph's checks read one distance table, one eccentricities
+    # sweep and one antipode scan; the harmonic-even capture check's rc
+    # search sweeps through rcgame.engine's own name, not counted here
+    real_sweep, swept = graph._sweep, []
+    real_apsp, tables = verify.all_pairs_distances, []
+    monkeypatch.setattr(graph, "_sweep", lambda g: swept.append(g) or real_sweep(g))
+    monkeypatch.setattr(verify, "all_pairs_distances",
+                        lambda g: tables.append(g) or real_apsp(g))
+    for name, g in (("C_8", basic_family("cycle", 8)), ("Q_4", hypercube(4))):
+        swept.clear()
+        tables.clear()
+        tally = verify._Tally()
+        verify._evenness_instance_checks(name, g, tally, verify.HARMONIC_EVEN)
+        assert swept == tables == [g]
+        assert not tally.failures and len(tally.passes) == 3
 
 
 def test_bounds_suite_solves_the_radius_bound_itself(monkeypatch):
