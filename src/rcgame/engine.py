@@ -28,12 +28,14 @@ The kernel computes no ball of its own, and no solve builds pair
 distances: only simulate and the greedy chase read distance rows.
 
 A round's cop step costs one bigint AND-NOT per column of ball_{k+1} in
-round 1, and one OR of a closed neighbourhood mask per newly won
-robber-to-move state after that. Its robber step visits each column whose
-cop-to-move states changed and each of their neighbours, and costs one
-AND per neighbour of each column it visits. The kernel reads adj and
-closed_bits, as the ball sweep does; a strategy walks N[v] as
-(v, *adj[v]).
+round 1, and after that one OR of a closed neighbourhood mask per newly
+won robber-to-move state in a column where the cop has some cop-to-move
+state left to win; a column the cop has won whole takes no OR. Its
+robber step visits each column whose cop-to-move states changed and each
+of their neighbours, and costs one AND per neighbour of each visited
+column that holds a cop-to-move state won but not yet robber-to-move; a
+column with none takes no AND. The kernel reads adj and closed_bits, as
+the ball sweep does; a strategy walks N[v] as (v, *adj[v]).
 
 Strategy, Step and Transcript are named tuples, and WinAnalysis is a
 slotted class that compares by identity: like every record in the
@@ -157,7 +159,7 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
       it can only change for a column whose win_c changed or one next to
       it. Those columns are the changed ones and their adj rows, and the
       AND for column r starts from win_c[r] & ~win_r[r] and runs over
-      adj[r].
+      adj[r], unless that start is already 0.
 
     Then both steps are applied, and the round's newly won states are
     yielded as ({r: bits} cop to move, {r: bits} robber to move). A state
@@ -173,9 +175,11 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
     after round 0 and grown after round 1, so past round 1 it holds no
     ball, and a caller that holds neither has none either. Later cop
     steps OR the closed neighbourhoods of the newly won states, taking the
-    top set bit each time.
+    top set bit each time, but skip a column r whose win_c[r] is already
+    full: every cop there has won, so the OR would be masked to 0.
     """
     adj, closed_bits = g.adj, g.closed_bits
+    full = (1 << g.n) - 1
     cop, robber = {}, {}
     for r, bits in enumerate(ball):
         fresh = bits & ~win_c[r]
@@ -199,16 +203,21 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
             grown = None
         else:
             for r, bits in new_r.items():
+                open_cops = full ^ win_c[r]
+                if not open_cops:         # every cop already wins column r
+                    continue
                 reach = 0
                 while bits:
                     y = bits.bit_length() - 1
                     reach |= closed_bits[y]
                     bits ^= 1 << y
-                reach &= ~win_c[r]
+                reach &= open_cops
                 if reach:
                     cop[r] = reach
         for r in set(new_c).union(*map(adj.__getitem__, new_c)):
             safe = win_c[r] & ~win_r[r]
+            if not safe:
+                continue
             for y in adj[r]:
                 safe &= win_c[y]
             if safe:

@@ -32,7 +32,6 @@ from .graph import (
     Graph,
     all_pairs_distances,
     build_graph,
-    eccentricities,
     girth,
     induced_subgraph,
 )
@@ -151,20 +150,28 @@ def layer_projection_retraction(g: Graph, h: Graph,
     return prod, Retraction(target, mapping)
 
 
-def _evenness(g: Graph) -> tuple[list[list[int]], tuple[int, ...],
-                                  tuple[int, ...] | None, str]:
-    """(dm, ecc, ant, class) of g: its distance rows, its eccentricities
-    from one sweep, each vertex's unique diametral antipode (ant None when
-    some vertex has zero or several) and the class of classify_evenness."""
+def _distances(g: Graph) -> tuple[list[list[int]], tuple[int, ...]]:
+    """(dm, ecc) of connected g: its distance rows and their maxima, the
+    eccentricities, read with no ball sweep; InvalidParam when g is empty,
+    NotConnected when it is disconnected."""
+    if g.n == 0:
+        raise InvalidParam("empty graph has no radius")
     dm = all_pairs_distances(g)
-    ecc = eccentricities(g)
+    return dm, tuple(map(max, dm))
+
+
+def _evenness(g: Graph) -> tuple[list[list[int]], int, tuple[int, ...] | None, str]:
+    """(dm, diam, ant, class) of g: its distance rows, its diameter, each
+    vertex's unique diametral antipode (ant None when some vertex has zero
+    or several) and the class of classify_evenness."""
+    dm, ecc = _distances(g)
     diam = max(ecc)
     if any(row.count(diam) != 1 for row in dm):
-        return dm, ecc, None, NOT_EVEN
+        return dm, diam, None, NOT_EVEN
     ant = tuple(row.index(diam) for row in dm)
     harmonic = (all(ant[ant[v]] == v for v in range(g.n))
                 and all(g.has_edge(ant[u], ant[v]) for u, v in g.edges()))
-    return dm, ecc, ant, HARMONIC_EVEN if harmonic else EVEN
+    return dm, diam, ant, HARMONIC_EVEN if harmonic else EVEN
 
 
 def unique_antipodes(g: Graph) -> tuple[int, ...] | None:
@@ -187,8 +194,8 @@ def check_distance_expansion(g: Graph, i: int) -> bool:
     """True iff every ordered pair at distance i admits a robber step that
     grows the distance to i + 1 (a neighbor of the second vertex at
     distance i + 1 from the first)."""
-    dm = all_pairs_distances(g)
-    rad = min(eccentricities(g))
+    dm, ecc = _distances(g)
+    rad = min(ecc)
     if not (0 <= i <= rad):
         raise InvalidParam(f"distance {i} outside 0..rad={rad}")
     for x in range(g.n):
@@ -203,8 +210,8 @@ def check_radius_pair_condition(g: Graph) -> bool:
     """Sufficient condition for rc = rad - 1: for every pair x, y at
     radius distance, each closed neighbor of x still sees some closed
     neighbor of y at radius distance."""
-    dm = all_pairs_distances(g)
-    rad = min(eccentricities(g))
+    dm, ecc = _distances(g)
+    rad = min(ecc)
     adj = g.adj
     for x in range(g.n):
         for y in range(g.n):
@@ -310,7 +317,21 @@ def suite_bounds(trials: int, seed: int, max_n: int = 14) -> _Tally:
 
 
 def suite_retracts(trials: int, seed: int, max_n: int = 12) -> _Tally:
-    """Capture monotonicity under corner folds and layer projections."""
+    """Capture monotonicity under corner folds and layer projections, and
+    equality under corner folds.
+
+    A corner fold u -> v (N[u] inside N[v]) keeps rc: rc(G - u) = rc(G).
+    The monotonicity check gives <=, G - u being a retract. For >=, let H
+    = G - u with the fold f as retraction; H is isometric in G. The cop
+    plays a winning radius-k strategy of H against the robber's shadow
+    f(r), which moves along H's edges or stays, since N(u) lies inside
+    N[v]. When the shadow is caught, d(c, f(r)) <= k; if r != u the robber
+    is caught. If r = u, then d(c, u) <= k + 1: with the cop to move it
+    steps toward u and catches the robber; with the robber to move it goes
+    to some w in N[u], inside N[v], so d(c, w) <= k + 1, and the cop's next
+    step catches it. The equality line reads both rc off the monotonicity
+    report, with no solve of its own.
+    """
     rng = random.Random(seed)
     tally = _Tally()
     for t in range(trials):
@@ -322,7 +343,13 @@ def suite_retracts(trials: int, seed: int, max_n: int = 12) -> _Tally:
             edges = list(base.edges()) + [(base.n, v)] + [(base.n, u) for u in extra]
             g = build_graph(base.n + 1, edges)
             retr = corner_fold_retraction(g)
-            tally.add(check_retract_monotonicity(g, retr))
+            report = check_retract_monotonicity(g, retr)
+            tally.add(report)
+            rcs = report.measured
+            tally.record("corner-fold-equality", rcs["rc_retract"] == rcs["rc_graph"],
+                         {**report.inputs, "edges": list(g.edges()),
+                          "mapping": list(retr.mapping)},
+                         "rc(retract) == rc(graph)", rcs)
         else:
             f1 = _random_connected(rng, 5)
             f2 = _random_connected(rng, 5)
@@ -333,17 +360,16 @@ def suite_retracts(trials: int, seed: int, max_n: int = 12) -> _Tally:
 
 def _evenness_instance_checks(name: str, g: Graph, tally: _Tally,
                               expected: str | None = None) -> None:
-    dm, ecc, ant, cls = _evenness(g)
+    dm, diam, ant, cls = _evenness(g)
     if expected is not None:
         tally.record("evenness-classification", cls == expected,
                      {"instance": name}, f"class == {expected}", {"class": cls})
     if cls in (EVEN, HARMONIC_EVEN):
-        rad, diam = min(ecc), max(ecc)
         ok = all(dm[u][ant[v]] == diam - 1 for u, v in g.edges())
         tally.record("even-antipode-distance", ok, {"instance": name},
                      "d(u, v') == diam - 1 for every edge uv", {"class": cls})
         if cls == HARMONIC_EVEN:
-            rc = radius_capture_number(g)
+            rad, _, rc = capture_radii(g)
             tally.record("harmonic-even-capture", rc == rad - 1,
                          {"instance": name, "rad": rad}, "rc == rad - 1", {"rc": rc})
 

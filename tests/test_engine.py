@@ -200,6 +200,31 @@ def test_solve_builds_no_pair_distances(monkeypatch):
         assert rank_max_robber_strategy(win).initial(c) in range(g.n)
 
 
+class _CountedRows(tuple):
+    """A closed_bits tuple that counts its indexed reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("g,k,reads", [
+    (hamming(3, 5), 2, 0),                  # 8000 ORs on settled columns before
+    (sierpinski(4, 4), 11, 12744),          # 24744 before
+    (sierpinski(4, 4), 10, 11436),          # 16092 before
+    (basic_family("cycle", 64), 31, 0),     # 64 before
+], ids=["H(3,5)", "S(4,4) k=11", "S(4,4) k=10", "C_64"])
+def test_cop_step_skips_settled_columns(g, k, reads):
+    # past round 1 the cop step ORs N[y] for each newly won robber-to-move
+    # (y, r) only while column r still has a cop-to-move state to win; the
+    # ball walk reads closed_bits whole, so every indexed read is one OR
+    counted = g._closed_bits = _CountedRows(g.closed_bits)
+    solve_cwrc(g, k)
+    assert counted.reads == reads
+
+
 # a row's id ends in its kernel probe count
 @pytest.mark.parametrize("g,rc,probes", [
     (basic_family("complete", 1), 0, []),   # rad 0: no probe
@@ -634,6 +659,8 @@ def test_attract_round_one_matches_per_bit_atlas():
                  st.integers(0, 2 ** 32 - 1)))
 @example(sierpinski(3, 3))
 @example(_lollipop(6, 5))
+@example(hamming(3, 5))
+@example(sierpinski(4, 4))
 def test_attract_round_one_matches_per_bit_gnp(g):
     # disconnected draws too: past the largest component's diameter the
     # balls stop growing, and the last ball is its own dilation

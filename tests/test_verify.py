@@ -209,6 +209,19 @@ def test_corner_fold_finding():
     assert retr is not None and 0 not in retr.target
 
 
+def test_retracts_suite_reads_fold_equality_off_its_reports(monkeypatch):
+    # every corner-fold trial (the even ones) also records rc(G - u) =
+    # rc(G), read off the monotonicity report: two rc searches per trial,
+    # none more for the equality line
+    real, searched = verify.radius_capture_number, []
+    monkeypatch.setattr(verify, "radius_capture_number",
+                        lambda g: searched.append(g) or real(g))
+    tally = verify.suite_retracts(10, 3)
+    assert not tally.failures
+    assert tally.totals == {"retract-monotonicity": 10, "corner-fold-equality": 5}
+    assert len(searched) == 20
+
+
 def test_classify_evenness_examples(cubic_vt):
     assert classify_evenness(basic_family("path", 3)) == NOT_EVEN
     assert classify_evenness(basic_family("cycle", 5)) == NOT_EVEN
@@ -250,6 +263,13 @@ def test_retract_monotonicity_requires_connected(monkeypatch):
 def test_classify_evenness_requires_connected():
     with pytest.raises(NotConnected):
         classify_evenness(build_graph(4, [(0, 1), (2, 3)]))
+    # the distance checks read rad and diam off the rows, and the empty
+    # graph has none: InvalidParam, as from eccentricities
+    empty = build_graph(0, [])
+    for check in (classify_evenness, check_radius_pair_condition,
+                  lambda g: check_distance_expansion(g, 0)):
+        with pytest.raises(InvalidParam, match="empty graph has no radius"):
+            check(empty)
 
 
 def test_distance_expansion_examples(cubic_vt):
@@ -385,22 +405,29 @@ def test_checks_sweep_each_graph_once(monkeypatch):
         assert len(swept) == len({id(g) for g in swept}) == graphs
 
 
-def test_evenness_checks_read_one_table(monkeypatch):
-    # an even graph's checks read one distance table, one eccentricities
-    # sweep and one antipode scan; the harmonic-even capture check's rc
-    # search sweeps through rcgame.engine's own name, not counted here
-    real_sweep, swept = graph._sweep, []
+def test_evenness_checks_read_one_table(monkeypatch, cubic_vt):
+    # an even graph's checks read one distance table and one antipode scan,
+    # diam from the table's row maxima; only the harmonic-even capture check
+    # sweeps the balls, once, in capture_radii, which gives rad and rc
+    # together; a sweep through either module's name is counted
+    swept = []
+    for module in (graph, engine):
+        real = module._sweep
+        monkeypatch.setattr(module, "_sweep",
+                            lambda g, real=real: swept.append(g) or real(g))
     real_apsp, tables = verify.all_pairs_distances, []
-    monkeypatch.setattr(graph, "_sweep", lambda g: swept.append(g) or real_sweep(g))
     monkeypatch.setattr(verify, "all_pairs_distances",
                         lambda g: tables.append(g) or real_apsp(g))
-    for name, g in (("C_8", basic_family("cycle", 8)), ("Q_4", hypercube(4))):
+    for name, g, cls, sweeps, checks in (
+            ("C_8", basic_family("cycle", 8), verify.HARMONIC_EVEN, 1, 3),
+            ("Q_4", hypercube(4), verify.HARMONIC_EVEN, 1, 3),
+            ("CubicVT24_6", cubic_vt, verify.EVEN, 0, 2)):
         swept.clear()
         tables.clear()
         tally = verify._Tally()
-        verify._evenness_instance_checks(name, g, tally, verify.HARMONIC_EVEN)
-        assert swept == tables == [g]
-        assert not tally.failures and len(tally.passes) == 3
+        verify._evenness_instance_checks(name, g, tally, cls)
+        assert (swept, tables) == ([g] * sweeps, [g])
+        assert not tally.failures and len(tally.passes) == checks
 
 
 def test_bounds_suite_solves_the_radius_bound_itself(monkeypatch):
