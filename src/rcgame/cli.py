@@ -1,7 +1,8 @@
 """Command-line interface: compute capture numbers, build families, run
 the theorem-verification suites of rcgame.verify, and print strategy
 transcripts. A result row's rad, diam and rc come from
-engine.capture_radii.
+engine.capture_radii. The suite names are rcgame.verify's alone: only
+cmd_verify imports it, and its run_suite refuses an unknown name.
 
 Exit codes: 0 success, 1 counterexample or verification failure, 2 usage,
 parse or parameter error. RC_SIZE_GUARD overrides the vertex cap; each graph
@@ -46,11 +47,6 @@ from .generators import (
 )
 from .graph import Graph, all_pairs_distances, girth
 from .ioformats import ResultRecord, emit_results, parse_edge_list, parse_graph6
-
-# the suites of rcgame.verify.run_suite, which only cmd_verify imports
-SUITE_NAMES = ("bounds", "retracts", "evenness", "products", "outerplanar",
-               "families", "transitive-sweep")
-
 
 def compute_record(g: Graph, instance_id: str,
                    with_timing: bool = False) -> ResultRecord:
@@ -266,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("verify", help="run a theorem-verification suite")
-    p.add_argument("suite", choices=SUITE_NAMES)
+    p.add_argument("suite", help="suite name; an unknown one lists the suites")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-n", type=int, default=14)

@@ -5,8 +5,9 @@ Covers retractions and capture monotonicity under them, even and harmonic
 even graphs, the distance-expansion and radius-pair conditions, the three
 product theorems, the girth/radius bounds and the outerplanar face
 formula. Each check either returns a verdict or a TheoremReport carrying
-a full counterexample; run_suite runs one suite by name and returns its
-pass lines and failing reports.
+a full counterexample. The suites of `rcgame verify` are the rows of
+SUITES, their one list; run_suite runs one by name and returns its output
+lines and failing reports.
 """
 
 from __future__ import annotations
@@ -270,9 +271,11 @@ def _random_connected(rng: random.Random, max_n: int) -> Graph:
 
 
 class _Tally:
-    """Pass counters plus counterexample reports, keyed by theorem id."""
+    """Pass counters plus counterexample reports, keyed by theorem id, and
+    report-only rows printed before the pass lines."""
 
     def __init__(self):
+        self.rows: list[str] = []
         self.passes: dict[str, int] = {}
         self.totals: dict[str, int] = {}
         self.failures: list[TheoremReport] = []
@@ -289,11 +292,11 @@ class _Tally:
         self.add(_report(theorem, inputs, predicted, measured, passed, inputs))
 
     def lines(self) -> list[str]:
-        return [f"{tid}: {self.passes.get(tid, 0)}/{self.totals[tid]} pass"
-                for tid in sorted(self.totals)]
+        return self.rows + [f"{tid}: {self.passes.get(tid, 0)}/{self.totals[tid]} pass"
+                            for tid in sorted(self.totals)]
 
 
-def suite_bounds(trials: int, seed: int, max_n: int = 14) -> _Tally:
+def suite_bounds(trials: int, seed: int, max_n: int) -> _Tally:
     """Radius upper bound and girth lower bound on random connected graphs.
 
     capture_radii starts its search at the radius bound, so its rc cannot
@@ -316,7 +319,7 @@ def suite_bounds(trials: int, seed: int, max_n: int = 14) -> _Tally:
     return tally
 
 
-def suite_retracts(trials: int, seed: int, max_n: int = 12) -> _Tally:
+def suite_retracts(trials: int, seed: int, max_n: int) -> _Tally:
     """Capture monotonicity under corner folds and layer projections, and
     equality under corner folds.
 
@@ -374,7 +377,7 @@ def _evenness_instance_checks(name: str, g: Graph, tally: _Tally,
                          {"instance": name, "rad": rad}, "rc == rad - 1", {"rc": rc})
 
 
-def suite_evenness(trials: int, seed: int, max_n: int = 12) -> _Tally:
+def suite_evenness(trials: int, seed: int, max_n: int) -> _Tally:
     """Evenness classification on known families plus random graphs."""
     tally = _Tally()
     _evenness_instance_checks("P_3", basic_family("path", 3), tally, "not_even")
@@ -393,8 +396,9 @@ def suite_evenness(trials: int, seed: int, max_n: int = 12) -> _Tally:
     return tally
 
 
-def suite_products(trials: int, seed: int) -> _Tally:
-    """The three product theorems on random connected factor pairs."""
+def suite_products(trials: int, seed: int, max_n: int) -> _Tally:
+    """The three product theorems on random connected factor pairs of at
+    most 8 vertices each; max_n is not read."""
     rng = random.Random(seed)
     tally = _Tally()
     for _ in range(trials):
@@ -405,7 +409,7 @@ def suite_products(trials: int, seed: int) -> _Tally:
     return tally
 
 
-def suite_outerplanar(trials: int, seed: int, max_n: int = 14) -> _Tally:
+def suite_outerplanar(trials: int, seed: int, max_n: int) -> _Tally:
     """Solver capture number against the largest-inner-face formula."""
     rng = random.Random(seed)
     tally = _Tally()
@@ -423,10 +427,11 @@ def suite_outerplanar(trials: int, seed: int, max_n: int = 14) -> _Tally:
     return tally
 
 
-def suite_families() -> _Tally:
+def suite_families(trials: int, seed: int, max_n: int) -> _Tally:
     """Closed-form capture numbers across the generated families, against
     generators.predicted_rc (the table `rcgame family` prints) except for
-    the literal Johnson k - 1 line and the named instance."""
+    the literal Johnson k - 1 line and the named instance. Nothing is drawn,
+    so trials, seed and max_n are not read."""
     tally = _Tally()
 
     def expect(tid: str, name: str, rc: int, expected_rc: int) -> None:
@@ -461,10 +466,12 @@ def suite_families() -> _Tally:
     return tally
 
 
-def transitive_sweep_lines() -> list[str]:
+def suite_transitive_sweep(trials: int, seed: int, max_n: int) -> _Tally:
     """Report capture number against rad/2 for small circulants and the
-    hard-coded cubic instance; exploratory output with no verdict."""
-    lines = ["instance rad rc rad/2 rc>=rad/2"]
+    hard-coded cubic instance: exploratory rows with no verdict. Nothing
+    is drawn, so trials, seed and max_n are not read."""
+    tally = _Tally()
+    tally.rows.append("instance rad rc rad/2 rc>=rad/2")
     instances: list[tuple[str, Graph]] = []
     for n in range(5, 11):
         steps_pool = list(range(1, n // 2 + 1))
@@ -478,42 +485,36 @@ def transitive_sweep_lines() -> list[str]:
         if radii is None:
             continue
         rad, _, rc = radii
-        lines.append(f"{name} {rad} {rc} {rad / 2:g} "
-                     f"{'yes' if rc >= rad / 2 else 'no'}")
-    return lines
+        tally.rows.append(f"{name} {rad} {rc} {rad / 2:g} "
+                          f"{'yes' if rc >= rad / 2 else 'no'}")
+    return tally
 
 
-# suites sized by max_n: (runner, default trials, least max_n its draws accept)
-_SIZED_SUITES = {
+# every suite of `rcgame verify`: name -> (runner, default trials, least
+# max_n its draws accept, None where max_n is not read)
+SUITES = {
     "bounds": (suite_bounds, 200, 2),
     "retracts": (suite_retracts, 100, 3),
     "evenness": (suite_evenness, 50, 2),
+    "products": (suite_products, 50, None),
     "outerplanar": (suite_outerplanar, 200, 3),
+    "families": (suite_families, 0, None),
+    "transitive-sweep": (suite_transitive_sweep, 0, None),
 }
 
 
 def run_suite(name: str, trials: int | None, seed: int,
               max_n: int) -> tuple[list[str], list[TheoremReport]]:
-    """Run one suite by name and return its output lines and failing
-    reports. trials None takes the suite's default; the products,
-    families and transitive-sweep suites ignore max_n, and families and
-    transitive-sweep also ignore trials and seed. An unknown name raises
-    InvalidParam."""
+    """Run the SUITES row of that name and return its output lines and
+    failing reports; trials None takes the row's default. An unknown name,
+    a negative trials or a max_n below the row's least raises InvalidParam."""
+    if name not in SUITES:
+        raise InvalidParam(f"unknown suite {name!r}; the suites are {', '.join(SUITES)}")
+    runner, default_trials, least_n = SUITES[name]
     if trials is not None and trials < 0:
         raise InvalidParam(f"trials must be >= 0, got {trials}")
-    if name == "transitive-sweep":
-        return transitive_sweep_lines(), []
-    if name == "families":
-        tally = suite_families()
-    elif name == "products":
-        tally = suite_products(50 if trials is None else trials, seed)
-    elif name in _SIZED_SUITES:
-        runner, default_trials, least_n = _SIZED_SUITES[name]
-        if max_n < least_n:
-            raise InvalidParam(f"max_n must be >= {least_n} for the {name} suite, "
-                               f"got {max_n}")
-        tally = runner(default_trials if trials is None else trials, seed, max_n)
-    else:
-        suites = ", ".join([*_SIZED_SUITES, "products", "families", "transitive-sweep"])
-        raise InvalidParam(f"unknown suite {name!r}; the suites are {suites}")
+    if least_n is not None and max_n < least_n:
+        raise InvalidParam(f"max_n must be >= {least_n} for the {name} suite, "
+                           f"got {max_n}")
+    tally = runner(default_trials if trials is None else trials, seed, max_n)
     return tally.lines(), tally.failures

@@ -198,7 +198,7 @@ def test_criterion_10_oracle_equivalence():
 
 
 def test_criterion_11_product_theorems():
-    tally = suite_products(trials=50, seed=SEED)
+    tally = suite_products(trials=50, seed=SEED, max_n=14)
     assert not tally.failures, tally.failures[0].to_json()
     assert tally.totals["strong-product-value"] == 50
     _passed(11, "Cartesian bounds, coincidence, strong and lexicographic "
@@ -237,7 +237,7 @@ def test_criterion_14_evenness():
             ant.append(far[0])
         for u, v in g.edges():
             assert dm[u][ant[v]] == diam - 1
-    tally = suite_evenness(trials=25, seed=SEED)
+    tally = suite_evenness(trials=25, seed=SEED, max_n=12)
     assert not tally.failures, tally.failures[0].to_json()
     _passed(14, "even cycles and hypercubes harmonic even with rc == rad - 1 "
                 "and d(u, v') == diam - 1; P_3 not even")

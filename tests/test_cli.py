@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from rcgame import cli, engine, graph
+from rcgame import cli, engine, graph, verify
 from rcgame.cli import _read_graphs, compute_record, main
 from rcgame.errors import ParseError
 from rcgame.generators import basic_family, named_instance, sierpinski
@@ -633,13 +633,26 @@ def test_verify_rejects_out_of_range_sizes(capsys):
     assert code == 0 and out == ""
 
 
+def test_verify_runs_every_suite_in_the_table(capsys):
+    # verify.SUITES is the one suite list: each row runs from the command
+    # line, and any other name is refused by run_suite, not by argparse,
+    # with every suite named on one error line
+    for name in verify.SUITES:
+        code, _, err = run(capsys, "verify", name, "--trials", "0")
+        assert (code, err) == (0, ""), name
+    code, out, err = run(capsys, "verify", "nosuch")
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown suite 'nosuch'; the suites are bounds, retracts, "
+                   "evenness, products, outerplanar, families, transitive-sweep\n")
+
+
 def test_family_non_integer_params(capsys):
     for argv in (("family", "cycle", "abc"), ("family", "cycle", "3.5"),
                  ("family", "hypercube", "x"),
                  ("strategy", "--family", "cycle", "abc", "-k", "1", "--role", "cop")):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
-        assert err.startswith("error: ") and "integer" in err
+        assert err.startswith("error: ") and "takes integer parameters" in err
     code, _, err = run(capsys, "family", "random_gnp_connected", "6", "abc")
     assert code == 2 and err.startswith("error: ") and "probability" in err
     code, out, _ = run(capsys, "family", "random_gnp_connected", "6", "0.5")

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rcgame import engine, graph, verify
-from rcgame.cli import SUITE_NAMES
 from rcgame.engine import capture_radii, radius_capture_number
 from rcgame.errors import InvalidParam, NotARetraction, NotConnected
 from rcgame.generators import (
@@ -44,10 +43,9 @@ from rcgame.verify import (
     classify_evenness,
     corner_fold_retraction,
     layer_projection_retraction,
-    run_suite,
     suite_bounds,
     suite_families,
-    transitive_sweep_lines,
+    suite_transitive_sweep,
     unique_antipodes,
     verify_retraction,
 )
@@ -216,7 +214,7 @@ def test_retracts_suite_reads_fold_equality_off_its_reports(monkeypatch):
     real, searched = verify.radius_capture_number, []
     monkeypatch.setattr(verify, "radius_capture_number",
                         lambda g: searched.append(g) or real(g))
-    tally = verify.suite_retracts(10, 3)
+    tally = verify.suite_retracts(10, 3, 12)
     assert not tally.failures
     assert tally.totals == {"retract-monotonicity": 10, "corner-fold-equality": 5}
     assert len(searched) == 20
@@ -392,9 +390,9 @@ def test_checks_sweep_each_graph_once(monkeypatch):
     monkeypatch.setattr(graph, "_sweep", counted)
     monkeypatch.setattr(engine, "_sweep", counted)
     runs = [
-        (lambda: suite_bounds(12, 3), 12),
-        (suite_families, 27),
-        (transitive_sweep_lines, 79),
+        (lambda: suite_bounds(12, 3, 14), 12),
+        (lambda: suite_families(0, 1, 14), 27),
+        (lambda: suite_transitive_sweep(0, 1, 14), 79),
         # both factors, then the Cartesian, strong and lexicographic products
         (lambda: check_product_theorems(basic_family("cycle", 4),
                                         basic_family("path", 3)), 5),
@@ -441,11 +439,11 @@ def test_bounds_suite_solves_the_radius_bound_itself(monkeypatch):
         return real(g, k)
 
     monkeypatch.setattr(verify, "solve_cwrc", spy)
-    tally = suite_bounds(12, 3)
+    tally = suite_bounds(12, 3, 14)
     assert tally.passes["radius-upper-bound"] == 12 and solved == [True] * 12
     monkeypatch.setattr(verify, "solve_cwrc",
                         lambda g, k: SimpleNamespace(is_cop_win=False))
-    tally = suite_bounds(12, 3)
+    tally = suite_bounds(12, 3, 14)
     assert "radius-upper-bound" not in tally.passes
     assert tally.passes["girth-lower-bound"] == 12
     assert all(r.counterexample["cop_win_at_bound"] is False
@@ -459,16 +457,6 @@ def test_theorem_report_json():
     assert payload["theorem"] == "cartesian-product-bounds"
     assert payload["passed"] is True
     assert payload["counterexample"] is None
-
-
-def test_run_suite_knows_every_command_line_suite():
-    # the command line offers cli.SUITE_NAMES; each one runs, and a name
-    # outside them is refused with the suites named
-    for name in SUITE_NAMES:
-        _, failures = run_suite(name, 0, 1, 14)
-        assert failures == [], name
-    with pytest.raises(InvalidParam, match="unknown suite 'nosuch'.*bounds"):
-        run_suite("nosuch", 0, 1, 14)
 
 
 def test_generalized_johnson_family_tightness():
