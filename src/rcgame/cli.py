@@ -5,9 +5,12 @@ engine.capture_radii. The suite names are rcgame.verify's alone: only
 cmd_verify imports it, and its run_suite refuses an unknown name.
 
 Exit codes: 0 success, 1 counterexample or verification failure, 2 usage,
-parse or parameter error. RC_SIZE_GUARD overrides the vertex cap; each graph
-source (parser, generator, named instance) checks it before it builds. Input
-is read as bytes and handed to the parsers undecoded, so the ASCII check is
+parse or parameter error. A stdout closed before the output is written
+(a command piped into head) ends the command with exit code 1 and nothing
+on stderr: main points stdout at os.devnull, so the flush at exit writes
+nowhere. RC_SIZE_GUARD overrides the vertex cap; each graph source
+(parser, generator, named instance) checks it before it builds. Input is
+read as bytes and handed to the parsers undecoded, so the ASCII check is
 theirs alone.
 """
 
@@ -289,7 +292,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()        # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, InvalidParam, UnknownInstance, SizeGuard,
             CouldNotConnect, NotConnected) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,12 +30,17 @@ distances: only simulate and the greedy chase read distance rows.
 A round's cop step costs one bigint AND-NOT per column of ball_{k+1} in
 round 1, and after that one OR of a closed neighbourhood mask per newly
 won robber-to-move state in a column where the cop has some cop-to-move
-state left to win; a column the cop has won whole takes no OR. Its
-robber step visits each column whose cop-to-move states changed and each
-of their neighbours, and costs one AND per neighbour of each visited
-column that holds a cop-to-move state won but not yet robber-to-move; a
-column with none takes no AND. The kernel reads adj and closed_bits, as
-the ball sweep does; a strategy walks N[v] as (v, *adj[v]).
+state left to win; a column the cop has won whole takes no OR. Each
+visited bit is cleared with a mask from one table of n single-bit ints
+built once per kernel call (about 60 KB on S(6,3)), so the step
+allocates no shifted int per bit. Its robber step visits each column whose cop-to-move states changed
+and each of their neighbours, and costs one XOR and then one AND per
+neighbour of each visited column that holds a cop-to-move state won but
+not yet robber-to-move; a column with none takes no AND. The corner pass
+tests a vertex with one AND chain over the closed neighbourhoods of its
+live neighbours, which stops as soon as it empties. The kernel reads adj
+and closed_bits, as the ball sweep does; a strategy walks N[v] as
+(v, *adj[v]).
 
 Strategy, Step and Transcript are named tuples, and WinAnalysis is a
 slotted class that compares by identity: like every record in the
@@ -158,8 +163,9 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
     - robber step: (c, r) is won once (c, y) is won for every y in N[r];
       it can only change for a column whose win_c changed or one next to
       it. Those columns are the changed ones and their adj rows, and the
-      AND for column r starts from win_c[r] & ~win_r[r] and runs over
-      adj[r], unless that start is already 0.
+      AND for column r starts from win_c[r] ^ win_r[r], the states won
+      with the cop to move but not yet with the robber to move, and runs
+      over adj[r], unless that start is already 0.
 
     Then both steps are applied, and the round's newly won states are
     yielded as ({r: bits} cop to move, {r: bits} robber to move). A state
@@ -175,11 +181,24 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
     after round 0 and grown after round 1, so past round 1 it holds no
     ball, and a caller that holds neither has none either. Later cop
     steps OR the closed neighbourhoods of the newly won states, taking the
-    top set bit each time, but skip a column r whose win_c[r] is already
-    full: every cop there has won, so the OR would be masked to 0.
+    top set bit y each time and clearing it with bit[y], from one table of
+    the n single-bit masks built per call, but skip a column r whose
+    win_c[r] is already full: every cop there has won, so the OR would be
+    masked to 0.
+
+    The robber step's XOR equals win_c[r] & ~win_r[r] because win_r[r] is
+    a subset of win_c[r] in every column, on entry and after every round.
+    It holds for empty planes, and so for every fixed point an earlier
+    call leaves, by the rest of this argument. Round 0 adds each capture
+    state to both planes. No bit of either plane is ever cleared, and a
+    robber-to-move bit is only won by the AND chain, which starts inside
+    win_c[r], so every new robber-to-move state is already won with the
+    cop to move.
     """
     adj, closed_bits = g.adj, g.closed_bits
-    full = (1 << g.n) - 1
+    n = g.n
+    full = (1 << n) - 1
+    bit = [1 << y for y in range(n)]
     cop, robber = {}, {}
     for r, bits in enumerate(ball):
         fresh = bits & ~win_c[r]
@@ -210,12 +229,12 @@ def _attract(g: Graph, win_c: list[int], win_r: list[int], ball: list[int],
                 while bits:
                     y = bits.bit_length() - 1
                     reach |= closed_bits[y]
-                    bits ^= 1 << y
+                    bits ^= bit[y]
                 reach &= open_cops
                 if reach:
                     cop[r] = reach
         for r in set(new_c).union(*map(adj.__getitem__, new_c)):
-            safe = win_c[r] & ~win_r[r]
+            safe = win_c[r] ^ win_r[r]
             if not safe:
                 continue
             for y in adj[r]:
@@ -268,6 +287,11 @@ def corner_folds(g: Graph) -> tuple[int, list[tuple[int, int]]]:
     A live vertex u is a corner when N[u] & alive lies inside N[v] for a
     live v in adj[u]; it is folded onto the lowest such v and removed.
     Each fold u -> v is a retraction, so the core is a retract of g.
+    Since v is in N[w] exactly when w is in N[v], the live neighbours v
+    that dominate u are one AND chain: N[u] & rest, rest the live vertices
+    but u, ANDed with N[w] for each live w in adj[u], stopping as soon as
+    it empties. u is a corner iff the chain ends nonzero, and its lowest
+    bit is the lowest dominating neighbour.
     todo holds the live vertices still to test, lowest first: all of them
     at first, then the live neighbours of each removed vertex, the only
     ones whose test the removal can change. So the first fold is g's
@@ -280,13 +304,17 @@ def corner_folds(g: Graph) -> tuple[int, list[tuple[int, int]]]:
     while todo:
         u = (todo & -todo).bit_length() - 1
         todo ^= 1 << u
-        mask = closed_bits[u] & alive
-        for v in adj[u]:
-            if mask >> v & 1 and mask & ~closed_bits[v] == 0:
-                alive ^= 1 << u
-                todo |= mask ^ 1 << u
-                folds.append((u, v))
-                break
+        rest = alive ^ 1 << u
+        dominators = closed_bits[u] & rest
+        for w in adj[u]:
+            if rest >> w & 1:
+                dominators &= closed_bits[w]
+                if not dominators:
+                    break
+        if dominators:
+            alive = rest
+            todo |= closed_bits[u] & rest
+            folds.append((u, (dominators & -dominators).bit_length() - 1))
     return alive, folds
 
 
@@ -460,7 +488,9 @@ class Transcript(NamedTuple):
     fewer steps than moves; its cycle_start is the index in steps where the
     cycle starts, and every later move repeats steps[cycle_start:]. Any
     other play-out has cycle_start None and one step per move.
-    all_steps() yields one Step per move in either case."""
+    all_steps() yields one Step per move in either case, repeating the
+    cycle up to the move cap from one copy of it, never a list of every
+    move."""
 
     cop_start: int
     robber_start: int
@@ -633,13 +663,15 @@ def certify_cop_strategy(a: WinAnalysis) -> int:
     capture. The cop moves by _greedy_cop_move at t, which must find a
     vertex; every robber reply must lie in a cop-to-move round below t - 1:
     round 0, or an odd round (see WinAnalysis.rank), scanning down by 2
-    from t - 2. Returns the worst-case number of moves to capture; raises
-    InvariantViolation on any escape or rank violation.
+    from t - 2. Each reached state's rank is found once and kept in a dict
+    keyed c * n + r: a reply met again is checked against t - 2 from the
+    dict and not walked again. Returns the worst-case number of moves to
+    capture; raises InvariantViolation on any escape or rank violation.
     """
     cop0 = extract_cop_strategy(a).initial()
     n, adj = a.graph.n, a.graph.adj
     cop_rounds = [layer[COP_TO_MOVE] for layer in a.rounds]
-    seen_cop_states: set[int] = set()
+    ranks: dict[int, int] = {}        # cop-to-move state c * n + r -> rank
     worst = 0
     for r0 in range(n):
         t0 = a.rank(cop0, r0)
@@ -649,13 +681,13 @@ def certify_cop_strategy(a: WinAnalysis) -> int:
             raise InvariantViolation(
                 f"placement {r0} escapes the certified cop start {cop0}")
         worst = max(worst, t0)
+        state = cop0 * n + r0
+        if state in ranks:
+            continue
+        ranks[state] = t0
         stack = [(cop0, r0, t0)]
         while stack:
             c, r, t = stack.pop()
-            state = c * n + r
-            if state in seen_cop_states:
-                continue
-            seen_cop_states.add(state)
             c2 = _greedy_cop_move(a, c, r, t)
             if c2 < 0:
                 raise InvariantViolation(
@@ -663,12 +695,18 @@ def certify_cop_strategy(a: WinAnalysis) -> int:
             if t == 1:
                 continue                  # c2 is in round 0: capture
             for r2 in (r, *adj[r]):
-                t2 = t - 2
-                while t2 > 0 and not cop_rounds[t2].get(r2, 0) >> c2 & 1:
-                    t2 -= 2
-                if t2 > 0:
-                    stack.append((c2, r2, t2))
-                elif not cop_rounds[0].get(r2, 0) >> c2 & 1:
+                state = c2 * n + r2
+                t2 = ranks.get(state)
+                if t2 is None:
+                    t2 = t - 2
+                    while t2 > 0 and not cop_rounds[t2].get(r2, 0) >> c2 & 1:
+                        t2 -= 2
+                    if t2 > 0:
+                        stack.append((c2, r2, t2))
+                    elif not cop_rounds[0].get(r2, 0) >> c2 & 1:
+                        t2 = t            # in no round below t - 1
+                    ranks[state] = t2
+                if t2 > t - 2:
                     raise InvariantViolation(
                         f"robber move {r}->{r2} escapes at cop {c2}")
     return worst

@@ -646,6 +646,28 @@ def test_verify_runs_every_suite_in_the_table(capsys):
                    "evenness, products, outerplanar, families, transitive-sweep\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--instance", "CubicVT24_6"],
+    ["family", "cycle", "5"],
+    ["verify", "transitive-sweep"],
+    ["strategy", "--family", "sierpinski", "3", "3", "-k", "4", "--role", "robber"],
+], ids=lambda argv: argv[0])
+def test_closed_stdout_exits_1_quietly(argv):
+    # a stdout whose reader has gone, as in `rcgame ... | head -1`: the
+    # command ends with exit code 1 and no traceback, neither from its
+    # own write nor from the interpreter's flush at exit
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rcgame.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 def test_family_non_integer_params(capsys):
     for argv in (("family", "cycle", "abc"), ("family", "cycle", "3.5"),
                  ("family", "hypercube", "x"),

@@ -1,6 +1,7 @@
 """Solver correctness: attractor, capture numbers, strategies, play-outs."""
 
 import itertools
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -50,6 +51,7 @@ from rcgame.graph import (
     eccentricities,
     girth,
     induced_subgraph,
+    is_connected,
 )
 from rcgame.verify import Retraction, check_retract_monotonicity, corner_fold_retraction
 
@@ -354,6 +356,66 @@ def test_corner_elimination_decides_the_radius_0_game():
     assert min(verdicts[True], verdicts[False]) > 600, verdicts
 
 
+def _corner_folds_per_pair(g, order=tuple):
+    """Reference corner pass: corner_folds with a subset test per live
+    neighbour v in order(adj[u]), folding u onto the first v that passes."""
+    adj, closed_bits = g.adj, g.closed_bits
+    alive = todo = (1 << g.n) - 1
+    folds = []
+    while todo:
+        u = (todo & -todo).bit_length() - 1
+        todo ^= 1 << u
+        mask = closed_bits[u] & alive
+        for v in order(adj[u]):
+            if mask >> v & 1 and mask & ~closed_bits[v] == 0:
+                alive ^= 1 << u
+                todo |= mask ^ 1 << u
+                folds.append((u, v))
+                break
+    return alive, folds
+
+
+def _corner_census_graphs():
+    # every connected atlas graph, 300 seeded G(n, p) on 8..24 vertices,
+    # every connected J(n, k, i) with C(n, k) <= 70 and the 7 large graphs
+    graphs = [build_graph(G.number_of_nodes(), list(G.edges()))
+              for G in nx.graph_atlas_g()
+              if G.number_of_nodes() and nx.is_connected(G)]
+    rng = random.Random(41)
+    graphs += [random_connected_gnp(rng.randint(8, 24), rng.uniform(0.1, 0.5),
+                                    rng.getrandbits(32)) for _ in range(300)]
+    graphs += [g for n in range(2, 71) for k in range(1, n)
+               if math.comb(n, k) <= 70 for i in range(k)
+               for g in [generalized_johnson(n, k, i)] if is_connected(g)]
+    graphs += [sierpinski(6, 3), sierpinski(5, 3), sierpinski(4, 4), hypercube(7),
+               hamming(3, 5), basic_family("cycle", 400), named_instance("CubicVT24_6")]
+    return graphs
+
+
+def _corner_census_misses(folds_of, graphs):
+    """The graphs on which folds_of(g) differs from the per-pair reference."""
+    return [g for g in graphs if folds_of(g) != _corner_folds_per_pair(g)]
+
+
+def test_corner_folds_match_per_pair_census():
+    # the one AND chain per vertex gives the reference's core and folds,
+    # each fold onto the lowest dominating neighbour, on every census graph
+    graphs = _corner_census_graphs()
+    assert len(graphs) == 996 + 300 + 187 + 7
+    assert _corner_census_misses(engine.corner_folds, graphs) == []
+    folds = sum(len(engine.corner_folds(g)[1]) for g in graphs)
+    assert folds == 9651
+
+
+def test_corner_census_catches_a_fold_onto_the_highest_dominator():
+    # a planted fault: fold each corner onto its highest dominating
+    # neighbour; the census must tell it apart from the lowest
+    def highest(g):
+        return _corner_folds_per_pair(g, order=lambda row: row[::-1])
+
+    assert _corner_census_misses(highest, _corner_census_graphs())
+
+
 def _random_tree(rng, n):
     """A seeded random recursive tree: vertex v hangs from a lower vertex."""
     return build_graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
@@ -627,9 +689,11 @@ def _attract_per_bit(g, win_c, win_r, targets):
 
 def _assert_attract_matches_per_bit(g):
     # from empty planes at every k up to diam, and from the fixed-point
-    # planes at every j < k: the same rounds, in the same order, and the
-    # same final planes; the kernel takes ball_k and ball_{k+1}, the second
-    # capped at the last ball
+    # planes at every j < k, as capture_radii resumes a probe from the last
+    # losing one: the same rounds, in the same order, and the same final
+    # planes; the kernel takes ball_k and ball_{k+1}, the second capped at
+    # the last ball. After every round each robber-to-move column lies
+    # inside its cop-to-move column, which the robber step's XOR relies on
     every = list(balls(g))
     last = len(every) - 1
     fixed = []                        # the fixed-point planes at each j < k
@@ -638,8 +702,11 @@ def _assert_attract_matches_per_bit(g):
             want_c, want_r = start_c.copy(), start_r.copy()
             want = list(_attract_per_bit(g, want_c, want_r, every[k]))
             got_c, got_r = start_c.copy(), start_r.copy()
-            got = list(engine._attract(g, got_c, got_r, every[k],
-                                       every[min(k + 1, last)]))
+            got = []
+            for layer in engine._attract(g, got_c, got_r, every[k],
+                                         every[min(k + 1, last)]):
+                assert all(r & ~c == 0 for c, r in zip(got_c, got_r))
+                got.append(layer)
             assert [(list(c.items()), list(r.items())) for c, r in got] == \
                 [(list(c.items()), list(r.items())) for c, r in want]
             assert (got_c, got_r) == (want_c, want_r)
@@ -1194,6 +1261,70 @@ def test_certify_rejects_cleared_cop_state(g):
     certify_cop_strategy(a)
     with pytest.raises(InvariantViolation, match="escapes"):
         certify_cop_strategy(_reassign(a, 0, c, r, None))
+
+
+def _certify_rescan(a):
+    """Reference certificate walk: certify_cop_strategy as it stood with a
+    set of seen states, scanning the rounds down from t - 2 on every push,
+    a state met again included."""
+    cop0 = extract_cop_strategy(a).initial()
+    n, adj = a.graph.n, a.graph.adj
+    cop_rounds = [layer[0] for layer in a.rounds]
+    seen, worst = set(), 0
+    for r0 in range(n):
+        t0 = a.rank(cop0, r0)
+        if t0 == 0:
+            continue
+        if t0 < 0:
+            raise InvariantViolation(f"placement {r0} escapes")
+        worst = max(worst, t0)
+        stack = [(cop0, r0, t0)]
+        while stack:
+            c, r, t = stack.pop()
+            if c * n + r in seen:
+                continue
+            seen.add(c * n + r)
+            c2 = engine._greedy_cop_move(a, c, r, t)
+            if c2 < 0:
+                raise InvariantViolation("cop move does not reduce rank")
+            if t == 1:
+                continue
+            for r2 in (r, *adj[r]):
+                t2 = t - 2
+                while t2 > 0 and not cop_rounds[t2].get(r2, 0) >> c2 & 1:
+                    t2 -= 2
+                if t2 > 0:
+                    stack.append((c2, r2, t2))
+                elif not cop_rounds[0].get(r2, 0) >> c2 & 1:
+                    raise InvariantViolation(f"robber move {r}->{r2} escapes")
+    return worst
+
+
+def _certify_verdict(certify, a):
+    """certify(a)'s worst case, or which InvariantViolation it raised."""
+    try:
+        return certify(a)
+    except InvariantViolation as exc:
+        return "escapes" if "escapes" in str(exc) else "does not reduce rank"
+
+
+@pytest.mark.parametrize("g", [sierpinski(3, 3), basic_family("path", 9),
+                               _lollipop(6, 5)], ids=["S(3,3)", "P_9", "lollipop(6,5)"])
+def test_certify_matches_rescan_on_every_moved_rank(g):
+    # each cop-to-move state moved two rounds up or down, one at a time: the
+    # walk that checks a state met again against its kept rank gives the
+    # rescanning walk's worst case, or raises where it raises
+    a = solve_cwrc(g, radius_capture_number(g))
+    verdicts = Counter()
+    for c, r in itertools.product(range(g.n), repeat=2):
+        t = a.rank(c, r)
+        for into in (t - 2, t + 2):
+            if t > 0 and 0 < into < len(a.rounds):
+                moved = _reassign(a, 0, c, r, into)
+                verdict = _certify_verdict(certify_cop_strategy, moved)
+                assert verdict == _certify_verdict(_certify_rescan, moved), (c, r, into)
+                verdicts[verdict if isinstance(verdict, str) else "certified"] += 1
+    assert verdicts["escapes"] and verdicts["certified"], verdicts
 
 
 def _assert_bound_attained(g):
