@@ -2,7 +2,10 @@
 the theorem-verification suites of rcgame.verify, and print strategy
 transcripts. A result row's rad, diam and rc come from
 engine.capture_radii. The suite names are rcgame.verify's alone: only
-cmd_verify imports it, and its run_suite refuses an unknown name.
+cmd_verify imports it, and its run_suite refuses an unknown name. The
+family kinds are generators.FAMILIES's alone, and build_family refuses an
+unknown one. Each command takes one graph source: a path, --instance or
+(for strategy) --family; none, or two, is a usage error.
 
 Exit codes: 0 success, 1 counterexample or verification failure, 2 usage,
 parse or parameter error. A stdout closed before the output is written
@@ -257,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("family", help="build a graph family instance and solve it")
-    p.add_argument("kind")
+    p.add_argument("kind", help="family kind; an unknown one lists the kinds")
     p.add_argument("params", nargs="*")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", choices=("csv", "json"))

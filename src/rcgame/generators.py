@@ -1,18 +1,15 @@
-"""Generators for every graph family used by the solver and its test suites.
+"""Generators for every graph family used by the solver and its test
+suites, and FAMILIES, the one table of family kinds: a kind's row holds its
+generator, its parameter shape and its closed-form rc, and build_family and
+predicted_rc each read that row.
 
 All generators are deterministic: the same parameters (and seed, for the
 random kinds) produce an identical Graph, with labels identical when read.
 Each checks its order against the vertex cap before it builds anything.
-
-Every generated family (cycles, paths, complete graphs, circulants,
-Hamming, generalized Johnson and Sierpinski graphs, G(n, p)) builds its
-sorted adjacency rows directly and hands Graph a function that formats its
-labels on first read, so a graph that is only solved pays for neither an
-edge list nor a label. A complete graph's rows, K_n's and those of the
-complete J(n, k, i), are slices of one tuple of 0..n-1; a J(n, k, i) that
-the intersection sizes force to be edgeless or complete tests no pair of
-subsets. Only the named instance, whose edges are fixed data, goes through
-build_graph.
+Each builds its sorted adjacency rows directly and hands Graph a function
+that formats its labels on first read, so a graph that is only solved pays
+for neither an edge list nor a label; only the named instances, whose
+edges are fixed data, go through build_graph.
 """
 
 from __future__ import annotations
@@ -30,7 +27,8 @@ from .graph import Graph, build_graph, is_connected
 DEFAULT_SIZE_GUARD = 65536
 
 class FamilySpec(NamedTuple):
-    """Parameter container for one family instance."""
+    """One family instance: a FAMILIES kind, its params and, for a seeded
+    kind, its seed."""
 
     kind: str
     params: tuple
@@ -40,8 +38,10 @@ class FamilySpec(NamedTuple):
 def check_cap(n_vertices) -> None:
     """Raise SizeGuard when a graph on n_vertices would exceed the vertex cap:
     RC_SIZE_GUARD, else DEFAULT_SIZE_GUARD, read here on each call and nowhere
-    else. A power or binomial order comes as its running products, which never
-    fall, so the first past the cap refuses it and the order is never built."""
+    else. Every graph source (generator, product, parser, random outerplanar
+    graph) calls it before it builds. A power or binomial order comes as its
+    running products, which never fall, so the first past the cap refuses it
+    and the order is never built."""
     raw = os.environ.get("RC_SIZE_GUARD", str(DEFAULT_SIZE_GUARD))
     try:
         cap = int(raw)
@@ -80,20 +80,15 @@ def basic_family(kind: str, n: int) -> Graph:
     """Cycle C_n (n >= 3), the circulant with step 1; path P_n or complete
     K_n (n >= 1)."""
     check_cap(n)
-    if kind == "cycle":
-        if n < 3:
-            raise InvalidParam(f"cycle needs n >= 3, got {n}")
-        return circulant(n, (1,))
-    if kind == "path":
-        if n < 1:
-            raise InvalidParam(f"path needs n >= 1, got {n}")
-        adj = tuple(tuple(w for w in (v - 1, v + 1) if 0 <= w < n) for v in range(n))
-    elif kind == "complete":
-        if n < 1:
-            raise InvalidParam(f"complete needs n >= 1, got {n}")
-        adj = _complete_rows(n)
-    else:
+    least = {"cycle": 3, "path": 1, "complete": 1}.get(kind)
+    if least is None:
         raise InvalidParam(f"unknown basic family {kind!r}")
+    if n < least:
+        raise InvalidParam(f"{kind} needs n >= {least}, got {n}")
+    if kind == "cycle":
+        return circulant(n, (1,))
+    adj = (_complete_rows(n) if kind == "complete" else
+           tuple(tuple(w for w in (v - 1, v + 1) if 0 <= w < n) for v in range(n)))
     return Graph(n, adj, _index_labels(n))
 
 
@@ -201,25 +196,28 @@ def circulant(n: int, steps) -> Graph:
     return Graph(n, adj, _index_labels(n))
 
 
-# 24-vertex cubic vertex-transitive graph with radius 5; the one solver
-# instance whose edge list is hard-coded rather than generated.
-_CUBIC_VT_24_6_EDGES = (
-    (0, 1), (0, 2), (0, 3), (1, 20), (1, 21), (2, 18), (2, 22), (3, 19),
-    (3, 23), (4, 5), (4, 16), (4, 17), (5, 8), (5, 9), (6, 12), (6, 13),
-    (6, 15), (7, 10), (7, 11), (7, 14), (8, 11), (8, 13), (9, 10), (9, 12),
-    (10, 21), (11, 20), (12, 23), (13, 22), (14, 22), (14, 23), (15, 18),
-    (15, 19), (16, 19), (16, 21), (17, 18), (17, 20),
-)
-
-NAMED_INSTANCES = ("CubicVT24_6",)
+# name -> edge list of each graph whose edges are fixed data, not generated:
+# CubicVT24_6 is a 24-vertex cubic vertex-transitive graph with radius 5
+NAMED_INSTANCES = {
+    "CubicVT24_6": (
+        (0, 1), (0, 2), (0, 3), (1, 20), (1, 21), (2, 18), (2, 22), (3, 19),
+        (3, 23), (4, 5), (4, 16), (4, 17), (5, 8), (5, 9), (6, 12), (6, 13),
+        (6, 15), (7, 10), (7, 11), (7, 14), (8, 11), (8, 13), (9, 10), (9, 12),
+        (10, 21), (11, 20), (12, 23), (13, 22), (14, 22), (14, 23), (15, 18),
+        (15, 19), (16, 19), (16, 21), (17, 18), (17, 20),
+    ),
+}
 
 
 def named_instance(instance_id: str) -> Graph:
-    """Hard-coded named graphs; currently only "CubicVT24_6"."""
-    if instance_id == "CubicVT24_6":
-        check_cap(24)
-        return build_graph(24, _CUBIC_VT_24_6_EDGES, tuple(str(i) for i in range(24)))
-    raise UnknownInstance(f"unknown instance {instance_id!r}")
+    """The NAMED_INSTANCES graph of that name, on vertices 0..n-1 labelled
+    "0".."n-1", n one past its largest endpoint."""
+    if instance_id not in NAMED_INSTANCES:
+        raise UnknownInstance(f"unknown instance {instance_id!r}")
+    edges = NAMED_INSTANCES[instance_id]
+    n = 1 + max(map(max, edges))
+    check_cap(n)
+    return build_graph(n, edges, tuple(map(str, range(n))))
 
 
 _GNP_DRAWS = 200
@@ -227,7 +225,12 @@ _GNP_DRAWS = 200
 
 def random_connected_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), resampled until connected (at most 200 draws);
-    deterministic per seed."""
+    deterministic per seed, so a seed of None, which would draw another
+    graph on each call, is refused, as is a p that is not a number."""
+    if not isinstance(p, (int, float)):
+        raise InvalidParam(f"random_gnp_connected takes a numeric edge probability, got {p!r}")
+    if seed is None:
+        raise InvalidParam("random_gnp_connected requires a seed")
     check_cap(n)
     if n < 1:
         raise InvalidParam(f"need n >= 1, got {n}")
@@ -247,80 +250,59 @@ def random_connected_gnp(n: int, p: float, seed: int) -> Graph:
     raise CouldNotConnect(f"no connected sample in {_GNP_DRAWS} tries (n={n}, p={p})")
 
 
-def _params(kind: str, params: tuple, count: int, ints: int | None = None) -> tuple:
-    """params, checked to hold count values (one or more when count is 0),
-    the first ints of them (all by default) integers."""
+def _sierpinski_rc(params: tuple, rad):
+    """rc(S(n, 3)) by the paper's closed form; reference values of S(3, 4), S(4, 4)."""
+    n, k = params
+    if k == 3:
+        if n >= 3:
+            return (3 * 2 ** (n - 2) - 1, "closed form 3*2^(n-2) - 1")
+        return (max(0, 2 ** n - 2), "radius - 1 with radius 2^n - 1")
+    ref = {3: 5, 4: 11}.get(n) if k == 4 else None
+    return None if ref is None else (ref, f"reference value {ref}")
+
+
+# every family kind of FamilySpec, `rcgame family` and `strategy --family`:
+# kind -> (generator; how many params it takes, 0 for one or more; how many
+# of the first are integers, None for all; whether the spec's seed follows
+# the params; the closed-form rc, (params, rad) -> (value, note) or None,
+# None where the kind has none)
+FAMILIES = {
+    "cycle": (lambda n: basic_family("cycle", n), 1, None, False,
+              lambda p, rad: (p[0] // 2 - 1, "closed form n//2 - 1")),
+    "path": (lambda n: basic_family("path", n), 1, None, False, None),
+    "complete": (lambda n: basic_family("complete", n), 1, None, False, None),
+    "hypercube": (hypercube, 1, None, False, lambda p, rad: (p[0] - 1, "closed form d - 1")),
+    "hamming": (hamming, 2, None, False, lambda p, rad: (p[0] - 1, "closed form d - 1")),
+    "generalized_johnson": (generalized_johnson, 3, None, False,
+                            lambda p, rad: None if rad is None else
+                            (rad - 1, "radius - 1 (generously transitive family)")),
+    "sierpinski": (sierpinski, 2, None, False, _sierpinski_rc),
+    "circulant": (lambda n, *steps: circulant(n, steps), 0, None, False, None),
+    "named_instance": (named_instance, 1, 0, False, None),
+    "random_gnp_connected": (random_connected_gnp, 2, 1, True, None),
+}
+
+
+def build_family(spec: FamilySpec) -> Graph:
+    """Build a FamilySpec by its kind's FAMILIES row: the params checked
+    against the row's shape, then handed to its generator. An unknown kind
+    raises InvalidParam naming every kind."""
+    kind, params = spec.kind, spec.params
+    if kind not in FAMILIES:
+        raise InvalidParam(f"unknown family kind {kind!r}; the kinds are {', '.join(FAMILIES)}")
+    make, count, ints, seeded, _ = FAMILIES[kind]
     for p in params[:ints]:
         if not isinstance(p, int):
             raise InvalidParam(f"{kind} takes integer parameters, got {p!r}")
     if len(params) != count if count else not params:
         raise InvalidParam(f"bad parameter count for {kind}: {params}")
-    return params
-
-
-def build_family(spec: FamilySpec) -> Graph:
-    """Dispatch a FamilySpec to its generator."""
-    kind, params = spec.kind, spec.params
-    if kind in ("cycle", "path", "complete"):
-        (n,) = _params(kind, params, 1)
-        return basic_family(kind, n)
-    if kind == "hypercube":
-        (d,) = _params(kind, params, 1)
-        return hypercube(d)
-    if kind == "hamming":
-        d, q = _params(kind, params, 2)
-        return hamming(d, q)
-    if kind == "generalized_johnson":
-        n, k, i = _params(kind, params, 3)
-        return generalized_johnson(n, k, i)
-    if kind == "sierpinski":
-        n, k = _params(kind, params, 2)
-        return sierpinski(n, k)
-    if kind == "circulant":
-        n, *steps = _params(kind, params, 0)
-        return circulant(n, steps)
-    if kind == "named_instance":
-        (name,) = _params(kind, params, 1, ints=0)
-        return named_instance(name)
-    if kind == "random_gnp_connected":
-        n, p = _params(kind, params, 2, ints=1)
-        if not isinstance(p, (int, float)):
-            raise InvalidParam(f"{kind} takes a numeric edge probability, got {p!r}")
-        if spec.seed is None:
-            raise InvalidParam("random_gnp_connected requires a seed")
-        return random_connected_gnp(n, p, spec.seed)
-    raise InvalidParam(f"unknown family kind {kind!r}")
-
-
-_SIERPINSKI4_REFERENCE_RC = {3: 5, 4: 11}
+    return make(*params, spec.seed) if seeded else make(*params)
 
 
 def predicted_rc(kind: str, params: tuple, rad: int | None = None):
-    """Closed-form radius capture number for families that have one.
-
-    Returns (value, note) or None. For generalized Johnson graphs the
-    prediction is rad - 1 and needs the measured radius. Sierpinski base 4
-    has no closed form; two small instances have known reference values.
-    """
-    if kind == "cycle":
-        (n,) = params
-        return (n // 2 - 1, "closed form n//2 - 1")
-    if kind == "hypercube":
-        (d,) = params
-        return (d - 1, "closed form d - 1")
-    if kind == "hamming":
-        d, _q = params
-        return (d - 1, "closed form d - 1")
-    if kind == "generalized_johnson":
-        if rad is None:
-            return None
-        return (rad - 1, "radius - 1 (generously transitive family)")
-    if kind == "sierpinski":
-        n, k = params
-        if k == 3:
-            if n >= 3:
-                return (3 * 2 ** (n - 2) - 1, "closed form 3*2^(n-2) - 1")
-            return (max(0, 2 ** n - 2), "radius - 1 with radius 2^n - 1")
-        if k == 4 and n in _SIERPINSKI4_REFERENCE_RC:
-            return (_SIERPINSKI4_REFERENCE_RC[n], f"reference value {_SIERPINSKI4_REFERENCE_RC[n]}")
-    return None
+    """Closed-form radius capture number of a family kind, read off its
+    FAMILIES row: (value, note), or None for a kind with no closed form
+    or no value at these params. A generalized Johnson graph's is rad - 1,
+    so it needs the measured radius."""
+    rc = FAMILIES[kind][4] if kind in FAMILIES else None
+    return None if rc is None else rc(params, rad)

@@ -107,10 +107,10 @@ class Graph:
 
 def build_graph(n: int, edges: Sequence[tuple[int, int]],
                 labels: Sequence[str] | None = None) -> Graph:
-    """Build a Graph from an edge list, deduplicating and symmetrizing.
-
-    Rejects loops (SelfLoop) and out-of-range endpoints (InvalidVertex).
-    """
+    """Build a Graph from an edge list, deduplicating and symmetrizing: the
+    checked path, for edge lists from outside or from fixed data. Rejects
+    loops (SelfLoop), out-of-range endpoints (InvalidVertex) and labels
+    that are not n distinct strings (InvalidParam)."""
     if n < 0:
         raise InvalidParam(f"vertex count must be >= 0, got {n}")
     nbrs: list[set[int]] = [set() for _ in range(n)]

@@ -49,11 +49,12 @@ def parse_graph6(line) -> Graph:
     order above the vertex cap raises SizeGuard before any data byte is read.
 
     The data bits come in column order, x(0, v) .. x(v - 1, v) for v = 1,
-    2, ..., and each edge (u, v) is appended to rows[v] and rows[u] as it is
-    read. Row v so gets its lower neighbours in column v and its higher ones
-    in the later columns, each in increasing order: every row comes out
-    sorted and free of repeats, and the Graph is built from the rows as
-    they are, with no build_graph."""
+    2, ..., each column read as one integer off its own slice of the bytes
+    that base64 decodes, never a character per bit, and each edge (u, v) is
+    appended to rows[v] and rows[u] as it is read. Row v so gets its lower
+    neighbours in column v and its higher ones in the later columns, each
+    in increasing order: every row comes out sorted and free of repeats,
+    and the Graph is built from the rows as they are, with no build_graph."""
     raw = _as_bytes(line, "graph6 record").strip()
     if raw.startswith(_G6_HEADER):
         raw = raw[len(_G6_HEADER):]
@@ -195,7 +196,7 @@ class _ResultFields(NamedTuple):
 
 class ResultRecord(_ResultFields):
     """One solver result row; lb and ub are the girth and radius bounds,
-    and construction checks rc against them.
+    and construction checks rc against them and the id for a comma.
 
     A named tuple, so immutable and equal field by field; building one,
     by _replace and _make too, runs the checks."""

@@ -16,6 +16,7 @@ from .errors import (
     InvalidParam,
     NotOuterplanarEmbedding,
 )
+from .generators import check_cap
 from .graph import Graph, build_graph
 
 
@@ -106,6 +107,7 @@ def rc_outerplanar_formula(e: OuterplanarEmbedding) -> int:
 def random_outerplanar(n: int, chord_prob: float, seed: int) -> tuple[Graph, OuterplanarEmbedding]:
     """Random n-gon with non-crossing chords via recursive interval
     splitting; deterministic given the seed. Outer order is 0..n-1."""
+    check_cap(n)
     if n < 3:
         raise InvalidParam(f"polygon needs n >= 3, got {n}")
     if not (0.0 <= chord_prob <= 1.0):

@@ -5,9 +5,10 @@ Covers retractions and capture monotonicity under them, even and harmonic
 even graphs, the distance-expansion and radius-pair conditions, the three
 product theorems, the girth/radius bounds and the outerplanar face
 formula. Each check either returns a verdict or a TheoremReport carrying
-a full counterexample. The suites of `rcgame verify` are the rows of
-SUITES, their one list; run_suite runs one by name and returns its output
-lines and failing reports.
+a full counterexample, and one that needs a graph's rad and rc together
+reads both from one engine.capture_radii call. The suites of `rcgame
+verify` are the rows of SUITES, their one list; run_suite runs one by name
+and returns its output lines and failing reports.
 """
 
 from __future__ import annotations
@@ -363,6 +364,8 @@ def suite_retracts(trials: int, seed: int, max_n: int) -> _Tally:
 
 def _evenness_instance_checks(name: str, g: Graph, tally: _Tally,
                               expected: str | None = None) -> None:
+    """The evenness checks on g from one distance table and one antipode
+    scan; only a harmonic-even g sweeps its balls, for rad and rc."""
     dm, diam, ant, cls = _evenness(g)
     if expected is not None:
         tally.record("evenness-classification", cls == expected,
@@ -491,7 +494,8 @@ def suite_transitive_sweep(trials: int, seed: int, max_n: int) -> _Tally:
 
 
 # every suite of `rcgame verify`: name -> (runner, default trials, least
-# max_n its draws accept, None where max_n is not read)
+# max_n its draws accept, None where max_n is not read); a runner takes
+# (trials, seed, max_n) and returns a _Tally
 SUITES = {
     "bounds": (suite_bounds, 200, 2),
     "retracts": (suite_retracts, 100, 3),
@@ -506,8 +510,9 @@ SUITES = {
 def run_suite(name: str, trials: int | None, seed: int,
               max_n: int) -> tuple[list[str], list[TheoremReport]]:
     """Run the SUITES row of that name and return its output lines and
-    failing reports; trials None takes the row's default. An unknown name,
-    a negative trials or a max_n below the row's least raises InvalidParam."""
+    failing reports; trials None takes the row's default. An unknown name
+    (listing the suites), a negative trials or a max_n below the row's
+    least raises InvalidParam."""
     if name not in SUITES:
         raise InvalidParam(f"unknown suite {name!r}; the suites are {', '.join(SUITES)}")
     runner, default_trials, least_n = SUITES[name]

@@ -646,6 +646,18 @@ def test_verify_runs_every_suite_in_the_table(capsys):
                    "evenness, products, outerplanar, families, transitive-sweep\n")
 
 
+def test_unknown_family_kind_lists_the_kinds(capsys):
+    # generators.FAMILIES is the one kind list, read by `family` and by
+    # `strategy --family` alike: any other kind gets one error line
+    kinds = ("cycle, path, complete, hypercube, hamming, generalized_johnson, "
+             "sierpinski, circulant, named_instance, random_gnp_connected")
+    for argv in (("family", "nosuch", "1"),
+                 ("strategy", "--family", "nosuch", "-k", "1", "--role", "cop")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: unknown family kind 'nosuch'; the kinds are {kinds}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["compute", "--instance", "CubicVT24_6"],
     ["family", "cycle", "5"],

@@ -11,6 +11,7 @@ import pytest
 from rcgame.cli import compute_record
 from rcgame.errors import CouldNotConnect, InvalidParam, SizeGuard, UnknownInstance
 from rcgame.generators import (
+    FAMILIES,
     FamilySpec,
     basic_family,
     build_family,
@@ -33,6 +34,7 @@ from rcgame.graph import (
     is_connected,
 )
 from rcgame.ioformats import parse_edge_list, parse_graph6, write_graph6
+from rcgame.outerplanar import random_outerplanar
 from rcgame.products import PRODUCT_KINDS, product
 
 
@@ -285,6 +287,19 @@ def test_random_gnp():
         random_connected_gnp(5, 0.0, 1)
     with pytest.raises(InvalidParam):
         random_connected_gnp(5, 1.5, 1)
+    # the seed and the type of p are checked by the generator itself, not
+    # only by build_family: no seed would draw a different graph per call,
+    # and a string p would fail in the comparison with a TypeError
+    with pytest.raises(InvalidParam, match="^random_gnp_connected requires a seed$"):
+        random_connected_gnp(12, 0.3, None)
+    with pytest.raises(InvalidParam, match="numeric edge probability, got '0.5'$"):
+        random_connected_gnp(8, "0.5", 1)
+    for params, seed in (((6, "0.5"), 1), ((6, 0.5), None)):
+        with pytest.raises(InvalidParam) as via_spec:
+            build_family(FamilySpec("random_gnp_connected", params, seed))
+        with pytest.raises(InvalidParam) as direct:
+            random_connected_gnp(*params, seed)
+        assert str(via_spec.value) == str(direct.value)
 
 
 def _gnp_by_edge_lists(n: int, p: float, seed: int):
@@ -405,8 +420,13 @@ def test_build_family_dispatch():
     assert is_connected(g)
     with pytest.raises(InvalidParam):
         build_family(FamilySpec("cycle", (5, 7)))
-    with pytest.raises(InvalidParam):
+    # FAMILIES is the one kind list: any other kind is refused on one line
+    # that names every kind
+    with pytest.raises(InvalidParam) as refused:
         build_family(FamilySpec("mystery", (1,)))
+    assert str(refused.value) == ("unknown family kind 'mystery'; the kinds are "
+                                  + ", ".join(FAMILIES))
+    assert len(FAMILIES) == 10
     with pytest.raises(InvalidParam):
         build_family(FamilySpec("random_gnp_connected", (6, 0.5)))
     with pytest.raises(SizeGuard):
@@ -464,6 +484,7 @@ def test_one_cap_governs_every_construction(monkeypatch):
               (6, lambda: random_connected_gnp(6, 0.9, 1)),
               (9, lambda: sierpinski(2, 3)),
               (24, lambda: named_instance("CubicVT24_6")),
+              (12, lambda: random_outerplanar(12, 0.5, 1)[0]),
               (6, lambda: parse_graph6("E???")))
     for n, build in builds:
         monkeypatch.setenv("RC_SIZE_GUARD", str(n - 1))
