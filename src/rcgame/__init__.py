@@ -2,7 +2,7 @@
 radius of capture.
 
 The top level exports the solver, generator, graph and codec names. The
-theorem checks, graph products and outerplanar embeddings are imported from
+theorem checks, graph products and outerplanar polygons are imported from
 their own modules (rcgame.verify, rcgame.products, rcgame.outerplanar), so
 a process that only computes capture numbers never loads them."""
 

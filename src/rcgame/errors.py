@@ -50,11 +50,7 @@ class RoleCannotWin(GraphGameError):
 
 
 class NotOuterplanarEmbedding(GraphGameError):
-    """Outer order or chord set violates the polygon-plus-chords invariants."""
-
-
-class EdgeSetMismatch(GraphGameError):
-    """Graph edges differ from the embedding's outer cycle plus chords."""
+    """A graph is not the polygon 0..n-1 plus non-crossing chords."""
 
 
 class NotARetraction(GraphGameError):

@@ -5,7 +5,8 @@ predicted_rc each read that row.
 
 All generators are deterministic: the same parameters (and seed, for the
 random kinds) produce an identical Graph, with labels identical when read.
-Each checks its order against the vertex cap before it builds anything.
+Each refuses a non-integer order or count with InvalidParam, then checks
+its order against the vertex cap before it builds anything.
 Each builds its sorted adjacency rows directly and hands Graph a function
 that formats its labels on first read, so a graph that is only solved pays
 for neither an edge list nor a label; only the named instances, whose
@@ -56,6 +57,14 @@ def check_cap(n_vertices) -> None:
             raise SizeGuard(f"{over}{n} vertices exceeds the cap {cap}")
 
 
+def _check_ints(kind: str, *params) -> None:
+    """Refuse a parameter that is not an int, before the cap check or the
+    arithmetic meets it and raises a TypeError."""
+    for p in params:
+        if not isinstance(p, int):
+            raise InvalidParam(f"{kind} takes integer parameters, got {p!r}")
+
+
 def _binomials(n: int, k: int):
     """Running products C(n, 1), .., C(n, m) = C(n, k), m = min(k, n - k): rising,
     as m <= n / 2; none when k is outside 0..n, which the generator refuses."""
@@ -79,6 +88,7 @@ def _complete_rows(n: int) -> tuple[tuple[int, ...], ...]:
 def basic_family(kind: str, n: int) -> Graph:
     """Cycle C_n (n >= 3), the circulant with step 1; path P_n or complete
     K_n (n >= 1)."""
+    _check_ints(kind, n)
     check_cap(n)
     least = {"cycle": 3, "path": 1, "complete": 1}.get(kind)
     if least is None:
@@ -95,6 +105,7 @@ def basic_family(kind: str, n: int) -> Graph:
 def hypercube(d: int) -> Graph:
     """d-dimensional hypercube on binary words, adjacency = one flipped bit:
     the Hamming graph H(d, 2)."""
+    _check_ints("hypercube", d)
     if d < 1:
         raise InvalidParam(f"hypercube needs d >= 1, got {d}")
     return hamming(d, 2)
@@ -110,6 +121,7 @@ def hamming(d: int, q: int) -> Graph:
     """Hamming graph H(d, q): words of length d over 0..q-1, adjacency =
     differ in exactly one coordinate. Equals the d-fold Cartesian power of
     K_q under the same row-major word indexing."""
+    _check_ints("hamming", d, q)
     if d < 1 or q < 2:
         raise InvalidParam(f"hamming needs d >= 1 and q >= 2, got ({d},{q})")
     check_cap(accumulate(repeat(q, d), mul))
@@ -134,6 +146,7 @@ def generalized_johnson(n: int, k: int, i: int) -> Graph:
     is complete, and its rows are sliced as K_n's. Neither checks a pair;
     any other i tests each pair of subsets.
     """
+    _check_ints("generalized_johnson", n, k, i)
     check_cap(_binomials(n, k))
     if not (n > k > i >= 0):
         raise InvalidParam(f"need n > k > i >= 0, got ({n},{k},{i})")
@@ -157,6 +170,7 @@ def sierpinski(n: int, k: int) -> Graph:
     run and i != j the letter before it (an extreme word j^n has none).
     S(n, 1) and S(0, k) are one vertex, the word 1^n, built directly.
     """
+    _check_ints("sierpinski", n, k)
     if n < 0 or k < 1:
         raise InvalidParam(f"sierpinski needs n >= 0 and k >= 1, got ({n},{k})")
     if k == 1 or n == 0:
@@ -183,6 +197,8 @@ def sierpinski(n: int, k: int) -> Graph:
 
 def circulant(n: int, steps) -> Graph:
     """Circulant graph: vertex j adjacent to j +- s (mod n) for each step s."""
+    steps = tuple(steps)
+    _check_ints("circulant", n, *steps)
     check_cap(n)
     if n < 3:
         raise InvalidParam(f"circulant needs n >= 3, got {n}")
@@ -227,6 +243,7 @@ def random_connected_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), resampled until connected (at most 200 draws);
     deterministic per seed, so a seed of None, which would draw another
     graph on each call, is refused, as is a p that is not a number."""
+    _check_ints("random_gnp_connected", n)
     if not isinstance(p, (int, float)):
         raise InvalidParam(f"random_gnp_connected takes a numeric edge probability, got {p!r}")
     if seed is None:
@@ -262,38 +279,35 @@ def _sierpinski_rc(params: tuple, rad):
 
 
 # every family kind of FamilySpec, `rcgame family` and `strategy --family`:
-# kind -> (generator; how many params it takes, 0 for one or more; how many
-# of the first are integers, None for all; whether the spec's seed follows
-# the params; the closed-form rc, (params, rad) -> (value, note) or None,
-# None where the kind has none)
+# kind -> (generator, which checks its own params' types; how many params it
+# takes, 0 for one or more; whether the spec's seed follows the params; the
+# closed-form rc, (params, rad) -> (value, note) or None, None where the kind
+# has none)
 FAMILIES = {
-    "cycle": (lambda n: basic_family("cycle", n), 1, None, False,
+    "cycle": (lambda n: basic_family("cycle", n), 1, False,
               lambda p, rad: (p[0] // 2 - 1, "closed form n//2 - 1")),
-    "path": (lambda n: basic_family("path", n), 1, None, False, None),
-    "complete": (lambda n: basic_family("complete", n), 1, None, False, None),
-    "hypercube": (hypercube, 1, None, False, lambda p, rad: (p[0] - 1, "closed form d - 1")),
-    "hamming": (hamming, 2, None, False, lambda p, rad: (p[0] - 1, "closed form d - 1")),
-    "generalized_johnson": (generalized_johnson, 3, None, False,
+    "path": (lambda n: basic_family("path", n), 1, False, None),
+    "complete": (lambda n: basic_family("complete", n), 1, False, None),
+    "hypercube": (hypercube, 1, False, lambda p, rad: (p[0] - 1, "closed form d - 1")),
+    "hamming": (hamming, 2, False, lambda p, rad: (p[0] - 1, "closed form d - 1")),
+    "generalized_johnson": (generalized_johnson, 3, False,
                             lambda p, rad: None if rad is None else
                             (rad - 1, "radius - 1 (generously transitive family)")),
-    "sierpinski": (sierpinski, 2, None, False, _sierpinski_rc),
-    "circulant": (lambda n, *steps: circulant(n, steps), 0, None, False, None),
-    "named_instance": (named_instance, 1, 0, False, None),
-    "random_gnp_connected": (random_connected_gnp, 2, 1, True, None),
+    "sierpinski": (sierpinski, 2, False, _sierpinski_rc),
+    "circulant": (lambda n, *steps: circulant(n, steps), 0, False, None),
+    "named_instance": (named_instance, 1, False, None),
+    "random_gnp_connected": (random_connected_gnp, 2, True, None),
 }
 
 
 def build_family(spec: FamilySpec) -> Graph:
-    """Build a FamilySpec by its kind's FAMILIES row: the params checked
-    against the row's shape, then handed to its generator. An unknown kind
-    raises InvalidParam naming every kind."""
+    """Build a FamilySpec by its kind's FAMILIES row: the params counted
+    against the row, then handed to its generator, which checks their
+    types. An unknown kind raises InvalidParam naming every kind."""
     kind, params = spec.kind, spec.params
     if kind not in FAMILIES:
         raise InvalidParam(f"unknown family kind {kind!r}; the kinds are {', '.join(FAMILIES)}")
-    make, count, ints, seeded, _ = FAMILIES[kind]
-    for p in params[:ints]:
-        if not isinstance(p, int):
-            raise InvalidParam(f"{kind} takes integer parameters, got {p!r}")
+    make, count, seeded, _ = FAMILIES[kind]
     if len(params) != count if count else not params:
         raise InvalidParam(f"bad parameter count for {kind}: {params}")
     return make(*params, spec.seed) if seeded else make(*params)
@@ -304,5 +318,5 @@ def predicted_rc(kind: str, params: tuple, rad: int | None = None):
     FAMILIES row: (value, note), or None for a kind with no closed form
     or no value at these params. A generalized Johnson graph's is rad - 1,
     so it needs the measured radius."""
-    rc = FAMILIES[kind][4] if kind in FAMILIES else None
+    rc = FAMILIES[kind][3] if kind in FAMILIES else None
     return None if rc is None else rc(params, rad)

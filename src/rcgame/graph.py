@@ -20,9 +20,10 @@ balls over adj, so a graph of diameter D costs D - 1 of them. _sweep
 makes one pass of it to the diameter that reads every eccentricity (so
 rad, diam and the centres), counting the full balls at each level and
 looking at single vertices only at levels where that count rises.
-eccentricities and the engine's capture_radii both read that one pass,
-so a compute row makes it once, and a theorem check that reads pair
-distances reads rad and diam from eccentricities too. All-pairs distances
+eccentricities (exported for callers outside the package) and the
+engine's capture_radii both read that one pass, so a compute row makes it
+once; a theorem check that reads pair distances takes rad and diam from
+the maxima of its distance rows instead, with no sweep. All-pairs distances
 (APSP) are built only by the code that reads them, never by a solve, and
 only on connected graphs. The BFS from
 vertex 0 that answers connectivity also gives ecc(0), and ecc(0) <= D <=

@@ -1,112 +1,75 @@
 """Two-connected outerplanar graphs as a polygon plus non-crossing chords.
 
-Embeddings are inputs, never inferred: validate_embedding checks the
-polygon-plus-chords invariants against a graph, inner_faces enumerates the
-bounded faces, and the capture number of such a graph is determined by its
-largest inner face.
+The polygon of a graph g is its vertex order 0, 1, ..., n-1, closed by the
+side (n-1, 0), and its chords are every edge that is not a side: the
+vertex numbering fixes the embedding, which is never searched for.
+polygon_chords checks it, inner_faces enumerates the bounded faces, and the
+capture number of such a graph is determined by its largest inner face.
 """
 
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
 
-from .errors import (
-    EdgeSetMismatch,
-    InvalidParam,
-    NotOuterplanarEmbedding,
-)
+from .errors import InvalidParam, NotOuterplanarEmbedding
 from .generators import check_cap
 from .graph import Graph, build_graph
 
 
-class OuterplanarEmbedding(NamedTuple):
-    """Cyclic outer order of all vertices plus a set of chords (u < v)."""
+def polygon_chords(g: Graph) -> list[tuple[int, int]]:
+    """The sorted chords (u, v), u < v, of g on the polygon 0..n-1.
 
-    outer: tuple[int, ...]
-    chords: frozenset[tuple[int, int]]
-
-
-def validate_embedding(g: Graph, e: OuterplanarEmbedding) -> None:
-    """Check the embedding invariants and that g's edges are exactly the
-    outer cycle plus the chords.
-
-    Raises NotOuterplanarEmbedding for a bad outer order, a degenerate,
-    reversed (u > v) or crossing chord; EdgeSetMismatch when the edge sets differ.
+    Raises NotOuterplanarEmbedding when n < 3, when a side (v, v+1 mod n)
+    is missing, or when two chords cross.
     """
     n = g.n
-    if sorted(e.outer) != list(range(n)):
-        raise NotOuterplanarEmbedding("outer order is not a permutation of 0..n-1")
     if n < 3:
         raise NotOuterplanarEmbedding("polygon needs at least 3 vertices")
-    pos = {v: i for i, v in enumerate(e.outer)}
-    positions = []
-    for u, v in e.chords:
-        if u == v:
-            raise NotOuterplanarEmbedding(f"chord ({u},{v}) is degenerate")
-        if u > v:
-            raise NotOuterplanarEmbedding(f"chord ({u},{v}) is not written u < v")
-        if u not in pos or v not in pos:
-            raise NotOuterplanarEmbedding(f"chord ({u},{v}) uses unknown vertices")
-        pu, pv = pos[u], pos[v]
-        lo, hi = min(pu, pv), max(pu, pv)
-        if hi - lo == 1 or (lo == 0 and hi == n - 1):
+    for v in range(n):
+        if not g.has_edge(v, (v + 1) % n):
             raise NotOuterplanarEmbedding(
-                f"chord ({u},{v}) joins consecutive outer vertices")
-        positions.append((lo, hi))
-    positions.sort()
-    for idx, (a, b) in enumerate(positions):
-        for c, d in positions[idx + 1:]:
+                f"polygon side ({v},{(v + 1) % n}) is not an edge")
+    chords = [(u, v) for u, v in g.edges() if v - u not in (1, n - 1)]
+    for idx, (a, b) in enumerate(chords):
+        for c, d in chords[idx + 1:]:
             if c >= b:
                 break
             if a < c < b < d:
-                raise NotOuterplanarEmbedding(
-                    f"chords at outer positions ({a},{b}) and ({c},{d}) cross")
-    expected = {(min(e.outer[i], e.outer[(i + 1) % n]),
-                 max(e.outer[i], e.outer[(i + 1) % n])) for i in range(n)}
-    expected.update(e.chords)
-    actual = set(g.edge_set())
-    if expected != actual:
-        missing = sorted(expected - actual)
-        extra = sorted(actual - expected)
-        raise EdgeSetMismatch(
-            f"graph edges differ from embedding (missing {missing}, extra {extra})")
+                raise NotOuterplanarEmbedding(f"chords ({a},{b}) and ({c},{d}) cross")
+    return chords
 
 
-def inner_faces(e: OuterplanarEmbedding) -> tuple[tuple[int, ...], ...]:
-    """Enumerate the |chords| + 1 inner faces of a validated embedding.
+def inner_faces(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Enumerate the |chords| + 1 inner faces of g's polygon.
 
-    Walks the outer cycle keeping a stack of open positions; every chord
-    closes the face above its far endpoint, and the wrap-around edge closes
-    the last one. Faces are reported as vertex cycles in outer order, in
+    Walks the polygon keeping a stack of open vertices; every chord closes
+    the face above its far endpoint, and the side (n-1, 0) closes the last
+    one. Faces are reported as vertex cycles in polygon order, in
     discovery order along the polygon.
     """
-    n = len(e.outer)
-    pos = {v: i for i, v in enumerate(e.outer)}
     ending_at: dict[int, list[int]] = {}
-    for u, v in e.chords:
-        lo, hi = sorted((pos[u], pos[v]))
-        ending_at.setdefault(hi, []).append(lo)
+    for u, v in polygon_chords(g):
+        ending_at.setdefault(v, []).append(u)
     faces = []
     stack = [0]
-    for p in range(1, n):
-        for q in sorted(ending_at.get(p, ()), reverse=True):
-            at = stack.index(q)
-            faces.append(tuple(e.outer[x] for x in stack[at:]) + (e.outer[p],))
+    for v in range(1, g.n):
+        for u in sorted(ending_at.get(v, ()), reverse=True):
+            at = stack.index(u)
+            faces.append((*stack[at:], v))
             del stack[at + 1:]
-        stack.append(p)
-    faces.append(tuple(e.outer[x] for x in stack))
+        stack.append(v)
+    faces.append(tuple(stack))
     return tuple(faces)
 
 
-def rc_outerplanar_formula(e: OuterplanarEmbedding) -> int:
+def rc_outerplanar_formula(g: Graph) -> int:
     """Predicted capture number: floor(largest inner face / 2) - 1."""
-    return max(len(f) for f in inner_faces(e)) // 2 - 1
+    return max(len(f) for f in inner_faces(g)) // 2 - 1
 
 
-def random_outerplanar(n: int, chord_prob: float, seed: int) -> tuple[Graph, OuterplanarEmbedding]:
-    """Random n-gon with non-crossing chords via recursive interval
-    splitting; deterministic given the seed. Outer order is 0..n-1."""
+def random_outerplanar(n: int, chord_prob: float, seed: int) -> Graph:
+    """Random n-gon 0..n-1 with non-crossing chords via recursive interval
+    splitting; deterministic given the seed."""
     check_cap(n)
     if n < 3:
         raise InvalidParam(f"polygon needs n >= 3, got {n}")
@@ -126,5 +89,4 @@ def random_outerplanar(n: int, chord_prob: float, seed: int) -> tuple[Graph, Out
 
     split(0, n - 1)
     edges = [(i, (i + 1) % n) for i in range(n)] + sorted(chords)
-    g = build_graph(n, edges, tuple(str(i) for i in range(n)))
-    return g, OuterplanarEmbedding(tuple(range(n)), frozenset(chords))
+    return build_graph(n, edges, tuple(str(i) for i in range(n)))

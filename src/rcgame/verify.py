@@ -37,7 +37,7 @@ from .graph import (
     girth,
     induced_subgraph,
 )
-from .outerplanar import random_outerplanar, rc_outerplanar_formula, validate_embedding
+from .outerplanar import polygon_chords, random_outerplanar, rc_outerplanar_formula
 from .products import product
 
 NOT_EVEN = "not_even"
@@ -48,11 +48,15 @@ HARMONIC_EVEN = "harmonic_even"
 class Retraction(NamedTuple):
     """Total map of V(G) onto a vertex set it fixes pointwise.
 
-    mapping[v] is the image of v; target is the retract's vertex set.
+    mapping[v] is the image of v; target, the retract's vertex set, is the
+    image of the map.
     """
 
-    target: frozenset[int]
     mapping: tuple[int, ...]
+
+    @property
+    def target(self) -> frozenset[int]:
+        return frozenset(self.mapping)
 
 
 class TheoremReport(NamedTuple):
@@ -85,27 +89,23 @@ def _report(theorem: str, inputs: dict, predicted: str, measured: dict,
 def verify_retraction(g: Graph, r: Retraction) -> None:
     """Check the retraction clauses, raising NotARetraction with a witness.
 
-    The map must fix the target pointwise and send every edge to an edge
-    or to a single vertex (staying is a legal shadow move). Such a map
-    already makes the induced target isometric in g: it sends a shortest
-    path between two target vertices onto a walk inside the target that is
-    no longer, so no distance check is needed.
+    The map must send 0..n-1 into itself, fix its image, the target,
+    pointwise (f(f(v)) = f(v)) and send every edge to an edge or to a
+    single vertex (staying is a legal shadow move). Such a map already
+    makes the induced target isometric in g: it sends a shortest path
+    between two target vertices onto a walk inside the target that is no
+    longer, so no distance check is needed.
     """
-    n = g.n
-    if not r.target:
-        raise NotARetraction("target set is empty")
-    if len(r.mapping) != n:
-        raise NotARetraction(f"mapping covers {len(r.mapping)} of {n} vertices")
-    for v in r.target:
-        if not (0 <= v < n):
-            raise NotARetraction(f"target vertex {v} outside 0..{n - 1}")
-        if r.mapping[v] != v:
-            raise NotARetraction(f"map moves target vertex {v} to {r.mapping[v]}")
-    for v in range(n):
-        if r.mapping[v] not in r.target:
-            raise NotARetraction(f"image of {v} is {r.mapping[v]}, not in the target")
+    n, f = g.n, r.mapping
+    if len(f) != n:
+        raise NotARetraction(f"mapping covers {len(f)} of {n} vertices")
+    for v, fv in enumerate(f):
+        if not (0 <= fv < n):
+            raise NotARetraction(f"image of {v} is {fv}, outside 0..{n - 1}")
+        if f[fv] != fv:
+            raise NotARetraction(f"map moves target vertex {fv} to {f[fv]}")
     for u, v in g.edges():
-        fu, fv = r.mapping[u], r.mapping[v]
+        fu, fv = f[u], f[v]
         if fu != fv and not g.has_edge(fu, fv):
             raise NotARetraction(
                 f"edge ({u},{v}) maps to non-adjacent distinct pair ({fu},{fv})")
@@ -117,10 +117,10 @@ def check_retract_monotonicity(g: Graph, r: Retraction) -> TheoremReport:
     rc_g = radius_capture_number(g)
     if rc_g is None:
         raise NotConnected("monotonicity check needs a connected graph")
-    sub, _ = induced_subgraph(g, sorted(r.target))
+    sub, _ = induced_subgraph(g, r.mapping)
     rc_h = radius_capture_number(sub)
     return _report("retract-monotonicity",
-                   {"n": g.n, "m": g.m, "target_size": len(r.target)},
+                   {"n": g.n, "m": g.m, "target_size": sub.n},
                    "rc(retract) <= rc(graph)",
                    {"rc_graph": rc_g, "rc_retract": rc_h}, rc_h <= rc_g,
                    {"edges": list(g.edges()), "target": sorted(r.target),
@@ -135,8 +135,7 @@ def corner_fold_retraction(g: Graph) -> Retraction | None:
     if not folds:
         return None
     u, v = folds[0]
-    return Retraction(frozenset(range(g.n)) - {u},
-                      tuple(v if x == u else x for x in range(g.n)))
+    return Retraction(tuple(v if x == u else x for x in range(g.n)))
 
 
 def layer_projection_retraction(g: Graph, h: Graph,
@@ -147,9 +146,7 @@ def layer_projection_retraction(g: Graph, h: Graph,
         raise InvalidParam(f"layer {layer} outside 0..{h.n - 1}")
     prod = product("cartesian", g, h)
     hn = h.n
-    mapping = tuple((idx // hn) * hn + layer for idx in range(prod.n))
-    target = frozenset(a * hn + layer for a in range(g.n))
-    return prod, Retraction(target, mapping)
+    return prod, Retraction(tuple((idx // hn) * hn + layer for idx in range(prod.n)))
 
 
 def _distances(g: Graph) -> tuple[list[list[int]], tuple[int, ...]]:
@@ -419,12 +416,11 @@ def suite_outerplanar(trials: int, seed: int, max_n: int) -> _Tally:
     for _ in range(trials):
         n = rng.randint(3, max_n)
         prob = rng.uniform(0.0, 0.9)
-        g, emb = random_outerplanar(n, prob, rng.getrandbits(32))
-        validate_embedding(g, emb)
-        predicted = rc_outerplanar_formula(emb)
+        g = random_outerplanar(n, prob, rng.getrandbits(32))
+        predicted = rc_outerplanar_formula(g)
         rc = radius_capture_number(g)
         tally.record("outerplanar-face-formula", rc == predicted,
-                     {"n": n, "chords": sorted(emb.chords)},
+                     {"n": n, "chords": polygon_chords(g)},
                      "rc == max_face//2 - 1",
                      {"rc": rc, "predicted": predicted})
     return tally

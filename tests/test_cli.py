@@ -104,6 +104,26 @@ def test_family_reference_value(capsys):
     assert "predicted rc: 5 (reference value 5) measured: 5 -> match" in out
 
 
+def test_family_appends_its_record_in_the_out_format(capsys):
+    head = ("cycle-6: n=6 m=6 girth=6 rad=3 diam=3 rc=2\n"
+            "predicted rc: 2 (closed form n//2 - 1) measured: 2 -> match\n")
+    code, out, err = run(capsys, "family", "cycle", "6", "--out", "csv")
+    assert (code, err) == (0, "")
+    assert out == head + "id,n,m,rad,diam,girth,rc,lb,ub,ms\ncycle-6,6,6,3,3,6,2,2,2,0\n"
+    code, out, err = run(capsys, "family", "cycle", "6", "--out", "json")
+    assert (code, err) == (0, "") and out.startswith(head)
+    assert json.loads(out[len(head):]) == [
+        {"id": "cycle-6", "n": 6, "m": 6, "rad": 3, "diam": 3, "girth": 6,
+         "rc": 2, "lb": 2, "ub": 2, "ms": 0.0}]
+
+
+def test_family_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "predicted_rc", lambda kind, params, rad: (3, "planted"))
+    code, out, err = run(capsys, "family", "cycle", "6")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == "predicted rc: 3 (planted) measured: 2 -> MISMATCH"
+
+
 def test_family_generalized_johnson_readme_output(capsys):
     # the README command; its prediction note names the family's property
     code, out, err = run(capsys, "family", "generalized_johnson", "5", "2", "0")
@@ -432,6 +452,14 @@ def test_strategy_from_graph6_file(tmp_path, capsys):
     assert "captured" in out
 
 
+def test_strategy_refuses_a_file_of_two_graphs(tmp_path, capsys):
+    path = tmp_path / "two.g6"
+    path.write_text("Bw\nA_\n")
+    code, out, err = run(capsys, "strategy", str(path), "-k", "0", "--role", "cop")
+    assert (code, out) == (2, "")
+    assert err == "error: strategy needs exactly one graph, got 2\n"
+
+
 def test_compute_from_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("A_\nBw\n"))
@@ -705,7 +733,7 @@ def test_strategy_rejects_negative_max_moves(capsys):
 
 def test_cli_import_leaves_theorem_checks_unloaded():
     # a compute process imports the compute path only: the theorem checks,
-    # products, outerplanar embeddings and json load when a command needs
+    # products, the outerplanar checks and json load when a command needs
     # them, and no record in the package is a dataclass, so neither
     # dataclasses nor the modules it imports load, not even once verify has
     # run; each import runs in its own interpreter
@@ -755,7 +783,7 @@ def test_failing_theorems_carry_counterexamples(capsys, monkeypatch):
         assert payload["counterexample"]["edges"]
 
     g = basic_family("cycle", 4)
-    fold = verify.Retraction(frozenset({0, 1}), (0, 1, 0, 1))
+    fold = verify.Retraction((0, 1, 0, 1))
     report = verify.check_retract_monotonicity(g, fold)
     assert not report.passed
     assert report.counterexample == {

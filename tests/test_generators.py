@@ -433,6 +433,24 @@ def test_build_family_dispatch():
         build_family(FamilySpec("generalized_johnson", (30, 15, 1)))
 
 
+@pytest.mark.parametrize("kind,make", [
+    ("cycle", lambda: basic_family("cycle", 8.5)),
+    ("circulant", lambda: circulant(8.0, [1])),
+    ("circulant", lambda: circulant(8, [1, "2"])),
+    ("random_gnp_connected", lambda: random_connected_gnp(8.5, 0.5, 1)),
+    ("hamming", lambda: hamming(2.0, 3)),
+    ("hypercube", lambda: hypercube(3.0)),
+    ("sierpinski", lambda: sierpinski(2.0, 3)),
+    ("generalized_johnson", lambda: generalized_johnson(5.0, 2, 1)),
+])
+def test_generators_refuse_non_integer_params(kind, make):
+    # each generator checks its own integer params before the cap check or
+    # its arithmetic reads them, so a direct call refuses them as the
+    # command line does, not with a TypeError
+    with pytest.raises(InvalidParam, match=rf"^{kind} takes integer parameters, got "):
+        make()
+
+
 
 def test_build_family_guards_every_kind(monkeypatch):
     # each generator, and product, checks the cap from its parameters,
@@ -484,7 +502,7 @@ def test_one_cap_governs_every_construction(monkeypatch):
               (6, lambda: random_connected_gnp(6, 0.9, 1)),
               (9, lambda: sierpinski(2, 3)),
               (24, lambda: named_instance("CubicVT24_6")),
-              (12, lambda: random_outerplanar(12, 0.5, 1)[0]),
+              (12, lambda: random_outerplanar(12, 0.5, 1)),
               (6, lambda: parse_graph6("E???")))
     for n, build in builds:
         monkeypatch.setenv("RC_SIZE_GUARD", str(n - 1))

@@ -109,6 +109,11 @@ def test_parse_errors_carry_offsets():
     ("~?@@" + "?" * 346 + "@", "nonzero padding bits", 350),
     ("~?@@" + "?" * 200 + "!" + "?" * 146, "data byte 33 outside graph6 range", 204),
     ("~?@@" + "?" * 346, "expected 347 data bytes for n=65, got 346", 4),
+    ("~", "truncated graph6 size field", 1),
+    ("~?@", "truncated graph6 size field", 3),
+    ("~>@@", "size byte 62 outside graph6 range", 1),
+    ("~?!@", "size byte 33 outside graph6 range", 2),
+    ("~?@" + chr(127), "size byte 127 outside graph6 range", 3),
 ])
 def test_parse_error_messages_and_offsets(record, message, offset):
     with pytest.raises(ParseError) as err:

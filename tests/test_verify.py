@@ -26,11 +26,7 @@ from rcgame.graph import (
     induced_subgraph,
     is_connected,
 )
-from rcgame.outerplanar import (
-    OuterplanarEmbedding,
-    rc_outerplanar_formula,
-    validate_embedding,
-)
+from rcgame.outerplanar import polygon_chords, rc_outerplanar_formula
 from rcgame.verify import (
     EVEN,
     HARMONIC_EVEN,
@@ -55,7 +51,7 @@ from conftest import graphs
 
 def test_retraction_fold_leaf():
     p3 = basic_family("path", 3)
-    verify_retraction(p3, Retraction(frozenset({0, 1}), (0, 1, 0)))
+    verify_retraction(p3, Retraction((0, 1, 0)))
 
 
 def test_retraction_layer_projection():
@@ -68,20 +64,26 @@ def test_retraction_layer_projection():
 def test_retraction_c5_onto_edge_is_valid():
     # adjacent vertices may share an image, so this folds C_5 onto an edge
     c5 = basic_family("cycle", 5)
-    verify_retraction(c5, Retraction(frozenset({0, 1}), (0, 1, 1, 0, 0)))
+    verify_retraction(c5, Retraction((0, 1, 1, 0, 0)))
 
 
 def test_retraction_violations():
     c5 = basic_family("cycle", 5)
-    with pytest.raises(NotARetraction, match="empty"):
-        verify_retraction(c5, Retraction(frozenset(), (0,) * 5))
-    with pytest.raises(NotARetraction, match="moves target"):
-        verify_retraction(c5, Retraction(frozenset({0, 1}), (1, 1, 1, 0, 0)))
-    with pytest.raises(NotARetraction, match="not in the target"):
-        verify_retraction(c5, Retraction(frozenset({0, 1}), (0, 1, 2, 0, 0)))
+    with pytest.raises(NotARetraction, match=r"^mapping covers 4 of 5 vertices$"):
+        verify_retraction(c5, Retraction((0,) * 4))
+    with pytest.raises(NotARetraction, match=r"^image of 2 is 5, outside 0\.\.4$"):
+        verify_retraction(c5, Retraction((0, 1, 5, 0, 0)))
+    with pytest.raises(NotARetraction, match=r"^image of 2 is -1, outside 0\.\.4$"):
+        verify_retraction(c5, Retraction((0, 1, -1, 0, 0)))
+    # 1 is the image of 0, so a target vertex, but the map moves it to 0
+    with pytest.raises(NotARetraction, match=r"^map moves target vertex 1 to 0$"):
+        verify_retraction(c5, Retraction((1, 0, 1, 0, 0)))
     # edge (3,4) maps to the non-adjacent distinct pair (2,0)
     with pytest.raises(NotARetraction, match="non-adjacent"):
-        verify_retraction(c5, Retraction(frozenset({0, 1, 2}), (0, 1, 2, 2, 0)))
+        verify_retraction(c5, Retraction((0, 1, 2, 2, 0)))
+    # the empty graph's empty map is the identity, a retraction
+    verify_retraction(build_graph(0, []), Retraction(()))
+    assert Retraction((0, 1, 1, 0, 0)).target == frozenset({0, 1})
 
 
 @st.composite
@@ -106,7 +108,7 @@ def accepted_retractions(draw):
     images = sorted(target)
     mapping = tuple(x if x in target else draw(st.sampled_from(images))
                     for x in range(base.n))
-    retr = Retraction(frozenset(target), mapping)
+    retr = Retraction(mapping)
     try:
         verify_retraction(base, retr)
     except NotARetraction:
@@ -254,7 +256,7 @@ def test_retract_monotonicity_requires_connected(monkeypatch):
     monkeypatch.setattr(graph, "is_connected", lambda g: bfs.append(g) or real(g))
     two_edges = build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(NotConnected, match="monotonicity check needs a connected graph"):
-        check_retract_monotonicity(two_edges, Retraction(frozenset({0, 1}), (0, 1, 0, 1)))
+        check_retract_monotonicity(two_edges, Retraction((0, 1, 0, 1)))
     assert bfs == [two_edges]
 
 
@@ -487,9 +489,8 @@ def test_outerplanar_formula_census_all_dissections():
     for n in range(3, 10):
         cycle = [(i, (i + 1) % n) for i in range(n)]
         for chords in _dissections(0, n - 1):
-            emb = OuterplanarEmbedding(tuple(range(n)), frozenset(chords))
             g = build_graph(n, cycle + sorted(chords))
-            validate_embedding(g, emb)
-            assert radius_capture_number(g) == rc_outerplanar_formula(emb), chords
+            assert polygon_chords(g) == sorted(chords)
+            assert radius_capture_number(g) == rc_outerplanar_formula(g), chords
             embeddings += 1
     assert embeddings == 5439
