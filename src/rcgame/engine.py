@@ -16,9 +16,11 @@ single moves (plies) to guaranteed capture, with the cop minimizing and
 the robber maximizing. solve_cwrc and capture_radii both hand the kernel
 two closed balls of rcgame.graph: ball_k, the capture targets, and
 ball_{k+1}, the cops that reach them in one move. capture_radii is the
-one rc search: from one ball sweep it gives a graph's rad, diam and rc;
-radius_capture_number, the command line's rows and every theorem check
-that needs rad and rc together go through it. It starts at the paper's
+one rc search: from one ball sweep it gives a graph's rad, diam and rc,
+and it answers a cycle from one BFS and the paper's bounds, with no
+sweep, corner pass or kernel; radius_capture_number, the
+command line's rows and every theorem check that needs rad and rc
+together go through it. On every other graph it starts at the paper's
 bound rc <= rad - 1, which one cop move proves, so it never probes at
 rad - 1 or above; verify's bounds suite checks that bound with a solve
 of its own. Before its first probe, greedy corner elimination,
@@ -61,7 +63,15 @@ from .errors import (
     NoWinningStrategy,
     NotConnected,
 )
-from .graph import _BINARY, Graph, _sweep, all_pairs_distances, balls, is_connected
+from .graph import (
+    _BINARY,
+    Graph,
+    _bfs_row,
+    _sweep,
+    all_pairs_distances,
+    balls,
+    is_connected,
+)
 
 COP_TO_MOVE = 0
 ROBBER_TO_MOVE = 1
@@ -329,10 +339,27 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
     """(rad, diam, rc) of g, or None when g is disconnected (InvalidParam
     when g is empty); rc is the least k at which the cop wins.
 
-    The one ball sweep of rcgame.graph._sweep answers a disconnected g
-    before any attractor work, and otherwise gives every eccentricity, so
-    rad and diam, and top, the balls at max(rad - 2, 0) .. rad - 1; it
-    reads a complete g off its edge count, with no closed_bits and no BFS.
+    A cycle C_n, n >= 4, is answered first, from the one BFS that finds
+    g connected, with no closed_bits, ball sweep, corner pass or kernel.
+    Only m = n > 3 can be one: every other g pays that one comparison, and
+    an m = n g also scans degrees up to its first vertex whose degree is
+    not 2. The test leaves out n = 0 and K_3, which _sweep answers as
+    below. With m = n and every degree 2, g is a union of cycles, and
+    connected it is C_n. Every vertex has ecc floor(n/2), so rad = diam =
+    floor(n/2), and the radius bound below gives rc <= floor(n/2) - 1.
+    The robber evades at k = floor(n/2) - 2, so that bound is rc, and
+    meets the paper's girth bound rc >= floor(girth/2) - 1: the robber
+    places at the cop's antipode, at distance floor(n/2); a cop move
+    leaves at least floor(n/2) - 1 > k; the robber then steps away from
+    the cop, which restores floor(n/2), since at distance d < floor(n/2)
+    the other arc is n - d >= d + 2 long, or stays put when the cop did.
+    So the distance never falls below floor(n/2) - 1.
+
+    Every other g takes the one ball sweep of rcgame.graph._sweep. It
+    answers a disconnected g before any attractor work, and otherwise
+    gives every eccentricity, so rad and diam, and top, the balls at
+    max(rad - 2, 0) .. rad - 1; it reads a complete g off its edge count,
+    with no closed_bits and no BFS.
 
     The cop wins at k = max(rad - 1, 0), the paper's bound rc <= rad - 1,
     by one move: a cop placed at a centre c (ecc(c) = rad >= 1) is within
@@ -373,11 +400,16 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
     drops free them; it holds at most one pair of balls, never one per
     radius, and at most two pairs of planes.
     """
+    n = g.n
+    if g.m == n > 3 and all(len(row) == 2 for row in g.adj):
+        if -1 in _bfs_row(g.adj, n, 0):
+            return None
+        return n // 2, n // 2, n // 2 - 1    # C_n
     swept = _sweep(g)
     if swept is None:
         return None
     ecc, top = swept
-    n, rad = g.n, min(ecc)
+    rad = min(ecc)
     lo, hi = -1, max(rad - 1, 0)
     if hi:                               # rad >= 2: decide k = 0 first
         core, _ = corner_folds(g)

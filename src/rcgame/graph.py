@@ -22,10 +22,11 @@ rad, diam and the centres), counting the full balls at each level and
 looking at single vertices only at levels where that count rises.
 eccentricities (exported for callers outside the package) and the
 engine's capture_radii both read that one pass, so a compute row makes it
-once; a theorem check that reads pair distances takes rad and diam from
-the maxima of its distance rows instead, with no sweep. All-pairs distances
-(APSP) are built only by the code that reads them, never by a solve, and
-only on connected graphs. The BFS from
+once, or not at all on a cycle, which capture_radii answers from one BFS
+row; a theorem check that reads pair distances takes rad and diam from
+the maxima of its distance rows instead, with no sweep. All-pairs
+distances (APSP) are built only by the code that reads them, never by a
+solve, and only on connected graphs. The BFS from
 vertex 0 that answers connectivity also gives ecc(0), and ecc(0) <= D <=
 2 ecc(0) for the diameter D. When 6 ecc(0) <= n and ecc(0) < 128 (so
 D <= n/3 and D fits a byte) the rows are read off binary planes of one

@@ -429,8 +429,11 @@ def suite_outerplanar(trials: int, seed: int, max_n: int) -> _Tally:
 def suite_families(trials: int, seed: int, max_n: int) -> _Tally:
     """Closed-form capture numbers across the generated families, against
     generators.predicted_rc (the table `rcgame family` prints) except for
-    the literal Johnson k - 1 line and the named instance. Nothing is drawn,
-    so trials, seed and max_n are not read."""
+    the literal Johnson k - 1 line and the named instance. capture_radii
+    answers a cycle by the closed form itself, so the cycle line decides
+    rc with two solves instead: the cop wins at n//2 - 1 and, from C_4 on,
+    loses at n//2 - 2. Nothing is drawn, so trials, seed and max_n are not
+    read."""
     tally = _Tally()
 
     def expect(tid: str, name: str, rc: int, expected_rc: int) -> None:
@@ -444,7 +447,12 @@ def suite_families(trials: int, seed: int, max_n: int) -> _Tally:
             expect(tid, name, rc, predicted_rc(kind, params, rad)[0])
 
     for n in range(3, 13):
-        expect_family("cycle-closed-form", f"C_{n}", "cycle", n)
+        g = build_family(FamilySpec("cycle", (n,)))
+        rc = predicted_rc("cycle", (n,))[0]
+        won = solve_cwrc(g, rc).is_cop_win
+        lost = rc == 0 or not solve_cwrc(g, rc - 1).is_cop_win
+        tally.record("cycle-closed-form", won and lost, {"instance": f"C_{n}"},
+                     f"rc == {rc}", {"cop_wins_at_rc": won, "cop_loses_below": lost})
     for d in range(1, 5):
         expect_family("hypercube-closed-form", f"Q_{d}", "hypercube", d)
     for d, q in ((2, 3), (2, 4)):

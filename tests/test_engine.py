@@ -148,7 +148,6 @@ def test_sweep_keeps_the_two_levels_below_rad():
     (sierpinski(5, 3), 30),
     (hypercube(7), 6),
     (hamming(3, 5), 2),
-    (basic_family("cycle", 400), 199),
 ], ids=lambda v: None if isinstance(v, int) else repr(v))
 def test_search_walks_each_ball_level_once(dilate_calls, g, dilates):
     # ball_1 is closed_bits, a complete graph runs no probe, and each other
@@ -170,6 +169,128 @@ def test_search_walks_lower_probes_from_ball_0(dilate_calls, g, dilates):
     # closed_bits, so it adds k dilates to the sweep's diam - 1
     capture_radii(g)
     assert len(dilate_calls) == dilates
+
+
+def _is_cycle(g):
+    """Whether connected g is a cycle: every degree 2."""
+    return all(len(row) == 2 for row in g.adj)
+
+
+@pytest.fixture
+def shortcut_work(monkeypatch, dilate_calls):
+    """Counts, by name, the work capture_radii makes: "bfs" per BFS row,
+    "sweep", "corners" and "kernel" per call, "dilate" per hop."""
+    work = Counter()
+
+    def counted(name, real):
+        def call(*args):
+            work[name] += 1
+            return real(*args)
+        return call
+
+    for name, attr in (("bfs", "_bfs_row"), ("sweep", "_sweep"),
+                       ("corners", "corner_folds"), ("kernel", "_attract")):
+        monkeypatch.setattr(engine, attr, counted(name, getattr(engine, attr)))
+    monkeypatch.setattr(graph, "_bfs_row", counted("bfs", graph._bfs_row))
+
+    def read():
+        work["dilate"] = len(dilate_calls)
+        return +work
+    return read
+
+
+@pytest.mark.parametrize("g,radii", [
+    (basic_family("cycle", 400), (200, 200, 199)),
+    (basic_family("cycle", 10), (5, 5, 4)),
+    (basic_family("cycle", 7), (3, 3, 2)),
+    (basic_family("cycle", 4), (2, 2, 1)),
+], ids=["C_400", "C_10", "C_7", "C_4"])
+def test_cycles_skip_the_sweep(shortcut_work, g, radii):
+    # a cycle is answered from the connectivity BFS: no ball sweep, dilate,
+    # corner pass or kernel call, and no closed_bits
+    assert capture_radii(g) == radii
+    assert shortcut_work() == {"bfs": 1}
+    assert g._closed_bits is None
+
+
+def test_cycle_test_leaves_the_rest_as_it_was(shortcut_work):
+    # n = 0 is still InvalidParam, from the sweep, and K_3 is read off its
+    # edge count; two disjoint triangles (2-regular) are None from one BFS
+    # and no sweep; K_3 + K_1 and C_400 + K_1 (m = n - 1) are None from the
+    # sweep; a triangle with a pendant vertex (m = n, a degree 3) takes the
+    # sweep, and P_9 and C_6 with a chord the sweep and the corner pass,
+    # each sweep with its one connectivity BFS; work counts add up
+    with pytest.raises(InvalidParam, match="empty graph has no radius"):
+        capture_radii(build_graph(0, []))
+    assert capture_radii(basic_family("complete", 3)) == (1, 1, 0)
+    assert shortcut_work() == {"sweep": 2}
+    two_c3 = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert capture_radii(two_c3) is None
+    assert shortcut_work() == {"sweep": 2, "bfs": 1}
+    k3_k1 = build_graph(4, [(0, 1), (1, 2), (0, 2)])
+    c400_k1 = build_graph(401, [(v, (v + 1) % 400) for v in range(400)])
+    for g in (k3_k1, c400_k1):
+        assert capture_radii(g) is None
+    assert shortcut_work() == {"sweep": 4, "bfs": 3}
+    assert capture_radii(_lollipop(3, 1)) == (1, 2, 0)
+    assert shortcut_work() == {"sweep": 5, "bfs": 4, "dilate": 1}
+    assert capture_radii(basic_family("path", 9)) == (4, 8, 0)
+    assert shortcut_work() == {"sweep": 6, "bfs": 5, "corners": 1, "dilate": 8}
+    chord = build_graph(6, [(v, (v + 1) % 6) for v in range(6)] + [(0, 3)])
+    assert capture_radii(chord) == (2, 3, 1)
+    assert shortcut_work() == {"sweep": 7, "bfs": 6, "corners": 2, "dilate": 10}
+
+
+def _cycle_census_graphs():
+    # every atlas cycle, C_3..C_60 and C_400
+    graphs = [build_graph(G.number_of_nodes(), list(G.edges()))
+              for G in nx.graph_atlas_g()
+              if G.number_of_nodes() and nx.is_connected(G)]
+    graphs = [g for g in graphs if _is_cycle(g)]
+    graphs += [basic_family("cycle", n) for n in range(3, 61)]
+    graphs.append(basic_family("cycle", 400))
+    return graphs
+
+
+def _cycle_census_misses(radii_of, graphs):
+    """The graphs on which radii_of(g) = (rad, diam, rc) misses the min
+    and max of the sweep's eccentricities, or an rc the kernel decides:
+    the naive oracle's up to 8 vertices, else a solve that wins at rc and
+    one that loses at rc - 1."""
+    misses = []
+    for g in graphs:
+        rad, diam, rc = radii_of(g)
+        ecc, _ = _sweep(g)
+        if g.n <= 8:
+            decided = rc == naive_rc_oracle(g)
+        else:
+            decided = solve_cwrc(g, rc).is_cop_win and (
+                rc == 0 or not solve_cwrc(g, rc - 1).is_cop_win)
+        if (rad, diam) != (min(ecc), max(ecc)) or not decided:
+            misses.append(g)
+    return misses
+
+
+def test_cycles_match_the_sweep_and_the_kernel():
+    # rad and diam are the sweep's, rc is the kernel's: the 5 atlas cycles,
+    # C_3..C_60 and C_400
+    graphs = _cycle_census_graphs()
+    assert all(map(_is_cycle, graphs))
+    assert len(graphs) == 64
+    assert _cycle_census_misses(capture_radii, graphs) == []
+
+
+def test_cycle_census_catches_a_planted_fault():
+    # a cycle branch one below the radius bound, rc = rad - 2, fails the
+    # census on every cycle of 4 or more vertices
+    def planted(g):
+        rad, diam, rc = capture_radii(g)
+        return (rad, diam, rad - 2) if g.n >= 4 else (rad, diam, rc)
+
+    graphs = _cycle_census_graphs()
+    cycles = [g for g in graphs if g.n >= 4]
+    assert len(cycles) == 62
+    assert _cycle_census_misses(planted, graphs) == cycles
 
 
 def test_solve_walks_to_ball_k_plus_one(dilate_calls):
@@ -230,7 +351,7 @@ def test_cop_step_skips_settled_columns(g, k, reads):
 # a row's id ends in its kernel probe count
 @pytest.mark.parametrize("g,rc,probes", [
     (basic_family("complete", 1), 0, []),   # rad 0: no probe
-    (basic_family("cycle", 10), 4, [3]),    # rad 5: loses at 3, so rc 4
+    (_lollipop(10, 1), 4, [3]),             # rad 5: loses at 3, so rc 4
     (sierpinski(3, 3), 5, [4]),             # rad 6
     (basic_family("path", 9), 0, []),       # rad 4: dismantlable, no probe
     (sierpinski(4, 4), 11, [12, 6, 9, 10, 11]),  # rad 14: 6, 9, 10 lose
@@ -242,7 +363,8 @@ def test_rc_probes_follow_the_radius_bound(monkeypatch, g, rc, probes):
     # the cop wins at max(rad - 1, 0), and the corner pass decides k = 0,
     # so the search bisects between them: one attractor call per probe, at
     # rad - 2 first; each call's k is the ball its targets equal, and its
-    # second ball is the next one
+    # second ball is the next one. A cycle runs no search, so the
+    # one-probe row is C_10 with a pendant vertex
     real, calls = engine._attract, []
     every_ball = list(balls(g))
 
@@ -261,9 +383,10 @@ def test_rc_probes_follow_the_radius_bound(monkeypatch, g, rc, probes):
 def probe_search(monkeypatch):
     """Runs the rc search on a graph and returns (rad, rc, log): the log
     holds "corners" for the corner pass and the k of each kernel probe, read
-    off the ball its targets equal. It checks that rad <= 1 runs no kernel
-    and no corner pass, and rad >= 2 runs the corner pass exactly once,
-    before any kernel probe, with every kernel probe at k >= 1."""
+    off the ball its targets equal. It checks that rad <= 1 and a cycle
+    run no kernel and no corner pass, and every other rad >= 2 runs the
+    corner pass exactly once, before any kernel probe, with every kernel
+    probe at k >= 1."""
     log = []
     attract, folds = engine._attract, engine.corner_folds
 
@@ -282,7 +405,9 @@ def probe_search(monkeypatch):
         log.clear()
         rad, _, rc = capture_radii(g)
         passes = [i for i, probe in enumerate(log) if probe == "corners"]
-        assert passes == ([0] if rad > 1 else []), (g, rad, log)
+        searched = rad > 1 and not _is_cycle(g)
+        assert passes == ([0] if searched else []), (g, rad, log)
+        assert searched or log == [], (g, rad, log)
         assert all(0 < k < rad - 1 for k in log[1:]), (g, rad, log)
         return rad, rc, list(log)
 
@@ -294,7 +419,7 @@ def test_rc_search_never_probes_at_the_radius_bound(probe_search):
     # there or above it, and the corner pass decides k = 0 before any kernel
     # probe; the rc agrees with the oracle. K_1..K_8, both complete
     # J(70, k, i), the star K_{1,6} and every connected atlas graph; more
-    # than 500 of them run the corner pass
+    # than 500 of them run the corner pass, and the atlas cycles run none
     graphs = [basic_family("complete", n) for n in range(1, 9)]
     graphs += [generalized_johnson(70, 1, 0), generalized_johnson(70, 69, 68),
                build_graph(7, [(0, v) for v in range(1, 7)])]
@@ -305,7 +430,7 @@ def test_rc_search_never_probes_at_the_radius_bound(probe_search):
     for g in graphs:
         rad, rc, _ = probe_search(g)
         assert rc == naive_rc_oracle(g)
-        passed += rad > 1
+        passed += rad > 1 and not _is_cycle(g)
     assert passed > 500
 
 

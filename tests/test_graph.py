@@ -100,7 +100,8 @@ def test_distances_path():
 
 
 def _counted_bfs_rows(monkeypatch):
-    """Patch _bfs_row to record its sources; returns the list it fills."""
+    """Patch _bfs_row, rcgame.graph's name and the one rcgame.engine
+    imports, to record its sources; returns the list it fills."""
     calls = []
 
     def counted(adj, n, source):
@@ -108,6 +109,7 @@ def _counted_bfs_rows(monkeypatch):
         return _bfs_row(adj, n, source)
 
     monkeypatch.setattr("rcgame.graph._bfs_row", counted)
+    monkeypatch.setattr("rcgame.engine._bfs_row", counted)
     return calls
 
 
@@ -334,7 +336,9 @@ def test_sweep_matches_networkx_atlas():
 
 def test_complete_graphs_are_answered_from_the_edge_count(monkeypatch):
     # 2m = n(n - 1) answers K_n (and the complete J(70,1,0), J(70,69,68))
-    # before any BFS or sweep, so closed_bits is never built
+    # before any BFS or sweep, so closed_bits is never built; capture_radii's
+    # cycle test needs n > 3, so K_3 (m = n = 3) goes on to the sweep's
+    # answer with no BFS either
     calls = _counted_bfs_rows(monkeypatch)
     cases = [basic_family("complete", n) for n in range(1, 71)]
     cases += [generalized_johnson(70, 1, 0), generalized_johnson(70, 69, 68)]

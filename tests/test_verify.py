@@ -382,7 +382,10 @@ def test_product_theorems_require_connected():
 
 def test_checks_sweep_each_graph_once(monkeypatch):
     # a check that needs rad and rc together reads both off one ball sweep,
-    # engine.capture_radii's, and never sweeps a graph a second time
+    # engine.capture_radii's, and never sweeps a graph a second time; a
+    # cycle it answers with no sweep: the families' C_4 = Q_2 (the cycle
+    # line solves C_3..C_12 instead), the two-regular one-step circulants
+    # and the factor C_4
     real, swept = graph._sweep, []
 
     def counted(g):
@@ -393,11 +396,12 @@ def test_checks_sweep_each_graph_once(monkeypatch):
     monkeypatch.setattr(engine, "_sweep", counted)
     runs = [
         (lambda: suite_bounds(12, 3, 14), 12),
-        (lambda: suite_families(0, 1, 14), 27),
-        (lambda: suite_transitive_sweep(0, 1, 14), 79),
-        # both factors, then the Cartesian, strong and lexicographic products
+        (lambda: suite_families(0, 1, 14), 16),
+        (lambda: suite_transitive_sweep(0, 1, 14), 61),
+        # the factor P_3, then the Cartesian, strong and lexicographic
+        # products
         (lambda: check_product_theorems(basic_family("cycle", 4),
-                                        basic_family("path", 3)), 5),
+                                        basic_family("path", 3)), 4),
     ]
     for run, graphs in runs:
         swept.clear()
@@ -405,11 +409,34 @@ def test_checks_sweep_each_graph_once(monkeypatch):
         assert len(swept) == len({id(g) for g in swept}) == graphs
 
 
+def test_cycle_line_decides_rc_with_its_own_solves(monkeypatch):
+    # capture_radii answers a cycle by the closed form this line checks, so
+    # the line solves at n//2 - 1 and n//2 - 2 itself: a capture_radii one
+    # off on every cycle leaves it 10/10, a solve one radius up fails it
+    # from C_4 on
+    real_radii, real_solve = verify.capture_radii, verify.solve_cwrc
+
+    def cycle_line():
+        return [line for line in suite_families(0, 1, 14).lines()
+                if line.startswith("cycle-closed-form")]
+
+    def off_by_one(g):
+        rad, diam, rc = real_radii(g)
+        return rad, diam, rc + all(len(row) == 2 for row in g.adj)
+
+    monkeypatch.setattr(verify, "capture_radii", off_by_one)
+    assert cycle_line() == ["cycle-closed-form: 10/10 pass"]
+    monkeypatch.setattr(verify, "capture_radii", real_radii)
+    monkeypatch.setattr(verify, "solve_cwrc", lambda g, k: real_solve(g, k + 1))
+    assert cycle_line() == ["cycle-closed-form: 1/10 pass"]
+
+
 def test_evenness_checks_read_one_table(monkeypatch, cubic_vt):
     # an even graph's checks read one distance table and one antipode scan,
     # diam from the table's row maxima; only the harmonic-even capture check
     # sweeps the balls, once, in capture_radii, which gives rad and rc
-    # together; a sweep through either module's name is counted
+    # together, and not at all on a cycle, which capture_radii answers with
+    # no sweep; a sweep through either module's name is counted
     swept = []
     for module in (graph, engine):
         real = module._sweep
@@ -419,7 +446,7 @@ def test_evenness_checks_read_one_table(monkeypatch, cubic_vt):
     monkeypatch.setattr(verify, "all_pairs_distances",
                         lambda g: tables.append(g) or real_apsp(g))
     for name, g, cls, sweeps, checks in (
-            ("C_8", basic_family("cycle", 8), verify.HARMONIC_EVEN, 1, 3),
+            ("C_8", basic_family("cycle", 8), verify.HARMONIC_EVEN, 0, 3),
             ("Q_4", hypercube(4), verify.HARMONIC_EVEN, 1, 3),
             ("CubicVT24_6", cubic_vt, verify.EVEN, 0, 2)):
         swept.clear()
