@@ -357,9 +357,8 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
 
     Every other g takes the one ball sweep of rcgame.graph._sweep. It
     answers a disconnected g before any attractor work, and otherwise
-    gives every eccentricity, so rad and diam, and top, the balls at
-    max(rad - 2, 0) .. rad - 1; it reads a complete g off its edge count,
-    with no closed_bits and no BFS.
+    gives rad, diam and top, the balls at max(rad - 2, 0) .. rad - 1; it
+    reads a complete g off its edge count, with no closed_bits and no BFS.
 
     The cop wins at k = max(rad - 1, 0), the paper's bound rc <= rad - 1,
     by one move: a cop placed at a centre c (ecc(c) = rad >= 1) is within
@@ -408,8 +407,7 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
     swept = _sweep(g)
     if swept is None:
         return None
-    ecc, top = swept
-    rad = min(ecc)
+    rad, diam, top = swept
     lo, hi = -1, max(rad - 1, 0)
     if hi:                               # rad >= 2: decide k = 0 first
         core, _ = corner_folds(g)
@@ -427,7 +425,7 @@ def capture_radii(g: Graph) -> tuple[int, int, int] | None:
         else:
             lo, lose_c, lose_r = k, win_c, win_r
         k = (lo + hi) // 2
-    return rad, max(ecc), hi
+    return rad, diam, hi
 
 
 class Strategy(NamedTuple):

@@ -17,14 +17,13 @@ time, bit-parallel BFS in the style of Akiba, Iwata and Yoshida (SIGMOD
 2013); ball_1 is closed_bits itself, and each later hop is dilate, which
 starts each vertex's row from its own ball and ORs in its neighbours'
 balls over adj, so a graph of diameter D costs D - 1 of them. _sweep
-makes one pass of it to the diameter that reads every eccentricity (so
-rad, diam and the centres), counting the full balls at each level and
-looking at single vertices only at levels where that count rises.
-eccentricities (exported for callers outside the package) and the
-engine's capture_radii both read that one pass, so a compute row makes it
+makes one pass of it to the diameter, counting the full balls at each
+level: rad is the first level with a full ball, diam the first where all
+are. The engine's capture_radii reads that pass, so a compute row makes it
 once, or not at all on a cycle, which capture_radii answers from one BFS
-row; a theorem check that reads pair distances takes rad and diam from
-the maxima of its distance rows instead, with no sweep. All-pairs
+row. eccentricities (exported for callers outside the package) and the
+theorem checks that read pair distances take the maxima of the distance
+rows instead, never _sweep, a second path to rad and diam. All-pairs
 distances (APSP) are built only by the code that reads them, never by a
 solve, and only on connected graphs. The BFS from
 vertex 0 that answers connectivity also gives ecc(0), and ecc(0) <= D <=
@@ -174,18 +173,16 @@ def balls(g: Graph) -> Iterator[list[int]]:
         grown = dilate(g, ball)
 
 
-def _sweep(g: Graph) -> tuple[tuple[int, ...], list[list[int]]] | None:
-    """(ecc, top) from one closed-ball sweep, or None when g is disconnected.
+def _sweep(g: Graph) -> tuple[int, int, list[list[int]]] | None:
+    """(rad, diam, top) from one closed-ball sweep, or None when g is
+    disconnected.
 
     A complete g (2m = n(n - 1), its rows being simple) has every ball_1
-    full, ecc 1 (0 on K_1), and is answered with no closed_bits, BFS or
-    sweep. Else one BFS answers a disconnected g before any sweep, and
-    ecc(v) is the first k at which ball_k[v] holds every vertex. Each
-    level counts its full balls with one ball.count(full), and only at a
-    level where that count rises are the still-short vertices compared
-    with full, each one that filled there getting its ecc; the sweep stops
-    at the first level where every ball is full, the diameter. rad is the
-    first level where some ball is full, and top lists the balls at
+    full, rad = diam = 1 (0 on K_1), and is answered with no closed_bits,
+    BFS or sweep. Else one BFS answers a disconnected g before any sweep,
+    and each level counts its full balls with one ball.count(full): rad is
+    the first level where some ball is full, and diam the first where
+    every ball is, where the sweep stops. top lists the balls at
     max(rad - 2, 0) .. rad - 1, the pair engine.capture_radii's first
     probe reads when rad >= 2.
     """
@@ -193,34 +190,33 @@ def _sweep(g: Graph) -> tuple[tuple[int, ...], list[list[int]]] | None:
     if n == 0:
         raise InvalidParam("empty graph has no radius")
     if 2 * g.m == n * (n - 1):  # complete: every ball_1 is full
-        return (min(n - 1, 1),) * n, ([[1 << v for v in range(n)]] if n > 1 else [])
+        rad = min(n - 1, 1)
+        return rad, rad, ([[1 << v for v in range(n)]] if n > 1 else [])
     if not is_connected(g):
         return None
     full = (1 << n) - 1
-    ecc = [0] * n
-    short = range(n)            # the vertices whose ball is not yet full
-    filled = 0                  # how many balls are full
+    rad = 0                     # the levels with no full ball
     top: list[list[int]] = []
     for level, ball in enumerate(balls(g)):
         count = ball.count(full)
-        if not count:           # no ball is full yet: level < rad
+        if not count:
+            rad += 1
             top = [*top[-1:], ball]
-        elif count > filled:
-            filled = count
-            for v in short:
-                if ball[v] == full:
-                    ecc[v] = level
-            if filled == n:
-                break
-            short = [v for v in short if ball[v] != full]
-    return tuple(ecc), top
+        elif count == n:
+            break
+    return rad, level, top
 
 
 def eccentricities(g: Graph) -> tuple[int, ...] | None:
-    """ecc(v) for every vertex, or None when g is disconnected; read off
-    the one sweep of _sweep."""
-    swept = _sweep(g)
-    return None if swept is None else swept[0]
+    """ecc(v) for every vertex, the maxima of the all_pairs_distances rows,
+    or None when g is disconnected (InvalidParam when g is empty). It never
+    calls _sweep, so its min and max check _sweep's rad and diam."""
+    if g.n == 0:
+        raise InvalidParam("empty graph has no radius")
+    try:
+        return tuple(map(max, all_pairs_distances(g)))
+    except NotConnected:
+        return None
 
 
 _BINARY = bytes.maketrans(b"01", b"\0\1")

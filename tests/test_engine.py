@@ -130,15 +130,17 @@ def _lollipop(cycle, path):
 def test_sweep_keeps_the_two_levels_below_rad():
     # top lists ball_{rad-2} and ball_{rad-1} (those >= 0): the search's
     # first probe is at rad - 2, and a probe at k reads ball_k and
-    # ball_{k+1}: on K_1, the lollipops and the connected atlas
+    # ball_{k+1}; diam is the last level, where the balls stop growing:
+    # on K_1, the lollipops and the connected atlas
     graphs = [basic_family("complete", 1)]
     graphs += [_lollipop(c, p) for c in (3, 4, 9) for p in (0, 1, 2, 5, 30)]
     graphs += [build_graph(G.number_of_nodes(), list(G.edges()))
                for G in nx.graph_atlas_g()
                if G.number_of_nodes() and nx.is_connected(G)]
     for g in graphs:
-        ecc, top = _sweep(g)
-        rad, every = min(ecc), list(balls(g))
+        rad, diam, top = _sweep(g)
+        every = list(balls(g))
+        assert diam == len(every) - 1
         assert top == every[max(rad - 2, 0):rad]
 
 
@@ -253,20 +255,20 @@ def _cycle_census_graphs():
 
 
 def _cycle_census_misses(radii_of, graphs):
-    """The graphs on which radii_of(g) = (rad, diam, rc) misses the min
-    and max of the sweep's eccentricities, or an rc the kernel decides:
-    the naive oracle's up to 8 vertices, else a solve that wins at rc and
-    one that loses at rc - 1."""
+    """The graphs on which radii_of(g) = (rad, diam, rc) misses the
+    sweep's rad and diam, or an rc the kernel decides: the naive oracle's
+    up to 8 vertices, else a solve that wins at rc and one that loses at
+    rc - 1."""
     misses = []
     for g in graphs:
         rad, diam, rc = radii_of(g)
-        ecc, _ = _sweep(g)
+        swept = _sweep(g)[:2]
         if g.n <= 8:
             decided = rc == naive_rc_oracle(g)
         else:
             decided = solve_cwrc(g, rc).is_cop_win and (
                 rc == 0 or not solve_cwrc(g, rc - 1).is_cop_win)
-        if (rad, diam) != (min(ecc), max(ecc)) or not decided:
+        if (rad, diam) != swept or not decided:
             misses.append(g)
     return misses
 
@@ -291,6 +293,76 @@ def test_cycle_census_catches_a_planted_fault():
     cycles = [g for g in graphs if g.n >= 4]
     assert len(cycles) == 62
     assert _cycle_census_misses(planted, graphs) == cycles
+
+
+def _radii_census_graphs():
+    """(g, connected) for the whole atlas but the empty graph, 200 seeded
+    G(n, p) on 2..40 vertices, P_n and C_n for n <= 60 and six larger
+    graphs, connected as networkx finds it."""
+    pairs = [(build_graph(G.number_of_nodes(), list(G.edges())), nx.is_connected(G))
+             for G in nx.graph_atlas_g()[1:]]
+    rng = random.Random(1)
+    for _ in range(200):
+        n, p = rng.randint(2, 40), rng.uniform(0.02, 0.5)
+        G = nx.gnp_random_graph(n, p, seed=rng.randrange(2 ** 32))
+        pairs.append((build_graph(n, list(G.edges())), nx.is_connected(G)))
+    graphs = [basic_family("path", n) for n in range(1, 61)]
+    graphs += [basic_family("cycle", n) for n in range(3, 61)]
+    graphs += [sierpinski(3, 3), sierpinski(4, 4), hypercube(5), hamming(3, 5),
+               named_instance("CubicVT24_6"), generalized_johnson(7, 3, 2)]
+    return pairs + [(g, True) for g in graphs]
+
+
+def _radii_census_misses(pairs):
+    """The graphs on which capture_radii's rad and diam miss the min and
+    max of eccentricities, the maxima of the distance rows, or both are
+    not None exactly when g is disconnected."""
+    misses = []
+    for g, connected in pairs:
+        radii, ecc = capture_radii(g), eccentricities(g)
+        got = None if radii is None else radii[:2]
+        want = None if ecc is None else (min(ecc), max(ecc))
+        if got != want or (want is None) == connected:
+            misses.append(g)
+    return misses
+
+
+def test_sweep_and_distance_rows_agree():
+    # the sweep's rad and diam, through capture_radii, against the distance
+    # rows, which never call _sweep; n = 0 is InvalidParam from both
+    pairs = _radii_census_graphs()
+    # 996 connected atlas graphs, 128 of the G(n, p), the paths, cycles and
+    # larger graphs
+    assert sum(connected for _, connected in pairs) == 996 + 128 + 124
+    assert _radii_census_misses(pairs) == []
+    for radii_of in (capture_radii, eccentricities):
+        with pytest.raises(InvalidParam, match="empty graph has no radius"):
+            radii_of(build_graph(0, []))
+
+
+@pytest.mark.parametrize("fault", [
+    lambda rad, diam: (rad, diam - 1),
+    lambda rad, diam: (rad + 1, diam),
+], ids=["diam-1", "rad+1"])
+def test_sweep_census_catches_a_planted_fault(monkeypatch, fault):
+    # a _sweep one off in diam or in rad fails the census on every graph it
+    # sweeps: each connected one but the cycles of 4 or more vertices,
+    # which capture_radii answers with no sweep
+    real, faulted = graph._sweep, []
+
+    def planted(g):
+        swept = real(g)
+        if swept is None:
+            return None
+        faulted.append(g)
+        return (*fault(*swept[:2]), swept[2])
+
+    monkeypatch.setattr(graph, "_sweep", planted)
+    monkeypatch.setattr(engine, "_sweep", planted)
+    assert _radii_census_misses(_radii_census_graphs()) == faulted
+    # the 63 cycles of 4 or more vertices: 4 atlas graphs, 2 G(n, p) and
+    # C_4..C_60
+    assert len(faulted) == 1248 - 63
 
 
 def test_solve_walks_to_ball_k_plus_one(dilate_calls):

@@ -295,13 +295,13 @@ def test_second_ball_is_the_closed_neighbourhoods(dilate_calls):
 
 
 def _sweep_by_bfs(g):
-    # (ecc, top) of _sweep, read off one BFS row per vertex: ball_k[r] holds
-    # the c with d(r, c) <= k, listed for k = max(rad - 2, 0) .. rad - 1
+    # (rad, diam, top) of _sweep, read off one BFS row per vertex: ball_k[r]
+    # holds the c with d(r, c) <= k, listed for k = max(rad - 2, 0) .. rad - 1
     rows = [_bfs_row(g.adj, g.n, v) for v in range(g.n)]
     ecc = tuple(map(max, rows))
     rad = min(ecc)
-    return ecc, [[sum(1 << c for c, d in enumerate(row) if d <= k) for row in rows]
-                 for k in range(max(rad - 2, 0), rad)]
+    return rad, max(ecc), [[sum(1 << c for c, d in enumerate(row) if d <= k) for row in rows]
+                           for k in range(max(rad - 2, 0), rad)]
 
 
 def test_sweep_matches_per_vertex_bfs():
@@ -316,20 +316,19 @@ def test_sweep_matches_per_vertex_bfs():
 
 
 def test_sweep_matches_networkx_atlas():
-    # networkx's eccentricities on every connected atlas graph and None on
-    # every disconnected one; K_n less the edge (0, 1) is two edges short of
-    # complete, so it still takes the sweep and reads ecc 2 at 0 and 1
+    # networkx's radius and diameter on every connected atlas graph and None
+    # on every disconnected one; K_n less the edge (0, 1) is two edges short
+    # of complete, so it still takes the sweep and reads rad 1 and diam 2
     for G in nx.graph_atlas_g()[1:]:
         g = build_graph(G.number_of_nodes(), list(G.edges()))
         if nx.is_connected(G):
-            ecc = nx.eccentricity(G)
-            assert _sweep(g)[0] == tuple(ecc[v] for v in range(g.n))
+            assert _sweep(g)[:2] == (nx.radius(G), nx.diameter(G))
         else:
             assert _sweep(g) is None
     for n in range(3, 41):
         g = build_graph(n, list(itertools.combinations(range(n), 2))[1:])
         assert _sweep(g) == _sweep_by_bfs(g)
-        assert _sweep(g)[0] == (2, 2) + (1,) * (n - 2)
+        assert _sweep(g)[:2] == (1, 2)
     with pytest.raises(InvalidParam, match="empty graph has no radius"):
         _sweep(build_graph(0, []))
 
